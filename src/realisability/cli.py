@@ -22,9 +22,9 @@ from .extraction import (
     print_proof,
 )
 from .ordinals import (
-    EQUAL, GREATER, LESS, OrdNotation, OrdParseError, build_TI, classify,
-    compare, fundseq, LimC, omega, onat, ordinal_kernel, parse_ord,
-    print_ord, ti_proof_template, wo_realiser,
+    EQUAL, GREATER, LESS, OrdNotation, OrdParseError, build_TI,
+    check_ti_formula, classify, compare, fundseq, LimC, omega, onat,
+    ordinal_kernel, parse_ord, print_ord, ti_proof_template, wo_realiser,
 )
 from .poles import (
     Empty, Full, Generated, IN, OUT, UNKNOWN, PoleSpec, Verdict, member,
@@ -213,7 +213,7 @@ def cmd_run(args, cfg: RunConfig, kernel: Kernel):
     if isinstance(r, Value):
         return 0, {"result": _nat_json(r.n)}
     assert isinstance(r, Diverged)
-    code = 2 if r.reason == "fuel" else 1
+    code = 2 if r.reason == "fuel-exhausted" else 1
     return code, {"diverged": r.reason}
 
 
@@ -249,16 +249,31 @@ def cmd_ord_fs(args, cfg: RunConfig, kernel: Kernel):
 
 def _ti_data(args):
     f = parse_formula(args.formula)
-    if args.var not in free_vars(f):
-        raise UsageError("formula must contain the induction variable %r"
-                         % args.var)
+    if free_vars(f) != {args.var}:
+        raise UsageError("formula must have exactly one free variable, the "
+                         "induction variable %r" % args.var)
+    return f
+
+
+def _ti_realised_formula(args):
+    """The formula of a well-ordering realiser check, rejected before any
+    kernel work when the realisers do not support it."""
+    f = _ti_data(args)
+    try:
+        check_ti_formula(f)
+    except ValueError as exc:
+        raise UsageError("formula outside the family the well-ordering "
+                         "realisers support (%s)" % exc)
     return f
 
 
 def cmd_ti_prove(args, cfg: RunConfig, kernel: Kernel):
     f = _ti_data(args)
     alpha = parse_ord(args.alpha) if args.alpha else None
-    out = ti_proof_template(args.kind, f, alpha, var=args.var)
+    try:
+        out = ti_proof_template(args.kind, f, alpha, var=args.var)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     jump = None
     if isinstance(out, tuple):
         out, jump = out
@@ -289,14 +304,14 @@ def _check_ti_realiser(alpha: OrdNotation, f, var: str, cfg: RunConfig,
 
 
 def cmd_ti_realise(args, cfg: RunConfig, kernel: Kernel):
-    f = _ti_data(args)
+    f = _ti_realised_formula(args)
     alpha = parse_ord(args.alpha)
     rec = _check_ti_realiser(alpha, f, args.var, cfg, kernel, cfg.rng())
     return _verdict_exit(rec["verdict"]), rec
 
 
 def cmd_ti_validate(args, cfg: RunConfig, kernel: Kernel):
-    f = _ti_data(args)
+    f = _ti_realised_formula(args)
     alphas = [parse_ord(t) for t in args.alphas.split(",")]
     rng = cfg.rng()
     recs = [_check_ti_realiser(a, f, args.var, cfg, kernel, rng)

@@ -490,6 +490,13 @@ def _prove_outright(a: Formula) -> Proof:
                      % a.__class__.__name__)
 
 
+def check_ti_formula(a: Formula) -> None:
+    """Raise ValueError unless a is in the family the well-ordering
+    realisers support: its positive core must be a reflexive equation, so
+    that the templates can prove every instance of a outright."""
+    _prove_outright(a)
+
+
 def ti_proof_template(kind: str, a: Formula, alpha: Optional[OrdNotation]
                       = None, var: Optional[str] = None):
     """A checker-accepted proof of the named transfinite-induction step.

@@ -2,8 +2,20 @@
 
 Programs are a small de Bruijn lambda calculus with numerals, pairing,
 case analysis on zero, fixed points, and registered host primitives.
-Every program has a numeric code; application ``e . m`` decodes ``e``
-and runs it on the literal ``m`` under a step budget.
+Every program has a numeric code; application ``e . m`` runs the program
+``e`` codes on ``m`` under a step budget.
+
+The kernel is an environment machine.  Applying a code looks up its
+closure, a (program, env) pair, so a code is decoded once: the closures
+of ``int`` codes sit in a bounded memo owned by the ``Kernel`` (emptied
+when it fills), and a ``PV`` code keeps its closure in its ``clo`` slot
+for as long as the code lives.  An argument is bound in the env, not
+substituted; a Lam or Fix evaluated as a value is encoded with its env
+read in, which gives the code the non-shifting ``subst`` followed by
+``encode`` would give.  Continuations are kept on an explicit stack.
+Fuel is one unit per program node evaluated, one per application step,
+plus each primitive's cost, exactly as for decode-substitute-encode
+evaluation, which ``subst``, ``decode`` and ``encode`` still support.
 
 Naturals are represented sparsely: a value is either a Python ``int``
 or a ``PV`` node standing for the Cantor pair of two values.  The two
@@ -18,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-# evaluation, decoding, and pole chases recurse along program structure
+# decoding, encoding and the sparse-natural helpers recurse along structure
 if sys.getrecursionlimit() < 100000:
     sys.setrecursionlimit(100000)
 
@@ -73,11 +85,12 @@ _SMALL = 1 << 64
 class PV:
     """The Cantor pair of two sparse naturals, kept unexpanded."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "clo")
 
     def __init__(self, a: "Nat", b: "Nat"):
         self.a = a
         self.b = b
+        self.clo = None  # the kernel's (program, env) for this code
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, PV)):
@@ -240,32 +253,49 @@ _TAG_STUCK = 12
 
 
 def encode(p: Program) -> Nat:
-    if isinstance(p, Var):
+    return _close(p, (), 0)
+
+
+def _close(p: Program, env: tuple, d: int) -> Nat:
+    """The code of p under d binders, reading Var(d+i) as Lit(env[i]).
+
+    With an empty env this is plain encoding.  Otherwise it is the code
+    the non-shifting ``subst`` would give after substituting env's values
+    for the variables they bind, innermost first: indices past env are
+    left as they are."""
+    t = type(p)
+    if t is Var:
+        i = p.index - d
+        if 0 <= i < len(env):
+            return vpair(_TAG_LIT, env[i])
         return vpair(_TAG_VAR, p.index)
-    if isinstance(p, Lam):
-        return vpair(_TAG_LAM, encode(p.body))
-    if isinstance(p, App):
-        return vpair(_TAG_APP, vpair(encode(p.fn), encode(p.arg)))
-    if isinstance(p, Lit):
+    if t is Lam:
+        return vpair(_TAG_LAM, _close(p.body, env, d + 1))
+    if t is App:
+        return vpair(_TAG_APP, vpair(_close(p.fn, env, d),
+                                     _close(p.arg, env, d)))
+    if t is Lit:
         return vpair(_TAG_LIT, p.n)
-    if isinstance(p, Suc):
-        return vpair(_TAG_SUC, encode(p.p))
-    if isinstance(p, Pred):
-        return vpair(_TAG_PRED, encode(p.p))
-    if isinstance(p, IfZ):
-        return vpair(_TAG_IFZ, vpair(encode(p.scrutinee),
-                                     vpair(encode(p.zero), encode(p.succ))))
-    if isinstance(p, Pair):
-        return vpair(_TAG_PAIR, vpair(encode(p.l), encode(p.r)))
-    if isinstance(p, Proj0):
-        return vpair(_TAG_PROJ0, encode(p.p))
-    if isinstance(p, Proj1):
-        return vpair(_TAG_PROJ1, encode(p.p))
-    if isinstance(p, Fix):
-        return vpair(_TAG_FIX, encode(p.body))
-    if isinstance(p, Prim):
-        return vpair(_TAG_PRIM, vpair(p.pid, encode(p.arg)))
-    if isinstance(p, Stuck):
+    if t is Suc:
+        return vpair(_TAG_SUC, _close(p.p, env, d))
+    if t is Pred:
+        return vpair(_TAG_PRED, _close(p.p, env, d))
+    if t is IfZ:
+        return vpair(_TAG_IFZ, vpair(_close(p.scrutinee, env, d),
+                                     vpair(_close(p.zero, env, d),
+                                           _close(p.succ, env, d))))
+    if t is Pair:
+        return vpair(_TAG_PAIR, vpair(_close(p.l, env, d),
+                                      _close(p.r, env, d)))
+    if t is Proj0:
+        return vpair(_TAG_PROJ0, _close(p.p, env, d))
+    if t is Proj1:
+        return vpair(_TAG_PROJ1, _close(p.p, env, d))
+    if t is Fix:
+        return vpair(_TAG_FIX, _close(p.body, env, d + 1))
+    if t is Prim:
+        return vpair(_TAG_PRIM, vpair(p.pid, _close(p.arg, env, d)))
+    if t is Stuck:
         return vpair(_TAG_STUCK, 0)
     raise TypeError("not a Program: %r" % (p,))
 
@@ -363,12 +393,32 @@ class StuckError(Exception):
     pass
 
 
+# How many int codes one Kernel keeps closures for; the memo is emptied
+# when it fills.  PV codes carry their closure themselves (PV.clo).
+_MEMO_SIZE = 1 << 12
+
+# Continuation frames of the machine, tagged by their first item.
+_K_ARG = 0  # (_K_ARG, arg, env): evaluate an App's argument next
+_K_CALL = 1  # (_K_CALL, vf): apply vf to the value
+_K_UNFOLD = 2  # (_K_UNFOLD, va): apply the unfolded fixed point to va
+_K_PAIR_R = 3  # (_K_PAIR_R, r, env): evaluate a Pair's right side next
+_K_PAIRED = 4  # (_K_PAIRED, l): pair l with the value
+_K_PRIM = 5  # (_K_PRIM, pid): run primitive pid on the value
+_K_IFZ = 6  # (_K_IFZ, zero, succ, env): branch on the value
+_PROJ0_FRAME = (7,)
+_PROJ1_FRAME = (8,)
+_SUC_FRAME = (9,)
+_PRED_FRAME = (10,)
+
+
 class Kernel:
-    """Holds the primitive registry.  Evaluation itself is pure."""
+    """Holds the primitive registry and the closures of int codes, and
+    runs the environment machine described in the module docstring."""
 
     def __init__(self) -> None:
         self._prims: dict[int, tuple[Callable[[Nat], Nat],
                                      Callable[[Nat], int]]] = {}
+        self._memo: dict[int, tuple[Program, tuple]] = {}
 
     def register_primitive(self, pid: int, fn: Callable[[Nat], Nat],
                            cost: Optional[Callable[[Nat], int]] = None) -> int:
@@ -377,63 +427,158 @@ class Kernel:
         self._prims[pid] = (fn, cost or (lambda _v: 1))
         return pid
 
-    def _eval(self, p: Program, fuel: list[int]) -> Nat:
-        fuel[0] -= 1
-        if fuel[0] < 0:
-            raise OutOfFuel()
-        if isinstance(p, Lit):
-            return p.n
-        if isinstance(p, Lam) or isinstance(p, Fix):
-            return encode(p)
-        if isinstance(p, Var) or isinstance(p, Stuck):
-            raise StuckError()
-        if isinstance(p, Suc):
-            return vint(self._eval(p.p, fuel)) + 1
-        if isinstance(p, Pred):
-            v = vint(self._eval(p.p, fuel))
-            return v - 1 if v > 0 else 0
-        if isinstance(p, IfZ):
-            v = self._eval(p.scrutinee, fuel)
-            if veq(v, 0):
-                return self._eval(p.zero, fuel)
-            return self._eval(p.succ, fuel)
-        if isinstance(p, Pair):
-            l = self._eval(p.l, fuel)
-            r = self._eval(p.r, fuel)
-            return vpair(l, r)
-        if isinstance(p, Proj0):
-            return vunpair(self._eval(p.p, fuel))[0]
-        if isinstance(p, Proj1):
-            return vunpair(self._eval(p.p, fuel))[1]
-        if isinstance(p, App):
-            vf = self._eval(p.fn, fuel)
-            va = self._eval(p.arg, fuel)
-            return self._apply_value(vf, va, fuel)
-        if isinstance(p, Prim):
-            va = self._eval(p.arg, fuel)
-            entry = self._prims.get(p.pid)
-            if entry is None:
-                raise StuckError()
-            fn, cost = entry
-            fuel[0] -= cost(va)
-            if fuel[0] < 0:
-                raise OutOfFuel()
-            return fn(va)
-        raise StuckError()
+    def closure(self, v: Nat) -> tuple[Program, tuple]:
+        """The (program, env) pair the machine runs when v is applied."""
+        clo = v.clo if type(v) is PV else self._memo.get(v)
+        if clo is None:
+            clo = (decode(v), ())
+            self._keep(v, clo)
+        return clo
+
+    def _keep(self, v: Nat, clo: tuple[Program, tuple]) -> None:
+        """Record clo as the closure of the code v."""
+        if type(v) is PV:
+            v.clo = clo
+        else:
+            if len(self._memo) >= _MEMO_SIZE:
+                self._memo.clear()
+            self._memo[v] = clo
+
+    def _machine(self, p: Optional[Program], env: tuple, vf: Nat, va: Nat,
+                 fuel: list[int]) -> Nat:
+        """Evaluate p in env, or apply vf to va when p is None, charging
+        the cell fuel[0]."""
+        left = fuel[0]
+        memo = self._memo
+        stack: list = []
+        push = stack.append
+        pop = stack.pop
+        try:
+            while True:
+                if p is None:  # apply vf to va
+                    left -= 1
+                    if left < 0:
+                        raise OutOfFuel()
+                    if type(vf) is PV:
+                        clo = vf.clo or self.closure(vf)
+                    else:
+                        clo = memo.get(vf) or self.closure(vf)
+                    prog, cenv = clo
+                    t = type(prog)
+                    if t is Lam:
+                        p = prog.body
+                        env = (va,) + cenv
+                    elif t is Fix:
+                        # one-step unfolding: Var 0 is the fixed point
+                        push((_K_UNFOLD, va))
+                        p = prog.body
+                        env = (vf,) + cenv
+                    else:
+                        raise StuckError()
+                left -= 1
+                if left < 0:
+                    raise OutOfFuel()
+                t = type(p)
+                if t is Var:
+                    if not 0 <= p.index < len(env):
+                        raise StuckError()
+                    v = env[p.index]
+                elif t is App:
+                    push((_K_ARG, p.arg, env))
+                    p = p.fn
+                    continue
+                elif t is Lit:
+                    v = p.n
+                elif t is Lam or t is Fix:
+                    v = _close(p, env, 0)
+                    self._keep(v, (p, env))
+                elif t is Prim:
+                    push((_K_PRIM, p.pid))
+                    p = p.arg
+                    continue
+                elif t is Pair:
+                    push((_K_PAIR_R, p.r, env))
+                    p = p.l
+                    continue
+                elif t is IfZ:
+                    push((_K_IFZ, p.zero, p.succ, env))
+                    p = p.scrutinee
+                    continue
+                elif t is Proj0:
+                    push(_PROJ0_FRAME)
+                    p = p.p
+                    continue
+                elif t is Proj1:
+                    push(_PROJ1_FRAME)
+                    p = p.p
+                    continue
+                elif t is Suc:
+                    push(_SUC_FRAME)
+                    p = p.p
+                    continue
+                elif t is Pred:
+                    push(_PRED_FRAME)
+                    p = p.p
+                    continue
+                else:
+                    raise StuckError()
+                # return v to the continuations until one has work to do
+                while True:
+                    if not stack:
+                        return v
+                    frame = pop()
+                    k = frame[0]
+                    if k == _K_ARG:
+                        push((_K_CALL, v))
+                        p = frame[1]
+                        env = frame[2]
+                        break
+                    if k == _K_CALL:
+                        vf = frame[1]
+                        va = v
+                        p = None
+                        break
+                    if k == _K_UNFOLD:
+                        vf = v
+                        va = frame[1]
+                        p = None
+                        break
+                    if k == _K_PAIR_R:
+                        push((_K_PAIRED, v))
+                        p = frame[1]
+                        env = frame[2]
+                        break
+                    if k == _K_PAIRED:
+                        v = vpair(frame[1], v)
+                    elif k == _K_PRIM:
+                        entry = self._prims.get(frame[1])
+                        if entry is None:
+                            raise StuckError()
+                        fn, cost = entry
+                        left -= cost(v)
+                        if left < 0:
+                            raise OutOfFuel()
+                        v = fn(v)
+                    elif k == _K_IFZ:
+                        p = frame[1] if veq(v, 0) else frame[2]
+                        env = frame[3]
+                        break
+                    elif frame is _PROJ0_FRAME:
+                        v = vunpair(v)[0]
+                    elif frame is _PROJ1_FRAME:
+                        v = vunpair(v)[1]
+                    elif frame is _SUC_FRAME:
+                        v = vint(v) + 1
+                    else:
+                        v = vint(v)
+                        v = v - 1 if v > 0 else 0
+        finally:
+            fuel[0] = left
 
     def _apply_value(self, vf: Nat, va: Nat, fuel: list[int]) -> Nat:
-        while True:
-            fuel[0] -= 1
-            if fuel[0] < 0:
-                raise OutOfFuel()
-            prog = decode(vf)
-            if isinstance(prog, Lam):
-                return self._eval(subst(prog.body, 0, va), fuel)
-            if isinstance(prog, Fix):
-                # one-step unfolding: the bound variable is the fixed point
-                vf = self._eval(subst(prog.body, 0, vf), fuel)
-                continue
-            raise StuckError()
+        # apply's one call with its fuel cell, where bench/tracer.py reads
+        # the cell
+        return self._machine(None, (), vf, va, fuel)
 
     def apply(self, e: Nat, m: Nat, fuel: int) -> EvalResult:
         """Kleene application e . m under a step budget."""
@@ -454,7 +599,7 @@ class Kernel:
             raise ValueError("fuel must be positive")
         cell = [fuel]
         try:
-            v = self._eval(p, cell)
+            v = self._machine(p, (), None, None, cell)
             return Value(v, fuel - cell[0])
         except OutOfFuel:
             return Diverged("fuel-exhausted")

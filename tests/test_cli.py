@@ -8,7 +8,7 @@ import sys
 
 from realisability.cli import main, parse_pole
 from realisability.poles import Empty, Full, Generated
-from realisability.vm import Lam, Var, encode
+from realisability.vm import Kernel, Lam, Var, encode
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +91,15 @@ def test_run_applies_a_program(capsys):
     assert code == 0 and rep["result"] == 9
 
 
+def test_run_fuel_exhaustion_exits_2(capsys):
+    # 55 codes Fix(Var 0), which unfolds to itself forever
+    code, rep = run_cli(capsys, "run", "55", "0", "--fuel", "1000")
+    assert code == 2 and rep["diverged"] == "fuel-exhausted"
+    # 13 codes \x.xx, so this is omega, run at the default fuel
+    code, rep = run_cli(capsys, "run", "13", "13")
+    assert code == 2 and rep["diverged"] == "fuel-exhausted"
+
+
 # ---------------------------------------------------------------------------
 # Proof commands
 
@@ -141,11 +150,27 @@ def test_ti_prove(capsys):
     assert code == 0 and rep["ok"]
 
 
+def test_ti_prove_without_a_template_is_usage_error(capsys):
+    assert main(["ti", "prove", "suc", "--formula", "(= (+ x 0) x)"]) == 3
+    assert main(["ti", "prove", "lim", "--alpha", "3"]) == 3
+
+
 def test_ti_realise(capsys):
     code, rep = run_cli(capsys, "ti", "realise", "w^2",
                         "--pole", "generated:0,3,8", "--samples", "5")
     assert code == 0
     assert rep["verdict"] == "in"
+
+
+def test_ti_realise_rejects_formula_outside_family(capsys, monkeypatch):
+    def no_kernel_work(*args):
+        raise AssertionError("kernel work before the formula was checked")
+
+    monkeypatch.setattr(Kernel, "apply", no_kernel_work)
+    assert main(["ti", "realise", "1", "--formula", "(= (+ x 0) x)"]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["ti", "realise", "1",
+                 "--formula", "(= (+ x y) (+ x y))"]) == 3
 
 
 def test_ti_validate_small_family(capsys):

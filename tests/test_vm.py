@@ -116,6 +116,19 @@ def test_fix_divergence():
     assert r == Diverged("fuel-exhausted")
 
 
+def test_omega_exhausts_fuel_without_recursion_error():
+    # 13 codes \x.xx; its self-application is a tail call
+    assert decode(13) == Lam(App(Var(0), Var(0)))
+    assert Kernel().apply(13, 13, 10**6) == Diverged("fuel-exhausted")
+
+
+def test_deep_recursion_runs_on_the_continuation_stack():
+    # f(n) = if n=0 then 0 else f(n-1)+1 nests 20000 pending successors
+    f = Fix(Lam(IfZ(Var(0), Lit(0), Suc(App(Var(1), Pred(Var(0)))))))
+    r = Kernel().apply(encode(f), 20000, 10**6)
+    assert isinstance(r, Value) and r.n == 20000
+
+
 def test_fix_computes_recursion():
     # add-by-recursion: f(n) = if n=0 then 100 else f(n-1)+1
     f = Fix(Lam(IfZ(Var(0), Lit(100), Suc(App(Var(1), Pred(Var(0)))))))
