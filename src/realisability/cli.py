@@ -14,35 +14,36 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .extraction import (
-    ProofError, check_proof, extract, extract_value, parse_proof,
-    print_proof,
+    ProofError, check_proof, extract_value, parse_proof,
+)
+from .notation import (
+    EQUAL, GREATER, LESS, LimC, OrdNotation, OrdParseError, classify,
+    compare, fundseq, omega, onat, parse_ord, print_ord,
 )
 from .ordinals import (
-    EQUAL, GREATER, LESS, OrdNotation, OrdParseError, build_TI,
-    check_ti_formula, classify, compare, fundseq, LimC, omega, onat,
-    ordinal_kernel, parse_ord, print_ord, ti_proof_template, wo_realiser,
+    build_TI, check_ti_formula, ordinal_kernel, ti_proof_template,
+    wo_realiser,
 )
 from .poles import (
     Empty, Full, Generated, IN, OUT, UNKNOWN, PoleSpec, Verdict, member,
 )
 from .ramified import (
-    LevelError, check_model_equivalence, check_rr_empty_properties,
-    explicit_realisation, explicit_refutation, parse_rformula,
-    print_rformula, r_free_vars, ram_corpus, ram_realises, ram_refutes,
-    ram_truth, rr_axiom, rr_instance_corpus, rt_axiom,
-    translate_conservative, translate_empty, translate_zero,
+    check_model_equivalence, check_rr_empty_properties, ram_corpus,
+    rr_axiom, rr_instance_corpus, rt_axiom, translate_conservative,
+    translate_empty, translate_zero,
 )
 from .semantics import (
     Budget, EmptySampleError, FALSE, OpenFormulaError, TRUE, TruthVal,
-    check_cr_axioms, realises, refutes, sample_refuters, truth_empty,
+    check_cr_axioms, realises, refutes, truth,
 )
 from .syntax import (
-    All, Eq, Imp, Num, ParseError, TVar, free_vars, godel, parse_formula,
-    parse_term, print_formula,
+    All, Eq, Imp, LevelError, Num, ParseError, TVar, explicit_realisation,
+    explicit_refutation, free_vars, godel, parse_base_formula,
+    parse_formula, parse_term, print_formula,
 )
 from .vm import Diverged, Kernel, Value, vle, vint, vpair, vunpair
 
@@ -76,9 +77,9 @@ def parse_pole(text: str) -> PoleSpec:
         try:
             seed = frozenset(int(x) for x in parts[1].split(",") if x != "")
             depth = int(parts[2]) if len(parts) > 2 else 64
-        except ValueError:
-            raise UsageError("bad generated pole spec %r" % text)
-        return Generated(seed, depth)
+            return Generated(seed, depth)
+        except ValueError as exc:
+            raise UsageError("bad generated pole spec %r (%s)" % (text, exc))
     raise UsageError("unknown pole spec %r (empty | full | "
                      "generated:n,m[,..][:depth])" % text)
 
@@ -141,17 +142,17 @@ def _records_exit(records: list) -> int:
 
 def cmd_parse(args, cfg: RunConfig, kernel: Kernel):
     if args.ram:
-        f = parse_rformula(args.formula)
-        return 0, {"formula": print_rformula(f),
-                   "free_vars": sorted(r_free_vars(f))}
-    f = parse_formula(args.formula)
+        f = parse_formula(args.formula)
+        return 0, {"formula": print_formula(f),
+                   "free_vars": sorted(free_vars(f))}
+    f = parse_base_formula(args.formula)
     return 0, {"formula": print_formula(f),
                "free_vars": sorted(free_vars(f)),
                "code": _nat_json(godel(f))}
 
 
 def cmd_truth(args, cfg: RunConfig, kernel: Kernel):
-    t = truth_empty(parse_formula(args.formula), cfg.budget)
+    t = truth(parse_base_formula(args.formula), cfg.pole, cfg.budget, kernel)
     return _verdict_exit(t.kind), {"truth": _truth_json(t)}
 
 
@@ -163,7 +164,7 @@ def cmd_pole_member(args, cfg: RunConfig, kernel: Kernel):
 
 
 def cmd_refutes(args, cfg: RunConfig, kernel: Kernel):
-    f = parse_formula(args.formula)
+    f = parse_base_formula(args.formula)
     v = refutes(args.m, f, cfg.pole, cfg.budget, kernel)
     code = 2 if v.kind == UNKNOWN else 0
     return code, {"refutes": _verdict_json(v), "m": args.m,
@@ -171,7 +172,7 @@ def cmd_refutes(args, cfg: RunConfig, kernel: Kernel):
 
 
 def cmd_realises(args, cfg: RunConfig, kernel: Kernel):
-    f = parse_formula(args.formula)
+    f = parse_base_formula(args.formula)
     rv = realises(args.n, f, cfg.pole, cfg.budget, kernel, cfg.rng())
     rep = {"realises": _verdict_json(rv.verdict), "samples": rv.samples,
            "n": args.n, "formula": print_formula(f)}
@@ -247,18 +248,19 @@ def cmd_ord_fs(args, cfg: RunConfig, kernel: Kernel):
                "result": print_ord(fundseq(a, args.n))}
 
 
-def _ti_data(args):
-    f = parse_formula(args.formula)
-    if free_vars(f) != {args.var}:
+def _ti_data(args, var: str):
+    f = parse_base_formula(args.formula)
+    if free_vars(f) != {var}:
         raise UsageError("formula must have exactly one free variable, the "
-                         "induction variable %r" % args.var)
+                         "induction variable %r" % var)
     return f
 
 
 def _ti_realised_formula(args):
     """The formula of a well-ordering realiser check, rejected before any
-    kernel work when the realisers do not support it."""
-    f = _ti_data(args)
+    kernel work when the realisers do not support it.  The realisers'
+    primitives fix the induction variable to x."""
+    f = _ti_data(args, "x")
     try:
         check_ti_formula(f)
     except ValueError as exc:
@@ -268,7 +270,7 @@ def _ti_realised_formula(args):
 
 
 def cmd_ti_prove(args, cfg: RunConfig, kernel: Kernel):
-    f = _ti_data(args)
+    f = _ti_data(args, args.var)
     alpha = parse_ord(args.alpha) if args.alpha else None
     try:
         out = ti_proof_template(args.kind, f, alpha, var=args.var)
@@ -287,14 +289,14 @@ def cmd_ti_prove(args, cfg: RunConfig, kernel: Kernel):
     return 0, rep
 
 
-def _check_ti_realiser(alpha: OrdNotation, f, var: str, cfg: RunConfig,
+def _check_ti_realiser(alpha: OrdNotation, f, cfg: RunConfig,
                        kernel: Kernel, rng: random.Random):
     e = wo_realiser(alpha, kernel)
     r = kernel.apply(e, godel(f), cfg.budget.fuel * 10)
     if not isinstance(r, Value):
         return {"alpha": print_ord(alpha), "verdict": "unknown",
                 "reason": "combinator application diverged"}
-    goal = build_TI(f, alpha, var)
+    goal = build_TI(f, alpha, "x")
     rv = realises(r.n, goal, cfg.pole, cfg.budget, kernel, rng)
     return {"alpha": print_ord(alpha),
             "goal": print_formula(goal),
@@ -306,7 +308,7 @@ def _check_ti_realiser(alpha: OrdNotation, f, var: str, cfg: RunConfig,
 def cmd_ti_realise(args, cfg: RunConfig, kernel: Kernel):
     f = _ti_realised_formula(args)
     alpha = parse_ord(args.alpha)
-    rec = _check_ti_realiser(alpha, f, args.var, cfg, kernel, cfg.rng())
+    rec = _check_ti_realiser(alpha, f, cfg, kernel, cfg.rng())
     return _verdict_exit(rec["verdict"]), rec
 
 
@@ -314,39 +316,35 @@ def cmd_ti_validate(args, cfg: RunConfig, kernel: Kernel):
     f = _ti_realised_formula(args)
     alphas = [parse_ord(t) for t in args.alphas.split(",")]
     rng = cfg.rng()
-    recs = [_check_ti_realiser(a, f, args.var, cfg, kernel, rng)
-            for a in alphas]
+    recs = [_check_ti_realiser(a, f, cfg, kernel, rng) for a in alphas]
     kinds = {r["verdict"] for r in recs}
     code = 1 if OUT in kinds else 2 if UNKNOWN in kinds else 0
     return code, {"results": recs}
 
 
 def cmd_ram_explicit(args, cfg: RunConfig, kernel: Kernel):
-    f = parse_rformula(args.formula)
+    f = parse_formula(args.formula)
     s = parse_term(args.s)
     build = (explicit_realisation if args.side == "realise"
              else explicit_refutation)
-    return 0, {"side": args.side, "formula": print_rformula(f),
-               "result": print_rformula(build(s, f))}
+    return 0, {"side": args.side, "formula": print_formula(f),
+               "result": print_formula(build(s, f))}
 
 
 def cmd_ram_translate(args, cfg: RunConfig, kernel: Kernel):
-    f = parse_rformula(args.formula)
+    f = parse_formula(args.formula)
     fn = {"conservative": translate_conservative,
           "empty": translate_empty,
           "zero": translate_zero}[args.mode]
-    out = fn(f)
-    text = (print_formula(out) if args.mode == "conservative"
-            else print_rformula(out))
-    return 0, {"mode": args.mode, "formula": print_rformula(f),
-               "result": text}
+    return 0, {"mode": args.mode, "formula": print_formula(f),
+               "result": print_formula(fn(f))}
 
 
 def cmd_ram_axiom(args, cfg: RunConfig, kernel: Kernel):
     beta = parse_ord(args.beta)
     low = parse_ord(args.low)
-    sent = parse_rformula(args.formula)
-    sent2 = parse_rformula(args.formula2)
+    sent = parse_formula(args.formula)
+    sent2 = parse_formula(args.formula2)
     try:
         if args.kind.startswith("RT"):
             inst = rt_axiom(args.kind, beta, cfg.gamma, a=sent, a2=sent2,
@@ -359,7 +357,7 @@ def cmd_ram_axiom(args, cfg: RunConfig, kernel: Kernel):
     except LevelError as exc:
         return 1, {"ok": False, "error": str(exc)}
     return 0, {"ok": True, "kind": args.kind,
-               "instance": print_rformula(inst)}
+               "instance": print_formula(inst)}
 
 
 def cmd_ram_check(args, cfg: RunConfig, kernel: Kernel):
@@ -434,7 +432,7 @@ def _suite_ti_section(cfg: RunConfig, kernel: Kernel,
     scfg = RunConfig(pole=cfg.pole if not isinstance(cfg.pole, Empty)
                      else Generated(frozenset({0, 3, 8}), 64),
                      budget=small, gamma=cfg.gamma, seed=cfg.seed)
-    return [_check_ti_realiser(a, f, "x", scfg, kernel, rng)
+    return [_check_ti_realiser(a, f, scfg, kernel, rng)
             for a in (onat(0), onat(2), omega())]
 
 
@@ -445,7 +443,8 @@ def _suite_ram_section(cfg: RunConfig, kernel: Kernel,
                                       cfg.budget, kernel, rng, beta=onat(1))
     insts = rr_instance_corpus(20, onat(2), rng)
     true_count = sum(
-        int(truth_empty(translate_conservative(f), cfg.budget).kind == TRUE)
+        int(truth(translate_conservative(f), cfg.pole, cfg.budget,
+                  kernel).kind == TRUE)
         for _, f in insts)
     return {"equivalence": eq_recs, "translated_true": true_count,
             "translated_total": len(insts)}
@@ -486,7 +485,6 @@ def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fuel", type=int, default=10**6)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--width", type=int, default=50)
-    p.add_argument("--depth", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pole", default="empty")
     p.add_argument("--gamma", default="w")
@@ -566,13 +564,11 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_ti_realise)
     p.add_argument("alpha")
     p.add_argument("--formula", default="(= x x)")
-    p.add_argument("--var", default="x")
     p = ti_sub.add_parser("validate")
     _common(p)
     p.set_defaults(fn=cmd_ti_validate)
     p.add_argument("--alphas", default="0,1,2,w,w*2,w^2,w^w")
     p.add_argument("--formula", default="(= x x)")
-    p.add_argument("--var", default="x")
 
     ram_p = sub.add_parser("ram")
     ram_sub = ram_p.add_subparsers(dest="subcommand", required=True)

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .poles import Empty, OUT
+from .semantics import Budget, FALSE, realises, truth
 from .syntax import (
-    Add, All, ATerm, Eq, Formula, Imp, Num, SucT, TVar, ZERO, _P, _name_code,
-    _parse_formula, _parse_term, bot, free_vars, fresh_var, godel_term,
-    parse_formula, print_formula, print_term, subst, subst_term, term_vars,
-    ungodel_term, eval_term,
+    Add, All, ATerm, Eq, Formula, Imp, Num, ParseError, SucT, TVar, ZERO, _P,
+    _name_code, _name_decode, _parse_base_formula, _parse_term, bot,
+    free_vars, fresh_var, godel_term, parse_formula, print_formula,
+    print_term, subst, subst_term, term_vars, ungodel_term, eval_term,
 )
 from .vm import (
     App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Program, Proj0,
@@ -31,10 +32,9 @@ from .vm import (
 # ---------------------------------------------------------------------------
 # Combinators
 
-# application: i . <a, b> = \x. <a, <b, x>>
+# application: i . <a, b> = \x. <a, <b, x>>; specialisation
+# s . <a, n> = \c. <a, <n, c>> is the same program
 _I = Lam(Lam(Pair(Proj0(Var(1)), Pair(Proj1(Var(1)), Var(0)))))
-# specialisation: s . <a, n> = \c. <a, <n, c>>  (same program shape as i)
-_S = Lam(Lam(Pair(Proj0(Var(1)), Pair(Proj1(Var(1)), Var(0)))))
 # generalisation: u . a = \x. <a . (x)0, (x)1>
 _U = Lam(Lam(Pair(App(Var(1), Proj0(Var(0))), Proj1(Var(0)))))
 # continuation constant: k_pi . a = \b. <(b)0, a>
@@ -43,11 +43,10 @@ _KPI = Lam(Lam(Pair(Proj0(Var(0)), Var(1))))
 _KBOT = Lam(Lam(Var(1)))
 
 _I_CODE = encode(_I)
-_S_CODE = encode(_S)
 _U_CODE = encode(_U)
 _KPI_CODE = encode(_KPI)
 
-_COMBINATORS = {"i": _I, "s": _S, "u": _U, "k_pi": _KPI, "k_bot": _KBOT}
+_COMBINATORS = {"i": _I, "s": _I, "u": _U, "k_pi": _KPI, "k_bot": _KBOT}
 
 
 def combinator(name: str) -> Nat:
@@ -65,7 +64,6 @@ PID_EQCHECK = 2
 
 
 def _read_env(ctx_code: Nat, env: Nat) -> dict:
-    from .syntax import _name_decode
     out = {}
     while not veq(ctx_code, 0):
         nc, ctx_code = vunpair(ctx_code)
@@ -373,8 +371,9 @@ _AX_UNIVDIST = Lam(Pair(
     Pair(Proj0(Proj1(Proj1(_M))),
          Pair(Proj0(Proj1(_M)), Proj1(Proj1(Proj1(_M)))))))
 
-# v = value of the instantiating term; m = refuter <g, c>
-_UI_MAKER = Lam(Lam(Pair(App(Lit(_S_CODE), Pair(Proj0(Var(0)), Var(1))),
+# v = value of the instantiating term; m = refuter <g, c>; the first
+# component is s . <v, g>, and s is the program i
+_UI_MAKER = Lam(Lam(Pair(App(Lit(_I_CODE), Pair(Proj0(Var(0)), Var(1))),
                          Proj1(Var(0)))))
 _UI_MAKER_CODE = encode(_UI_MAKER)
 
@@ -389,7 +388,7 @@ _K_IND = Lam(Fix(Lam(IfZ(
     Var(0),
     Proj0(Var(2)),
     App(Lit(_I_CODE),
-        Pair(App(Lit(_S_CODE), Pair(Proj0(Proj1(Var(2))), Pred(Var(0)))),
+        Pair(App(Lit(_I_CODE), Pair(Proj0(Proj1(Var(2))), Pred(Var(0)))),
              App(Var(1), Pred(Var(0)))))))))
 _K_IND_CODE = encode(_K_IND)
 _AX_INDUCTION = Lam(Pair(App(Lit(_U_CODE), App(Lit(_K_IND_CODE), _M)),
@@ -527,7 +526,6 @@ def reflection_gate(mode: str, goal: Formula, evidence: Optional[Nat],
     evidence exactly under the empty pole, "empty-pole" mode queries
     the induced truth predicate directly (evidence optional).
     """
-    from .semantics import Budget, FALSE, realises, truth_empty
     if mode not in REFLECTION_MODES:
         raise ValueError("unknown reflection mode %r" % mode)
     if free_vars(goal):
@@ -537,7 +535,7 @@ def reflection_gate(mode: str, goal: Formula, evidence: Optional[Nat],
     budget = budget or Budget()
     kernel = kernel or fresh_kernel()
     if mode == "empty-pole":
-        return truth_empty(goal, budget).kind != FALSE
+        return truth(goal, Empty(), budget, kernel).kind != FALSE
     if evidence is None:
         raise ValueError("rule mode needs evidence")
     v = realises(evidence, goal, Empty(), budget, kernel)
@@ -766,11 +764,10 @@ def print_proof(p: Proof) -> str:
 def _parse_proof(p: _P) -> Proof:
     tok, pos = p.next()
     if tok != "(":
-        from .syntax import ParseError
         raise ParseError("expected a proof, found %r" % tok, pos)
     head, hpos = p.next()
     if head == "hyp":
-        out: Proof = Hyp(_parse_formula(p))
+        out: Proof = Hyp(_parse_base_formula(p))
     elif head == "mp":
         out = MP(_parse_proof(p), _parse_proof(p))
     elif head == "gen":
@@ -779,18 +776,16 @@ def _parse_proof(p: _P) -> Proof:
     elif head == "ax":
         kind, kpos = p.next()
         if kind not in AXIOM_KINDS:
-            from .syntax import ParseError
             raise ParseError("unknown axiom kind %r" % kind, kpos)
-        f = _parse_formula(p)
+        f = _parse_base_formula(p)
         if kind == "univinst":
             out = Axiom(kind, f, (_parse_term(p),))
         elif kind == "leibniz":
             x, _ = p.next()
-            out = Axiom(kind, f, (x, _parse_formula(p)))
+            out = Axiom(kind, f, (x, _parse_base_formula(p)))
         else:
             out = Axiom(kind, f)
     else:
-        from .syntax import ParseError
         raise ParseError("unknown proof head %r" % head, hpos)
     p.expect(")")
     return out

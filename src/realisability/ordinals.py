@@ -1,386 +1,35 @@
-"""Ordinal notations below the first fixed point beyond epsilon-0,
-fundamental sequences, transfinite-induction formulas and proof
-templates, and the well-ordering realiser family.
+"""Transfinite induction over ordinal notations: the object-language
+function symbols on notation codes, transfinite-induction formulas and
+proof templates, and the well-ordering realiser family.
 
-Notations are Cantor normal forms whose exponents may be epsilon atoms
-with epsilon-free index.  Notation codes are naturals, so ordinals can
-appear inside arithmetic formulas through registered function symbols
-(ordlt, ordsuc, ordadd, ordpow); the transfinite-induction statement
-TI(A, alpha) is an ordinary arithmetic formula about codes.
+The notations themselves live in ``notation``.  Their codes are
+naturals, so ordinals appear inside arithmetic formulas through
+registered function symbols (ordlt, ordsuc, ordadd, ordpow); the
+transfinite-induction statement TI(A, alpha) is an ordinary arithmetic
+formula about codes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional
 
 from .extraction import (
-    MP, Axiom, Gen, Hyp, Proof, ax_k, ax_refleq, check_proof, deduce,
-    eq_sym, eq_trans, extract_value, inst_all, register_defining_axiom,
-    ax_defining, ax_exfalso, ax_leibniz, combinator,
+    MP, Gen, Hyp, Proof, ax_k, ax_refleq, deduce, eq_sym, eq_trans,
+    extract_value, fresh_kernel, inst_all, register_defining_axiom,
+    ax_defining, ax_exfalso, combinator,
+)
+from .notation import (
+    CnfSum, Eps, LESS, LimC, O_ZERO, OrdNotation, SucC, ZeroC, _has_eps,
+    add, classify, compare, eps, fundseq, ocode, odecode, omega_pow, onat,
 )
 from .syntax import (
-    All, ATerm, Eq, Fn, Formula, Imp, Num, ONE, TVar, ZERO, bot, free_vars,
-    godel, register_fn, subst, ungodel, FN_ARITY,
+    All, ATerm, Eq, Fn, Formula, Imp, Num, ONE, TRUTH_SIDE, TVar, ZERO,
+    free_vars, godel, in_language, register_fn, subst, ungodel, FN_ARITY,
 )
 from .vm import (
-    App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Program, Proj0,
-    Proj1, StuckError, Value, Var, encode, veq, vint, vle, vpair, vunpair,
+    App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Proj0, Proj1,
+    StuckError, Value, Var, encode, vint, vle, vpair, vunpair,
 )
-
-
-# ---------------------------------------------------------------------------
-# Notations
-
-@dataclass(frozen=True)
-class ZeroO:
-    pass
-
-
-@dataclass(frozen=True)
-class Eps:
-    """The epsilon number indexed by an epsilon-free notation; appears
-    only in exponent position (epsilon_a = omega^{epsilon_a})."""
-    sub: "OrdNotation"
-
-
-@dataclass(frozen=True)
-class CnfSum:
-    terms: tuple  # ((exponent, coefficient), ...), exponents decreasing
-
-
-OrdNotation = Union[ZeroO, CnfSum, Eps]
-
-O_ZERO = ZeroO()
-
-LESS, EQUAL, GREATER = "less", "equal", "greater"
-
-
-def _has_eps(a: OrdNotation) -> bool:
-    if isinstance(a, ZeroO):
-        return False
-    if isinstance(a, Eps):
-        return True
-    return any(_has_eps(e) for e, _c in a.terms)
-
-
-def _as_exp(a: OrdNotation):
-    """Canonical exponent form of a value: an epsilon value appears in
-    exponent position as its bare atom."""
-    if isinstance(a, CnfSum) and len(a.terms) == 1 \
-            and isinstance(a.terms[0][0], Eps) and a.terms[0][1] == 1:
-        return a.terms[0][0]
-    return a
-
-
-def onat(n: int) -> OrdNotation:
-    if n < 0:
-        raise ValueError("naturals only")
-    if n == 0:
-        return O_ZERO
-    return CnfSum(((O_ZERO, n),))
-
-
-def eps(sub: OrdNotation) -> OrdNotation:
-    """The value epsilon_sub, as the normal form omega^{epsilon_sub}."""
-    if _has_eps(sub):
-        raise ValueError("epsilon indices must be epsilon-free")
-    return CnfSum(((Eps(sub), 1),))
-
-
-def omega() -> OrdNotation:
-    return CnfSum(((onat(1), 1),))
-
-
-def is_normal(a: OrdNotation) -> bool:
-    if isinstance(a, ZeroO):
-        return True
-    if isinstance(a, Eps):
-        return False  # epsilon atoms live in exponent position only
-    if not a.terms:
-        return False
-    for e, c in a.terms:
-        if c < 1:
-            return False
-        if isinstance(e, Eps):
-            if _has_eps(e.sub) or not is_normal(e.sub):
-                return False
-        elif not is_normal(e) or _as_exp(e) is not e:
-            return False  # epsilon-value exponents must be bare atoms
-    for (e1, _c1), (e2, _c2) in zip(a.terms, a.terms[1:]):
-        if _cmp_exp(e1, e2) != GREATER:
-            return False
-    return True
-
-
-def _cmp_exp(e1, e2) -> str:
-    if e1 == e2:
-        return EQUAL
-    if isinstance(e1, Eps) and isinstance(e2, Eps):
-        return compare(e1.sub, e2.sub)
-    if isinstance(e1, Eps):
-        return compare(CnfSum(((e1, 1),)), e2)
-    if isinstance(e2, Eps):
-        r = compare(CnfSum(((e2, 1),)), e1)
-        return LESS if r == GREATER else GREATER if r == LESS else EQUAL
-    return compare(e1, e2)
-
-
-def compare(a: OrdNotation, b: OrdNotation) -> str:
-    """Strict total order on notations (ordinal less-than)."""
-    if isinstance(a, Eps):
-        a = CnfSum(((a, 1),))
-    if isinstance(b, Eps):
-        b = CnfSum(((b, 1),))
-    if isinstance(a, ZeroO):
-        return EQUAL if isinstance(b, ZeroO) else LESS
-    if isinstance(b, ZeroO):
-        return GREATER
-    for (e1, c1), (e2, c2) in zip(a.terms, b.terms):
-        r = _cmp_exp(e1, e2)
-        if r != EQUAL:
-            return r
-        if c1 != c2:
-            return LESS if c1 < c2 else GREATER
-    if len(a.terms) != len(b.terms):
-        return LESS if len(a.terms) < len(b.terms) else GREATER
-    return EQUAL
-
-
-def add(a: OrdNotation, b: OrdNotation) -> OrdNotation:
-    if isinstance(b, ZeroO):
-        return a
-    if isinstance(a, ZeroO):
-        return b
-    lead = b.terms[0][0]
-    kept = [t for t in a.terms if _cmp_exp(t[0], lead) == GREATER]
-    merged = list(b.terms)
-    same = [t for t in a.terms if _cmp_exp(t[0], lead) == EQUAL]
-    if same:
-        merged[0] = (lead, same[0][1] + merged[0][1])
-    return CnfSum(tuple(kept) + tuple(merged))
-
-
-def omega_pow(a: OrdNotation) -> OrdNotation:
-    """omega^a, normalised through the epsilon fixed points."""
-    if isinstance(a, CnfSum) and len(a.terms) == 1:
-        e, c = a.terms[0]
-        if isinstance(e, Eps) and c == 1:
-            return a  # omega^{epsilon_i} = epsilon_i
-    if isinstance(a, Eps):
-        raise ValueError("epsilon atom is not a notation value")
-    return CnfSum(((a, 1),))
-
-
-@dataclass(frozen=True)
-class ZeroC:
-    pass
-
-
-@dataclass(frozen=True)
-class SucC:
-    pred: OrdNotation
-
-
-@dataclass(frozen=True)
-class LimC:
-    pass
-
-
-OrdClass = Union[ZeroC, SucC, LimC]
-
-
-def classify(a: OrdNotation) -> OrdClass:
-    if isinstance(a, ZeroO):
-        return ZeroC()
-    e, c = a.terms[-1]
-    if isinstance(e, ZeroO):
-        head = a.terms[:-1]
-        if c > 1:
-            return SucC(CnfSum(head + ((e, c - 1),)))
-        return SucC(CnfSum(head) if head else O_ZERO)
-    return LimC()
-
-
-def omega_tower(base: OrdNotation, n: int) -> OrdNotation:
-    """omega_n(base): iterate omega_pow n times starting from base."""
-    out = base
-    for _ in range(n):
-        out = omega_pow(out)
-    return out
-
-
-def fundseq(a: OrdNotation, n: int) -> OrdNotation:
-    """The n-th member of the canonical sequence converging to limit a."""
-    if not isinstance(classify(a), LimC):
-        raise ValueError("fundamental sequences exist for limits only")
-    head = a.terms[:-1]
-    e, c = a.terms[-1]
-    if c > 1:
-        head = head + ((e, c - 1),)
-    prefix = CnfSum(head) if head else O_ZERO
-    return add(prefix, _fundseq_power(e, n))
-
-
-def _fundseq_power(e, n: int) -> OrdNotation:
-    """[omega^e]_n, where e may be an epsilon atom (the summand is then
-    the epsilon number itself)."""
-    if isinstance(e, Eps):
-        a = e.sub
-        k = classify(a)
-        if isinstance(k, ZeroC):
-            return omega_tower(onat(1), n)
-        if isinstance(k, SucC):
-            return omega_tower(add(eps(k.pred), onat(1)), n)
-        return eps(fundseq(a, n))
-    k = classify(e)
-    if isinstance(k, SucC):
-        if n == 0:
-            return O_ZERO
-        return CnfSum(((_as_exp(k.pred), n),))
-    if isinstance(k, LimC):
-        return omega_pow(fundseq(e, n))
-    raise ValueError("omega^0 is not a limit")
-
-
-# ---------------------------------------------------------------------------
-# Codes
-
-def ocode(a: OrdNotation) -> Nat:
-    if isinstance(a, ZeroO):
-        return 0
-    if isinstance(a, Eps):
-        return vpair(2, ocode(a.sub))
-    lst: Nat = 0
-    for e, c in reversed(a.terms):
-        lst = vpair(vpair(ocode(e), c), lst)
-    return vpair(1, lst)
-
-
-def odecode(v: Nat) -> Optional[OrdNotation]:
-    a = _odecode(v)
-    if a is None or isinstance(a, Eps) or not is_normal(a):
-        return None
-    return a
-
-
-def _odecode(v: Nat):
-    if veq(v, 0):
-        return O_ZERO
-    tag, rest = vunpair(v)
-    if veq(tag, 2):
-        sub = _odecode(rest)
-        if sub is None or isinstance(sub, Eps):
-            return None
-        return Eps(sub)
-    if not veq(tag, 1):
-        return None
-    terms = []
-    guard = 0
-    while not veq(rest, 0):
-        guard += 1
-        if guard > 64:
-            return None
-        tc, rest = vunpair(rest)
-        ec, c = vunpair(tc)
-        e = _odecode(ec)
-        if e is None or not vle(c, 1 << 30) or vint(c) < 1:
-            return None
-        terms.append((e, vint(c)))
-    if not terms:
-        return None
-    return CnfSum(tuple(terms))
-
-
-# ---------------------------------------------------------------------------
-# Text format: 0, w^a*k + ..., e[a]
-
-def print_ord(a: OrdNotation) -> str:
-    if isinstance(a, ZeroO):
-        return "0"
-    if isinstance(a, Eps):
-        return "e[%s]" % print_ord(a.sub)
-    parts = []
-    for e, c in a.terms:
-        if isinstance(e, Eps):
-            base = print_ord(e)
-        elif isinstance(e, ZeroO):
-            parts.append(str(c))
-            continue
-        elif e == onat(1):
-            base = "w"
-        else:
-            inner = print_ord(e)
-            base = "w^(%s)" % inner if ("+" in inner or "*" in inner) \
-                else "w^%s" % inner
-        parts.append(base if c == 1 else "%s*%d" % (base, c))
-    return " + ".join(parts)
-
-
-class OrdParseError(ValueError):
-    pass
-
-
-def _split_top(text: str, sep: str):
-    """Split on sep at bracket depth zero."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise OrdParseError("unbalanced brackets in %r" % text)
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise OrdParseError("unbalanced brackets in %r" % text)
-    parts.append("".join(cur))
-    return parts
-
-
-def parse_ord(text: str) -> OrdNotation:
-    out = O_ZERO
-    for chunk in _split_top(text, "+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise OrdParseError("empty summand in %r" % text)
-        out = add(out, _parse_summand(chunk))
-    return out
-
-
-def _parse_summand(s: str) -> OrdNotation:
-    coeff = 1
-    factors = _split_top(s, "*")
-    if len(factors) > 2:
-        raise OrdParseError("too many factors in %r" % s)
-    if len(factors) == 2:
-        s, ctext = factors[0].strip(), factors[1].strip()
-        if not ctext.isdigit() or int(ctext) < 1:
-            raise OrdParseError("bad coefficient %r" % ctext)
-        coeff = int(ctext)
-    s = s.strip()
-    if s.isdigit():
-        if coeff != 1:
-            raise OrdParseError("numeral with coefficient")
-        return onat(int(s))
-    if s == "w":
-        return CnfSum(((onat(1), coeff),))
-    if s.startswith("e[") and s.endswith("]"):
-        sub = parse_ord(s[2:-1])
-        base = eps(sub)
-        return CnfSum(((base.terms[0][0], coeff),))
-    if s.startswith("w^"):
-        e_text = s[2:]
-        if e_text.startswith("(") and e_text.endswith(")"):
-            e_text = e_text[1:-1]
-        e_val = parse_ord(e_text)
-        p = omega_pow(e_val)
-        return CnfSum(((p.terms[0][0], coeff),))
-    raise OrdParseError("cannot parse summand %r" % s)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +226,9 @@ _TEMPLATE_FUEL = 10**7
 
 def _decode_sentence_with_x(code: Nat) -> Formula:
     a = ungodel(code)
-    if not isinstance(a, (Eq, Imp, All)) or not free_vars(a) <= {"x"}:
+    if not isinstance(a, (Eq, Imp, All)) \
+            or not in_language(a, O_ZERO, TRUTH_SIDE) \
+            or not free_vars(a) <= {"x"}:
         raise StuckError()
     return a
 
@@ -691,7 +342,6 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
 
 
 def ordinal_kernel() -> Kernel:
-    from .extraction import fresh_kernel
     return install_ordinal_primitives(fresh_kernel())
 
 

@@ -33,6 +33,9 @@ class Generated:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", frozenset(int(x) for x in self.seed))
+        if not self.seed:
+            raise ValueError("a generated pole needs a non-empty seed "
+                             "(the empty seed generates the empty pole)")
 
 
 PoleSpec = Union[Empty, Full, Generated]
@@ -75,18 +78,6 @@ def verdict_and(*vs: Verdict) -> Verdict:
     return V_IN
 
 
-def pole_from_config(cfg: dict) -> PoleSpec:
-    kind = cfg.get("kind", "empty")
-    if kind == "empty":
-        return Empty()
-    if kind == "full":
-        return Full()
-    if kind == "generated":
-        return Generated(frozenset(cfg.get("seed", [0])),
-                         int(cfg.get("depth", 64)))
-    raise ValueError("unknown pole kind %r" % kind)
-
-
 def member(n: Nat, pole: PoleSpec, fuel: int, kernel: Kernel,
            depth: Optional[int] = None) -> Verdict:
     """Three-valued membership test for n in the pole."""
@@ -95,7 +86,7 @@ def member(n: Nat, pole: PoleSpec, fuel: int, kernel: Kernel,
     if isinstance(pole, Full):
         return V_IN
     seed = pole.seed
-    bound = max(seed) if seed else -1
+    bound = max(seed)
     remaining = pole.chase_depth if depth is None else depth
     while True:
         if vle(n, bound) and vint(n) in seed:

@@ -1,17 +1,14 @@
-"""Level-indexed truth and realisability layers.
+"""Level-indexed truth and realisability theories: axioms, translations
+and model harnesses.
 
-The base language is extended in two directions: a truth side with
-level-indexed truth atoms ``T_b t``, and a realisability side with a
-pole-membership atom ``t in-pole``, falsification atoms ``s F_b t`` and
-realisation atoms ``s T_b t``.  Levels are ordinal notations; an atom
-at level b may only speak about sentence codes whose own levels are
-strictly below b, which keeps every evaluation well-founded.
-
-This module provides the explicit (formula-level) unfolding of
-refutation and realisation, generators for closed instances of the
-level-indexed axiom families (RT1-RT6 on the truth side, RR1-RR10 on
-the realisability side), three translations between the layers with
-code-level counterparts, and a budgeted evaluator for the intended
+The level-indexed languages themselves (the truth atom, the pole,
+falsification and realisation atoms, their levels, coding, text and
+explicit unfoldings) live in ``syntax``, and the one evaluator for all
+of them lives in ``semantics``.  This module provides generators for
+closed instances of the level-indexed axiom families (RT1-RT6 on the
+truth side, RR1-RR10 on the realisability side), three translations
+between the layers with code-level counterparts, and harnesses that
+check formal atoms against their explicit unfoldings in the intended
 model over an arbitrary pole.
 """
 
@@ -19,172 +16,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from .ordinals import (
-    LESS, OrdNotation, compare, ocode, odecode, print_ord,
+from .notation import (
+    LESS, OrdNotation, add, compare, ocode, odecode, onat, print_ord,
 )
-from .poles import (
-    Empty, Full, Generated, IN, OUT, UNKNOWN, PoleSpec, V_IN, V_OUT,
-    Verdict, member,  verdict_and,
-)
-from .semantics import (
-    Budget, EmptySampleError, FALSE, OpenFormulaError, RealVerdict, TRUE,
-    TruthVal, certified_realiser,
-)
+from .poles import Empty, IN, UNKNOWN, PoleSpec
+from .semantics import Budget, TRUE, realises, truth
 from .syntax import (
-    All, ATerm, Eq, FN_ARITY, Fn, Formula, Imp, Num, ONE, PairT, ParseError,
-    Proj0T, Proj1T, TVar, ZERO, _F_ALL, _F_EQ, _F_IMP, _T_FN, _T_NUM,
-    _name_code, _name_decode, _P, _parse_term, bot, conj, eval_term,
-    eq_check, fresh_var, godel, godel_term, print_term, register_fn,
-    subst_term, term_vars, ungodel_term,
+    All, ATerm, Eq, FN_ARITY, Fals, Fn, Formula, Imp, InPole, LevelError,
+    Num, ONE, PairT, Proj0T, Proj1T, REAL_SIDE, Real, TRUTH_SIDE, TVar, Tru,
+    ZERO, _F_ALL, _F_EQ, _F_FALS, _F_IMP, _F_POLE, _F_REAL, _F_TRU, _FORMS,
+    _T_FN, _T_NUM, _name_code, _name_decode, bot, conj, decode_sentence,
+    eq_check, explicit_realisation, explicit_refutation, free_vars,
+    fresh_var, godel, godel_term, in_language, max_level, print_formula,
+    register_fn, subst, subt, ungodel,
 )
-from .vm import Kernel, Nat, PV, veq, vint, vpair, vunpair
-
-
-# ---------------------------------------------------------------------------
-# Extended formulas
-
-@dataclass(frozen=True)
-class InPole:
-    """Atom: the value of t is a pole element."""
-    t: ATerm
-
-
-@dataclass(frozen=True)
-class Fals:
-    """Atom: the value of s falsifies the sentence coded by t, at level."""
-    level: OrdNotation
-    s: ATerm
-    t: ATerm
-
-
-@dataclass(frozen=True)
-class Real:
-    """Atom: the value of s realises the sentence coded by t, at level."""
-    level: OrdNotation
-    s: ATerm
-    t: ATerm
-
-
-@dataclass(frozen=True)
-class Tru:
-    """Atom: t codes a true sentence of the language below level."""
-    level: OrdNotation
-    t: ATerm
-
-
-RAtom = Union[InPole, Fals, Real, Tru]
-RFormula = Union[Eq, Imp, All, InPole, Fals, Real, Tru]
-
-_R_ATOMS = (InPole, Fals, Real, Tru)
-_R_FORMS = (Eq, Imp, All, InPole, Fals, Real, Tru)
-
-TRUTH_SIDE = "truth"
-REAL_SIDE = "realisability"
-
-
-class LevelError(ValueError):
-    """A level constraint was violated."""
-
-
-# ---------------------------------------------------------------------------
-# Structural helpers
-
-def r_free_vars(a: RFormula) -> set:
-    if isinstance(a, Eq):
-        return term_vars(a.l) | term_vars(a.r)
-    if isinstance(a, Imp):
-        return r_free_vars(a.a) | r_free_vars(a.b)
-    if isinstance(a, All):
-        return r_free_vars(a.body) - {a.var}
-    if isinstance(a, InPole):
-        return term_vars(a.t)
-    if isinstance(a, (Fals, Real)):
-        return term_vars(a.s) | term_vars(a.t)
-    if isinstance(a, Tru):
-        return term_vars(a.t)
-    raise TypeError(a)
-
-
-def is_r_sentence(a: RFormula) -> bool:
-    return not r_free_vars(a)
-
-
-def r_subst(a: RFormula, x: str, s: ATerm) -> RFormula:
-    """Capture-avoiding substitution over the extended grammar."""
-    if isinstance(a, Eq):
-        return Eq(subst_term(a.l, x, s), subst_term(a.r, x, s))
-    if isinstance(a, Imp):
-        return Imp(r_subst(a.a, x, s), r_subst(a.b, x, s))
-    if isinstance(a, All):
-        if a.var == x:
-            return a
-        if a.var in term_vars(s) and x in r_free_vars(a.body):
-            y = fresh_var(term_vars(s) | r_free_vars(a.body))
-            renamed = r_subst(a.body, a.var, TVar(y))
-            return All(y, r_subst(renamed, x, s))
-        return All(a.var, r_subst(a.body, x, s))
-    if isinstance(a, InPole):
-        return InPole(subst_term(a.t, x, s))
-    if isinstance(a, Fals):
-        return Fals(a.level, subst_term(a.s, x, s), subst_term(a.t, x, s))
-    if isinstance(a, Real):
-        return Real(a.level, subst_term(a.s, x, s), subst_term(a.t, x, s))
-    if isinstance(a, Tru):
-        return Tru(a.level, subst_term(a.t, x, s))
-    raise TypeError(a)
-
-
-def max_level(a: RFormula) -> Optional[OrdNotation]:
-    """The largest atom level occurring in a, or None when level free."""
-    if isinstance(a, Eq):
-        return None
-    if isinstance(a, Imp):
-        return _lmax(max_level(a.a), max_level(a.b))
-    if isinstance(a, All):
-        return max_level(a.body)
-    if isinstance(a, InPole):
-        return None
-    if isinstance(a, (Fals, Real, Tru)):
-        return a.level
-    raise TypeError(a)
-
-
-def _lmax(x: Optional[OrdNotation],
-          y: Optional[OrdNotation]) -> Optional[OrdNotation]:
-    if x is None:
-        return y
-    if y is None:
-        return x
-    return y if compare(x, y) == LESS else x
-
-
-def _levels_below(a: RFormula, gamma: OrdNotation) -> bool:
-    top = max_level(a)
-    return top is None or compare(top, gamma) == LESS
-
-
-def in_language(a: RFormula, gamma: OrdNotation, side: str) -> bool:
-    """Whether a lies in the level-gamma language of the given side.
-
-    The truth side admits Tru atoms only; the realisability side admits
-    InPole, Fals and Real atoms only.  Pure base formulas lie in both.
-    All atom levels must be strictly below gamma.
-    """
-    if isinstance(a, Eq):
-        return True
-    if isinstance(a, Imp):
-        return in_language(a.a, gamma, side) and in_language(a.b, gamma, side)
-    if isinstance(a, All):
-        return in_language(a.body, gamma, side)
-    if isinstance(a, Tru):
-        return side == TRUTH_SIDE and compare(a.level, gamma) == LESS
-    if isinstance(a, InPole):
-        return side == REAL_SIDE
-    if isinstance(a, (Fals, Real)):
-        return side == REAL_SIDE and compare(a.level, gamma) == LESS
-    raise TypeError(a)
+from .vm import (
+    Kernel, Lam, Nat, PV, Pair, Proj0, Proj1, Var, encode, vpair, vunpair,
+)
 
 
 @dataclass(frozen=True)
@@ -196,153 +46,12 @@ class LevelLanguage:
         if self.side not in (TRUTH_SIDE, REAL_SIDE):
             raise ValueError("unknown language side %r" % self.side)
 
-    def contains(self, a: RFormula) -> bool:
+    def contains(self, a: Formula) -> bool:
         return in_language(a, self.gamma, self.side)
 
 
-def iff(a: RFormula, b: RFormula) -> RFormula:
+def iff(a: Formula, b: Formula) -> Formula:
     return conj(Imp(a, b), Imp(b, a))
-
-
-# ---------------------------------------------------------------------------
-# Coding of extended formulas
-
-_F_POLE = 23
-_F_FALS = 24
-_F_REAL = 25
-_F_TRU = 26
-
-
-def godel_r(a: RFormula) -> Nat:
-    if isinstance(a, Eq):
-        return vpair(_F_EQ, vpair(godel_term(a.l), godel_term(a.r)))
-    if isinstance(a, Imp):
-        return vpair(_F_IMP, vpair(godel_r(a.a), godel_r(a.b)))
-    if isinstance(a, All):
-        return vpair(_F_ALL, vpair(_name_code(a.var), godel_r(a.body)))
-    if isinstance(a, InPole):
-        return vpair(_F_POLE, godel_term(a.t))
-    if isinstance(a, Fals):
-        return vpair(_F_FALS, vpair(ocode(a.level),
-                                    vpair(godel_term(a.s), godel_term(a.t))))
-    if isinstance(a, Real):
-        return vpair(_F_REAL, vpair(ocode(a.level),
-                                    vpair(godel_term(a.s), godel_term(a.t))))
-    if isinstance(a, Tru):
-        return vpair(_F_TRU, vpair(ocode(a.level), godel_term(a.t)))
-    raise TypeError(a)
-
-
-def ungodel_r(c: Nat):
-    """Decode an extended formula code; None for garbage.
-
-    Falls back to term decoding so that every valid base code decodes
-    to the same object as the base decoder.
-    """
-    tag, rest = vunpair(c)
-    if isinstance(tag, PV):
-        return None
-    if tag == _F_EQ:
-        cl, cr = vunpair(rest)
-        l, r = ungodel_term(cl), ungodel_term(cr)
-        if l is None or r is None:
-            return None
-        return Eq(l, r)
-    if tag == _F_IMP:
-        ca, cb = vunpair(rest)
-        a, b = ungodel_r(ca), ungodel_r(cb)
-        if isinstance(a, _R_FORMS) and isinstance(b, _R_FORMS):
-            return Imp(a, b)
-        return None
-    if tag == _F_ALL:
-        cn, cb = vunpair(rest)
-        name = _name_decode(cn)
-        b = ungodel_r(cb)
-        if name and isinstance(b, _R_FORMS):
-            return All(name, b)
-        return None
-    if tag == _F_POLE:
-        t = ungodel_term(rest)
-        return InPole(t) if t is not None else None
-    if tag in (_F_FALS, _F_REAL):
-        lc, st = vunpair(rest)
-        lvl = odecode(lc)
-        if lvl is None:
-            return None
-        cs, ct = vunpair(st)
-        s, t = ungodel_term(cs), ungodel_term(ct)
-        if s is None or t is None:
-            return None
-        return (Fals if tag == _F_FALS else Real)(lvl, s, t)
-    if tag == _F_TRU:
-        lc, ct = vunpair(rest)
-        lvl = odecode(lc)
-        t = ungodel_term(ct)
-        if lvl is None or t is None:
-            return None
-        return Tru(lvl, t)
-    return ungodel_term(c)
-
-
-def _decode_sentence(c: Nat, side: str,
-                     below: OrdNotation) -> Optional[RFormula]:
-    """The sentence of the given side with levels < below coded by c."""
-    a = ungodel_r(c)
-    if not isinstance(a, _R_FORMS):
-        return None
-    if r_free_vars(a) or not in_language(a, below, side):
-        return None
-    return a
-
-
-def r_sub(c: Nat, x: str, n: Nat) -> Nat:
-    """On extended codes: |A(x)|, n  ->  |A(numeral n)|."""
-    a = ungodel_r(c)
-    if not isinstance(a, _R_FORMS):
-        raise ValueError("not a formula code")
-    return godel_r(r_subst(a, x, Num(n)))
-
-
-def r_subt(c: Nat, x: str, s_code: Nat) -> Nat:
-    """On extended codes: |A(x)|, |s|  ->  |A(s)|."""
-    a = ungodel_r(c)
-    if not isinstance(a, _R_FORMS):
-        raise ValueError("not a formula code")
-    s = ungodel_term(s_code)
-    if s is None:
-        raise ValueError("not a term code")
-    return godel_r(r_subst(a, x, s))
-
-
-# ---------------------------------------------------------------------------
-# Explicit refutation and realisation
-
-def explicit_refutation(s: ATerm, a: RFormula) -> RFormula:
-    """The formula expressing "the value of s refutes a"."""
-    if isinstance(a, Eq):
-        return Imp(a, InPole(s))
-    if isinstance(a, InPole):
-        return Imp(a, InPole(s))
-    if isinstance(a, Fals):
-        return Fals(a.level, s, Fn("memf", (a.s, a.t)))
-    if isinstance(a, Real):
-        return Fals(a.level, s, Fn("memt", (a.s, a.t)))
-    if isinstance(a, Imp):
-        return conj(explicit_realisation(Proj0T(s), a.a),
-                    explicit_refutation(Proj1T(s), a.b))
-    if isinstance(a, All):
-        inst = r_subst(a.body, a.var, Proj0T(s))
-        return explicit_refutation(Proj1T(s), inst)
-    if isinstance(a, Tru):
-        raise TypeError("truth atoms have no explicit refutation")
-    raise TypeError(a)
-
-
-def explicit_realisation(s: ATerm, a: RFormula) -> RFormula:
-    """The formula expressing "the value of s realises a"."""
-    v = fresh_var(term_vars(s) | r_free_vars(a))
-    return All(v, Imp(explicit_refutation(TVar(v), a),
-                      InPole(PairT(s, TVar(v)))))
 
 
 # ---------------------------------------------------------------------------
@@ -363,26 +72,6 @@ def _fn_node_code(name: str, arg_codes: list) -> Nat:
         args = vpair(c, args)
     return vpair(_T_FN, vpair(_name_code(name),
                               vpair(len(arg_codes), args)))
-
-
-def _fn_memf(s: Nat, y: Nat) -> Nat:
-    a = ungodel_r(y)
-    if not isinstance(a, _R_FORMS) or r_free_vars(a):
-        return 0
-    try:
-        return godel_r(explicit_refutation(Num(s), a))
-    except TypeError:
-        return 0
-
-
-def _fn_memt(s: Nat, y: Nat) -> Nat:
-    a = ungodel_r(y)
-    if not isinstance(a, _R_FORMS) or r_free_vars(a):
-        return 0
-    try:
-        return godel_r(explicit_realisation(Num(s), a))
-    except TypeError:
-        return 0
 
 
 def tau_empty_code(c: Nat) -> Nat:
@@ -441,15 +130,15 @@ def _fn_sentt(c: Nat, lc: Nat) -> Nat:
     beta = odecode(lc)
     if beta is None:
         return 0
-    return 1 if _decode_sentence(c, TRUTH_SIDE, beta) is not None else 0
+    return 1 if decode_sentence(c, TRUTH_SIDE, beta) is not None else 0
 
 
 def _fn_subv(c: Nat, nc: Nat, n: Nat) -> Nat:
     name = _name_decode(nc)
-    a = ungodel_r(c)
-    if name is None or not isinstance(a, _R_FORMS):
+    a = ungodel(c)
+    if name is None or not isinstance(a, _FORMS):
         return 0
-    return godel_r(r_subst(a, name, Num(n)))
+    return godel(subst(a, name, Num(n)))
 
 
 def _fn_eqc(cs: Nat, ct: Nat) -> Nat:
@@ -460,15 +149,13 @@ def _fn_eqc(cs: Nat, ct: Nat) -> Nat:
 
 
 def _register_symbols() -> None:
-    if "memf" in FN_ARITY:
-        return
-    register_fn("memf", 2, _fn_memf)
-    register_fn("memt", 2, _fn_memt)
-    register_fn("taue", 1, tau_empty_code)
-    register_fn("tau0", 1, tau_zero_code)
-    register_fn("sentt", 2, _fn_sentt)
-    register_fn("subv", 3, _fn_subv)
-    register_fn("eqc", 2, _fn_eqc)
+    for name, arity, fn in (("taue", 1, tau_empty_code),
+                            ("tau0", 1, tau_zero_code),
+                            ("sentt", 2, _fn_sentt),
+                            ("subv", 3, _fn_subv),
+                            ("eqc", 2, _fn_eqc)):
+        if name not in FN_ARITY:
+            register_fn(name, arity, fn)
 
 
 _register_symbols()
@@ -477,7 +164,7 @@ _register_symbols()
 # ---------------------------------------------------------------------------
 # Translations
 
-def translate_conservative(a: RFormula) -> Formula:
+def translate_conservative(a: Formula) -> Formula:
     """Collapse every level-indexed atom to a trivial truth."""
     if isinstance(a, Eq):
         return a
@@ -485,13 +172,13 @@ def translate_conservative(a: RFormula) -> Formula:
         return Imp(translate_conservative(a.a), translate_conservative(a.b))
     if isinstance(a, All):
         return All(a.var, translate_conservative(a.body))
-    if isinstance(a, _R_ATOMS):
+    if isinstance(a, (InPole, Fals, Real, Tru)):
         return Eq(ZERO, ZERO)
     raise TypeError(a)
 
 
-def translate_empty(a: RFormula,
-                    gamma: Optional[OrdNotation] = None) -> RFormula:
+def translate_empty(a: Formula,
+                    gamma: Optional[OrdNotation] = None) -> Formula:
     """Empty-pole reading: pole membership is absurd, falsification and
     realisation become truth of the translated explicit formula."""
     if isinstance(a, Eq):
@@ -511,8 +198,8 @@ def translate_empty(a: RFormula,
     raise TypeError(a)
 
 
-def translate_zero(a: RFormula,
-                   gamma: Optional[OrdNotation] = None) -> RFormula:
+def translate_zero(a: Formula,
+                   gamma: Optional[OrdNotation] = None) -> Formula:
     """Truth-to-realisability reading: a truth atom becomes guarded
     zero-realisation of the translated code."""
     if isinstance(a, Eq):
@@ -543,72 +230,72 @@ def _need_below(low: OrdNotation, high: OrdNotation, what: str) -> None:
                          % (what, print_ord(low), print_ord(high)))
 
 
-def _need_sentence(a: RFormula, side: str, below: OrdNotation) -> None:
-    if r_free_vars(a):
+def _need_sentence(a: Formula, side: str, below: OrdNotation) -> None:
+    if free_vars(a):
         raise LevelError("axiom data must be a sentence")
     if not in_language(a, below, side):
         raise LevelError("sentence exceeds level %s" % print_ord(below))
 
 
 def rt_axiom(kind: str, beta: OrdNotation, gamma: OrdNotation, *,
-             a: Optional[RFormula] = None, a2: Optional[RFormula] = None,
+             a: Optional[Formula] = None, a2: Optional[Formula] = None,
              var: Optional[str] = None,
              s: Optional[ATerm] = None, t: Optional[ATerm] = None,
              alpha: Optional[OrdNotation] = None,
-             delta: Optional[OrdNotation] = None) -> RFormula:
+             delta: Optional[OrdNotation] = None) -> Formula:
     """A closed truth-side axiom instance at level beta, below gamma."""
     _need_below(beta, gamma, kind)
     if kind == "RT1":
         # term invariance: equal-valued terms substitute interchangeably
-        ca = godel_r(a)
+        ca = godel(a)
         cs, ct = godel_term(s), godel_term(t)
         guard = Eq(Fn("eqc", (Num(cs), Num(ct))), ONE)
-        left = Tru(beta, Num(r_subt(ca, var, cs)))
-        right = Tru(beta, Num(r_subt(ca, var, ct)))
+        left = Tru(beta, Num(subt(ca, var, cs)))
+        right = Tru(beta, Num(subt(ca, var, ct)))
         return Imp(guard, iff(left, right))
     if kind == "RT2":
-        if not isinstance(a, Eq) or r_free_vars(a):
+        if not isinstance(a, Eq) or free_vars(a):
             raise LevelError("RT2 wants a closed equation")
-        return iff(Tru(beta, Num(godel_r(a))), a)
+        return iff(Tru(beta, Num(godel(a))), a)
     if kind == "RT3":
         _need_sentence(a, TRUTH_SIDE, beta)
         _need_sentence(a2, TRUTH_SIDE, beta)
-        return iff(Tru(beta, Num(godel_r(Imp(a, a2)))),
-                   Imp(Tru(beta, Num(godel_r(a))),
-                       Tru(beta, Num(godel_r(a2)))))
+        return iff(Tru(beta, Num(godel(Imp(a, a2)))),
+                   Imp(Tru(beta, Num(godel(a))),
+                       Tru(beta, Num(godel(a2)))))
     if kind == "RT4":
-        if var is None or var not in r_free_vars(a):
+        if var is None or var not in free_vars(a):
             raise LevelError("RT4 wants a formula with the named free var")
         closed = All(var, a)
         _need_sentence(closed, TRUTH_SIDE, beta)
-        x = fresh_var(r_free_vars(a))
-        inner = Tru(beta, Fn("subv", (Num(godel_r(a)),
+        x = fresh_var(free_vars(a))
+        inner = Tru(beta, Fn("subv", (Num(godel(a)),
                                       Num(_name_code(var)), TVar(x))))
-        return iff(Tru(beta, Num(godel_r(closed))), All(x, inner))
+        return iff(Tru(beta, Num(godel(closed))), All(x, inner))
     if kind == "RT5":
         _need_below(alpha, beta, "RT5")
         _need_sentence(a, TRUTH_SIDE, alpha)
-        inner = Tru(alpha, Num(godel_r(a)))
-        return iff(Tru(beta, Num(godel_r(inner))), inner)
+        inner = Tru(alpha, Num(godel(a)))
+        return iff(Tru(beta, Num(godel(inner))), inner)
     if kind == "RT6":
         _need_below(delta, beta, "RT6")
         _need_sentence(a, TRUTH_SIDE, delta)
-        inner = Tru(delta, Num(godel_r(a)))
-        return iff(Tru(beta, Num(godel_r(inner))),
-                   Tru(beta, Num(godel_r(a))))
+        inner = Tru(delta, Num(godel(a)))
+        return iff(Tru(beta, Num(godel(inner))),
+                   Tru(beta, Num(godel(a))))
     raise ValueError("unknown truth axiom kind %r" % kind)
 
 
 def rr_axiom(kind: str, beta: OrdNotation, gamma: OrdNotation, *,
              a: Optional[Nat] = None, b: Optional[Nat] = None,
-             sent: Optional[RFormula] = None,
-             sent2: Optional[RFormula] = None,
+             sent: Optional[Formula] = None,
+             sent2: Optional[Formula] = None,
              var: Optional[str] = None,
              s: Optional[ATerm] = None, t: Optional[ATerm] = None,
              alpha: Optional[OrdNotation] = None,
              delta: Optional[OrdNotation] = None,
              e: Optional[Nat] = None, m: Optional[Nat] = None,
-             r: Optional[Nat] = None) -> RFormula:
+             r: Optional[Nat] = None) -> Formula:
     """A closed realisability-side axiom instance at level beta.
 
     Numeric slots: a (the subject), b (an auxiliary subject), and for
@@ -621,325 +308,65 @@ def rr_axiom(kind: str, beta: OrdNotation, gamma: OrdNotation, *,
         return Imp(InPole(Num(r)), InPole(PairT(Num(e), Num(m))))
     if kind == "RR2":
         _need_sentence(sent, REAL_SIDE, beta)
-        code = Num(godel_r(sent))
+        code = Num(godel(sent))
         x = fresh_var(set())
         return iff(Real(beta, Num(a), code),
                    All(x, Imp(Fals(beta, TVar(x), code),
                               InPole(PairT(Num(a), TVar(x))))))
     if kind == "RR3":
-        ca = godel_r(sent)
+        ca = godel(sent)
         cs, ct = godel_term(s), godel_term(t)
         guard = Eq(Fn("eqc", (Num(cs), Num(ct))), ONE)
-        left = Fals(beta, Num(a), Num(r_subt(ca, var, cs)))
-        right = Fals(beta, Num(a), Num(r_subt(ca, var, ct)))
+        left = Fals(beta, Num(a), Num(subt(ca, var, cs)))
+        right = Fals(beta, Num(a), Num(subt(ca, var, ct)))
         return Imp(guard, iff(left, right))
     if kind == "RR4":
-        if not isinstance(sent, (Eq, InPole)) or r_free_vars(sent):
+        if not isinstance(sent, (Eq, InPole)) or free_vars(sent):
             raise LevelError("RR4 wants a closed atom")
-        return iff(Fals(beta, Num(a), Num(godel_r(sent))),
+        return iff(Fals(beta, Num(a), Num(godel(sent))),
                    Imp(sent, InPole(Num(a))))
     if kind == "RR5":
         _need_sentence(sent, REAL_SIDE, beta)
         _need_sentence(sent2, REAL_SIDE, beta)
-        code = Num(godel_r(Imp(sent, sent2)))
+        code = Num(godel(Imp(sent, sent2)))
         return iff(Fals(beta, Num(a), code),
-                   conj(Real(beta, Proj0T(Num(a)), Num(godel_r(sent))),
-                        Fals(beta, Proj1T(Num(a)), Num(godel_r(sent2)))))
+                   conj(Real(beta, Proj0T(Num(a)), Num(godel(sent))),
+                        Fals(beta, Proj1T(Num(a)), Num(godel(sent2)))))
     if kind == "RR6":
-        if var is None or var not in r_free_vars(sent):
+        if var is None or var not in free_vars(sent):
             raise LevelError("RR6 wants a formula with the named free var")
         closed = All(var, sent)
         _need_sentence(closed, REAL_SIDE, beta)
-        inst = Fn("subv", (Num(godel_r(sent)), Num(_name_code(var)),
+        inst = Fn("subv", (Num(godel(sent)), Num(_name_code(var)),
                            Proj0T(Num(a))))
-        return iff(Fals(beta, Num(a), Num(godel_r(closed))),
+        return iff(Fals(beta, Num(a), Num(godel(closed))),
                    Fals(beta, Proj1T(Num(a)), inst))
     if kind in ("RR7", "RR8"):
         _need_below(alpha, beta, kind)
         _need_sentence(sent, REAL_SIDE, alpha)
         atom = (Fals if kind == "RR7" else Real)(
-            alpha, Num(b), Num(godel_r(sent)))
-        return iff(Fals(beta, Num(a), Num(godel_r(atom))),
+            alpha, Num(b), Num(godel(sent)))
+        return iff(Fals(beta, Num(a), Num(godel(atom))),
                    explicit_refutation(Num(a), atom))
     if kind in ("RR9", "RR10"):
         _need_below(delta, beta, kind)
         _need_sentence(sent, REAL_SIDE, delta)
         atom = (Fals if kind == "RR9" else Real)(
-            delta, Num(b), Num(godel_r(sent)))
+            delta, Num(b), Num(godel(sent)))
         unfolded = (explicit_refutation if kind == "RR9"
                     else explicit_realisation)(Num(b), sent)
-        return iff(Fals(beta, Num(a), Num(godel_r(atom))),
-                   Fals(beta, Num(a), Num(godel_r(unfolded))))
+        return iff(Fals(beta, Num(a), Num(godel(atom))),
+                   Fals(beta, Num(a), Num(godel(unfolded))))
     raise ValueError("unknown realisability axiom kind %r" % kind)
-
-
-# ---------------------------------------------------------------------------
-# Model evaluation
-
-_DEPTH = 64
-
-
-def _too_deep(depth: int) -> None:
-    if depth <= 0:
-        raise LevelError("level recursion exhausted its depth budget")
-
-
-def _tv(v: Verdict) -> TruthVal:
-    if v.kind == IN:
-        return TruthVal(TRUE)
-    if v.kind == OUT:
-        return TruthVal(FALSE)
-    return TruthVal(UNKNOWN)
-
-
-def ram_truth(a: RFormula, pole: PoleSpec, gamma: OrdNotation, b: Budget,
-              kernel: Kernel, depth: int = _DEPTH) -> TruthVal:
-    """Budgeted truth of an extended sentence in the intended model."""
-    _too_deep(depth)
-    if r_free_vars(a):
-        raise OpenFormulaError(print_rformula(a))
-    if not _levels_below(a, gamma):
-        raise LevelError("formula level exceeds %s" % print_ord(gamma))
-    if isinstance(a, Eq):
-        if veq(eval_term(a.l), eval_term(a.r)):
-            return TruthVal(TRUE)
-        return TruthVal(FALSE)
-    if isinstance(a, InPole):
-        return _tv(member(eval_term(a.t), pole, b.fuel, kernel))
-    if isinstance(a, Fals):
-        sent = _decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
-        if sent is None:
-            return TruthVal(FALSE)
-        v = ram_refutes(eval_term(a.s), sent, pole, gamma, b, kernel,
-                        depth - 1)
-        return _tv(v)
-    if isinstance(a, Real):
-        sent = _decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
-        if sent is None:
-            return TruthVal(FALSE)
-        rv = ram_realises(eval_term(a.s), sent, pole, gamma, b, kernel,
-                          depth=depth - 1)
-        return _tv(rv.verdict)
-    if isinstance(a, Tru):
-        sent = _decode_sentence(eval_term(a.t), TRUTH_SIDE, a.level)
-        if sent is None:
-            return TruthVal(FALSE)
-        return ram_truth(sent, pole, gamma, b, kernel, depth - 1)
-    if isinstance(a, Imp):
-        ta = ram_truth(a.a, pole, gamma, b, kernel, depth)
-        tb = ram_truth(a.b, pole, gamma, b, kernel, depth)
-        if ta.kind == FALSE or tb.kind == TRUE:
-            return TruthVal(TRUE)
-        if ta.kind == TRUE and tb.kind == FALSE:
-            return TruthVal(FALSE)
-        return TruthVal(UNKNOWN)
-    if isinstance(a, All):
-        if a.var not in r_free_vars(a.body):
-            t = ram_truth(a.body, pole, gamma, b, kernel, depth)
-            return TruthVal(t.kind, witness=0 if t.kind == FALSE else None)
-        for n in range(b.width):
-            t = ram_truth(r_subst(a.body, a.var, Num(n)), pole, gamma, b,
-                          kernel, depth)
-            if t.kind == FALSE:
-                return TruthVal(FALSE, witness=n)
-        return TruthVal(UNKNOWN)
-    raise TypeError(a)
-
-
-def ram_refutes(m: Nat, a: RFormula, pole: PoleSpec, gamma: OrdNotation,
-                b: Budget, kernel: Kernel, depth: int = _DEPTH) -> Verdict:
-    """Whether m refutes the extended sentence a in the model."""
-    _too_deep(depth)
-    if r_free_vars(a):
-        raise OpenFormulaError(print_rformula(a))
-    if not in_language(a, gamma, REAL_SIDE):
-        raise LevelError("not a realisability sentence below %s"
-                         % print_ord(gamma))
-    if isinstance(a, Eq):
-        if not veq(eval_term(a.l), eval_term(a.r)):
-            return V_IN
-        return member(m, pole, b.fuel, kernel)
-    if isinstance(a, InPole):
-        v = member(eval_term(a.t), pole, b.fuel, kernel)
-        if v.kind == OUT:
-            return V_IN  # vacuous: the guard fails
-        if v.kind == IN:
-            return member(m, pole, b.fuel, kernel)
-        return v
-    if isinstance(a, (Fals, Real)):
-        sent = _decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
-        if sent is None:
-            return V_OUT  # no refuters of an atom about a non-sentence
-        unfold = (explicit_refutation if isinstance(a, Fals)
-                  else explicit_realisation)(Num(eval_term(a.s)), sent)
-        return ram_refutes(m, unfold, pole, gamma, b, kernel, depth - 1)
-    if isinstance(a, Imp):
-        m0, m1 = vunpair(m)
-        return verdict_and(
-            ram_realises(m0, a.a, pole, gamma, b, kernel,
-                         depth=depth).verdict,
-            ram_refutes(m1, a.b, pole, gamma, b, kernel, depth))
-    if isinstance(a, All):
-        m0, m1 = vunpair(m)
-        return ram_refutes(m1, r_subst(a.body, a.var, Num(m0)), pole,
-                           gamma, b, kernel, depth)
-    raise TypeError(a)
-
-
-def ram_realises(n: Nat, a: RFormula, pole: PoleSpec, gamma: OrdNotation,
-                 b: Budget, kernel: Kernel,
-                 rng: Optional[random.Random] = None,
-                 depth: int = _DEPTH) -> RealVerdict:
-    """Whether n realises a; exact under the empty pole, else sampled."""
-    _too_deep(depth)
-    if r_free_vars(a):
-        raise OpenFormulaError(print_rformula(a))
-    if not in_language(a, gamma, REAL_SIDE):
-        raise LevelError("not a realisability sentence below %s"
-                         % print_ord(gamma))
-    rng = rng or random.Random(0)
-    if isinstance(pole, Empty):
-        t = ram_truth(a, pole, gamma, b, kernel, depth)
-        if t.kind == TRUE:
-            return RealVerdict(V_IN, 0)
-        if t.kind == FALSE:
-            try:
-                w = ram_sample_refuters(a, pole, 1, gamma, b, kernel, rng,
-                                        depth)[0]
-            except (EmptySampleError, _SampleUnknown):
-                w = None
-            return RealVerdict(V_OUT, 0, witness=w)
-        return RealVerdict(Verdict(UNKNOWN, "width"), 0)
-    try:
-        refs = ram_sample_refuters(a, pole, b.samples, gamma, b, kernel,
-                                   rng, depth)
-    except EmptySampleError:
-        return RealVerdict(V_IN, 0)  # refuter set provably empty
-    except _SampleUnknown:
-        return RealVerdict(Verdict(UNKNOWN, "pole"), 0)
-    unknown = None
-    for i, m in enumerate(refs):
-        v = member(vpair(n, m), pole, b.fuel, kernel)
-        if v.kind == OUT:
-            return RealVerdict(v, i + 1, witness=m)
-        if v.kind == UNKNOWN:
-            unknown = unknown or v
-    if unknown is not None:
-        return RealVerdict(unknown, len(refs))
-    return RealVerdict(V_IN, len(refs))
-
-
-class _SampleUnknown(Exception):
-    """Sampling blocked by an indefinite pole membership."""
-
-
-def _ram_certified(a: RFormula, pole: PoleSpec, gamma: OrdNotation,
-                   b: Budget, kernel: Kernel, depth: int) -> Nat:
-    if isinstance(pole, Empty):
-        t = ram_truth(a, pole, gamma, b, kernel, depth)
-        if t.kind == TRUE:
-            return 0
-        raise EmptySampleError(
-            "no realiser of %r available under the empty pole"
-            % print_rformula(a))
-    return certified_realiser(bot(), pole, b, kernel)
-
-
-def ram_sample_refuters(a: RFormula, pole: PoleSpec, k: int,
-                        gamma: OrdNotation, b: Budget, kernel: Kernel,
-                        rng: Optional[random.Random] = None,
-                        depth: int = _DEPTH) -> list:
-    """k certified refuters of a, cycled when structure yields fewer."""
-    rng = rng or random.Random(0)
-    out = _ram_sample(a, pole, k, gamma, b, kernel, rng, depth)
-    if not out:
-        raise EmptySampleError(print_rformula(a))
-    i = 0
-    while len(out) < k:
-        out.append(out[i % len(out)])
-        i += 1
-    return out[:k]
-
-
-_WITNESS_BASE = [0, 1, 2, 3, 5, 7, 11, 17]
-
-
-def _pole_elements(pole: PoleSpec, k: int, rng: random.Random) -> list:
-    if isinstance(pole, Empty):
-        raise EmptySampleError("the empty pole has no elements")
-    if isinstance(pole, Full):
-        return [rng.randrange(0, 10**6) for _ in range(k)]
-    seed = sorted(pole.seed)
-    if not seed:
-        raise EmptySampleError("generated pole with an empty seed")
-    return [seed[i % len(seed)] for i in range(k)]
-
-
-def _ram_sample(a: RFormula, pole: PoleSpec, k: int, gamma: OrdNotation,
-                b: Budget, kernel: Kernel, rng: random.Random,
-                depth: int) -> list:
-    _too_deep(depth)
-    if isinstance(a, Eq):
-        if not veq(eval_term(a.l), eval_term(a.r)):
-            base = list(range(min(k, 8)))
-            while len(base) < k:
-                base.append(rng.randrange(0, 10**6))
-            return base[:k]
-        return _pole_elements(pole, k, rng)
-    if isinstance(a, InPole):
-        v = member(eval_term(a.t), pole, b.fuel, kernel)
-        if v.kind == OUT:  # vacuous guard: every number refutes
-            base = list(range(min(k, 8)))
-            while len(base) < k:
-                base.append(rng.randrange(0, 10**6))
-            return base[:k]
-        if v.kind == IN:
-            return _pole_elements(pole, k, rng)
-        raise _SampleUnknown(print_rformula(a))
-    if isinstance(a, (Fals, Real)):
-        sent = _decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
-        if sent is None:
-            raise EmptySampleError(
-                "atom about a non-sentence code has no refuters")
-        unfold = (explicit_refutation if isinstance(a, Fals)
-                  else explicit_realisation)(Num(eval_term(a.s)), sent)
-        return _ram_sample(unfold, pole, k, gamma, b, kernel, rng,
-                           depth - 1)
-    if isinstance(a, Imp):
-        r = _ram_certified(a.a, pole, gamma, b, kernel, depth)
-        subs = _ram_sample(a.b, pole, k, gamma, b, kernel, rng, depth)
-        return [vpair(r, m) for m in subs]
-    if isinstance(a, All):
-        witnesses = list(_WITNESS_BASE) + [rng.randrange(20, 200)]
-        per: list = []
-        for w in witnesses:
-            inst = r_subst(a.body, a.var, Num(w))
-            try:
-                ms = _ram_sample(inst, pole, max(1, k // len(witnesses) + 1),
-                                 gamma, b, kernel, rng, depth)
-            except EmptySampleError:
-                continue
-            per.extend(vpair(w, m) for m in ms)
-            if len(per) >= k:
-                break
-        if not per:
-            raise EmptySampleError(
-                "no refutable instance found for %s" % print_rformula(a))
-        return per[:k]
-    raise TypeError(a)
 
 
 # ---------------------------------------------------------------------------
 # Realiser table for the closed axiom instances
 
-_RR_TRANSPORT = None
-
-
 def rr_realiser(kind: str, kernel: Kernel) -> Nat:
     """A program code realising closed instances of the named axiom
     under the empty pole; the pair-rebuilding transport handles every
     biconditional, identity handles operational closure."""
-    from .vm import Lam, Pair, Proj0, Proj1, Var, encode
     if kind == "RR1":
         return encode(Lam(Var(0)))
     if kind in RR_KINDS:
@@ -949,10 +376,6 @@ def rr_realiser(kind: str, kernel: Kernel) -> Nat:
 
 # ---------------------------------------------------------------------------
 # Property harnesses
-
-def _truth_verdict(t: TruthVal) -> str:
-    return t.kind
-
 
 def check_model_equivalence(corpus: list, gamma: OrdNotation,
                             pole: PoleSpec, b: Budget, kernel: Kernel,
@@ -967,18 +390,18 @@ def check_model_equivalence(corpus: list, gamma: OrdNotation,
         top = max_level(sent)
         if top is not None and compare(top, lvl) != LESS:
             lvl = gamma  # the atom level must strictly dominate the sentence
-        code = godel_r(sent)
+        code = godel(sent)
         s_val = rng.randrange(0, 40)
-        lhs = ram_truth(Fals(lvl, Num(s_val), Num(code)), pole,
-                        _bump(gamma), b, kernel)
-        rhs = ram_truth(explicit_refutation(Num(s_val), sent), pole,
-                        _bump(gamma), b, kernel)
+        lhs = truth(Fals(lvl, Num(s_val), Num(code)), pole, b, kernel,
+                    gamma=_bump(gamma))
+        rhs = truth(explicit_refutation(Num(s_val), sent), pole, b, kernel,
+                    gamma=_bump(gamma))
         if lhs.kind == UNKNOWN or rhs.kind == UNKNOWN:
             verdict = "unknown"
         else:
             verdict = "agree" if lhs.kind == rhs.kind else "disagree"
         records.append({
-            "instance": print_rformula(sent), "subject": s_val,
+            "instance": print_formula(sent), "subject": s_val,
             "verdict": verdict, "lhs": lhs.kind, "rhs": rhs.kind,
             "level": print_ord(lvl),
         })
@@ -986,7 +409,6 @@ def check_model_equivalence(corpus: list, gamma: OrdNotation,
 
 
 def _bump(gamma: OrdNotation) -> OrdNotation:
-    from .ordinals import add, onat
     return add(gamma, onat(1))
 
 
@@ -1005,11 +427,11 @@ def check_rr_empty_properties(gamma: OrdNotation, corpus: list, b: Budget,
     wide = _bump(gamma)
     records = []
     for sent in corpus:
-        code = godel_r(sent)
+        code = godel(sent)
         x = rng.randrange(1, 60)
         # realiser irrelevance: x realises iff 0 realises
-        vx = ram_realises(x, sent, pole, gamma, b, kernel, rng)
-        v0 = ram_realises(0, sent, pole, gamma, b, kernel, rng)
+        vx = realises(x, sent, pole, b, kernel, rng, gamma=gamma)
+        v0 = realises(0, sent, pole, b, kernel, rng, gamma=gamma)
         if not assertable or vx.verdict.kind == UNKNOWN \
                 or v0.verdict.kind == UNKNOWN:
             verdict = "unknown"
@@ -1018,7 +440,7 @@ def check_rr_empty_properties(gamma: OrdNotation, corpus: list, b: Budget,
                        else "disagree")
         records.append({
             "property": "realiser-irrelevance",
-            "instance": print_rformula(sent), "subject": x,
+            "instance": print_formula(sent), "subject": x,
             "verdict": verdict, "lhs": vx.verdict.kind,
             "rhs": v0.verdict.kind,
         })
@@ -1026,10 +448,9 @@ def check_rr_empty_properties(gamma: OrdNotation, corpus: list, b: Budget,
         # dot-membership truth atom holds
         t_val = rng.randrange(0, 40)
         atom = Fals(gamma, Num(t_val), Num(code))
-        lv = ram_realises(x, atom, pole, wide, b, kernel, rng)
-        rt = ram_truth(Real(gamma, Num(x),
-                            Fn("memf", (Num(t_val), Num(code)))),
-                       pole, wide, b, kernel)
+        lv = realises(x, atom, pole, b, kernel, rng, gamma=wide)
+        rt = truth(Real(gamma, Num(x), Fn("memf", (Num(t_val), Num(code)))),
+                   pole, b, kernel, gamma=wide)
         if not assertable or lv.verdict.kind == UNKNOWN \
                 or rt.kind == UNKNOWN:
             verdict = "unknown"
@@ -1039,7 +460,7 @@ def check_rr_empty_properties(gamma: OrdNotation, corpus: list, b: Budget,
             verdict = "disagree"
         records.append({
             "property": "falsification-corollary",
-            "instance": print_rformula(sent), "subject": x,
+            "instance": print_formula(sent), "subject": x,
             "verdict": verdict, "lhs": lv.verdict.kind, "rhs": rt.kind,
         })
     return records
@@ -1052,8 +473,6 @@ def rr_instance_corpus(n: int, gamma: OrdNotation,
     Returns (kind, formula) pairs.  Operational-closure instances use
     the identity program, whose run result equals its input.
     """
-    from .ordinals import onat
-    from .vm import Lam, Var, encode
     ident = encode(Lam(Var(0)))
     beta, low = onat(1), onat(0)
     if compare(beta, gamma) != LESS:
@@ -1111,7 +530,6 @@ def ram_corpus(n: int, gamma: OrdNotation, rng: random.Random,
     Weighted toward shapes whose explicit unfolding evaluates
     definitely under the empty pole.
     """
-    from .ordinals import onat
     levels = [lv for lv in (onat(0), onat(1))
               if compare(lv, gamma) == LESS] or [onat(0)]
     out = []
@@ -1127,7 +545,7 @@ def _gen_eq(rng: random.Random) -> Eq:
     return Eq(Num(x), Num(x + 1 + rng.randrange(0, 4)))
 
 
-def _gen_sentence(rng: random.Random, levels: list, depth: int) -> RFormula:
+def _gen_sentence(rng: random.Random, levels: list, depth: int) -> Formula:
     roll = rng.random()
     if depth <= 0 or roll < 0.35:
         return _gen_eq(rng)
@@ -1138,102 +556,15 @@ def _gen_sentence(rng: random.Random, levels: list, depth: int) -> RFormula:
     if roll < 0.68:
         inner = _gen_sentence(rng, [], depth - 1)
         return Fals(rng.choice(levels), Num(rng.randrange(0, 20)),
-                    Num(godel_r(inner)))
+                    Num(godel(inner)))
     if roll < 0.76:
         # realisation atoms stay definite when the inner sentence is
         # refutable, so bias toward false equations
         inner = Eq(Num(1), Num(2)) if rng.random() < 0.7 else _gen_eq(rng)
         return Real(rng.choice(levels), Num(rng.randrange(0, 20)),
-                    Num(godel_r(inner)))
+                    Num(godel(inner)))
     if roll < 0.90:
         return Imp(_gen_eq(rng), _gen_sentence(rng, levels, depth - 1))
     x = "x"
     body = Imp(Eq(TVar(x), Num(rng.randrange(0, 5))), _gen_eq(rng))
     return All(x, body)
-
-
-# ---------------------------------------------------------------------------
-# Text format
-
-def print_rformula(a: RFormula) -> str:
-    if isinstance(a, Eq):
-        return "(= %s %s)" % (print_term(a.l), print_term(a.r))
-    if isinstance(a, Imp):
-        return "(imp %s %s)" % (print_rformula(a.a), print_rformula(a.b))
-    if isinstance(a, All):
-        return "(all %s %s)" % (a.var, print_rformula(a.body))
-    if isinstance(a, InPole):
-        return "(pole %s)" % print_term(a.t)
-    if isinstance(a, Fals):
-        return "(fals %s %s %s)" % (_level_text(a.level),
-                                    print_term(a.s), print_term(a.t))
-    if isinstance(a, Real):
-        return "(real %s %s %s)" % (_level_text(a.level),
-                                    print_term(a.s), print_term(a.t))
-    if isinstance(a, Tru):
-        return "(tru %s %s)" % (_level_text(a.level), print_term(a.t))
-    raise TypeError(a)
-
-
-def _level_text(lvl: OrdNotation) -> str:
-    return print_ord(lvl).replace(" ", "")
-
-
-def _parse_level(p: _P) -> OrdNotation:
-    from .ordinals import OrdParseError, parse_ord
-    tok, pos = p.next()
-    if tok in ("(", ")"):
-        raise ParseError("expected an ordinal level", pos)
-    try:
-        return parse_ord(tok)
-    except OrdParseError as exc:
-        raise ParseError("bad level %r (%s)" % (tok, exc), pos)
-
-
-def _parse_rformula(p: _P) -> RFormula:
-    from .syntax import disj, ex, neg
-    tok, pos = p.next()
-    if tok != "(":
-        raise ParseError("expected a formula, found %r" % tok, pos)
-    head, hpos = p.next()
-    if head == "=":
-        f: RFormula = Eq(_parse_term(p), _parse_term(p))
-    elif head == "imp":
-        f = Imp(_parse_rformula(p), _parse_rformula(p))
-    elif head == "all":
-        name, npos = p.next()
-        if name in "()" or name.isdigit():
-            raise ParseError("expected a variable name", npos)
-        f = All(name, _parse_rformula(p))
-    elif head == "not":
-        f = neg(_parse_rformula(p))
-    elif head == "and":
-        f = conj(_parse_rformula(p), _parse_rformula(p))
-    elif head == "or":
-        f = disj(_parse_rformula(p), _parse_rformula(p))
-    elif head == "ex":
-        name, npos = p.next()
-        if name in "()" or name.isdigit():
-            raise ParseError("expected a variable name", npos)
-        f = ex(name, _parse_rformula(p))
-    elif head == "bot":
-        f = bot()
-    elif head == "pole":
-        f = InPole(_parse_term(p))
-    elif head == "fals":
-        f = Fals(_parse_level(p), _parse_term(p), _parse_term(p))
-    elif head == "real":
-        f = Real(_parse_level(p), _parse_term(p), _parse_term(p))
-    elif head == "tru":
-        f = Tru(_parse_level(p), _parse_term(p))
-    else:
-        raise ParseError("unknown formula head %r" % head, hpos)
-    p.expect(")")
-    return f
-
-
-def parse_rformula(text: str) -> RFormula:
-    p = _P(text)
-    f = _parse_rformula(p)
-    p.done()
-    return f

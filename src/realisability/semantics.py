@@ -1,12 +1,17 @@
-"""Realisability semantics: refuter and realiser checking against a pole.
+"""Realisability semantics: truth, refuter and realiser checking against a
+pole, for every level-indexed language.
 
 A refuter of a false equation is any natural; of a true equation, any
 pole element; of an implication, a pair of a realiser and a refuter; of
 a universal sentence, a pair of a witness and a refuter of the instance.
-A realiser of A is a number n with <n, m> in the pole for every refuter
-m of A.  Realiser checking is sample based, except under the empty pole
-where realisability collapses to truth in the standard model and the
-verdict is exact.
+The atoms of the realisability side are refuted through their explicit
+unfoldings (``syntax.explicit_refutation``).  A realiser of A is a number
+n with <n, m> in the pole for every refuter m of A.  Realiser checking is
+sample based, except under the empty pole where realisability collapses
+to truth in the intended model and the verdict is exact.
+
+Every entry point takes the level gamma as a trailing keyword; its
+default, level 0, is the base language of arithmetic.
 """
 
 from __future__ import annotations
@@ -15,16 +20,19 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from .notation import LESS, O_ZERO, OrdNotation, compare, print_ord
 from .poles import (
-    Empty, Full, Generated, IN, OUT, UNKNOWN, PoleSpec, V_IN, V_OUT,
-    Verdict, member, verdict_and,
+    Empty, Full, IN, OUT, UNKNOWN, PoleSpec, V_IN, V_OUT, Verdict, member,
+    verdict_and,
 )
 from .syntax import (
-    All, Eq, Formula, Imp, Num, eval_term, free_vars, godel, print_formula,
+    All, Eq, Fals, Formula, Imp, InPole, LevelError, Num, REAL_SIDE, Real,
+    TRUTH_SIDE, Tru, decode_sentence, eval_term, explicit_realisation,
+    explicit_refutation, free_vars, in_language, max_level, print_formula,
     subst,
 )
 from .vm import (
-    Kernel, Lam, Nat, Value, Var, encode, veq, vint, vpair, vunpair,
+    Kernel, Lam, Nat, Value, Var, encode, veq, vpair, vunpair,
 )
 
 
@@ -70,21 +78,84 @@ class TruthVal:
         return self.kind != UNKNOWN
 
 
-def truth_empty(a: Formula, b: Budget) -> TruthVal:
-    """Classical truth over the standard model, width-bounded.
+_DEPTH = 64
+
+
+def _too_deep(depth: int) -> None:
+    if depth <= 0:
+        raise LevelError("level recursion exhausted its depth budget")
+
+
+def _tv(v: Verdict) -> TruthVal:
+    if v.kind == IN:
+        return TruthVal(TRUE)
+    if v.kind == OUT:
+        return TruthVal(FALSE)
+    return TruthVal(UNKNOWN)
+
+
+def _check_sentence(a: Formula, gamma: OrdNotation) -> None:
+    """a must be a sentence of the level-gamma realisability language."""
+    if free_vars(a):
+        raise OpenFormulaError(print_formula(a))
+    if not in_language(a, gamma, REAL_SIDE):
+        raise LevelError("not a realisability sentence below %s"
+                         % print_ord(gamma))
+
+
+# Each public entry point checks its sentence once.  The private helpers
+# below recurse without checking again: every formula they reach is a
+# sentence of the same side below the same level (instances of closed
+# bodies, subformulas, and decoded sentences strictly below an atom's
+# level, which is itself below gamma).
+
+def truth(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel, *,
+          gamma: OrdNotation = O_ZERO) -> TruthVal:
+    """Budgeted truth of a sentence with levels below gamma in the
+    intended model; on atom-free sentences, classical truth over the
+    standard model.
 
     Universal sentences are never reported true: without a syntactic
     bound the evaluator can only fail to falsify them.
     """
     if free_vars(a):
         raise OpenFormulaError(print_formula(a))
+    top = max_level(a)
+    if top is not None and compare(top, gamma) != LESS:
+        raise LevelError("formula level exceeds %s" % print_ord(gamma))
+    return _truth(a, pole, gamma, b, kernel, _DEPTH)
+
+
+def _truth(a: Formula, pole: PoleSpec, gamma: OrdNotation, b: Budget,
+           kernel: Kernel, depth: int) -> TruthVal:
+    _too_deep(depth)
     if isinstance(a, Eq):
         if veq(eval_term(a.l), eval_term(a.r)):
             return TruthVal(TRUE)
         return TruthVal(FALSE)
+    if isinstance(a, InPole):
+        return _tv(member(eval_term(a.t), pole, b.fuel, kernel))
+    if isinstance(a, Fals):
+        sent = decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
+        if sent is None:
+            return TruthVal(FALSE)
+        return _tv(_refutes(eval_term(a.s), sent, pole, gamma, b, kernel,
+                            depth - 1))
+    if isinstance(a, Real):
+        sent = decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
+        if sent is None:
+            return TruthVal(FALSE)
+        rv = _realises(eval_term(a.s), sent, pole, gamma, b, kernel,
+                       random.Random(0), depth - 1)
+        return _tv(rv.verdict)
+    if isinstance(a, Tru):
+        sent = decode_sentence(eval_term(a.t), TRUTH_SIDE, a.level)
+        if sent is None:
+            return TruthVal(FALSE)
+        return _truth(sent, pole, gamma, b, kernel, depth - 1)
     if isinstance(a, Imp):
-        ta = truth_empty(a.a, b)
-        tb = truth_empty(a.b, b)
+        ta = _truth(a.a, pole, gamma, b, kernel, depth)
+        tb = _truth(a.b, pole, gamma, b, kernel, depth)
         if ta.kind == FALSE or tb.kind == TRUE:
             return TruthVal(TRUE)
         if ta.kind == TRUE and tb.kind == FALSE:
@@ -93,57 +164,90 @@ def truth_empty(a: Formula, b: Budget) -> TruthVal:
     if isinstance(a, All):
         if a.var not in free_vars(a.body):
             # the quantifier is vacuous; the body decides the sentence
-            t = truth_empty(a.body, b)
+            t = _truth(a.body, pole, gamma, b, kernel, depth)
             return TruthVal(t.kind, witness=0 if t.kind == FALSE else None)
         for n in range(b.width):
-            t = truth_empty(subst(a.body, a.var, Num(n)), b)
+            t = _truth(subst(a.body, a.var, Num(n)), pole, gamma, b, kernel,
+                       depth)
             if t.kind == FALSE:
                 return TruthVal(FALSE, witness=n)
         return TruthVal(UNKNOWN)
     raise TypeError(a)
 
 
-def refutes(m: Nat, a: Formula, pole: PoleSpec, b: Budget,
-            kernel: Kernel) -> Verdict:
+def refutes(m: Nat, a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
+            *, gamma: OrdNotation = O_ZERO) -> Verdict:
     """Whether m is a refuter of the sentence a."""
-    if free_vars(a):
-        raise OpenFormulaError(print_formula(a))
+    _check_sentence(a, gamma)
+    return _refutes(m, a, pole, gamma, b, kernel, _DEPTH)
+
+
+def _refutes(m: Nat, a: Formula, pole: PoleSpec, gamma: OrdNotation,
+             b: Budget, kernel: Kernel, depth: int) -> Verdict:
+    _too_deep(depth)
     if isinstance(a, Eq):
         if not veq(eval_term(a.l), eval_term(a.r)):
             return V_IN  # a false equation is refuted by every number
         return member(m, pole, b.fuel, kernel)
+    if isinstance(a, InPole):
+        v = member(eval_term(a.t), pole, b.fuel, kernel)
+        if v.kind == OUT:
+            return V_IN  # vacuous: the guard fails
+        if v.kind == IN:
+            return member(m, pole, b.fuel, kernel)
+        return v
+    if isinstance(a, (Fals, Real)):
+        sent = decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
+        if sent is None:
+            return V_OUT  # no refuters of an atom about a non-sentence
+        unfold = (explicit_refutation if isinstance(a, Fals)
+                  else explicit_realisation)(Num(eval_term(a.s)), sent)
+        return _refutes(m, unfold, pole, gamma, b, kernel, depth - 1)
     if isinstance(a, Imp):
         m0, m1 = vunpair(m)
         return verdict_and(
-            realises(m0, a.a, pole, b, kernel).verdict,
-            refutes(m1, a.b, pole, b, kernel),
-        )
+            _realises(m0, a.a, pole, gamma, b, kernel, random.Random(0),
+                      depth).verdict,
+            _refutes(m1, a.b, pole, gamma, b, kernel, depth))
     if isinstance(a, All):
         m0, m1 = vunpair(m)
-        return refutes(m1, subst(a.body, a.var, Num(int(vint(m0)))), pole,
-                       b, kernel)
+        return _refutes(m1, subst(a.body, a.var, Num(m0)), pole, gamma, b,
+                        kernel, depth)
     raise TypeError(a)
 
 
 def realises(n: Nat, a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
-             rng: Optional[random.Random] = None) -> RealVerdict:
+             rng: Optional[random.Random] = None, *,
+             gamma: OrdNotation = O_ZERO) -> RealVerdict:
     """Whether n realises a; exact under the empty pole, else sampled."""
-    if free_vars(a):
-        raise OpenFormulaError(print_formula(a))
+    _check_sentence(a, gamma)
+    return _realises(n, a, pole, gamma, b, kernel, rng or random.Random(0),
+                     _DEPTH)
+
+
+def _realises(n: Nat, a: Formula, pole: PoleSpec, gamma: OrdNotation,
+              b: Budget, kernel: Kernel, rng: random.Random,
+              depth: int) -> RealVerdict:
+    _too_deep(depth)
     if isinstance(pole, Empty):
-        t = truth_empty(a, b)
+        t = _truth(a, pole, gamma, b, kernel, depth)
         if t.kind == TRUE:
             return RealVerdict(V_IN, 0)
         if t.kind == FALSE:
             try:
-                w = sample_refuters(a, pole, 1, b, kernel,
-                                    rng or random.Random(0))[0]
-            except EmptySampleError:
+                w = _sample_refuters(a, pole, 1, gamma, b, kernel, rng,
+                                     depth)[0]
+            except (EmptySampleError, _SampleUnknown):
                 w = None
             return RealVerdict(V_OUT, 0, witness=w)
         return RealVerdict(Verdict(UNKNOWN, "width"), 0)
-    rng = rng or random.Random(0)
-    refs = sample_refuters(a, pole, b.samples, b, kernel, rng)
+    try:
+        refs = _sample_refuters(a, pole, b.samples, gamma, b, kernel, rng,
+                                depth)
+    except EmptySampleError:
+        return RealVerdict(V_IN, 0)  # refuter set provably empty
+    except _SampleUnknown:
+        return RealVerdict(Verdict(UNKNOWN, "pole"), 0)
     unknown = None
     for i, m in enumerate(refs):
         v = member(vpair(n, m), pole, b.fuel, kernel)
@@ -156,11 +260,22 @@ def realises(n: Nat, a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
     return RealVerdict(V_IN, len(refs))
 
 
+class _SampleUnknown(Exception):
+    """Sampling blocked by an indefinite pole membership."""
+
+
 def certified_realiser(a: Formula, pole: PoleSpec, b: Budget,
-                       kernel: Kernel) -> Nat:
+                       kernel: Kernel, *,
+                       gamma: OrdNotation = O_ZERO) -> Nat:
     """A number guaranteed to realise a, used to build refuter samples."""
+    _check_sentence(a, gamma)
+    return _certified(a, pole, gamma, b, kernel, _DEPTH)
+
+
+def _certified(a: Formula, pole: PoleSpec, gamma: OrdNotation, b: Budget,
+               kernel: Kernel, depth: int) -> Nat:
     if isinstance(pole, Empty):
-        t = truth_empty(a, b)
+        t = _truth(a, pole, gamma, b, kernel, depth)
         if t.kind == TRUE:
             return 0  # every number realises a true sentence when the
             # pole is empty
@@ -169,28 +284,29 @@ def certified_realiser(a: Formula, pole: PoleSpec, b: Budget,
             % print_formula(a))
     if isinstance(pole, Full):
         return 0
-    seed_elt = min(pole.seed) if pole.seed else 0
-    r = kernel.apply(_K_BOT, seed_elt, b.fuel)
+    r = kernel.apply(_K_BOT, min(pole.seed), b.fuel)
     if not isinstance(r, Value):
         raise EmptySampleError("continuation constant did not reduce")
     return r.n
 
 
-_WITNESS_BASE = [0, 1, 2, 3, 5, 7, 11, 17]
-
-
 def sample_refuters(a: Formula, pole: PoleSpec, k: int, b: Budget,
-                    kernel: Kernel,
-                    rng: Optional[random.Random] = None) -> list:
+                    kernel: Kernel, rng: Optional[random.Random] = None, *,
+                    gamma: OrdNotation = O_ZERO) -> list:
     """k certified refuters of a, structurally varied.
 
     Raises EmptySampleError when the refuter set is provably empty
     (e.g. a true equation under the empty pole).
     """
-    if free_vars(a):
-        raise OpenFormulaError(print_formula(a))
-    rng = rng or random.Random(0)
-    out = _sample(a, pole, k, b, kernel, rng)
+    _check_sentence(a, gamma)
+    return _sample_refuters(a, pole, k, gamma, b, kernel,
+                            rng or random.Random(0), _DEPTH)
+
+
+def _sample_refuters(a: Formula, pole: PoleSpec, k: int, gamma: OrdNotation,
+                     b: Budget, kernel: Kernel, rng: random.Random,
+                     depth: int) -> list:
+    out = _sample(a, pole, k, gamma, b, kernel, rng, depth)
     if not out:
         raise EmptySampleError(print_formula(a))
     i = 0
@@ -200,26 +316,51 @@ def sample_refuters(a: Formula, pole: PoleSpec, k: int, b: Budget,
     return out[:k]
 
 
-def _sample(a: Formula, pole: PoleSpec, k: int, b: Budget, kernel: Kernel,
-            rng: random.Random) -> list:
+_WITNESS_BASE = [0, 1, 2, 3, 5, 7, 11, 17]
+
+
+def _pole_elements(pole: PoleSpec, k: int, rng: random.Random) -> list:
+    if isinstance(pole, Empty):
+        raise EmptySampleError("the empty pole has no elements")
+    if isinstance(pole, Full):
+        return [rng.randrange(0, 10**6) for _ in range(k)]
+    seed = sorted(pole.seed)
+    return [seed[i % len(seed)] for i in range(k)]
+
+
+def _any_numbers(k: int, rng: random.Random) -> list:
+    base = list(range(min(k, 8)))
+    while len(base) < k:
+        base.append(rng.randrange(0, 10**6))
+    return base[:k]
+
+
+def _sample(a: Formula, pole: PoleSpec, k: int, gamma: OrdNotation,
+            b: Budget, kernel: Kernel, rng: random.Random,
+            depth: int) -> list:
+    _too_deep(depth)
     if isinstance(a, Eq):
         if not veq(eval_term(a.l), eval_term(a.r)):
-            base = list(range(min(k, 8)))
-            while len(base) < k:
-                base.append(rng.randrange(0, 10**6))
-            return base[:k]
-        if isinstance(pole, Empty):
+            return _any_numbers(k, rng)
+        return _pole_elements(pole, k, rng)
+    if isinstance(a, InPole):
+        v = member(eval_term(a.t), pole, b.fuel, kernel)
+        if v.kind == OUT:  # vacuous guard: every number refutes
+            return _any_numbers(k, rng)
+        if v.kind == IN:
+            return _pole_elements(pole, k, rng)
+        raise _SampleUnknown(print_formula(a))
+    if isinstance(a, (Fals, Real)):
+        sent = decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
+        if sent is None:
             raise EmptySampleError(
-                "true equation has no refuters under the empty pole")
-        if isinstance(pole, Full):
-            return [rng.randrange(0, 10**6) for _ in range(k)]
-        seed = sorted(pole.seed)
-        if not seed:
-            raise EmptySampleError("generated pole has an empty seed")
-        return [seed[i % len(seed)] for i in range(k)]
+                "atom about a non-sentence code has no refuters")
+        unfold = (explicit_refutation if isinstance(a, Fals)
+                  else explicit_realisation)(Num(eval_term(a.s)), sent)
+        return _sample(unfold, pole, k, gamma, b, kernel, rng, depth - 1)
     if isinstance(a, Imp):
-        r = certified_realiser(a.a, pole, b, kernel)
-        subs = _sample(a.b, pole, k, b, kernel, rng)
+        r = _certified(a.a, pole, gamma, b, kernel, depth)
+        subs = _sample(a.b, pole, k, gamma, b, kernel, rng, depth)
         return [vpair(r, m) for m in subs]
     if isinstance(a, All):
         witnesses = list(_WITNESS_BASE) + [rng.randrange(20, 200)]
@@ -228,7 +369,7 @@ def _sample(a: Formula, pole: PoleSpec, k: int, b: Budget, kernel: Kernel,
             inst = subst(a.body, a.var, Num(w))
             try:
                 ms = _sample(inst, pole, max(1, k // len(witnesses) + 1),
-                             b, kernel, rng)
+                             gamma, b, kernel, rng, depth)
             except EmptySampleError:
                 continue
             per.extend(vpair(w, m) for m in ms)

@@ -2,17 +2,30 @@
 
 Terms are built from 0, successor, +, *, pairing and projections, plus a
 small extensible family of named primitive recursive function symbols
-(used for ordinal-code arithmetic).  Formulas use only ->, forall and =;
-the other connectives are parser-level sugar.  Numerals are carried as a
+(used for ordinal-code arithmetic).  Formulas use ->, forall and =; the
+other connectives are parser-level sugar.  Numerals are carried as a
 single literal node so that very large (sparse) naturals can appear in
 formulas without chains of successors.
+
+The level-indexed languages add four atoms: a truth side with truth
+atoms ``T_b t``, and a realisability side with a pole-membership atom
+``t in-pole``, falsification atoms ``s F_b t`` and realisation atoms
+``s T_b t``.  Levels are ordinal notations; an atom at level b may only
+speak about sentence codes whose own levels are strictly below b, which
+keeps every evaluation well-founded.  The base language of arithmetic is
+the atom-free fragment, which is the level-0 language of either side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Union
 
+from .notation import (
+    LESS, O_ZERO, OrdNotation, OrdParseError, compare, ocode, odecode,
+    parse_ord, print_ord,
+)
 from .vm import Nat, PV, veq, vint, vpair, vunpair
 
 
@@ -119,7 +132,38 @@ class All:
     body: "Formula"
 
 
-Formula = Union[Eq, Imp, All]
+@dataclass(frozen=True)
+class InPole:
+    """Atom: the value of t is a pole element."""
+    t: ATerm
+
+
+@dataclass(frozen=True)
+class Fals:
+    """Atom: the value of s falsifies the sentence coded by t, at level."""
+    level: OrdNotation
+    s: ATerm
+    t: ATerm
+
+
+@dataclass(frozen=True)
+class Real:
+    """Atom: the value of s realises the sentence coded by t, at level."""
+    level: OrdNotation
+    s: ATerm
+    t: ATerm
+
+
+@dataclass(frozen=True)
+class Tru:
+    """Atom: t codes a true sentence of the language below level."""
+    level: OrdNotation
+    t: ATerm
+
+
+Formula = Union[Eq, Imp, All, InPole, Fals, Real, Tru]
+
+_FORMS = (Eq, Imp, All, InPole, Fals, Real, Tru)
 
 
 def bot() -> Formula:
@@ -169,6 +213,10 @@ def free_vars(a: Formula) -> set:
         return free_vars(a.a) | free_vars(a.b)
     if isinstance(a, All):
         return free_vars(a.body) - {a.var}
+    if isinstance(a, (InPole, Tru)):
+        return term_vars(a.t)
+    if isinstance(a, (Fals, Real)):
+        return term_vars(a.s) | term_vars(a.t)
     raise TypeError(a)
 
 
@@ -223,6 +271,72 @@ def subst(a: Formula, x: str, s: ATerm) -> Formula:
             renamed = subst(a.body, a.var, TVar(y))
             return All(y, subst(renamed, x, s))
         return All(a.var, subst(a.body, x, s))
+    if isinstance(a, InPole):
+        return InPole(subst_term(a.t, x, s))
+    if isinstance(a, Fals):
+        return Fals(a.level, subst_term(a.s, x, s), subst_term(a.t, x, s))
+    if isinstance(a, Real):
+        return Real(a.level, subst_term(a.s, x, s), subst_term(a.t, x, s))
+    if isinstance(a, Tru):
+        return Tru(a.level, subst_term(a.t, x, s))
+    raise TypeError(a)
+
+
+# ---------------------------------------------------------------------------
+# Levels
+
+TRUTH_SIDE = "truth"
+REAL_SIDE = "realisability"
+
+
+class LevelError(ValueError):
+    """A level constraint was violated."""
+
+
+def max_level(a: Formula) -> Optional[OrdNotation]:
+    """The largest atom level occurring in a, or None when level free."""
+    if isinstance(a, Eq):
+        return None
+    if isinstance(a, Imp):
+        return _lmax(max_level(a.a), max_level(a.b))
+    if isinstance(a, All):
+        return max_level(a.body)
+    if isinstance(a, InPole):
+        return None
+    if isinstance(a, (Fals, Real, Tru)):
+        return a.level
+    raise TypeError(a)
+
+
+def _lmax(x: Optional[OrdNotation],
+          y: Optional[OrdNotation]) -> Optional[OrdNotation]:
+    if x is None:
+        return y
+    if y is None:
+        return x
+    return y if compare(x, y) == LESS else x
+
+
+def in_language(a: Formula, gamma: OrdNotation, side: str) -> bool:
+    """Whether a lies in the level-gamma language of the given side.
+
+    The truth side admits Tru atoms only; the realisability side admits
+    InPole, Fals and Real atoms only.  Atom-free formulas lie in both.
+    All atom levels must be strictly below gamma, so the level-0
+    language of either side is the atom-free base language.
+    """
+    if isinstance(a, Eq):
+        return True
+    if isinstance(a, Imp):
+        return in_language(a.a, gamma, side) and in_language(a.b, gamma, side)
+    if isinstance(a, All):
+        return in_language(a.body, gamma, side)
+    if isinstance(a, Tru):
+        return side == TRUTH_SIDE and compare(a.level, gamma) == LESS
+    if isinstance(a, InPole):
+        return side == REAL_SIDE
+    if isinstance(a, (Fals, Real)):
+        return side == REAL_SIDE and compare(a.level, gamma) == LESS
     raise TypeError(a)
 
 
@@ -276,6 +390,10 @@ _T_FN = 8
 _F_EQ = 20
 _F_IMP = 21
 _F_ALL = 22
+_F_POLE = 23
+_F_FALS = 24
+_F_REAL = 25
+_F_TRU = 26
 
 
 def _name_code(name: str) -> int:
@@ -330,6 +448,16 @@ def godel(a) -> Nat:
         return vpair(_F_IMP, vpair(godel(a.a), godel(a.b)))
     if isinstance(a, All):
         return vpair(_F_ALL, vpair(_name_code(a.var), godel(a.body)))
+    if isinstance(a, InPole):
+        return vpair(_F_POLE, godel_term(a.t))
+    if isinstance(a, Fals):
+        return vpair(_F_FALS, vpair(ocode(a.level),
+                                    vpair(godel_term(a.s), godel_term(a.t))))
+    if isinstance(a, Real):
+        return vpair(_F_REAL, vpair(ocode(a.level),
+                                    vpair(godel_term(a.s), godel_term(a.t))))
+    if isinstance(a, Tru):
+        return vpair(_F_TRU, vpair(ocode(a.level), godel_term(a.t)))
     raise TypeError(a)
 
 
@@ -400,31 +528,54 @@ def ungodel(c: Nat):
     if tag == _F_IMP:
         ca, cb = vunpair(rest)
         a, b = ungodel(ca), ungodel(cb)
-        if isinstance(a, (Eq, Imp, All)) and isinstance(b, (Eq, Imp, All)):
+        if isinstance(a, _FORMS) and isinstance(b, _FORMS):
             return Imp(a, b)
         return None
     if tag == _F_ALL:
         cn, cb = vunpair(rest)
         name = _name_decode(cn)
         b = ungodel(cb)
-        if name and isinstance(b, (Eq, Imp, All)):
+        if name and isinstance(b, _FORMS):
             return All(name, b)
         return None
+    if tag == _F_POLE:
+        t = ungodel_term(rest)
+        return InPole(t) if t is not None else None
+    if tag in (_F_FALS, _F_REAL):
+        lc, st = vunpair(rest)
+        lvl = odecode(lc)
+        if lvl is None:
+            return None
+        cs, ct = vunpair(st)
+        s, t = ungodel_term(cs), ungodel_term(ct)
+        if s is None or t is None:
+            return None
+        return (Fals if tag == _F_FALS else Real)(lvl, s, t)
+    if tag == _F_TRU:
+        lc, ct = vunpair(rest)
+        lvl = odecode(lc)
+        t = ungodel_term(ct)
+        if lvl is None or t is None:
+            return None
+        return Tru(lvl, t)
     return ungodel_term(c)
 
 
-def sub(c: Nat, x: str, n: Nat) -> Nat:
-    """On codes: |A(x)|, n  ->  |A(numeral n)|."""
+def decode_sentence(c: Nat, side: str,
+                    below: OrdNotation) -> Optional[Formula]:
+    """The sentence of the given side with levels < below coded by c."""
     a = ungodel(c)
-    if not isinstance(a, (Eq, Imp, All)):
-        raise ValueError("not a formula code")
-    return godel(subst(a, x, Num(n)))
+    if not isinstance(a, _FORMS):
+        return None
+    if free_vars(a) or not in_language(a, below, side):
+        return None
+    return a
 
 
 def subt(c: Nat, x: str, s_code: Nat) -> Nat:
     """On codes: |A(x)|, |s|  ->  |A(s)| for a term code |s|."""
     a = ungodel(c)
-    if not isinstance(a, (Eq, Imp, All)):
+    if not isinstance(a, _FORMS):
         raise ValueError("not a formula code")
     s = ungodel_term(s_code)
     if s is None:
@@ -438,6 +589,52 @@ def eq_check(cs: Nat, ct: Nat) -> bool:
     if s is None or t is None:
         raise ValueError("invalid term code")
     return veq(eval_term(s), eval_term(t))
+
+
+# ---------------------------------------------------------------------------
+# Explicit refutation and realisation
+
+def explicit_refutation(s: ATerm, a: Formula) -> Formula:
+    """The formula expressing "the value of s refutes a"."""
+    if isinstance(a, (Eq, InPole)):
+        return Imp(a, InPole(s))
+    if isinstance(a, Fals):
+        return Fals(a.level, s, Fn("memf", (a.s, a.t)))
+    if isinstance(a, Real):
+        return Fals(a.level, s, Fn("memt", (a.s, a.t)))
+    if isinstance(a, Imp):
+        return conj(explicit_realisation(Proj0T(s), a.a),
+                    explicit_refutation(Proj1T(s), a.b))
+    if isinstance(a, All):
+        inst = subst(a.body, a.var, Proj0T(s))
+        return explicit_refutation(Proj1T(s), inst)
+    if isinstance(a, Tru):
+        raise TypeError("truth atoms have no explicit refutation")
+    raise TypeError(a)
+
+
+def explicit_realisation(s: ATerm, a: Formula) -> Formula:
+    """The formula expressing "the value of s realises a"."""
+    v = fresh_var(term_vars(s) | free_vars(a))
+    return All(v, Imp(explicit_refutation(TVar(v), a),
+                      InPole(PairT(s, TVar(v)))))
+
+
+def _dot_membership(unfold: Callable, s: Nat, y: Nat) -> Nat:
+    """The code of unfold(s, A) for the sentence A coded by y; 0 when y
+    codes no sentence with an unfolding."""
+    a = ungodel(y)
+    if not isinstance(a, _FORMS) or free_vars(a):
+        return 0
+    try:
+        return godel(unfold(Num(s), a))
+    except TypeError:
+        return 0
+
+
+# the dot-membership symbols the explicit unfoldings of atoms produce
+register_fn("memf", 2, partial(_dot_membership, explicit_refutation))
+register_fn("memt", 2, partial(_dot_membership, explicit_realisation))
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +728,16 @@ def _parse_term(p: _P) -> ATerm:
     return TVar(tok)
 
 
+def _parse_level(p: _P) -> OrdNotation:
+    tok, pos = p.next()
+    if tok in ("(", ")"):
+        raise ParseError("expected an ordinal level", pos)
+    try:
+        return parse_ord(tok)
+    except OrdParseError as exc:
+        raise ParseError("bad level %r (%s)" % (tok, exc), pos)
+
+
 def _parse_formula(p: _P) -> Formula:
     tok, pos = p.next()
     if tok != "(":
@@ -558,6 +765,14 @@ def _parse_formula(p: _P) -> Formula:
         f = ex(name, _parse_formula(p))
     elif head == "bot":
         f = bot()
+    elif head == "pole":
+        f = InPole(_parse_term(p))
+    elif head == "fals":
+        f = Fals(_parse_level(p), _parse_term(p), _parse_term(p))
+    elif head == "real":
+        f = Real(_parse_level(p), _parse_term(p), _parse_term(p))
+    elif head == "tru":
+        f = Tru(_parse_level(p), _parse_term(p))
     else:
         raise ParseError("unknown formula head %r" % head, hpos)
     p.expect(")")
@@ -571,9 +786,26 @@ def parse_term(text: str) -> ATerm:
     return t
 
 
+def _parse_base_formula(p: _P) -> Formula:
+    """A formula of the base language: the level-0 check rejects every
+    level-indexed atom."""
+    pos = p.peek()[1]
+    f = _parse_formula(p)
+    if not in_language(f, O_ZERO, TRUTH_SIDE):
+        raise ParseError("level-indexed atom in a base formula", pos)
+    return f
+
+
 def parse_formula(text: str) -> Formula:
     p = _P(text)
     f = _parse_formula(p)
+    p.done()
+    return f
+
+
+def parse_base_formula(text: str) -> Formula:
+    p = _P(text)
+    f = _parse_base_formula(p)
     p.done()
     return f
 
@@ -607,4 +839,18 @@ def print_formula(a: Formula) -> str:
         return "(imp %s %s)" % (print_formula(a.a), print_formula(a.b))
     if isinstance(a, All):
         return "(all %s %s)" % (a.var, print_formula(a.body))
+    if isinstance(a, InPole):
+        return "(pole %s)" % print_term(a.t)
+    if isinstance(a, Fals):
+        return "(fals %s %s %s)" % (_level_text(a.level),
+                                    print_term(a.s), print_term(a.t))
+    if isinstance(a, Real):
+        return "(real %s %s %s)" % (_level_text(a.level),
+                                    print_term(a.s), print_term(a.t))
+    if isinstance(a, Tru):
+        return "(tru %s %s)" % (_level_text(a.level), print_term(a.t))
     raise TypeError(a)
+
+
+def _level_text(lvl: OrdNotation) -> str:
+    return print_ord(lvl).replace(" ", "")

@@ -135,13 +135,31 @@ def vint(v: Nat) -> int:
 
 
 def veq(u: Nat, v: Nat) -> bool:
+    """Value equality.  Each pair of PV nodes is compared once, so values
+    that share subtrees compare in time linear in their node count."""
     if isinstance(u, int) and isinstance(v, int):
         return u == v
-    if isinstance(u, int):
-        u, v = v, u
-    # u is a PV; unpair the other side (cheap either way) and compare parts
-    va, vb = vunpair(v)
-    return veq(u.a, va) and veq(u.b, vb)
+    if u is v:
+        return True
+    todo = [(u, v)]
+    seen = set()
+    while todo:
+        a, b = todo.pop()
+        if isinstance(a, int):
+            if isinstance(b, int):
+                if a != b:
+                    return False
+                continue
+            a, b = b, a
+        # a is a PV; unpair the other side (cheap either way)
+        if isinstance(b, PV):
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+        ba, bb = vunpair(b)
+        todo.append((a.b, bb))
+        todo.append((a.a, ba))
+    return True
 
 
 def vle(v: Nat, n: int) -> bool:

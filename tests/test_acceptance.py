@@ -17,21 +17,23 @@ from realisability.cli import main as cli_main
 from realisability.extraction import (
     check_proof, combinator, extract_value, parse_proof,
 )
+from realisability.notation import (
+    CnfSum, Eps, LESS, LimC, O_ZERO, add, classify, compare, eps, fundseq,
+    ocode, omega, omega_pow, omega_tower, onat, print_ord,
+)
 from realisability.ordinals import (
-    CnfSum, Eps, LESS, LimC, O_ZERO, add, build_TI, classify, compare,
-    eps, fundseq, ocode, omega, omega_pow, omega_tower, onat,
-    ordinal_kernel, print_ord, ti_proof_template, wo_combinator,
+    build_TI, ordinal_kernel, ti_proof_template, wo_combinator,
     wo_realiser,
 )
 from realisability.poles import Empty, Generated, IN, OUT
 from realisability.ramified import (
-    check_model_equivalence, godel_r, ram_corpus, rr_instance_corpus,
+    check_model_equivalence, ram_corpus, rr_instance_corpus,
     tau_empty_code, tau_zero_code, translate_conservative, translate_empty,
     translate_zero,
 )
 from realisability.semantics import (
     Budget, FALSE, TRUE, certified_realiser, realises, sample_refuters,
-    truth_empty,
+    truth,
 )
 from realisability.syntax import All, Eq, Imp, Num, TVar, godel, subst
 from realisability.vm import (
@@ -214,7 +216,7 @@ def _definite_corpus(rng, count, b):
     out = []
     while len(out) < count:
         f = _sentence(rng, 2)
-        if truth_empty(f, b).definite():
+        if truth(f, Empty(), b, KERNEL).definite():
             out.append(f)
     return out
 
@@ -229,7 +231,7 @@ def test_acceptance_4_empty_pole_collapse():
         return realises(0, f, empty, b, KERNEL).verdict.kind == IN
 
     for f in corpus:
-        t = truth_empty(f, b)
+        t = truth(f, Empty(), b, KERNEL)
         # realisability collapses to truth, exactly, for every subject
         for n in (0, 7, 1234):
             rv = realises(n, f, empty, b, KERNEL)
@@ -238,8 +240,8 @@ def test_acceptance_4_empty_pole_collapse():
         if isinstance(f, Eq):
             assert holds(f) == (t.kind == TRUE)
         if isinstance(f, Imp):
-            ta = truth_empty(f.a, b)
-            tb = truth_empty(f.b, b)
+            ta = truth(f.a, Empty(), b, KERNEL)
+            tb = truth(f.b, Empty(), b, KERNEL)
             if ta.definite() and tb.definite():
                 assert holds(f) == ((ta.kind != TRUE) or tb.kind == TRUE)
         if isinstance(f, All) and t.kind == FALSE:
@@ -256,7 +258,7 @@ def test_acceptance_5_translation_conservativity():
     insts = rr_instance_corpus(100, onat(2), random.Random(7))
     assert len(insts) == 100
     for kind, f in insts:
-        t = truth_empty(translate_conservative(f), b)
+        t = truth(translate_conservative(f), Empty(), b, KERNEL)
         assert t.kind == TRUE, kind
 
 
@@ -378,15 +380,16 @@ def test_acceptance_8_ramified_layer():
             assert definite >= 0.9 * len(recs), (print_ord(gamma), pole)
         # code-level translations commute with the tree-level ones
         for s in corpus:
-            assert veq(tau_empty_code(godel_r(s)),
-                       godel_r(translate_empty(s)))
+            assert veq(tau_empty_code(godel(s)),
+                       godel(translate_empty(s)))
             t = translate_empty(s)
-            assert veq(tau_zero_code(godel_r(t)),
-                       godel_r(translate_zero(t)))
+            assert veq(tau_zero_code(godel(t)),
+                       godel(translate_zero(t)))
 
     insts = rr_instance_corpus(100, onat(2), random.Random(12))
     for kind, f in insts:
-        assert truth_empty(translate_conservative(f), b).kind == TRUE, kind
+        t = truth(translate_conservative(f), Empty(), b, KERNEL)
+        assert t.kind == TRUE, kind
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,16 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from realisability.cli import main, parse_pole
+from realisability.notation import onat
+from realisability.ordinals import ordinal_kernel, wo_realiser
 from realisability.poles import Empty, Full, Generated
-from realisability.vm import Kernel, Lam, Var, encode
+from realisability.syntax import godel, parse_formula
+from realisability.vm import Diverged, Kernel, Lam, Var, encode
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -33,6 +40,23 @@ def test_bad_pole_is_usage_error(capsys):
     assert code == 3
 
 
+def test_empty_generated_seed_is_usage_error(capsys):
+    # the empty seed generates the empty pole, which `empty` names
+    assert main(["realises", "0", "(= 0 0)", "--pole", "generated:"]) == 3
+    assert main(["axioms-check", "--pole", "generated:"]) == 3
+    assert main(["axioms-check", "--pole", "generated::8"]) == 3
+
+
+def test_removed_knobs_are_usage_errors(capsys):
+    assert main(["truth", "(= 0 0)", "--depth", "3"]) == 3
+    # the realisers' primitives fix the induction variable to x
+    assert main(["ti", "realise", "1", "--formula", "(= y y)"]) == 3
+    assert main(["ti", "realise", "1", "--formula", "(= y y)",
+                 "--var", "y"]) == 3
+    assert main(["ti", "validate", "--alphas", "0,1", "--formula",
+                 "(= y y)", "--var", "y"]) == 3
+
+
 def test_bad_subcommand_is_usage_error():
     assert main(["definitely-not-a-command"]) == 3
 
@@ -40,6 +64,30 @@ def test_bad_subcommand_is_usage_error():
 def test_bad_formula_is_usage_error(capsys):
     assert main(["truth", "(= 0"]) == 3
     assert main(["ord", "cmp", "wibble", "0"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# Atoms stay out of the base paths
+
+ATOM_FORMULA = "(imp (pole 3) (= x x))"
+
+
+@pytest.mark.parametrize("route", ["truth", "parse", "proof-file",
+                                   "proof-file-axiom", "ti-primitive"])
+def test_level_indexed_atoms_stay_out_of_base_paths(route, tmp_path,
+                                                    capsys):
+    if route in ("truth", "parse"):
+        assert main([route, ATOM_FORMULA]) == 3
+    elif route.startswith("proof-file"):
+        path = tmp_path / "atom.sexp"
+        path.write_text("(ax k (pole 3) (= 0 0))" if route == "proof-file"
+                        else "(ax k (imp (pole 3) (imp (= 0 0) (pole 3))))")
+        assert main(["validate", str(path)]) == 3
+    else:
+        k = ordinal_kernel()
+        code = godel(parse_formula(ATOM_FORMULA))
+        r = k.apply(wo_realiser(onat(1), k), code, 10**6)
+        assert r == Diverged("stuck")
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +284,15 @@ def test_suite_is_byte_identical(capsys):
     assert rep["schema"] == 1
     assert not any(r["verdict"] == "disagree" for r in rep["axioms"])
     assert all(r["verdict"] == "in" for r in rep["ti"])
+
+
+@pytest.mark.parametrize("name", ["suite-seed0.json", "suite-seed42.json",
+                                  "suite-seed42-gen.json"])
+def test_suite_matches_golden_output(name, capsys):
+    golden = json.loads((GOLDEN / name).read_text())
+    code = main(list(golden["argv"]))
+    assert capsys.readouterr().out == golden["stdout"]
+    assert code == golden["exit_code"]
 
 
 def test_suite_seed_changes_report(capsys):

@@ -253,12 +253,12 @@ def test_reflection_gate_modes():
 
 def test_induction_realiser_clauses():
     # (k . b) . 0 = (b)0 and the successor clause compose i and s
-    from realisability.extraction import _K_IND_CODE, _I_CODE, _S_CODE
+    from realisability.extraction import _K_IND_CODE, _I_CODE
     b = vpair(21, vpair(33, vpair(2, 5)))
     kb = _apply(_K_IND_CODE, b)
     assert veq(_apply(kb, 0), 21)
     lhs = _apply(kb, 2)
-    s_part = _apply(_S_CODE, vpair(33, 1))
+    s_part = _apply(combinator("s"), vpair(33, 1))
     rhs = _apply(_I_CODE, vpair(s_part, _apply(kb, 1)))
     assert veq(lhs, rhs)
 

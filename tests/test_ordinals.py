@@ -6,12 +6,14 @@ import pytest
 from hypothesis import strategies as st
 
 from realisability.extraction import check_proof, extract_value
-from realisability.ordinals import (
+from realisability.notation import (
     CnfSum, Eps, GREATER, LESS, EQUAL, LimC, O_ZERO, OrdParseError, SucC,
-    ZeroC, ZeroO, add, build_Prog, build_TI, classify, compare, eps,
-    fundseq, is_normal, jump_formula, ocode, odecode, olt, omega, omega_pow,
-    omega_tower, onat, ordinal_kernel, parse_ord, print_ord,
-    ti_formula, ti_proof_template, wo_combinator, wo_realiser,
+    ZeroC, ZeroO, add, classify, compare, eps, fundseq, is_normal, ocode,
+    odecode, omega, omega_pow, omega_tower, onat, parse_ord, print_ord,
+)
+from realisability.ordinals import (
+    build_Prog, build_TI, jump_formula, olt, ordinal_kernel, ti_formula,
+    ti_proof_template, wo_combinator, wo_realiser,
 )
 from realisability.poles import Generated, OUT, member
 from realisability.semantics import Budget, realises

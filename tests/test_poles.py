@@ -1,8 +1,9 @@
 import hypothesis as hyp
+import pytest
 from hypothesis import strategies as st
 
 from realisability.poles import (
-    Empty, Full, Generated, IN, OUT, UNKNOWN, member, pole_from_config,
+    Empty, Full, Generated, IN, OUT, UNKNOWN, member,
 )
 from realisability.vm import (
     App, Fix, Kernel, Lam, Lit, Pair, Suc, Value, Var, encode, pair, vpair,
@@ -58,11 +59,10 @@ def test_depth_exhaustion_gives_unknown_depth():
     assert member(n, p, 10**5, K, depth=10).kind == IN
 
 
-def test_pole_from_config():
-    p = pole_from_config({"kind": "generated", "seed": [0, 17], "depth": 8})
-    assert p == Generated(frozenset({0, 17}), 8)
-    assert pole_from_config({"kind": "empty"}) == Empty()
-    assert pole_from_config({"kind": "full"}) == Full()
+def test_generated_pole_rejects_an_empty_seed():
+    # the empty seed generates the empty pole, which Empty() already names
+    with pytest.raises(ValueError):
+        Generated(frozenset(), 8)
 
 
 small_programs = st.one_of(

@@ -8,24 +8,24 @@ from collections import Counter
 
 import pytest
 
-from realisability.ordinals import omega, onat, ordinal_kernel
+from realisability.notation import omega, onat
+from realisability.ordinals import ordinal_kernel
 from realisability.poles import Empty, Full, Generated, IN, OUT, UNKNOWN
 from realisability.ramified import (
-    Fals, InPole, LevelError, LevelLanguage, REAL_SIDE, Real, TRUTH_SIDE,
-    Tru, check_model_equivalence, check_rr_empty_properties,
-    explicit_realisation, explicit_refutation, godel_r, in_language, iff,
-    max_level, parse_rformula, print_rformula, r_free_vars, r_sub, r_subst,
-    ram_corpus, ram_realises, ram_refutes, ram_sample_refuters, ram_truth,
-    rr_axiom, rr_instance_corpus, rr_realiser, rt_axiom, tau_empty_code,
-    tau_zero_code, translate_conservative, translate_empty, translate_zero,
-    ungodel_r,
+    LevelLanguage, check_model_equivalence, check_rr_empty_properties, iff,
+    ram_corpus, rr_axiom, rr_instance_corpus, rr_realiser, rt_axiom,
+    tau_empty_code, tau_zero_code, translate_conservative, translate_empty,
+    translate_zero,
 )
 from realisability.semantics import (
-    Budget, FALSE, TRUE, truth_empty,
+    Budget, FALSE, TRUE, realises, refutes, sample_refuters, truth,
 )
 from realisability.syntax import (
-    Add, All, Eq, Fn, Imp, Num, PairT, ParseError, Proj0T, Proj1T, TVar,
-    bot, conj, godel, ungodel,
+    Add, All, Eq, Fals, Fn, Imp, InPole, LevelError, Num, PairT, ParseError,
+    Proj0T, Proj1T, REAL_SIDE, Real, TRUTH_SIDE, TVar, Tru, bot, conj,
+    explicit_realisation, explicit_refutation, free_vars, godel, godel_term,
+    in_language, max_level, parse_formula, print_formula, subst, subt,
+    ungodel,
 )
 from realisability.vm import veq, vpair
 
@@ -104,7 +104,7 @@ def test_explicit_refutation_rejects_truth_atoms():
 
 def test_r_subst_capture_avoiding():
     a = All("x", Eq(TVar("x"), TVar("y")))
-    got = r_subst(a, "y", TVar("x"))
+    got = subst(a, "y", TVar("x"))
     assert isinstance(got, All)
     assert got.var != "x"
     assert got.body == Eq(TVar(got.var), TVar("x"))
@@ -112,8 +112,8 @@ def test_r_subst_capture_avoiding():
 
 def test_r_subst_through_level_atoms():
     a = Fals(L1, TVar("s"), TVar("t"))
-    assert r_subst(a, "s", Num(4)) == Fals(L1, Num(4), TVar("t"))
-    assert r_free_vars(a) == {"s", "t"}
+    assert subst(a, "s", Num(4)) == Fals(L1, Num(4), TVar("t"))
+    assert free_vars(a) == {"s", "t"}
 
 
 def test_max_level_and_language_membership():
@@ -151,52 +151,45 @@ def _sample_formulas():
 
 def test_code_roundtrip():
     for a in _sample_formulas():
-        assert ungodel_r(godel_r(a)) == a, print_rformula(a)
-
-
-def test_code_agrees_with_base_coding_on_base_formulas():
-    for a in [TRUE_EQ, Imp(FALSE_EQ, TRUE_EQ),
-              All("x", Eq(TVar("x"), TVar("x")))]:
-        assert veq(godel_r(a), godel(a))
-        assert ungodel_r(godel(a)) == ungodel(godel(a))
+        assert ungodel(godel(a)) == a, print_formula(a)
 
 
 def test_code_rejects_garbage():
-    assert ungodel_r(vpair(24, vpair(99, 0))) is None  # bad level
-    assert ungodel_r(vpair(26, vpair(0, vpair(77, 0)))) is None
+    assert ungodel(vpair(24, vpair(99, 0))) is None  # bad level
+    assert ungodel(vpair(26, vpair(0, vpair(77, 0)))) is None
 
 
 def test_text_roundtrip():
     for a in _sample_formulas():
-        txt = print_rformula(a)
-        assert parse_rformula(txt) == a, txt
+        txt = print_formula(a)
+        assert parse_formula(txt) == a, txt
 
 
 def test_text_levels_use_ordinal_notation():
-    a = parse_rformula("(fals w^2+3 1 2)")
+    a = parse_formula("(fals w^2+3 1 2)")
     assert isinstance(a, Fals)
     assert a.level == ram_level_w2p3()
-    assert print_rformula(a) == "(fals w^2+3 1 2)"
+    assert print_formula(a) == "(fals w^2+3 1 2)"
 
 
 def ram_level_w2p3():
-    from realisability.ordinals import add, omega_pow
+    from realisability.notation import add, omega_pow
     return add(omega_pow(onat(2)), onat(3))
 
 
 def test_text_parse_errors():
     with pytest.raises(ParseError):
-        parse_rformula("(fals notalevel 1 2)")
+        parse_formula("(fals notalevel 1 2)")
     with pytest.raises(ParseError):
-        parse_rformula("(pole 1 2)")
+        parse_formula("(pole 1 2)")
 
 
 def test_r_sub_on_codes():
     a = Fals(L1, TVar("x"), Num(5))
-    c = r_sub(godel_r(a), "x", 9)
-    assert ungodel_r(c) == Fals(L1, Num(9), Num(5))
+    c = subt(godel(a), "x", godel_term(Num(9)))
+    assert ungodel(c) == Fals(L1, Num(9), Num(5))
     with pytest.raises(ValueError):
-        r_sub(12345, "x", 0)
+        subt(12345, "x", godel_term(Num(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +197,13 @@ def test_r_sub_on_codes():
 
 def test_rt2_is_a_disquotation_instance():
     inst = rt_axiom("RT2", L1, L2, a=TRUE_EQ)
-    assert inst == iff(Tru(L1, Num(godel_r(TRUE_EQ))), TRUE_EQ)
+    assert inst == iff(Tru(L1, Num(godel(TRUE_EQ))), TRUE_EQ)
 
 
 def test_rt5_lowers_the_inner_level():
     inst = rt_axiom("RT5", L1, L2, alpha=L0, a=TRUE_EQ)
-    inner = Tru(L0, Num(godel_r(TRUE_EQ)))
-    assert inst == iff(Tru(L1, Num(godel_r(inner))), inner)
+    inner = Tru(L0, Num(godel(TRUE_EQ)))
+    assert inst == iff(Tru(L1, Num(godel(inner))), inner)
 
 
 def test_rt_level_constraints():
@@ -224,17 +217,17 @@ def test_rt_level_constraints():
 
 def test_rr5_unfolds_an_implication_code():
     inst = rr_axiom("RR5", L1, L2, a=4, sent=TRUE_EQ, sent2=FALSE_EQ)
-    code = Num(godel_r(Imp(TRUE_EQ, FALSE_EQ)))
+    code = Num(godel(Imp(TRUE_EQ, FALSE_EQ)))
     want = iff(Fals(L1, Num(4), code),
-               conj(Real(L1, Proj0T(Num(4)), Num(godel_r(TRUE_EQ))),
-                    Fals(L1, Proj1T(Num(4)), Num(godel_r(FALSE_EQ)))))
+               conj(Real(L1, Proj0T(Num(4)), Num(godel(TRUE_EQ))),
+                    Fals(L1, Proj1T(Num(4)), Num(godel(FALSE_EQ)))))
     assert inst == want
 
 
 def test_rr7_requires_a_strictly_lower_inner_level():
     inst = rr_axiom("RR7", L1, L2, a=4, b=2, alpha=L0, sent=FALSE_EQ)
-    atom = Fals(L0, Num(2), Num(godel_r(FALSE_EQ)))
-    assert inst == iff(Fals(L1, Num(4), Num(godel_r(atom))),
+    atom = Fals(L0, Num(2), Num(godel(FALSE_EQ)))
+    assert inst == iff(Fals(L1, Num(4), Num(godel(atom))),
                        explicit_refutation(Num(4), atom))
     with pytest.raises(LevelError):
         rr_axiom("RR7", L1, L2, a=4, b=2, alpha=L1, sent=FALSE_EQ)
@@ -242,10 +235,10 @@ def test_rr7_requires_a_strictly_lower_inner_level():
 
 def test_rr9_rewrites_to_the_unfolded_code():
     inst = rr_axiom("RR9", L1, L2, a=4, b=2, delta=L0, sent=FALSE_EQ)
-    atom = Fals(L0, Num(2), Num(godel_r(FALSE_EQ)))
+    atom = Fals(L0, Num(2), Num(godel(FALSE_EQ)))
     unfolded = explicit_refutation(Num(2), FALSE_EQ)
-    assert inst == iff(Fals(L1, Num(4), Num(godel_r(atom))),
-                       Fals(L1, Num(4), Num(godel_r(unfolded))))
+    assert inst == iff(Fals(L1, Num(4), Num(godel(atom))),
+                       Fals(L1, Num(4), Num(godel(unfolded))))
 
 
 def test_unknown_axiom_kinds_rejected():
@@ -286,15 +279,15 @@ def test_zero_translation_guards_truth_atoms():
 
 def test_tau_empty_commutes_with_coding():
     for a in _closed_corpus(120):
-        assert veq(tau_empty_code(godel_r(a)),
-                   godel_r(translate_empty(a))), print_rformula(a)
+        assert veq(tau_empty_code(godel(a)),
+                   godel(translate_empty(a))), print_formula(a)
 
 
 def test_tau_zero_commutes_with_coding():
     for a in _closed_corpus(120):
         t = translate_empty(a)  # a truth-side style formula with Tru atoms
-        assert veq(tau_zero_code(godel_r(t)),
-                   godel_r(translate_zero(t))), print_rformula(t)
+        assert veq(tau_zero_code(godel(t)),
+                   godel(translate_zero(t))), print_formula(t)
 
 
 def _closed_corpus(n):
@@ -305,8 +298,8 @@ def _closed_corpus(n):
 def test_conservative_translation_of_rr_instances_is_true():
     insts = rr_instance_corpus(100, L2, random.Random(7))
     for kind, f in insts:
-        t = truth_empty(translate_conservative(f), B)
-        assert t.kind == TRUE, (kind, print_rformula(f))
+        t = truth(translate_conservative(f), Empty(), B, KERNEL)
+        assert t.kind == TRUE, (kind, print_formula(f))
 
 
 # ---------------------------------------------------------------------------
@@ -314,31 +307,31 @@ def test_conservative_translation_of_rr_instances_is_true():
 
 def test_ram_refutes_pole_atom_clauses():
     # guard fails: everything refutes vacuously
-    assert ram_refutes(7, InPole(Num(3)), Empty(), L1, B, KERNEL).kind == IN
+    assert refutes(7, InPole(Num(3)), Empty(), B, KERNEL, gamma=L1).kind == IN
     # guard holds: refuters are exactly the pole elements
-    assert ram_refutes(0, InPole(Num(0)), GEN, L1, B, KERNEL).kind == IN
+    assert refutes(0, InPole(Num(0)), GEN, B, KERNEL, gamma=L1).kind == IN
     # 2 is definitely outside the generated pole, so it cannot refute
-    assert ram_refutes(2, InPole(Num(0)), GEN, L1, B, KERNEL).kind == OUT
-    assert ram_refutes(5, InPole(Num(1)), Full(), L1, B, KERNEL).kind == IN
+    assert refutes(2, InPole(Num(0)), GEN, B, KERNEL, gamma=L1).kind == OUT
+    assert refutes(5, InPole(Num(1)), Full(), B, KERNEL, gamma=L1).kind == IN
 
 
 def test_ram_refutes_fals_atom_chases_the_explicit_formula():
-    code = godel_r(FALSE_EQ)
+    code = godel(FALSE_EQ)
     atom = Fals(L1, Num(9), Num(code))
     unfold = explicit_refutation(Num(9), FALSE_EQ)
     for m in [0, 1, vpair(3, 5), vpair(0, 0)]:
-        v1 = ram_refutes(m, atom, GEN, L2, B, KERNEL)
-        v2 = ram_refutes(m, unfold, GEN, L2, B, KERNEL)
+        v1 = refutes(m, atom, GEN, B, KERNEL, gamma=L2)
+        v2 = refutes(m, unfold, GEN, B, KERNEL, gamma=L2)
         assert v1.kind == v2.kind
 
 
 def test_ram_refutes_atom_about_garbage_code_has_no_refuters():
     atom = Fals(L1, Num(9), Num(999999))
-    assert ram_refutes(0, atom, GEN, L2, B, KERNEL).kind == OUT
+    assert refutes(0, atom, GEN, B, KERNEL, gamma=L2).kind == OUT
     # a code at the same level is not a sentence strictly below it
-    same = godel_r(Fals(L1, Num(0), Num(godel_r(TRUE_EQ))))
-    assert ram_refutes(0, Fals(L1, Num(9), Num(same)), L2_POLE, L2, B,
-                       KERNEL).kind == OUT
+    same = godel(Fals(L1, Num(0), Num(godel(TRUE_EQ))))
+    assert refutes(0, Fals(L1, Num(9), Num(same)), L2_POLE, B, KERNEL,
+                   gamma=L2).kind == OUT
 
 
 L2_POLE = GEN
@@ -346,59 +339,59 @@ L2_POLE = GEN
 
 def test_ram_refutes_level_and_openness_errors():
     with pytest.raises(LevelError):
-        ram_refutes(0, Fals(L1, Num(0), Num(0)), GEN, L1, B, KERNEL)
+        refutes(0, Fals(L1, Num(0), Num(0)), GEN, B, KERNEL, gamma=L1)
     from realisability.semantics import OpenFormulaError
     with pytest.raises(OpenFormulaError):
-        ram_refutes(0, InPole(TVar("x")), GEN, L1, B, KERNEL)
+        refutes(0, InPole(TVar("x")), GEN, B, KERNEL, gamma=L1)
 
 
 def test_ram_truth_matches_base_truth_on_base_sentences():
     for a in [TRUE_EQ, FALSE_EQ, Imp(FALSE_EQ, TRUE_EQ),
               All("x", Imp(Eq(TVar("x"), Num(2)), TRUE_EQ))]:
-        assert (ram_truth(a, Empty(), L1, B, KERNEL).kind
-                == truth_empty(a, B).kind)
+        assert (truth(a, Empty(), B, KERNEL, gamma=L1).kind
+                == truth(a, Empty(), B, KERNEL).kind)
 
 
 def test_ram_truth_truth_atom_recurses_at_lower_level():
-    inner = Tru(L0, Num(godel_r(TRUE_EQ)))
-    assert ram_truth(inner, Empty(), L1, B, KERNEL).kind == TRUE
-    nested = Tru(L1, Num(godel_r(inner)))
-    assert ram_truth(nested, Empty(), L2, B, KERNEL).kind == TRUE
+    inner = Tru(L0, Num(godel(TRUE_EQ)))
+    assert truth(inner, Empty(), B, KERNEL, gamma=L1).kind == TRUE
+    nested = Tru(L1, Num(godel(inner)))
+    assert truth(nested, Empty(), B, KERNEL, gamma=L2).kind == TRUE
     # non-sentence codes make the atom false
-    assert ram_truth(Tru(L1, Num(424242)), Empty(), L2, B,
-                     KERNEL).kind == FALSE
+    assert truth(Tru(L1, Num(424242)), Empty(), B, KERNEL,
+                 gamma=L2).kind == FALSE
 
 
 def test_ram_realises_empty_pole_is_exact():
-    rv = ram_realises(13, Imp(FALSE_EQ, FALSE_EQ), Empty(), L1, B, KERNEL)
+    rv = realises(13, Imp(FALSE_EQ, FALSE_EQ), Empty(), B, KERNEL, gamma=L1)
     assert rv.verdict.kind == IN
-    rv = ram_realises(13, FALSE_EQ, Empty(), L1, B, KERNEL)
+    rv = realises(13, FALSE_EQ, Empty(), B, KERNEL, gamma=L1)
     assert rv.verdict.kind == OUT and rv.witness is not None
 
 
 def test_ram_realises_vacuous_when_refuters_provably_absent():
     atom = Fals(L1, Num(9), Num(31337))  # garbage code: no refuters
-    rv = ram_realises(4, atom, GEN, L2, B, KERNEL)
+    rv = realises(4, atom, GEN, B, KERNEL, gamma=L2)
     assert rv.verdict.kind == IN
 
 
 def test_ram_sample_refuters_are_refuters():
     rng = random.Random(3)
     corpus = [FALSE_EQ, InPole(Num(0)),
-              Fals(L1, Num(2), Num(godel_r(FALSE_EQ))),
+              Fals(L1, Num(2), Num(godel(FALSE_EQ))),
               Imp(TRUE_EQ, FALSE_EQ)]
     for a in corpus:
-        ms = ram_sample_refuters(a, GEN, 6, L2, B, KERNEL, rng)
+        ms = sample_refuters(a, GEN, 6, B, KERNEL, rng, gamma=L2)
         assert len(ms) == 6
         for m in ms:
-            assert ram_refutes(m, a, GEN, L2, B, KERNEL).kind != OUT
+            assert refutes(m, a, GEN, B, KERNEL, gamma=L2).kind != OUT
 
 
 def test_rt5_instances_hold_in_the_model():
     inst = rt_axiom("RT5", L1, L2, alpha=L0, a=TRUE_EQ)
-    assert ram_truth(inst, Empty(), L2, B, KERNEL).kind == TRUE
+    assert truth(inst, Empty(), B, KERNEL, gamma=L2).kind == TRUE
     inst = rt_axiom("RT2", L0, L1, a=FALSE_EQ)
-    assert ram_truth(inst, Empty(), L1, B, KERNEL).kind == TRUE
+    assert truth(inst, Empty(), B, KERNEL, gamma=L1).kind == TRUE
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +430,10 @@ def test_rr_properties_under_nonempty_pole_never_assert_false():
 def test_realiser_irrelevance_under_empty_pole():
     rng = random.Random(9)
     for a in ram_corpus(40, L2, rng):
-        v0 = ram_realises(0, a, Empty(), L2, B, KERNEL).verdict.kind
+        v0 = realises(0, a, Empty(), B, KERNEL, gamma=L2).verdict.kind
         for x in (1, 17, 123456):
-            vx = ram_realises(x, a, Empty(), L2, B, KERNEL).verdict.kind
-            assert vx == v0, print_rformula(a)
+            vx = realises(x, a, Empty(), B, KERNEL, gamma=L2).verdict.kind
+            assert vx == v0, print_formula(a)
 
 
 def test_rr_realiser_table():

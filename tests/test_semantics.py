@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from realisability.poles import Empty, Full, Generated, IN, OUT, UNKNOWN
 from realisability.semantics import (
     Budget, EmptySampleError, FALSE, TRUE, check_cr_axioms,
-    check_term_regularity, realises, refutes, sample_refuters, truth_empty,
+    check_term_regularity, realises, refutes, sample_refuters, truth,
 )
 from realisability.syntax import (
     Add, All, Eq, Imp, Num, SucT, TVar, bot, parse_formula,
@@ -21,25 +21,26 @@ EQ01 = bot()
 
 
 def test_truth_empty_equations():
-    assert truth_empty(EQ00, B).kind == TRUE
-    assert truth_empty(EQ01, B).kind == FALSE
-    assert truth_empty(parse_formula("(= (+ 2 2) 4)"), B).kind == TRUE
+    assert truth(EQ00, Empty(), B, K).kind == TRUE
+    assert truth(EQ01, Empty(), B, K).kind == FALSE
+    t = truth(parse_formula("(= (+ 2 2) 4)"), Empty(), B, K)
+    assert t.kind == TRUE
 
 
 def test_truth_empty_implication_table():
-    assert truth_empty(Imp(EQ01, EQ01), B).kind == TRUE
-    assert truth_empty(Imp(EQ00, EQ01), B).kind == FALSE
-    assert truth_empty(Imp(EQ00, EQ00), B).kind == TRUE
+    assert truth(Imp(EQ01, EQ01), Empty(), B, K).kind == TRUE
+    assert truth(Imp(EQ00, EQ01), Empty(), B, K).kind == FALSE
+    assert truth(Imp(EQ00, EQ00), Empty(), B, K).kind == TRUE
 
 
 def test_truth_empty_false_universal_has_witness():
-    t = truth_empty(parse_formula("(all x (= x 3))"), B)
+    t = truth(parse_formula("(all x (= x 3))"), Empty(), B, K)
     assert t.kind == FALSE and t.witness == 0
 
 
 def test_truth_empty_true_universal_is_unknown():
     # a width-bounded scan cannot certify an unbounded universal
-    t = truth_empty(parse_formula("(all x (= (+ x 0) x))"), B)
+    t = truth(parse_formula("(all x (= (+ x 0) x))"), Empty(), B, K)
     assert t.kind == UNKNOWN
 
 
@@ -123,7 +124,7 @@ def test_sampled_refuters_really_refute(a):
 @hyp.settings(deadline=None, max_examples=60)
 def test_empty_pole_collapse_to_truth(a, n):
     # under the empty pole, any n realises A exactly when A is true
-    t = truth_empty(a, B)
+    t = truth(a, Empty(), B, K)
     v = realises(n, a, Empty(), B, K)
     if t.kind == TRUE:
         assert v.verdict.kind == IN

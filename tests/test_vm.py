@@ -1,4 +1,5 @@
 import math
+import time
 
 import hypothesis as hyp
 from hypothesis import strategies as st
@@ -61,6 +62,25 @@ def test_sparse_equality_mixed_representation():
     assert veq(big, pair(2**80, 3))
     assert veq(pair(2**80, 3), big)
     assert not veq(big, vpair(2**80, 4))
+
+
+def _tower(depth, leaf, last=None):
+    """x_{k+1} = <x_k, x_k> from the given leaf, built afresh; its
+    rightmost leaf is replaced by last when that is given."""
+    x = leaf
+    y = leaf if last is None else last
+    for _ in range(depth):
+        x, y = vpair(x, x), vpair(x, y)
+    return y
+
+
+def test_veq_compares_shared_values_once():
+    # each tower has 2^40 leaves but only about 80 distinct nodes
+    start = time.perf_counter()
+    a, b = _tower(40, 2**70), _tower(40, 2**70)
+    assert a is not b and veq(a, b) and veq(a, a)
+    assert not veq(a, _tower(40, 2**70, last=2**70 + 1))
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------
