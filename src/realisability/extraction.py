@@ -18,7 +18,8 @@ from typing import Optional, Union
 from .poles import Empty, OUT
 from .semantics import Budget, FALSE, realises, truth
 from .syntax import (
-    Add, All, ATerm, Eq, Formula, Imp, Num, ParseError, SucT, TVar, ZERO, _P,
+    Add, All, ATerm, Eq, Fn, Formula, Imp, Mul, Num, PairT, ParseError,
+    Proj0T, Proj1T, SucT, TVar, ZERO, _P,
     _name_code, _name_decode, _parse_base_formula, _parse_term, bot,
     free_vars, fresh_var, godel_term, parse_formula, print_formula,
     print_term, subst, subst_term, term_vars, ungodel_term, eval_term,
@@ -155,19 +156,74 @@ class ProofError(ValueError):
 # ---------------------------------------------------------------------------
 # Alpha equivalence
 
-def _canon(a: Formula, depth: int = 0) -> Formula:
+def _alpha_term(s: ATerm, t: ATerm, da: dict, db: dict) -> bool:
+    if isinstance(s, TVar):
+        if not isinstance(t, TVar):
+            return False
+        i, j = da.get(s.name), db.get(t.name)
+        return i == j and (i is not None or s.name == t.name)
+    if da:
+        # under a binder (da is not empty) a successor matches the
+        # numeral one bigger, as subst folds (s n) to n+1 in the
+        # instances the schemas are checked against
+        if isinstance(s, SucT) and isinstance(t, Num):
+            return (isinstance(t.n, int)
+                    and _alpha_term(s.t, Num(t.n - 1), da, db))
+        if isinstance(s, Num) and isinstance(t, SucT):
+            return (isinstance(s.n, int)
+                    and _alpha_term(Num(s.n - 1), t.t, da, db))
+    if type(s) is not type(t):
+        return False
+    if isinstance(s, Num):
+        return s.n == t.n
+    if isinstance(s, (SucT, Proj0T, Proj1T)):
+        return _alpha_term(s.t, t.t, da, db)
+    if isinstance(s, (Add, Mul, PairT)):
+        return (_alpha_term(s.l, t.l, da, db)
+                and _alpha_term(s.r, t.r, da, db))
+    if isinstance(s, Fn):
+        return (s.name == t.name and len(s.args) == len(t.args)
+                and all(_alpha_term(u, v, da, db)
+                        for u, v in zip(s.args, t.args)))
+    raise TypeError(s)
+
+
+def _alpha(a: Formula, b: Formula, da: dict, db: dict, depth: int) -> bool:
+    # da/db map each bound name to the depth of its innermost binder
+    if not isinstance(a, (Eq, Imp, All)):
+        raise TypeError(a)
+    if not isinstance(b, (Eq, Imp, All)):
+        raise TypeError(b)
+    if type(a) is not type(b):
+        return False
     if isinstance(a, Eq):
-        return a
+        return (_alpha_term(a.l, b.l, da, db)
+                and _alpha_term(a.r, b.r, da, db))
     if isinstance(a, Imp):
-        return Imp(_canon(a.a, depth), _canon(a.b, depth))
-    if isinstance(a, All):
-        name = "_b%d" % depth
-        return All(name, _canon(subst(a.body, a.var, TVar(name)), depth + 1))
-    raise TypeError(a)
+        return (_alpha(a.a, b.a, da, db, depth)
+                and _alpha(a.b, b.b, da, db, depth))
+    x, y = a.var, b.var
+    outer_x, outer_y = da.get(x), db.get(y)
+    da[x] = db[y] = depth
+    out = _alpha(a.body, b.body, da, db, depth + 1)
+    for d, name, outer in ((da, x, outer_x), (db, y, outer_y)):
+        if outer is None:
+            del d[name]
+        else:
+            d[name] = outer
+    return out
 
 
 def alpha_eq(a: Formula, b: Formula) -> bool:
-    return _canon(a) == _canon(b)
+    """Whether a and b differ only in the names of bound variables.
+
+    One walk over both formulas, linear in their size: a bound variable
+    matches only the variable bound at the same binder depth on the
+    other side, and free variables match by name (de Bruijn's nameless
+    comparison, without building the nameless formulas).  Under a
+    binder, (s n) matches the numeral n+1.  Raises TypeError on a node
+    outside the base grammar."""
+    return _alpha(a, b, {}, {}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +279,10 @@ def _check_axiom(ax: Axiom, path: str) -> None:
     kind, f, data = ax.kind, ax.formula, ax.data
     if kind not in AXIOM_KINDS:
         raise ProofError("unknown axiom kind %r" % kind, path)
-    err = _schema_error(kind, f, path)
     if kind == "k":
         if not (isinstance(f, Imp) and isinstance(f.b, Imp)
                 and alpha_eq(f.a, f.b.b)):
-            raise err
+            raise _schema_error(kind, f, path)
     elif kind == "s":
         ok = (isinstance(f, Imp) and isinstance(f.a, Imp)
               and isinstance(f.a.b, Imp) and isinstance(f.b, Imp)
@@ -237,26 +292,26 @@ def _check_axiom(ax: Axiom, path: str) -> None:
             ok = (alpha_eq(f.b.a.a, a) and alpha_eq(f.b.a.b, b)
                   and alpha_eq(f.b.b.a, a) and alpha_eq(f.b.b.b, c))
         if not ok:
-            raise err
+            raise _schema_error(kind, f, path)
     elif kind == "peirce":
         ok = (isinstance(f, Imp) and isinstance(f.a, Imp)
               and isinstance(f.a.a, Imp))
         if not (ok and alpha_eq(f.a.b, f.b)
                 and alpha_eq(f.a.a.a, f.b)):
-            raise err
+            raise _schema_error(kind, f, path)
     elif kind == "exfalso":
         if not (isinstance(f, Imp) and f.a == bot()):
-            raise err
+            raise _schema_error(kind, f, path)
     elif kind == "refleq":
         if not (isinstance(f, Eq) and f.l == f.r):
-            raise err
+            raise _schema_error(kind, f, path)
     elif kind == "univinst":
         if len(data) != 1:
             raise ProofError("univinst needs the instantiating term", path)
         t = data[0]
         if not (isinstance(f, Imp) and isinstance(f.a, All)
                 and alpha_eq(f.b, subst(f.a.body, f.a.var, t))):
-            raise err
+            raise _schema_error(kind, f, path)
     elif kind == "univdist":
         ok = (isinstance(f, Imp) and isinstance(f.a, All)
               and isinstance(f.a.body, Imp) and isinstance(f.b, Imp)
@@ -266,7 +321,7 @@ def _check_axiom(ax: Axiom, path: str) -> None:
             ok = (alpha_eq(f.b.a, a) and x not in free_vars(a)
                   and alpha_eq(f.b.b, All(x, b)))
         if not ok:
-            raise err
+            raise _schema_error(kind, f, path)
     elif kind == "leibniz":
         if len(data) != 2:
             raise ProofError("leibniz needs (variable, template)", path)
@@ -278,7 +333,7 @@ def _check_axiom(ax: Axiom, path: str) -> None:
             ok = (alpha_eq(f.b.a, subst(template, x, s))
                   and alpha_eq(f.b.b, subst(template, x, t)))
         if not ok:
-            raise err
+            raise _schema_error(kind, f, path)
     elif kind == "defining":
         if not any(alpha_eq(f, d) for d in _DEFINING):
             raise ProofError("%s is not a registered defining axiom"
@@ -294,7 +349,7 @@ def _check_axiom(ax: Axiom, path: str) -> None:
                   and alpha_eq(f.b.a.body.b, subst(a, x, SucT(TVar(x))))
                   and alpha_eq(f.b.b, All(x, a)))
         if not ok:
-            raise err
+            raise _schema_error(kind, f, path)
 
 
 def _check(p: Proof, path: str, hyps_out: list) -> Formula:
@@ -501,10 +556,9 @@ def extract(p: Proof) -> Nat:
 def extract_value(p: Proof, kernel: Kernel, fuel: int = 10**7,
                   assignment: Optional[dict] = None) -> Nat:
     """Run the extracted code on an environment and return the realiser."""
-    c = check_proof(p)
-    ctx = sorted(free_vars(c))
+    ctx = sorted(free_vars(check_proof(p)))
     env = env_value(ctx, assignment or {})
-    r = kernel.apply(extract(p), env, fuel)
+    r = kernel.apply(encode(Lam(_extract_body(p, ctx, ""))), env, fuel)
     if not isinstance(r, Value):
         raise ExtractionError("extracted program did not evaluate: %s"
                               % r.reason)

@@ -223,6 +223,10 @@ PID_ORDSUCN = 22
 
 _TEMPLATE_FUEL = 10**7
 
+# How many template realisers one kernel's primitives keep; the memo is
+# emptied when it fills.
+_TEMPLATE_MEMO_SIZE = 1 << 12
+
 
 def _decode_sentence_with_x(code: Nat) -> Formula:
     a = ungodel(code)
@@ -231,6 +235,21 @@ def _decode_sentence_with_x(code: Nat) -> Formula:
             or not free_vars(a) <= {"x"}:
         raise StuckError()
     return a
+
+
+def _code_key(v: Nat) -> tuple:
+    """A hashable image of a code (a PV does not hash): the preorder of
+    its pair tree, None marking each pair, so equal keys mean equal
+    codes."""
+    out, todo = [], [v]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, int):
+            out.append(v)
+        else:
+            out.append(None)
+            todo += (v.b, v.a)
+    return tuple(out)
 
 
 def _decode_ord(code: Nat) -> OrdNotation:
@@ -280,10 +299,24 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
     def p_ordsucn(v: Nat) -> Nat:
         return ocode(add(_decode_ord(v), onat(1)))
 
+    # realisers of the templates, keyed on the kind, the formula's code
+    # and, for lim/direct, the notation; bounded like the kernel's
+    # closure memo
+    templates: dict = {}
+
+    def _template(key: tuple, build) -> Nat:
+        r = templates.get(key)
+        if r is None:
+            r = extract_value(build(), kernel, _TEMPLATE_FUEL)
+            if len(templates) >= _TEMPLATE_MEMO_SIZE:
+                templates.clear()
+            templates[key] = r
+        return r
+
     def p_ti0(v: Nat) -> Nat:
         a = _decode_sentence_with_x(v)
-        return extract_value(ti_proof_template("zero", a, var="x"),
-                             kernel, _TEMPLATE_FUEL)
+        return _template(("zero", _code_key(v)),
+                         lambda: ti_proof_template("zero", a, var="x"))
 
     def _instantiate(univ_realiser: Nat, alpha_code: Nat) -> Nat:
         r = kernel.apply(combinator("s"), vpair(univ_realiser, alpha_code),
@@ -296,16 +329,16 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
         ac, alphac = vunpair(v)
         a = _decode_sentence_with_x(ac)
         _decode_ord(alphac)
-        univ = extract_value(ti_proof_template("suc", a, var="x"),
-                             kernel, _TEMPLATE_FUEL)
+        univ = _template(("suc", _code_key(ac)),
+                         lambda: ti_proof_template("suc", a, var="x"))
         return _instantiate(univ, alphac)
 
     def p_tiomega(v: Nat) -> Nat:
         ac, alphac = vunpair(v)
         a = _decode_sentence_with_x(ac)
         _decode_ord(alphac)
-        proof, _jump = ti_proof_template("omega", a, var="x")
-        univ = extract_value(proof, kernel, _TEMPLATE_FUEL)
+        univ = _template(("omega", _code_key(ac)),
+                         lambda: ti_proof_template("omega", a, var="x")[0])
         return _instantiate(univ, alphac)
 
     def p_jump(v: Nat) -> Nat:
@@ -316,15 +349,16 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
         ac, alphac = vunpair(v)
         a = _decode_sentence_with_x(ac)
         alpha = _decode_ord(alphac)
-        return extract_value(ti_proof_template("lim", a, alpha, var="x"),
-                             kernel, _TEMPLATE_FUEL)
+        return _template(("lim", _code_key(ac), alpha),
+                         lambda: ti_proof_template("lim", a, alpha,
+                                                   var="x"))
 
     def p_tidirect(v: Nat) -> Nat:
         ac, betac = vunpair(v)
         a = _decode_sentence_with_x(ac)
         beta = _decode_ord(betac)
-        return extract_value(_ti_direct_proof(a, beta), kernel,
-                             _TEMPLATE_FUEL)
+        return _template(("direct", _code_key(ac), beta),
+                         lambda: _ti_direct_proof(a, beta))
 
     def p_wo(v: Nat) -> Nat:
         return wo_realiser(_decode_ord(v), kernel)

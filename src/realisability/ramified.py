@@ -177,16 +177,15 @@ def translate_conservative(a: Formula) -> Formula:
     raise TypeError(a)
 
 
-def translate_empty(a: Formula,
-                    gamma: Optional[OrdNotation] = None) -> Formula:
+def translate_empty(a: Formula) -> Formula:
     """Empty-pole reading: pole membership is absurd, falsification and
     realisation become truth of the translated explicit formula."""
     if isinstance(a, Eq):
         return a
     if isinstance(a, Imp):
-        return Imp(translate_empty(a.a, gamma), translate_empty(a.b, gamma))
+        return Imp(translate_empty(a.a), translate_empty(a.b))
     if isinstance(a, All):
-        return All(a.var, translate_empty(a.body, gamma))
+        return All(a.var, translate_empty(a.body))
     if isinstance(a, InPole):
         return bot()
     if isinstance(a, Fals):
@@ -198,16 +197,15 @@ def translate_empty(a: Formula,
     raise TypeError(a)
 
 
-def translate_zero(a: Formula,
-                   gamma: Optional[OrdNotation] = None) -> Formula:
+def translate_zero(a: Formula) -> Formula:
     """Truth-to-realisability reading: a truth atom becomes guarded
     zero-realisation of the translated code."""
     if isinstance(a, Eq):
         return a
     if isinstance(a, Imp):
-        return Imp(translate_zero(a.a, gamma), translate_zero(a.b, gamma))
+        return Imp(translate_zero(a.a), translate_zero(a.b))
     if isinstance(a, All):
-        return All(a.var, translate_zero(a.body, gamma))
+        return All(a.var, translate_zero(a.body))
     if isinstance(a, (InPole, Fals, Real)):
         return a
     if isinstance(a, Tru):

@@ -161,6 +161,18 @@ def test_prove_check(capsys):
     assert rep["conclusion"].startswith("(imp")
 
 
+def test_prove_check_rejects_bound_variable_capture(tmp_path, capsys):
+    # the k instance holds only if the free _b0 were the bound y
+    path = tmp_path / "capture.sexp"
+    path.write_text(
+        "(gen _b0 (mp (mp (ax k (imp (all y (= y y)) (imp (all y (= y y)) "
+        "(all y (= y _b0))))) (gen y (ax refleq (= y y)))) "
+        "(gen y (ax refleq (= y y)))))\n")
+    code, rep = run_cli(capsys, "prove-check", str(path))
+    assert code == 1 and not rep["ok"]
+    assert "k schema" in rep["error"]
+
+
 def test_prove_check_missing_file_is_usage_error(capsys):
     assert main(["prove-check", "/nonexistent/file.sexp"]) == 3
 

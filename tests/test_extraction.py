@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from realisability.extraction import (
     Axiom, Gen, Hyp, MP, ProofError, ax_defining, ax_exfalso, ax_induction,
     ax_k, ax_leibniz, ax_peirce, ax_refleq, ax_s, ax_univdist, ax_univinst,
-    axiom_realiser, check_proof, combinator, conclusion, deduce,
+    alpha_eq, axiom_realiser, check_proof, combinator, conclusion, deduce,
     defining_axioms, eq_cong, eq_sym, eq_trans, extract, extract_value,
     fresh_kernel, imp_refl, inst_all, parse_proof, print_proof, prove_dne,
     prove_plus, prove_plus_comm, prove_suc_plus, prove_zero_plus,
@@ -16,8 +16,8 @@ from realisability.extraction import (
 from realisability.poles import Empty, Generated, IN, OUT
 from realisability.semantics import Budget, realises, sample_refuters
 from realisability.syntax import (
-    Add, All, Eq, Imp, Num, SucT, TVar, ZERO, bot, parse_formula,
-    print_formula, subst,
+    Add, All, Eq, Fn, Imp, InPole, Num, PairT, SucT, TVar, ZERO, bot,
+    free_vars, parse_formula, print_formula, subst, suc_t,
 )
 from realisability.vm import Value, veq, vpair, vunpair
 
@@ -290,3 +290,173 @@ def test_i_law_property(ab):
     from realisability.poles import member
     for m in ms:
         assert member(vpair(comp, m), POLE, 10**6, K).kind != OUT
+
+
+# ---------------------------------------------------------------------------
+# Alpha equivalence
+
+# k's conclusion keeps the free _b0 of its consequent, so the schema
+# instance needs alpha_eq((all y (= y _b0)), (all y (= y y)))
+CAPTURE_PROOF = (
+    "(gen _b0 (mp (mp (ax k (imp (all y (= y y)) (imp (all y (= y y)) "
+    "(all y (= y _b0))))) (gen y (ax refleq (= y y)))) "
+    "(gen y (ax refleq (= y y)))))")
+
+
+def test_alpha_eq_keeps_free_variables_apart_from_bound_ones():
+    a = parse_formula("(all y (= y _b0))")
+    b = parse_formula("(all y (= y y))")
+    assert not alpha_eq(a, b) and not alpha_eq(b, a)
+    assert alpha_eq(a, parse_formula("(all z (= z _b0))"))
+
+
+@pytest.mark.parametrize("a, b, same", [
+    ("(all x (all y (= x y)))", "(all y (all x (= y x)))", True),
+    ("(all x (all y (= x y)))", "(all y (all x (= x y)))", False),
+    ("(all x (all x (= x x)))", "(all y (all z (= z z)))", True),
+    ("(all x (all x (= x x)))", "(all y (all z (= y z)))", False),
+    ("(imp (all x (= x z)) (= x z))", "(imp (all y (= y z)) (= x z))", True),
+    ("(imp (all x (= x z)) (= x z))", "(imp (all y (= y z)) (= y z))", False),
+    ("(all x (= (pair x (s x)) 0))", "(all y (= (pair y (s y)) 0))", True),
+])
+def test_alpha_eq_examples(a, b, same):
+    a, b = parse_formula(a), parse_formula(b)
+    assert alpha_eq(a, b) == alpha_eq(b, a) == same
+
+
+def test_capturing_proof_is_rejected():
+    with pytest.raises(ProofError):
+        check_proof(parse_proof(CAPTURE_PROOF))
+
+
+def test_alpha_eq_folds_successor_numerals_under_binders():
+    # subst folds (s 0) to 1, so an instance may differ from its source
+    # there; outside every binder terms compare as written
+    raw = All("x", Eq(SucT(Num(0)), TVar("x")))
+    assert alpha_eq(raw, All("y", Eq(Num(1), TVar("y"))))
+    assert alpha_eq(All("y", Eq(Num(1), TVar("y"))), raw)
+    assert not alpha_eq(raw, All("y", Eq(Num(0), TVar("y"))))
+    pv = All("x", Eq(Num(vpair(2**70, 3)), ZERO))
+    one = All("x", Eq(SucT(ZERO), ZERO))
+    assert not alpha_eq(pv, one) and not alpha_eq(one, pv)
+    assert not alpha_eq(Eq(SucT(Num(0)), ZERO), Eq(Num(1), ZERO))
+
+
+def test_alpha_eq_rejects_atoms():
+    with pytest.raises(TypeError):
+        alpha_eq(InPole(Num(0)), InPole(Num(0)))
+    with pytest.raises(TypeError):
+        alpha_eq(All("x", EQ00), All("x", InPole(Num(0))))
+
+
+def _canon(a, depth=0):
+    # the substitution-based canonical form alpha_eq used to compare;
+    # subst folds (s n) into n+1 under every binder, not outside them
+    if isinstance(a, Eq):
+        return a
+    if isinstance(a, Imp):
+        return Imp(_canon(a.a, depth), _canon(a.b, depth))
+    if isinstance(a, All):
+        name = "_b%d" % depth
+        return All(name, _canon(subst(a.body, a.var, TVar(name)),
+                                depth + 1))
+    raise TypeError(a)
+
+
+def _oracle(a, b):
+    return _canon(a) == _canon(b)
+
+
+NAMES = ("x", "y", "z", "w")
+
+terms = st.recursive(
+    st.one_of(st.sampled_from(NAMES).map(TVar),
+              st.integers(0, 3).map(Num)),
+    lambda t: st.one_of(
+        t.map(suc_t),
+        t.map(SucT),
+        st.builds(Add, t, t),
+        st.builds(PairT, t, t),
+        st.builds(lambda u, v: Fn("f", (u, v)), t, t)),
+    max_leaves=5)
+
+formulas = st.recursive(
+    st.builds(Eq, terms, terms),
+    lambda f: st.one_of(
+        st.builds(Imp, f, f),
+        st.builds(All, st.sampled_from(NAMES), f)),
+    max_leaves=6)
+
+
+def _rename_term(t, x, y):
+    if isinstance(t, TVar):
+        return TVar(y) if t.name == x else t
+    if isinstance(t, Num):
+        return t
+    if isinstance(t, SucT):
+        return SucT(_rename_term(t.t, x, y))
+    if isinstance(t, Fn):
+        return Fn(t.name, tuple(_rename_term(u, x, y) for u in t.args))
+    return type(t)(_rename_term(t.l, x, y), _rename_term(t.r, x, y))
+
+
+def _rename_free(a, x, y):
+    """Replace the free x in a by y, capturing it where y is bound."""
+    if isinstance(a, Eq):
+        return Eq(_rename_term(a.l, x, y), _rename_term(a.r, x, y))
+    if isinstance(a, Imp):
+        return Imp(_rename_free(a.a, x, y), _rename_free(a.b, x, y))
+    if a.var == x:
+        return a
+    return All(a.var, _rename_free(a.body, x, y))
+
+
+def _rename_bound(a, names):
+    """Rename every binder of a to the next of names, without checking
+    for capture: a bound renaming when the names are fresh."""
+    if isinstance(a, Eq):
+        return a
+    if isinstance(a, Imp):
+        return Imp(_rename_bound(a.a, names), _rename_bound(a.b, names))
+    y = next(names)
+    return All(y, _rename_bound(_rename_free(a.body, a.var, y), names))
+
+
+# a formula, an unrelated one, the names for renaming the binders of the
+# first, which of its free variables to rename into which name (both
+# renamings may capture) and whether to fold its numerals outside the
+# binders of a name, as subst does
+pairs = st.tuples(formulas, formulas,
+                  st.lists(st.sampled_from(NAMES), min_size=12, max_size=12),
+                  st.integers(0, 3), st.sampled_from(NAMES),
+                  st.sampled_from((None,) + NAMES))
+
+
+@hyp.given(pairs)
+@hyp.settings(deadline=None, max_examples=300)
+def test_alpha_eq_agrees_with_the_canonical_form(data):
+    a, other, names, k, y, fold = data
+    b = _rename_bound(a, iter(names))
+    free = sorted(free_vars(b))
+    if free:
+        b = _rename_free(b, free[k % len(free)], y)
+    if fold is not None:
+        b = subst(b, fold, TVar(fold))
+    for c in (other, b):
+        assert alpha_eq(a, c) == _oracle(a, c)
+
+
+@hyp.given(formulas, formulas)
+@hyp.settings(deadline=None, max_examples=100)
+def test_alpha_eq_is_reflexive_and_symmetric(a, b):
+    assert alpha_eq(a, a)
+    assert alpha_eq(a, b) == alpha_eq(b, a)
+
+
+@hyp.given(formulas, formulas)
+@hyp.settings(deadline=None, max_examples=100)
+def test_alpha_eq_is_invariant_under_bound_renaming(a, c):
+    fresh = iter("r%d" % i for i in range(100))
+    b = _rename_bound(a, fresh)
+    assert alpha_eq(a, b) and alpha_eq(b, a)
+    assert alpha_eq(b, c) == alpha_eq(a, c)

@@ -5,22 +5,26 @@ import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
-from realisability.extraction import check_proof, extract_value
+from realisability import ordinals
+from realisability.extraction import (
+    ExtractionError, check_proof, combinator, extract_value,
+)
 from realisability.notation import (
     CnfSum, Eps, GREATER, LESS, EQUAL, LimC, O_ZERO, OrdParseError, SucC,
     ZeroC, ZeroO, add, classify, compare, eps, fundseq, is_normal, ocode,
     odecode, omega, omega_pow, omega_tower, onat, parse_ord, print_ord,
 )
 from realisability.ordinals import (
-    build_Prog, build_TI, jump_formula, olt, ordinal_kernel, ti_formula,
-    ti_proof_template, wo_combinator, wo_realiser,
+    PID_TISUC, build_Prog, build_TI, jump_formula, olt, ordinal_kernel,
+    ti_formula, ti_proof_template, wo_combinator, wo_realiser,
 )
 from realisability.poles import Generated, OUT, member
 from realisability.semantics import Budget, realises
 from realisability.syntax import (
-    All, Eq, Fn, Imp, Num, TVar, free_vars, godel, parse_formula,
+    All, Eq, Fn, Imp, Num, SucT, TVar, free_vars, godel, parse_formula,
+    ungodel,
 )
-from realisability.vm import Value, veq, vpair
+from realisability.vm import Lam, PV, Prim, Value, Var, encode, veq, vpair
 
 K = ordinal_kernel()
 POLE = Generated(frozenset({0, 3, 8}), 64)
@@ -385,6 +389,89 @@ def test_zero_template_realises():
     v = realises(e, build_TI(A_REFL, O_ZERO, "x"), POLE, B, K,
                  random.Random(2))
     assert v.verdict.kind != OUT
+
+
+def test_templates_take_unfolded_successor_numerals():
+    # a decoded code keeps (s 0) where subst, building the template,
+    # folds it to 1
+    a = Imp(Eq(TVar("x"), TVar("x")),
+            All("x", Eq(SucT(Num(0)), SucT(Num(0)))))
+    assert ungodel(godel(a)) == a
+    for kind in ("zero", "suc"):
+        check_proof(ti_proof_template(kind, a, var="x"))
+    r = K.apply(wo_realiser(onat(1), K), godel(a), 10**7)
+    assert isinstance(r, Value), r
+
+
+_TISUC = encode(Lam(Prim(PID_TISUC, Var(0))))
+
+
+def _tisuc(kernel, a_code, alpha):
+    r = kernel.apply(_TISUC, vpair(a_code, ocode(alpha)), 10**6)
+    assert isinstance(r, Value), r
+    return r.n
+
+
+def _counting_extractions(monkeypatch, fail_first=False):
+    calls = []
+
+    def counting(p, kernel, fuel=10**7, assignment=None):
+        calls.append(p)
+        if fail_first and len(calls) == 1:
+            raise ExtractionError("first extraction fails")
+        return extract_value(p, kernel, fuel, assignment)
+
+    monkeypatch.setattr(ordinals, "extract_value", counting)
+    return calls
+
+
+def test_template_memo_extracts_once_per_kernel(monkeypatch):
+    calls = _counting_extractions(monkeypatch)
+    k = ordinal_kernel()
+    got = [_tisuc(k, A_CODE, alpha) for alpha in (onat(1), W)]
+    assert len(calls) == 1
+    univ = extract_value(ti_proof_template("suc", A_REFL, var="x"),
+                         ordinal_kernel())
+    for alpha, g in zip((onat(1), W), got):
+        want = _app(combinator("s"), vpair(univ, ocode(alpha)))
+        assert veq(g, want)
+    # a fresh kernel starts with an empty memo
+    _tisuc(ordinal_kernel(), A_CODE, W)
+    assert len(calls) == 2
+
+
+def test_template_memo_takes_unhashable_numerals(monkeypatch):
+    calls = _counting_extractions(monkeypatch)
+    a = Imp(Eq(TVar("x"), Num(vpair(2**70, 3))), A_REFL)
+    code = godel(a)
+    assert isinstance(ungodel(code).a.r.n, PV)
+    k = ordinal_kernel()
+    first = _tisuc(k, code, onat(2))
+    assert veq(_tisuc(k, code, onat(2)), first)
+    assert len(calls) == 1
+
+
+def test_template_memo_tells_formulas_apart(monkeypatch):
+    calls = _counting_extractions(monkeypatch)
+    k = ordinal_kernel()
+    codes = [A_CODE, godel(parse_formula("(= (s x) (s x))"))]
+    codes += [godel(Imp(Eq(TVar("x"), Num(vpair(2**70, n))), A_REFL))
+              for n in (3, 4)]
+    for code in codes + codes:
+        _tisuc(k, code, W)
+    assert len(calls) == len(codes)
+    # the key keeps the shape of a PV code, not only its leaves
+    assert ordinals._code_key(PV(1, PV(2, 3))) \
+        != ordinals._code_key(PV(PV(1, 2), 3))
+
+
+def test_template_memo_keeps_no_failure(monkeypatch):
+    calls = _counting_extractions(monkeypatch, fail_first=True)
+    k = ordinal_kernel()
+    with pytest.raises(ExtractionError):
+        _tisuc(k, A_CODE, W)
+    _tisuc(k, A_CODE, W)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
