@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .extraction import (
-    ProofError, check_proof, extract_value, parse_proof,
+    ExtractionError, ProofError, check_proof, extract_value, parse_proof,
 )
 from .notation import (
     EQUAL, GREATER, LESS, LimC, OrdNotation, OrdParseError, classify,
@@ -29,7 +29,8 @@ from .ordinals import (
     wo_realiser,
 )
 from .poles import (
-    Empty, Full, Generated, IN, OUT, UNKNOWN, PoleSpec, Verdict, member,
+    AGREE, DISAGREE, Empty, FALSE, Full, Generated, IN, OUT, TRUE, UNKNOWN,
+    PoleSpec, Verdict, diverged, member,
 )
 from .ramified import (
     check_model_equivalence, check_rr_empty_properties, ram_corpus,
@@ -37,8 +38,8 @@ from .ramified import (
     translate_empty, translate_zero,
 )
 from .semantics import (
-    Budget, EmptySampleError, FALSE, OpenFormulaError, TRUE, TruthVal,
-    check_cr_axioms, realises, refutes, truth,
+    Budget, EmptySampleError, OpenFormulaError, check_cr_axioms, realises,
+    refutes, truth,
 )
 from .syntax import (
     All, Eq, Imp, LevelError, Num, ParseError, TVar, explicit_realisation,
@@ -60,7 +61,6 @@ class RunConfig:
     budget: Budget
     gamma: OrdNotation
     seed: int = 0
-    corpus_paths: tuple = ()
     report_path: Optional[str] = None
 
     def rng(self) -> random.Random:
@@ -116,25 +116,17 @@ def _verdict_json(v: Verdict) -> dict:
     return {"kind": v.kind, "reason": v.reason}
 
 
-def _truth_json(t: TruthVal) -> dict:
+def _truth_json(t: Verdict) -> dict:
     return {"kind": t.kind, "witness": t.witness}
 
 
-def _verdict_exit(kind: str) -> int:
-    if kind in (IN, TRUE):
-        return 0
-    if kind in (OUT, FALSE):
+def _exit(kinds) -> int:
+    """The exit code of a report's verdict kinds: a failure beats an
+    unknown, which beats a pass."""
+    kinds = set(kinds)
+    if kinds & {OUT, FALSE, DISAGREE}:
         return 1
-    return 2
-
-
-def _records_exit(records: list) -> int:
-    kinds = {r.get("verdict") for r in records}
-    if "disagree" in kinds:
-        return 1
-    if "unknown" in kinds:
-        return 2
-    return 0
+    return 0 if kinds <= {IN, TRUE, AGREE} else 2
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +145,7 @@ def cmd_parse(args, cfg: RunConfig, kernel: Kernel):
 
 def cmd_truth(args, cfg: RunConfig, kernel: Kernel):
     t = truth(parse_base_formula(args.formula), cfg.pole, cfg.budget, kernel)
-    return _verdict_exit(t.kind), {"truth": _truth_json(t)}
+    return _exit([t.kind]), {"truth": _truth_json(t)}
 
 
 def cmd_pole_member(args, cfg: RunConfig, kernel: Kernel):
@@ -176,9 +168,9 @@ def cmd_realises(args, cfg: RunConfig, kernel: Kernel):
     rv = realises(args.n, f, cfg.pole, cfg.budget, kernel, cfg.rng())
     rep = {"realises": _verdict_json(rv.verdict), "samples": rv.samples,
            "n": args.n, "formula": print_formula(f)}
-    if rv.witness is not None:
-        rep["witness"] = _nat_json(rv.witness)
-    return _verdict_exit(rv.verdict.kind), rep
+    if rv.verdict.witness is not None:
+        rep["witness"] = _nat_json(rv.verdict.witness)
+    return _exit([rv.verdict.kind]), rep
 
 
 def _load_proof(path: str):
@@ -198,13 +190,23 @@ def cmd_prove_check(args, cfg: RunConfig, kernel: Kernel):
     return 0, {"ok": True, "conclusion": print_formula(c)}
 
 
+def _diverged(exc: ExtractionError) -> Verdict:
+    """The verdict on an extracted program whose run diverged; any other
+    extraction error goes on up."""
+    if exc.reason is None:
+        raise exc
+    return diverged(exc.reason)
+
+
 def cmd_extract(args, cfg: RunConfig, kernel: Kernel):
-    p = _load_proof(args.path)
     try:
-        c = check_proof(p)
-        value = extract_value(p, kernel, cfg.budget.fuel * 10)
+        c, value = extract_value(_load_proof(args.path), kernel,
+                                 cfg.budget.fuel * 10)
     except ProofError as exc:
         return 1, {"ok": False, "error": str(exc)}
+    except ExtractionError as exc:
+        v = _diverged(exc)
+        return _exit([v.kind]), {"ok": False, "reason": exc.reason}
     return 0, {"ok": True, "conclusion": print_formula(c),
                "realiser": _nat_json(value)}
 
@@ -213,25 +215,26 @@ def cmd_run(args, cfg: RunConfig, kernel: Kernel):
     r = kernel.apply(args.e, args.m, cfg.budget.fuel)
     if isinstance(r, Value):
         return 0, {"result": _nat_json(r.n)}
-    assert isinstance(r, Diverged)
-    code = 2 if r.reason == "fuel-exhausted" else 1
-    return code, {"diverged": r.reason}
+    return _exit([diverged(r.reason).kind]), {"diverged": r.reason}
 
 
 def cmd_validate(args, cfg: RunConfig, kernel: Kernel):
-    p = _load_proof(args.path)
     try:
-        c = check_proof(p)
-        value = extract_value(p, kernel, cfg.budget.fuel * 10)
+        c, value = extract_value(_load_proof(args.path), kernel,
+                                 cfg.budget.fuel * 10)
     except ProofError as exc:
         return 1, {"ok": False, "error": str(exc)}
+    except ExtractionError as exc:
+        v = _diverged(exc)
+        return _exit([v.kind]), {"realises": _verdict_json(v),
+                                 "pole": _pole_text(cfg.pole)}
     rv = realises(value, c, cfg.pole, cfg.budget, kernel, cfg.rng())
     rep = {"conclusion": print_formula(c),
            "realiser": _nat_json(value),
            "realises": _verdict_json(rv.verdict),
            "samples": rv.samples,
            "pole": _pole_text(cfg.pole)}
-    return _verdict_exit(rv.verdict.kind), rep
+    return _exit([rv.verdict.kind]), rep
 
 
 def cmd_ord_cmp(args, cfg: RunConfig, kernel: Kernel):
@@ -293,9 +296,11 @@ def _check_ti_realiser(alpha: OrdNotation, f, cfg: RunConfig,
                        kernel: Kernel, rng: random.Random):
     e = wo_realiser(alpha, kernel)
     r = kernel.apply(e, godel(f), cfg.budget.fuel * 10)
-    if not isinstance(r, Value):
-        return {"alpha": print_ord(alpha), "verdict": "unknown",
-                "reason": "combinator application diverged"}
+    if isinstance(r, Diverged):
+        # when e . |A| is stuck it is undefined, so I0(e, alpha) fails
+        v = diverged(r.reason)
+        return {"alpha": print_ord(alpha), "verdict": v.kind,
+                "reason": v.reason}
     goal = build_TI(f, alpha, "x")
     rv = realises(r.n, goal, cfg.pole, cfg.budget, kernel, rng)
     return {"alpha": print_ord(alpha),
@@ -309,7 +314,7 @@ def cmd_ti_realise(args, cfg: RunConfig, kernel: Kernel):
     f = _ti_realised_formula(args)
     alpha = parse_ord(args.alpha)
     rec = _check_ti_realiser(alpha, f, cfg, kernel, cfg.rng())
-    return _verdict_exit(rec["verdict"]), rec
+    return _exit([rec["verdict"]]), rec
 
 
 def cmd_ti_validate(args, cfg: RunConfig, kernel: Kernel):
@@ -317,9 +322,7 @@ def cmd_ti_validate(args, cfg: RunConfig, kernel: Kernel):
     alphas = [parse_ord(t) for t in args.alphas.split(",")]
     rng = cfg.rng()
     recs = [_check_ti_realiser(a, f, cfg, kernel, rng) for a in alphas]
-    kinds = {r["verdict"] for r in recs}
-    code = 1 if OUT in kinds else 2 if UNKNOWN in kinds else 0
-    return code, {"results": recs}
+    return _exit(r["verdict"] for r in recs), {"results": recs}
 
 
 def cmd_ram_explicit(args, cfg: RunConfig, kernel: Kernel):
@@ -369,8 +372,8 @@ def cmd_ram_check(args, cfg: RunConfig, kernel: Kernel):
     prop_recs = check_rr_empty_properties(cfg.gamma, corpus, cfg.budget,
                                           kernel, pole=cfg.pole, rng=rng)
     recs = eq_recs + prop_recs
-    return _records_exit(recs), {"equivalence": eq_recs,
-                                 "properties": prop_recs}
+    return _exit(r["verdict"] for r in recs), {"equivalence": eq_recs,
+                                               "properties": prop_recs}
 
 
 def _default_corpus(rng: random.Random) -> list:
@@ -387,7 +390,7 @@ def cmd_axioms_check(args, cfg: RunConfig, kernel: Kernel):
     rng = cfg.rng()
     recs = check_cr_axioms(cfg.pole, _default_corpus(rng), cfg.budget,
                            kernel, rng)
-    return _records_exit(recs), {"records": recs}
+    return _exit(r["verdict"] for r in recs), {"records": recs}
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +467,8 @@ def cmd_suite(args, cfg: RunConfig, kernel: Kernel):
         "ti": _suite_ti_section(cfg, kernel, rng),
         "ramified": _suite_ram_section(cfg, kernel, rng),
     }
-    flat = list(report["axioms"]) + list(report["ramified"]["equivalence"])
-    code = _records_exit(flat)
-    if any(r["verdict"] == OUT for r in report["ti"]):
-        code = 1
-    return code, report
+    recs = report["axioms"] + report["ti"] + report["ramified"]["equivalence"]
+    return _exit(r["verdict"] for r in recs), report
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +619,8 @@ def main(argv: Optional[list] = None) -> int:
     except (UsageError, ParseError, OrdParseError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 3
-    except (OpenFormulaError, EmptySampleError, LevelError,
-            ProofError) as exc:
+    except (OpenFormulaError, EmptySampleError, LevelError, ProofError,
+            ExtractionError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"

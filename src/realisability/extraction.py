@@ -393,12 +393,6 @@ def conclusion(p: Proof) -> Formula:
     return check_proof(p, allow_hypotheses=True)
 
 
-def proof_hypotheses(p: Proof) -> list:
-    hyps: list = []
-    _check(p, "", hyps)
-    return [h for h, _ in hyps]
-
-
 # ---------------------------------------------------------------------------
 # Axiom realiser programs
 
@@ -451,7 +445,12 @@ _AX_INDUCTION = Lam(Pair(App(Lit(_U_CODE), App(Lit(_K_IND_CODE), _M)),
 
 
 class ExtractionError(ValueError):
-    pass
+    """No realiser could be built.  When the extracted program's run
+    diverged, reason is the kernel's Diverged reason."""
+
+    def __init__(self, message: str, reason: Optional[str] = None):
+        super().__init__(message)
+        self.reason = reason
 
 
 def _ctx_code(ctx: list) -> Nat:
@@ -554,15 +553,17 @@ def extract(p: Proof) -> Nat:
 
 
 def extract_value(p: Proof, kernel: Kernel, fuel: int = 10**7,
-                  assignment: Optional[dict] = None) -> Nat:
-    """Run the extracted code on an environment and return the realiser."""
-    ctx = sorted(free_vars(check_proof(p)))
+                  assignment: Optional[dict] = None) -> tuple:
+    """Check the proof, run the extracted code on an environment and
+    return the conclusion and the realiser."""
+    c = check_proof(p)
+    ctx = sorted(free_vars(c))
     env = env_value(ctx, assignment or {})
     r = kernel.apply(encode(Lam(_extract_body(p, ctx, ""))), env, fuel)
     if not isinstance(r, Value):
         raise ExtractionError("extracted program did not evaluate: %s"
-                              % r.reason)
-    return r.n
+                              % r.reason, r.reason)
+    return c, r.n
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,7 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
     def _template(key: tuple, build) -> Nat:
         r = templates.get(key)
         if r is None:
-            r = extract_value(build(), kernel, _TEMPLATE_FUEL)
+            _, r = extract_value(build(), kernel, _TEMPLATE_FUEL)
             if len(templates) >= _TEMPLATE_MEMO_SIZE:
                 templates.clear()
             templates[key] = r

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .vm import Diverged, Kernel, Nat, Value, vint, vle, vunpair
+from .vm import STUCK, Diverged, Kernel, Nat, Value, vint, vle, vunpair
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,31 @@ PoleSpec = Union[Empty, Full, Generated]
 
 IN = "in"
 OUT = "out"
+TRUE = "true"
+FALSE = "false"
 UNKNOWN = "unknown"
+
+# the reason of an unknown membership when the chase reached its depth;
+# the kernel's FUEL names the other budget a chase can run out of
+DEPTH = "depth"
 
 
 @dataclass(frozen=True)
 class Verdict:
-    kind: str  # "in" | "out" | "unknown"
-    reason: Optional[str] = None  # for unknown: "fuel" | "depth" | ...
+    """A three-valued answer: IN or OUT for membership, refutation and
+    realisation, TRUE or FALSE for truth, or UNKNOWN with the reason, the
+    name of the budget that ran out.  A definite answer may carry a
+    witness: a counterexample to a false universal, or a refuter that
+    shows a number realises nothing."""
+
+    kind: str
+    reason: Optional[str] = None
+    witness: Optional[Nat] = None
+
+    def __post_init__(self):
+        if self.kind == UNKNOWN and self.reason is None:
+            raise ValueError("an unknown verdict names the budget that "
+                             "ran out")
 
     def definite(self) -> bool:
         return self.kind != UNKNOWN
@@ -58,24 +76,34 @@ V_IN = Verdict(IN)
 V_OUT = Verdict(OUT)
 
 
-def verdict_not(v: Verdict) -> Verdict:
-    if v.kind == IN:
-        return V_OUT
-    if v.kind == OUT:
-        return V_IN
-    return v
+def diverged(reason: str) -> Verdict:
+    """The verdict on a kernel run that diverged: a stuck run has no
+    result, so out; any other ran out of its budget."""
+    return V_OUT if reason == STUCK else Verdict(UNKNOWN, reason)
 
 
 def verdict_and(*vs: Verdict) -> Verdict:
-    reason = None
+    unknown = None
     for v in vs:
         if v.kind == OUT:
-            return v
+            return V_OUT
         if v.kind == UNKNOWN:
-            reason = reason or v.reason
-    if reason is not None:
-        return Verdict(UNKNOWN, reason)
-    return V_IN
+            unknown = unknown or v
+    return unknown or V_IN
+
+
+AGREE = "agree"
+DISAGREE = "disagree"
+
+
+def agreement(lhs: Verdict, rhs: Verdict) -> str:
+    """The record verdict on two answers to one question: UNKNOWN when
+    either is unknown, else AGREE when both hold (in or true) or both
+    fail, else DISAGREE."""
+    if not (lhs.definite() and rhs.definite()):
+        return UNKNOWN
+    holds = (IN, TRUE)
+    return AGREE if (lhs.kind in holds) == (rhs.kind in holds) else DISAGREE
 
 
 def member(n: Nat, pole: PoleSpec, fuel: int, kernel: Kernel,
@@ -92,16 +120,14 @@ def member(n: Nat, pole: PoleSpec, fuel: int, kernel: Kernel,
         if vle(n, bound) and vint(n) in seed:
             return V_IN
         if remaining <= 0:
-            return Verdict(UNKNOWN, "depth")
+            return Verdict(UNKNOWN, DEPTH)
         # n = <e, m>; chase the converse-closure rule backwards
         e, m = vunpair(n)
         r = kernel.apply(e, m, fuel)
         if isinstance(r, Diverged):
-            if r.reason == "stuck":
-                # e . m is definitely undefined, so n cannot enter the
-                # least closure through this pair
-                return V_OUT
-            return Verdict(UNKNOWN, "fuel")
+            # a stuck e . m is undefined, so n cannot enter the least
+            # closure through this pair
+            return diverged(r.reason)
         assert isinstance(r, Value)
         n = r.n
         remaining -= 1

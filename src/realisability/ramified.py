@@ -21,20 +21,17 @@ from typing import Optional
 from .notation import (
     LESS, OrdNotation, add, compare, ocode, odecode, onat, print_ord,
 )
-from .poles import Empty, IN, UNKNOWN, PoleSpec
-from .semantics import Budget, TRUE, realises, truth
+from .poles import Empty, UNKNOWN, PoleSpec, agreement
+from .semantics import Budget, realises, truth
 from .syntax import (
     All, ATerm, Eq, FN_ARITY, Fals, Fn, Formula, Imp, InPole, LevelError,
     Num, ONE, PairT, Proj0T, Proj1T, REAL_SIDE, Real, TRUTH_SIDE, TVar, Tru,
-    ZERO, _F_ALL, _F_EQ, _F_FALS, _F_IMP, _F_POLE, _F_REAL, _F_TRU, _FORMS,
-    _T_FN, _T_NUM, _name_code, _name_decode, bot, conj, decode_sentence,
+    ZERO, _FORMS, _name_code, _name_decode, bot, conj, decode_sentence,
     eq_check, explicit_realisation, explicit_refutation, free_vars,
     fresh_var, godel, godel_term, in_language, max_level, print_formula,
     register_fn, subst, subt, ungodel,
 )
-from .vm import (
-    Kernel, Lam, Nat, PV, Pair, Proj0, Proj1, Var, encode, vpair, vunpair,
-)
+from .vm import Kernel, Lam, Nat, Pair, Proj0, Proj1, Var, encode
 
 
 @dataclass(frozen=True)
@@ -57,73 +54,16 @@ def iff(a: Formula, b: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Registered function symbols on codes
 
-_BOT_CODE_CACHE: list = []
-
-
-def _bot_code() -> Nat:
-    if not _BOT_CODE_CACHE:
-        _BOT_CODE_CACHE.append(godel(bot()))
-    return _BOT_CODE_CACHE[0]
-
-
-def _fn_node_code(name: str, arg_codes: list) -> Nat:
-    args: Nat = 0
-    for c in reversed(arg_codes):
-        args = vpair(c, args)
-    return vpair(_T_FN, vpair(_name_code(name),
-                              vpair(len(arg_codes), args)))
-
-
 def tau_empty_code(c: Nat) -> Nat:
     """Code-level empty-pole translation; 0 on non-formula codes."""
-    tag, rest = vunpair(c)
-    if isinstance(tag, PV):
-        return 0
-    if tag == _F_EQ:
-        return c
-    if tag == _F_IMP:
-        ca, cb = vunpair(rest)
-        return vpair(_F_IMP, vpair(tau_empty_code(ca), tau_empty_code(cb)))
-    if tag == _F_ALL:
-        cn, cb = vunpair(rest)
-        return vpair(_F_ALL, vpair(cn, tau_empty_code(cb)))
-    if tag == _F_POLE:
-        return _bot_code()
-    if tag in (_F_FALS, _F_REAL):
-        lc, st = vunpair(rest)
-        cs, ct = vunpair(st)
-        mem = "memf" if tag == _F_FALS else "memt"
-        inner = _fn_node_code("taue", [_fn_node_code(mem, [cs, ct])])
-        return vpair(_F_TRU, vpair(lc, inner))
-    if tag == _F_TRU:
-        return c
-    return 0
+    a = ungodel(c)
+    return godel(translate_empty(a)) if isinstance(a, _FORMS) else 0
 
 
 def tau_zero_code(c: Nat) -> Nat:
     """Code-level zero-realiser translation; 0 on non-formula codes."""
-    tag, rest = vunpair(c)
-    if isinstance(tag, PV):
-        return 0
-    if tag == _F_EQ:
-        return c
-    if tag == _F_IMP:
-        ca, cb = vunpair(rest)
-        return vpair(_F_IMP, vpair(tau_zero_code(ca), tau_zero_code(cb)))
-    if tag == _F_ALL:
-        cn, cb = vunpair(rest)
-        return vpair(_F_ALL, vpair(cn, tau_zero_code(cb)))
-    if tag in (_F_POLE, _F_FALS, _F_REAL):
-        return c
-    if tag == _F_TRU:
-        lc, ct = vunpair(rest)
-        guard = vpair(_F_EQ, vpair(
-            _fn_node_code("sentt", [ct, vpair(_T_NUM, lc)]),
-            vpair(_T_NUM, 1)))
-        realc = vpair(_F_REAL, vpair(lc, vpair(
-            vpair(_T_NUM, 0), _fn_node_code("tau0", [ct]))))
-        return vpair(_F_IMP, vpair(guard, realc))
-    return 0
+    a = ungodel(c)
+    return godel(translate_zero(a)) if isinstance(a, _FORMS) else 0
 
 
 def _fn_sentt(c: Nat, lc: Nat) -> Nat:
@@ -394,14 +334,10 @@ def check_model_equivalence(corpus: list, gamma: OrdNotation,
                     gamma=_bump(gamma))
         rhs = truth(explicit_refutation(Num(s_val), sent), pole, b, kernel,
                     gamma=_bump(gamma))
-        if lhs.kind == UNKNOWN or rhs.kind == UNKNOWN:
-            verdict = "unknown"
-        else:
-            verdict = "agree" if lhs.kind == rhs.kind else "disagree"
         records.append({
             "instance": print_formula(sent), "subject": s_val,
-            "verdict": verdict, "lhs": lhs.kind, "rhs": rhs.kind,
-            "level": print_ord(lvl),
+            "verdict": agreement(lhs, rhs), "lhs": lhs.kind,
+            "rhs": rhs.kind, "level": print_ord(lvl),
         })
     return records
 
@@ -428,38 +364,26 @@ def check_rr_empty_properties(gamma: OrdNotation, corpus: list, b: Budget,
         code = godel(sent)
         x = rng.randrange(1, 60)
         # realiser irrelevance: x realises iff 0 realises
-        vx = realises(x, sent, pole, b, kernel, rng, gamma=gamma)
-        v0 = realises(0, sent, pole, b, kernel, rng, gamma=gamma)
-        if not assertable or vx.verdict.kind == UNKNOWN \
-                or v0.verdict.kind == UNKNOWN:
-            verdict = "unknown"
-        else:
-            verdict = ("agree" if vx.verdict.kind == v0.verdict.kind
-                       else "disagree")
+        vx = realises(x, sent, pole, b, kernel, rng, gamma=gamma).verdict
+        v0 = realises(0, sent, pole, b, kernel, rng, gamma=gamma).verdict
         records.append({
             "property": "realiser-irrelevance",
             "instance": print_formula(sent), "subject": x,
-            "verdict": verdict, "lhs": vx.verdict.kind,
-            "rhs": v0.verdict.kind,
+            "verdict": agreement(vx, v0) if assertable else UNKNOWN,
+            "lhs": vx.kind, "rhs": v0.kind,
         })
         # corollary: s realises the falsification atom iff the
         # dot-membership truth atom holds
         t_val = rng.randrange(0, 40)
         atom = Fals(gamma, Num(t_val), Num(code))
-        lv = realises(x, atom, pole, b, kernel, rng, gamma=wide)
+        lv = realises(x, atom, pole, b, kernel, rng, gamma=wide).verdict
         rt = truth(Real(gamma, Num(x), Fn("memf", (Num(t_val), Num(code)))),
                    pole, b, kernel, gamma=wide)
-        if not assertable or lv.verdict.kind == UNKNOWN \
-                or rt.kind == UNKNOWN:
-            verdict = "unknown"
-        elif (lv.verdict.kind == IN) == (rt.kind == TRUE):
-            verdict = "agree"
-        else:
-            verdict = "disagree"
         records.append({
             "property": "falsification-corollary",
             "instance": print_formula(sent), "subject": x,
-            "verdict": verdict, "lhs": lv.verdict.kind, "rhs": rt.kind,
+            "verdict": agreement(lv, rt) if assertable else UNKNOWN,
+            "lhs": lv.kind, "rhs": rt.kind,
         })
     return records
 

@@ -22,8 +22,8 @@ from typing import Optional
 
 from .notation import LESS, O_ZERO, OrdNotation, compare, print_ord
 from .poles import (
-    Empty, Full, IN, OUT, UNKNOWN, PoleSpec, V_IN, V_OUT, Verdict, member,
-    verdict_and,
+    Empty, FALSE, Full, IN, OUT, TRUE, UNKNOWN, PoleSpec, V_IN, V_OUT,
+    Verdict, agreement, member, verdict_and,
 )
 from .syntax import (
     All, Eq, Fals, Formula, Imp, InPole, LevelError, Num, REAL_SIDE, Real,
@@ -49,9 +49,8 @@ class Budget:
 
 @dataclass(frozen=True)
 class RealVerdict:
-    verdict: Verdict
+    verdict: Verdict  # an out verdict's witness is the refuter it failed
     samples: int
-    witness: Optional[Nat] = None  # refuter demonstrating a definite Out
 
 
 class EmptySampleError(ValueError):
@@ -65,18 +64,12 @@ class OpenFormulaError(ValueError):
 # realiser of everything, given a pole element: k_bot . a = \b. a
 _K_BOT = encode(Lam(Lam(Var(1))))
 
-TRUE = "true"
-FALSE = "false"
+# the reason of an unknown truth when no instance below --width falsified
+# a universal
+WIDTH = "width"
 
-
-@dataclass(frozen=True)
-class TruthVal:
-    kind: str  # "true" | "false" | "unknown"
-    witness: Optional[int] = None  # counterexample for a false universal
-
-    def definite(self) -> bool:
-        return self.kind != UNKNOWN
-
+V_TRUE = Verdict(TRUE)
+V_FALSE = Verdict(FALSE)
 
 _DEPTH = 64
 
@@ -86,12 +79,12 @@ def _too_deep(depth: int) -> None:
         raise LevelError("level recursion exhausted its depth budget")
 
 
-def _tv(v: Verdict) -> TruthVal:
+def _as_truth(v: Verdict) -> Verdict:
     if v.kind == IN:
-        return TruthVal(TRUE)
+        return V_TRUE
     if v.kind == OUT:
-        return TruthVal(FALSE)
-    return TruthVal(UNKNOWN)
+        return V_FALSE
+    return v
 
 
 def _check_sentence(a: Formula, gamma: OrdNotation) -> None:
@@ -110,13 +103,15 @@ def _check_sentence(a: Formula, gamma: OrdNotation) -> None:
 # level, which is itself below gamma).
 
 def truth(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel, *,
-          gamma: OrdNotation = O_ZERO) -> TruthVal:
+          gamma: OrdNotation = O_ZERO) -> Verdict:
     """Budgeted truth of a sentence with levels below gamma in the
     intended model; on atom-free sentences, classical truth over the
     standard model.
 
     Universal sentences are never reported true: without a syntactic
-    bound the evaluator can only fail to falsify them.
+    bound the evaluator can only fail to falsify them, and reports
+    unknown with reason WIDTH.  An implication that the definite sides do
+    not decide keeps the reason of its first unknown side.
     """
     if free_vars(a):
         raise OpenFormulaError(print_formula(a))
@@ -127,51 +122,49 @@ def truth(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel, *,
 
 
 def _truth(a: Formula, pole: PoleSpec, gamma: OrdNotation, b: Budget,
-           kernel: Kernel, depth: int) -> TruthVal:
+           kernel: Kernel, depth: int) -> Verdict:
     _too_deep(depth)
     if isinstance(a, Eq):
-        if veq(eval_term(a.l), eval_term(a.r)):
-            return TruthVal(TRUE)
-        return TruthVal(FALSE)
+        return V_TRUE if veq(eval_term(a.l), eval_term(a.r)) else V_FALSE
     if isinstance(a, InPole):
-        return _tv(member(eval_term(a.t), pole, b.fuel, kernel))
+        return _as_truth(member(eval_term(a.t), pole, b.fuel, kernel))
     if isinstance(a, Fals):
         sent = decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
         if sent is None:
-            return TruthVal(FALSE)
-        return _tv(_refutes(eval_term(a.s), sent, pole, gamma, b, kernel,
-                            depth - 1))
+            return V_FALSE
+        return _as_truth(_refutes(eval_term(a.s), sent, pole, gamma, b,
+                                  kernel, depth - 1))
     if isinstance(a, Real):
         sent = decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
         if sent is None:
-            return TruthVal(FALSE)
+            return V_FALSE
         rv = _realises(eval_term(a.s), sent, pole, gamma, b, kernel,
                        random.Random(0), depth - 1)
-        return _tv(rv.verdict)
+        return _as_truth(rv.verdict)
     if isinstance(a, Tru):
         sent = decode_sentence(eval_term(a.t), TRUTH_SIDE, a.level)
         if sent is None:
-            return TruthVal(FALSE)
+            return V_FALSE
         return _truth(sent, pole, gamma, b, kernel, depth - 1)
     if isinstance(a, Imp):
         ta = _truth(a.a, pole, gamma, b, kernel, depth)
         tb = _truth(a.b, pole, gamma, b, kernel, depth)
         if ta.kind == FALSE or tb.kind == TRUE:
-            return TruthVal(TRUE)
+            return V_TRUE
         if ta.kind == TRUE and tb.kind == FALSE:
-            return TruthVal(FALSE)
-        return TruthVal(UNKNOWN)
+            return V_FALSE
+        return ta if ta.kind == UNKNOWN else tb
     if isinstance(a, All):
         if a.var not in free_vars(a.body):
             # the quantifier is vacuous; the body decides the sentence
             t = _truth(a.body, pole, gamma, b, kernel, depth)
-            return TruthVal(t.kind, witness=0 if t.kind == FALSE else None)
+            return Verdict(FALSE, witness=0) if t.kind == FALSE else t
         for n in range(b.width):
             t = _truth(subst(a.body, a.var, Num(n)), pole, gamma, b, kernel,
                        depth)
             if t.kind == FALSE:
-                return TruthVal(FALSE, witness=n)
-        return TruthVal(UNKNOWN)
+                return Verdict(FALSE, witness=n)
+        return Verdict(UNKNOWN, WIDTH)
     raise TypeError(a)
 
 
@@ -237,31 +230,29 @@ def _realises(n: Nat, a: Formula, pole: PoleSpec, gamma: OrdNotation,
             try:
                 w = _sample_refuters(a, pole, 1, gamma, b, kernel, rng,
                                      depth)[0]
-            except (EmptySampleError, _SampleUnknown):
+            except EmptySampleError:
                 w = None
-            return RealVerdict(V_OUT, 0, witness=w)
-        return RealVerdict(Verdict(UNKNOWN, "width"), 0)
+            return RealVerdict(Verdict(OUT, witness=w), 0)
+        return RealVerdict(t, 0)
     try:
         refs = _sample_refuters(a, pole, b.samples, gamma, b, kernel, rng,
                                 depth)
     except EmptySampleError:
         return RealVerdict(V_IN, 0)  # refuter set provably empty
-    except _SampleUnknown:
-        return RealVerdict(Verdict(UNKNOWN, "pole"), 0)
+    except _SampleUnknown as exc:
+        return RealVerdict(exc.args[0], 0)
     unknown = None
     for i, m in enumerate(refs):
         v = member(vpair(n, m), pole, b.fuel, kernel)
         if v.kind == OUT:
-            return RealVerdict(v, i + 1, witness=m)
+            return RealVerdict(Verdict(OUT, witness=m), i + 1)
         if v.kind == UNKNOWN:
             unknown = unknown or v
-    if unknown is not None:
-        return RealVerdict(unknown, len(refs))
-    return RealVerdict(V_IN, len(refs))
+    return RealVerdict(unknown or V_IN, len(refs))
 
 
 class _SampleUnknown(Exception):
-    """Sampling blocked by an indefinite pole membership."""
+    """Sampling blocked by an unknown pole membership, its argument."""
 
 
 def certified_realiser(a: Formula, pole: PoleSpec, b: Budget,
@@ -349,7 +340,7 @@ def _sample(a: Formula, pole: PoleSpec, k: int, gamma: OrdNotation,
             return _any_numbers(k, rng)
         if v.kind == IN:
             return _pole_elements(pole, k, rng)
-        raise _SampleUnknown(print_formula(a))
+        raise _SampleUnknown(v)
     if isinstance(a, (Fals, Real)):
         sent = decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
         if sent is None:
@@ -397,19 +388,11 @@ def check_cr_axioms(pole: PoleSpec, corpus: list, b: Budget, kernel: Kernel,
     records = []
 
     def rec(axiom: str, instance: str, lhs: Verdict, rhs: Verdict,
-            samples: int, witness=None):
-        if lhs.kind == UNKNOWN or rhs.kind == UNKNOWN:
-            verdict = "unknown"
-        elif lhs.kind == rhs.kind:
-            verdict = "agree"
-        else:
-            verdict = "disagree"
-        r = {"axiom": axiom, "instance": instance, "verdict": verdict,
-             "lhs": _vstr(lhs), "rhs": _vstr(rhs), "samples": samples,
-             "fuel_used": b.fuel}
-        if witness is not None:
-            r["witness"] = int(witness) if isinstance(witness, int) else -1
-        records.append(r)
+            samples: int):
+        records.append({"axiom": axiom, "instance": instance,
+                        "verdict": agreement(lhs, rhs), "lhs": _vstr(lhs),
+                        "rhs": _vstr(rhs), "samples": samples,
+                        "fuel_used": b.fuel})
 
     # (Ax_pole): converse closure, via identity-style programs
     ident = encode(Lam(Var(0)))
@@ -474,12 +457,8 @@ def check_term_regularity(template, x: str, s, t, pole: PoleSpec, b: Budget,
     for m in range(0, 60, 7):
         l = refutes(m, a_s, pole, b, kernel)
         r = refutes(m, a_t, pole, b, kernel)
-        if l.kind == UNKNOWN or r.kind == UNKNOWN:
-            verdict = "unknown"
-        else:
-            verdict = "agree" if l.kind == r.kind else "disagree"
         records.append({"axiom": "term-regularity",
                         "instance": print_formula(a_s),
-                        "verdict": verdict, "lhs": _vstr(l), "rhs": _vstr(r),
-                        "samples": 1, "fuel_used": b.fuel})
+                        "verdict": agreement(l, r), "lhs": _vstr(l),
+                        "rhs": _vstr(r), "samples": 1, "fuel_used": b.fuel})
     return records

@@ -246,15 +246,13 @@ def subst_term(t: ATerm, x: str, s: ATerm) -> ATerm:
     raise TypeError(t)
 
 
-_FRESH = [0]
-
-
 def fresh_var(avoid: set) -> str:
-    while True:
-        _FRESH[0] += 1
-        name = "v%d" % _FRESH[0]
-        if name not in avoid:
-            return name
+    """The first of v1, v2, ... not in avoid.  Every caller binds the
+    name it gets, so two calls may share it."""
+    n = 1
+    while "v%d" % n in avoid:
+        n += 1
+    return "v%d" % n
 
 
 def subst(a: Formula, x: str, s: ATerm) -> Formula:

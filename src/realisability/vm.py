@@ -120,13 +120,6 @@ def vunpair(v: Nat) -> tuple[Nat, Nat]:
     return v.a, v.b
 
 
-def vpair_seq(*xs: Nat) -> Nat:
-    acc = xs[-1]
-    for x in reversed(xs[:-1]):
-        acc = vpair(x, acc)
-    return acc
-
-
 def vint(v: Nat) -> int:
     """Concrete value of a sparse natural.  May be extremely large."""
     if isinstance(v, int):
@@ -170,13 +163,6 @@ def vle(v: Nat, n: int) -> bool:
     if not (vle(v.a, n) and vle(v.b, n)):
         return False
     return vint(v) <= n
-
-
-def vbits(v: Nat) -> int:
-    """Upper estimate of the bit length of v."""
-    if isinstance(v, int):
-        return v.bit_length()
-    return 2 * max(vbits(v.a), vbits(v.b)) + 2
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +381,15 @@ class Value:
     fuel_used: int = 0
 
 
+# the reasons a run diverges: it ran out of fuel, or it is stuck, so
+# its result is undefined
+FUEL = "fuel"
+STUCK = "stuck"
+
+
 @dataclass(frozen=True)
 class Diverged:
-    reason: str  # "fuel-exhausted" | "stuck"
+    reason: str  # FUEL | STUCK
 
 
 EvalResult = Union[Value, Diverged]
@@ -607,9 +599,9 @@ class Kernel:
             v = self._apply_value(e, m, cell)
             return Value(v, fuel - cell[0])
         except OutOfFuel:
-            return Diverged("fuel-exhausted")
+            return Diverged(FUEL)
         except StuckError:
-            return Diverged("stuck")
+            return Diverged(STUCK)
 
     def run(self, p: Program, fuel: int) -> EvalResult:
         """Evaluate a closed program outright."""
@@ -620,39 +612,6 @@ class Kernel:
             v = self._machine(p, (), None, None, cell)
             return Value(v, fuel - cell[0])
         except OutOfFuel:
-            return Diverged("fuel-exhausted")
+            return Diverged(FUEL)
         except StuckError:
-            return Diverged("stuck")
-
-
-# ---------------------------------------------------------------------------
-# Program text format (s-expressions)
-
-def print_program(p: Program) -> str:
-    if isinstance(p, Var):
-        return "(var %d)" % p.index
-    if isinstance(p, Lam):
-        return "(lam %s)" % print_program(p.body)
-    if isinstance(p, App):
-        return "(app %s %s)" % (print_program(p.fn), print_program(p.arg))
-    if isinstance(p, Lit):
-        return "(lit %d)" % vint(p.n)
-    if isinstance(p, Suc):
-        return "(suc %s)" % print_program(p.p)
-    if isinstance(p, Pred):
-        return "(pred %s)" % print_program(p.p)
-    if isinstance(p, IfZ):
-        return "(ifz %s %s %s)" % (print_program(p.scrutinee),
-                                   print_program(p.zero),
-                                   print_program(p.succ))
-    if isinstance(p, Pair):
-        return "(pair %s %s)" % (print_program(p.l), print_program(p.r))
-    if isinstance(p, Proj0):
-        return "(p0 %s)" % print_program(p.p)
-    if isinstance(p, Proj1):
-        return "(p1 %s)" % print_program(p.p)
-    if isinstance(p, Fix):
-        return "(fix %s)" % print_program(p.body)
-    if isinstance(p, Prim):
-        return "(prim %d %s)" % (p.pid, print_program(p.arg))
-    return "(stuck)"
+            return Diverged(STUCK)

@@ -8,12 +8,13 @@ import sys
 
 import pytest
 
+from realisability import cli, extraction
 from realisability.cli import main, parse_pole
 from realisability.notation import onat
 from realisability.ordinals import ordinal_kernel, wo_realiser
 from realisability.poles import Empty, Full, Generated
 from realisability.syntax import godel, parse_formula
-from realisability.vm import Diverged, Kernel, Lam, Var, encode
+from realisability.vm import Diverged, Kernel, Lam, Stuck, Var, encode
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -142,10 +143,10 @@ def test_run_applies_a_program(capsys):
 def test_run_fuel_exhaustion_exits_2(capsys):
     # 55 codes Fix(Var 0), which unfolds to itself forever
     code, rep = run_cli(capsys, "run", "55", "0", "--fuel", "1000")
-    assert code == 2 and rep["diverged"] == "fuel-exhausted"
+    assert code == 2 and rep["diverged"] == "fuel"
     # 13 codes \x.xx, so this is omega, run at the default fuel
     code, rep = run_cli(capsys, "run", "13", "13")
-    assert code == 2 and rep["diverged"] == "fuel-exhausted"
+    assert code == 2 and rep["diverged"] == "fuel"
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +185,72 @@ def test_extract_and_validate(capsys):
                         "--pole", "generated:0,3,8", "--samples", "10")
     assert code == 0
     assert rep["realises"]["kind"] == "in"
+
+
+def test_extract_and_validate_check_the_proof_once(monkeypatch):
+    calls = []
+    check = extraction.check_proof
+
+    def counting(p, *args):
+        calls.append(p)
+        return check(p, *args)
+
+    monkeypatch.setattr(extraction, "check_proof", counting)
+    monkeypatch.setattr(cli, "check_proof", counting)
+    for command in ("extract", "validate"):
+        calls.clear()
+        assert main([command, PROOF]) == 0
+        assert len(calls) == 1, command
+
+
+# ---------------------------------------------------------------------------
+# Each exhausted budget exits 2 and names itself; stuck is definite
+
+def test_realises_reports_exhausted_fuel(capsys):
+    # 55 codes Fix(Var 0), so every chase from <55, m> runs out of fuel
+    code, rep = run_cli(capsys, "realises", "55", "(= 0 0)",
+                        "--pole", "generated:0,3,8", "--fuel", "1000")
+    assert code == 2
+    assert rep["realises"] == {"kind": "unknown", "reason": "fuel"}
+
+
+def test_extract_and_validate_report_exhausted_fuel(capsys):
+    code, rep = run_cli(capsys, "extract", PROOF, "--fuel", "1")
+    assert code == 2 and rep == {"ok": False, "reason": "fuel"}
+    code, rep = run_cli(capsys, "validate", PROOF, "--fuel", "1")
+    assert code == 2
+    assert rep["realises"] == {"kind": "unknown", "reason": "fuel"}
+    assert capsys.readouterr().err == ""
+
+
+def test_pole_member_reports_exhausted_depth(capsys):
+    # 13799629 is <id, <id, 100>>: in the pole, but not within one step
+    code, rep = run_cli(capsys, "pole", "member", "13799629",
+                        "--pole", "generated:0,3,8:1")
+    assert code == 2
+    assert rep["member"] == {"kind": "unknown", "reason": "depth"}
+
+
+def test_realises_under_the_empty_pole_reports_exhausted_width(capsys):
+    code, rep = run_cli(capsys, "realises", "0", "(all x (= x x))")
+    assert code == 2
+    assert rep["realises"] == {"kind": "unknown", "reason": "width"}
+
+
+def test_ti_realise_reports_exhausted_fuel(capsys):
+    code, rep = run_cli(capsys, "ti", "realise", "w", "--fuel", "1",
+                        "--pole", "generated:0,3,8")
+    assert code == 2
+    assert rep == {"alpha": "w", "verdict": "unknown", "reason": "fuel"}
+
+
+def test_ti_realise_with_a_stuck_realiser_is_out(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "wo_realiser",
+                        lambda alpha, kernel: encode(Stuck()))
+    code, rep = run_cli(capsys, "ti", "realise", "1",
+                        "--pole", "generated:0,3,8")
+    assert code == 1
+    assert rep == {"alpha": "1", "verdict": "out", "reason": None}
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +316,15 @@ def test_ram_explicit(capsys):
     assert rep["result"] == "(imp (= 0 1) (pole s))"
 
 
+def test_fresh_names_do_not_depend_on_earlier_queries(capsys):
+    argv = ["ram", "explicit", "realise", "s", "(= 0 1)"]
+    main(list(argv))
+    first = capsys.readouterr().out
+    main(list(argv))
+    assert capsys.readouterr().out == first
+    assert "(all v1 " in first
+
+
 def test_ram_translate_modes(capsys):
     code, rep = run_cli(capsys, "ram", "translate", "conservative",
                         "(pole 3)")
@@ -305,6 +381,17 @@ def test_suite_matches_golden_output(name, capsys):
     code = main(list(golden["argv"]))
     assert capsys.readouterr().out == golden["stdout"]
     assert code == golden["exit_code"]
+
+
+def test_suite_exits_2_when_only_the_ti_section_is_unknown(capsys):
+    code, rep = run_cli(capsys, "suite", "--fuel", "10",
+                        "--pole", "generated:0,3,8")
+    assert all(r["verdict"] == "agree" for r in rep["axioms"])
+    assert all(r["verdict"] == "agree"
+               for r in rep["ramified"]["equivalence"])
+    assert [(r["verdict"], r["reason"]) for r in rep["ti"]] == \
+        [("unknown", "fuel")] * 3
+    assert code == 2
 
 
 def test_suite_seed_changes_report(capsys):

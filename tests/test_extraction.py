@@ -177,7 +177,7 @@ def test_defining_realiser_projects():
 
 def test_peirce_extraction_shape():
     p = ax_peirce(EQ00, bot())
-    e = extract_value(p, K)
+    _, e = extract_value(p, K)
     b = vpair(4, 7)
     v = _apply(e, b)
     head, tail = vunpair(v)
@@ -188,7 +188,7 @@ def test_peirce_extraction_shape():
 
 
 def _realise_ok(proof, pole=POLE, samples=8):
-    e = extract_value(proof, K)
+    _, e = extract_value(proof, K)
     c = check_proof(proof)
     v = realises(e, c, pole, Budget(fuel=10**6, samples=samples, width=20),
                  K, random.Random(5))
@@ -224,7 +224,7 @@ def test_double_induction_realises():
 def test_empty_pole_agreement():
     # over the empty pole extraction agrees with truth
     for p in (ax_refleq(Num(2)), prove_plus(1, 3), ax_exfalso(EQ00)):
-        e = extract_value(p, K)
+        _, e = extract_value(p, K)
         v = realises(e, check_proof(p), Empty(), B, K)
         assert v.verdict.kind == IN
 
@@ -235,14 +235,14 @@ def test_open_proof_environment():
     c = check_proof(p)
     assert c == Eq(Add(TVar("x"), ZERO), TVar("x"))
     for n in (0, 4, 11):
-        e = extract_value(p, K, assignment={"x": n})
+        _, e = extract_value(p, K, assignment={"x": n})
         inst = subst(c, "x", Num(n))
         v = realises(e, inst, POLE, B, K, random.Random(2))
         assert v.verdict.kind != OUT
 
 
 def test_reflection_gate_modes():
-    r = extract_value(ax_refleq(Num(0)), K)
+    _, r = extract_value(ax_refleq(Num(0)), K)
     assert reflection_gate("plain", EQ00, r) is False
     assert reflection_gate("rule", EQ00, r, B, K) is True
     assert reflection_gate("empty-pole", EQ00, None, B, K) is True

@@ -6,7 +6,7 @@ import pathlib
 import random
 
 from realisability.extraction import (
-    check_proof, extract_value, fresh_kernel, parse_proof,
+    extract_value, fresh_kernel, parse_proof,
 )
 from realisability.poles import Generated
 from realisability.semantics import Budget, sample_refuters
@@ -93,7 +93,7 @@ def outcome(run, fuel):
     try:
         v = run(cell)
     except OutOfFuel:
-        return "fuel-exhausted", None, cell[0]
+        return "fuel", None, cell[0]
     except StuckError:
         return "stuck", None, cell[0]
     return "value", v, cell[0]
@@ -223,7 +223,7 @@ def test_random_programs_agree():
         assert new[0] == old[0] and new[2] == old[2], (p, m, fuel)
         if new[0] == "value":
             assert same_value(new[1], old[1])
-    assert kinds == {"value", "stuck", "fuel-exhausted"}
+    assert kinds == {"value", "stuck", "fuel"}
     for code in list(k._memo):
         assert_closure_agrees(k, code)
 
@@ -258,8 +258,7 @@ def test_corpus_realisers_on_sampled_refuters_agree():
     steps = 0
     for path in paths:
         proof = parse_proof(path.read_text())
-        concl = check_proof(proof)
-        realiser = extract_value(proof, k)
+        concl, realiser = extract_value(proof, k)
         for m in sample_refuters(concl, pole, b.samples, b, k, rng):
             # follow the pole chase from <realiser, m> for a few steps
             e = realiser

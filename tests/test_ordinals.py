@@ -385,7 +385,7 @@ def test_templates_accept_jumped_formulas():
 
 def test_zero_template_realises():
     p = ti_proof_template("zero", A_REFL, var="x")
-    e = extract_value(p, K)
+    _, e = extract_value(p, K)
     v = realises(e, build_TI(A_REFL, O_ZERO, "x"), POLE, B, K,
                  random.Random(2))
     assert v.verdict.kind != OUT
@@ -430,8 +430,8 @@ def test_template_memo_extracts_once_per_kernel(monkeypatch):
     k = ordinal_kernel()
     got = [_tisuc(k, A_CODE, alpha) for alpha in (onat(1), W)]
     assert len(calls) == 1
-    univ = extract_value(ti_proof_template("suc", A_REFL, var="x"),
-                         ordinal_kernel())
+    _, univ = extract_value(ti_proof_template("suc", A_REFL, var="x"),
+                            ordinal_kernel())
     for alpha, g in zip((onat(1), W), got):
         want = _app(combinator("s"), vpair(univ, ocode(alpha)))
         assert veq(g, want)
@@ -495,7 +495,7 @@ def test_wo_combinator_names():
 
 
 def test_k0_clause():
-    want = extract_value(ti_proof_template("zero", A_REFL, var="x"), K)
+    _, want = extract_value(ti_proof_template("zero", A_REFL, var="x"), K)
     assert veq(_app(wo_combinator("k0"), A_CODE), want)
 
 
@@ -505,7 +505,7 @@ def test_ksuc_clause():
     e0 = wo_combinator("k0")
     alpha = ocode(O_ZERO)
     lhs = _app(_app(wo_combinator("k_suc"), vpair(e0, alpha)), A_CODE)
-    univ = extract_value(ti_proof_template("suc", A_REFL, var="x"), K)
+    _, univ = extract_value(ti_proof_template("suc", A_REFL, var="x"), K)
     step = _app(combinator("s"), vpair(univ, alpha))
     rhs = _app(combinator("i"), vpair(step, _app(e0, A_CODE)))
     assert veq(lhs, rhs)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import strategies as st
 
 from realisability.poles import (
-    Empty, Full, Generated, IN, OUT, UNKNOWN, member,
+    Empty, FALSE, Full, Generated, IN, OUT, TRUE, UNKNOWN, V_IN, V_OUT,
+    Verdict, agreement, member,
 )
 from realisability.vm import (
     App, Fix, Kernel, Lam, Lit, Pair, Suc, Value, Var, encode, pair, vpair,
@@ -93,3 +94,18 @@ def test_monotonicity_in_budgets(n):
     hi = member(n, p_hi, 10**4, K)
     if lo.kind != UNKNOWN:
         assert hi.kind == lo.kind
+
+
+def test_an_unknown_verdict_names_its_budget():
+    with pytest.raises(ValueError):
+        Verdict(UNKNOWN)
+    assert Verdict(UNKNOWN, "depth").reason == "depth"
+
+
+def test_agreement_compares_definite_answers_by_polarity():
+    depth = Verdict(UNKNOWN, "depth")
+    assert agreement(V_IN, Verdict(TRUE)) == "agree"
+    assert agreement(V_OUT, Verdict(FALSE)) == "agree"
+    assert agreement(V_IN, V_OUT) == "disagree"
+    assert agreement(Verdict(FALSE), V_IN) == "disagree"
+    assert agreement(depth, V_IN) == agreement(V_OUT, depth) == UNKNOWN

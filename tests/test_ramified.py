@@ -27,7 +27,7 @@ from realisability.syntax import (
     in_language, max_level, parse_formula, print_formula, subst, subt,
     ungodel,
 )
-from realisability.vm import veq, vpair
+from realisability.vm import veq, vpair, vunpair
 
 B = Budget(fuel=10**5, samples=10, width=40)
 KERNEL = ordinal_kernel()
@@ -290,6 +290,19 @@ def test_tau_zero_commutes_with_coding():
                    godel(translate_zero(t))), print_formula(t)
 
 
+def test_tau_codes_are_zero_on_malformed_codes():
+    # an equation's tag over a body that codes no pair of terms (no term
+    # has tag 99), alone and as the antecedent of an implication
+    eq = Eq(Num(0), Num(0))
+    eq_tag, _ = vunpair(godel(eq))
+    imp_tag, _ = vunpair(godel(Imp(eq, eq)))
+    bad = vpair(eq_tag, vpair(vpair(99, 0), 0))
+    assert ungodel(bad) is None
+    for c in (bad, vpair(imp_tag, vpair(bad, godel(eq)))):
+        assert tau_empty_code(c) == 0
+        assert tau_zero_code(c) == 0
+
+
 def _closed_corpus(n):
     rng = random.Random(5)
     return ram_corpus(n, L2, rng)
@@ -366,7 +379,7 @@ def test_ram_realises_empty_pole_is_exact():
     rv = realises(13, Imp(FALSE_EQ, FALSE_EQ), Empty(), B, KERNEL, gamma=L1)
     assert rv.verdict.kind == IN
     rv = realises(13, FALSE_EQ, Empty(), B, KERNEL, gamma=L1)
-    assert rv.verdict.kind == OUT and rv.witness is not None
+    assert rv.verdict.kind == OUT and rv.verdict.witness is not None
 
 
 def test_ram_realises_vacuous_when_refuters_provably_absent():

@@ -4,13 +4,16 @@ import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
-from realisability.poles import Empty, Full, Generated, IN, OUT, UNKNOWN
+from realisability.notation import onat
+from realisability.poles import (
+    Empty, Full, Generated, IN, OUT, UNKNOWN, Verdict,
+)
 from realisability.semantics import (
     Budget, EmptySampleError, FALSE, TRUE, check_cr_axioms,
     check_term_regularity, realises, refutes, sample_refuters, truth,
 )
 from realisability.syntax import (
-    Add, All, Eq, Imp, Num, SucT, TVar, bot, parse_formula,
+    Add, All, Eq, Imp, InPole, Num, SucT, TVar, bot, parse_formula,
 )
 from realisability.vm import Kernel, vpair
 
@@ -44,6 +47,24 @@ def test_truth_empty_true_universal_is_unknown():
     assert t.kind == UNKNOWN
 
 
+def test_truth_keeps_the_reason_of_an_unknown():
+    # 13799629 = <id, <id, 100>> is in the pole, but not within one step
+    pole = Generated(frozenset({0, 3, 8}), 1)
+    deep = InPole(Num(13799629))
+    for a in (Imp(deep, EQ01), Imp(EQ00, deep)):
+        t = truth(a, pole, B, K, gamma=onat(1))
+        assert (t.kind, t.reason) == (UNKNOWN, "depth")
+    t = truth(parse_formula("(all x (= (+ x 0) x))"), Empty(), B, K)
+    assert t.reason == "width"
+
+
+def test_sampling_blocked_by_a_pole_atom_keeps_its_reason():
+    a = Imp(EQ00, InPole(Num(10**6)))
+    rv = realises(3, a, Generated(frozenset({0, 3, 8}), 1), Budget(), K,
+                  gamma=onat(1))
+    assert rv.verdict == Verdict(UNKNOWN, "depth")
+
+
 def test_false_equation_refuted_by_every_small_number():
     for pole in (Empty(), Full(), Generated(frozenset({0}), 8)):
         for m in range(0, 101, 10):
@@ -70,7 +91,7 @@ def test_universal_refuter_projects_to_instance():
 
 def test_realises_exact_under_empty_pole():
     v = realises(0, EQ01, Empty(), B, K)
-    assert v.verdict.kind == OUT and v.witness == 0
+    assert v.verdict.kind == OUT and v.verdict.witness == 0
     assert realises(0, EQ00, Empty(), B, K).verdict.kind == IN
     assert realises(123, Imp(EQ01, EQ01), Empty(), B, K).verdict.kind == IN
 

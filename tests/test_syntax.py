@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from realisability.syntax import (
     Add, All, Eq, Imp, Mul, Num, PairT, Proj0T, Proj1T, SucT, TVar, bot,
-    dot_all, dot_eq, dot_imp, eq_check, eval_term, free_vars, godel,
+    dot_all, dot_eq, dot_imp, eq_check, eval_term, free_vars, fresh_var, godel,
     godel_term, is_sentence, parse_formula, parse_term, print_formula,
     print_term, subst, subt, suc_t, ungodel, ungodel_term,
 )
@@ -172,6 +172,15 @@ def test_capture_avoidance():
     # the bound y must be renamed, not capture the substituted y
     assert isinstance(b, All) and b.var != "y"
     assert free_vars(b) == {"y"}
+
+
+def test_fresh_names_are_the_first_not_in_use():
+    assert fresh_var(set()) == "v1"
+    assert fresh_var({"v1", "v3"}) == "v2"
+    # the renamed binder avoids v1, free in the body, and v2, free in s
+    a = parse_formula("(all y (= (+ v1 x) y))")
+    b = subst(a, "x", Add(TVar("y"), TVar("v2")))
+    assert b.var == "v3" and free_vars(b) == {"v1", "v2", "y"}
 
 
 def test_parse_examples():
