@@ -11,6 +11,7 @@ so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -117,7 +118,7 @@ def _verdict_json(v: Verdict) -> dict:
 
 
 def _truth_json(t: Verdict) -> dict:
-    return {"kind": t.kind, "witness": t.witness}
+    return {"kind": t.kind, "reason": t.reason, "witness": t.witness}
 
 
 def _exit(kinds) -> int:
@@ -492,7 +493,13 @@ def _common(p: argparse.ArgumentParser) -> None:
                    help="also write the JSON report to this path")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The `realis` parser, built on the first call and shared by every
+    later query in the process: building it costs far more than most
+    queries (argparse sizes the terminal on each `add_argument`), and
+    parsing leaves no state on it, so each query still gets a fresh
+    Namespace."""
     top = _Parser(prog="realis", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .poles import Empty, OUT
-from .semantics import Budget, FALSE, realises, truth
 from .syntax import (
     Add, All, ATerm, Eq, Fn, Formula, Imp, Mul, Num, PairT, ParseError,
     Proj0T, Proj1T, SucT, TVar, ZERO, _P,
@@ -564,37 +562,6 @@ def extract_value(p: Proof, kernel: Kernel, fuel: int = 10**7,
         raise ExtractionError("extracted program did not evaluate: %s"
                               % r.reason, r.reason)
     return c, r.n
-
-
-# ---------------------------------------------------------------------------
-# Reflection gate
-
-REFLECTION_MODES = ("plain", "rule", "empty-pole")
-
-
-def reflection_gate(mode: str, goal: Formula, evidence: Optional[Nat],
-                    budget=None, kernel: Optional[Kernel] = None) -> bool:
-    """Whether the goal may be asserted on the strength of a realiser.
-
-    Sound only over the empty pole, where realisability collapses to
-    truth; "plain" mode never accepts, "rule" mode checks the supplied
-    evidence exactly under the empty pole, "empty-pole" mode queries
-    the induced truth predicate directly (evidence optional).
-    """
-    if mode not in REFLECTION_MODES:
-        raise ValueError("unknown reflection mode %r" % mode)
-    if free_vars(goal):
-        raise ValueError("reflection goals must be sentences")
-    if mode == "plain":
-        return False
-    budget = budget or Budget()
-    kernel = kernel or fresh_kernel()
-    if mode == "empty-pole":
-        return truth(goal, Empty(), budget, kernel).kind != FALSE
-    if evidence is None:
-        raise ValueError("rule mode needs evidence")
-    v = realises(evidence, goal, Empty(), budget, kernel)
-    return v.verdict.kind != OUT
 
 
 # ---------------------------------------------------------------------------

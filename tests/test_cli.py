@@ -111,11 +111,14 @@ def test_parse_ram_formula(capsys):
 
 
 def test_truth_exit_codes(capsys):
-    assert run_cli(capsys, "truth", "(= 0 0)")[0] == 0
-    assert run_cli(capsys, "truth", "(= 0 1)")[0] == 1
+    code, rep = run_cli(capsys, "truth", "(= 0 0)")
+    assert code == 0 and rep["truth"]["reason"] is None
+    code, rep = run_cli(capsys, "truth", "(= 0 1)")
+    assert code == 1 and rep["truth"]["reason"] is None
     code, rep = run_cli(capsys, "truth", "(all x (= (+ x 0) x))",
                         "--width", "50")
     assert code == 2 and rep["truth"]["kind"] == "unknown"
+    assert rep["truth"]["reason"] == "width"
 
 
 def test_pole_member(capsys):
@@ -417,3 +420,35 @@ def test_console_script_entry_point():
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert json.loads(r.stdout)["result"] == "w^w"
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    main(["truth", "(= 0 0)"])
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(kw.get("prog"))
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert main(["truth", "(= 0 1)"]) == 1
+    assert main(["ord", "fs", "e[0]", "2"]) == 0
+    assert built == []
+
+
+def test_queries_share_no_parser_state(capsys, monkeypatch):
+    # each answer must be the one a fresh interpreter gives, so no flag,
+    # default or error from an earlier query carries over to a later one
+    monkeypatch.setenv("COLUMNS", "80")
+    query = ["realises", "1", "(= 0 0)", "--pole", "generated:0,3,8"]
+    for argv, want in ((query + ["--samples", "1"], 0),
+                       (query + ["--samples", "many"], 3),
+                       (["--help"], 0),
+                       (query, 0)):
+        code = main(argv)
+        got = capsys.readouterr()
+        r = subprocess.run([sys.executable, "-m", "realisability.cli",
+                            *argv], capture_output=True, text=True)
+        assert code == r.returncode == want
+        assert (got.out, got.err) == (r.stdout, r.stderr)

@@ -11,7 +11,6 @@ from realisability.extraction import (
     defining_axioms, eq_cong, eq_sym, eq_trans, extract, extract_value,
     fresh_kernel, imp_refl, inst_all, parse_proof, print_proof, prove_dne,
     prove_plus, prove_plus_comm, prove_suc_plus, prove_zero_plus,
-    reflection_gate,
 )
 from realisability.poles import Empty, Generated, IN, OUT
 from realisability.semantics import Budget, realises, sample_refuters
@@ -239,16 +238,6 @@ def test_open_proof_environment():
         inst = subst(c, "x", Num(n))
         v = realises(e, inst, POLE, B, K, random.Random(2))
         assert v.verdict.kind != OUT
-
-
-def test_reflection_gate_modes():
-    _, r = extract_value(ax_refleq(Num(0)), K)
-    assert reflection_gate("plain", EQ00, r) is False
-    assert reflection_gate("rule", EQ00, r, B, K) is True
-    assert reflection_gate("empty-pole", EQ00, None, B, K) is True
-    assert reflection_gate("empty-pole", bot(), None, B, K) is False
-    with pytest.raises(ValueError):
-        reflection_gate("loud", EQ00, r)
 
 
 def test_induction_realiser_clauses():
