@@ -349,15 +349,23 @@ def cmd_ram_axiom(args, cfg: RunConfig, kernel: Kernel):
     low = parse_ord(args.low)
     sent = parse_formula(args.formula)
     sent2 = parse_formula(args.formula2)
+    r = None
+    if args.kind == "RR1":
+        # the instance pulls <a, b> into the pole from the result of a . b;
+        # a stuck run has no result, so there is no instance
+        run = kernel.apply(args.a, args.b, cfg.budget.fuel)
+        if isinstance(run, Diverged):
+            return (_exit([diverged(run.reason).kind]),
+                    {"ok": False, "reason": run.reason})
+        r = run.n
     try:
         if args.kind.startswith("RT"):
             inst = rt_axiom(args.kind, beta, cfg.gamma, a=sent, a2=sent2,
-                            var=args.var or None, alpha=low, delta=low)
+                            var=args.var or None, low=low)
         else:
             inst = rr_axiom(args.kind, beta, cfg.gamma, a=args.a, b=args.b,
                             sent=sent, sent2=sent2, var=args.var or None,
-                            alpha=low, delta=low, e=args.a, m=args.b,
-                            r=args.b)
+                            low=low, r=r)
     except LevelError as exc:
         return 1, {"ok": False, "error": str(exc)}
     return 0, {"ok": True, "kind": args.kind,
@@ -482,6 +490,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+def _natural(text: str) -> int:
+    """The argparse type of an argument that names a natural."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError("not a natural: %r" % text)
+    return n
+
+
 def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fuel", type=int, default=10**6)
     p.add_argument("--samples", type=int, default=20)
@@ -503,96 +522,78 @@ def build_parser() -> _Parser:
     top = _Parser(prog="realis", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(group, name, fn):
+        p = group.add_parser(name)
         _common(p)
         p.set_defaults(fn=fn)
         return p
 
-    p = add("parse", cmd_parse)
+    p = add(sub, "parse", cmd_parse)
     p.add_argument("formula")
     p.add_argument("--ram", action="store_true")
 
-    p = add("truth", cmd_truth)
+    p = add(sub, "truth", cmd_truth)
     p.add_argument("formula")
 
-    pole_p = sub.add_parser("pole")
-    pole_sub = pole_p.add_subparsers(dest="subcommand", required=True)
-    p = pole_sub.add_parser("member")
-    _common(p)
-    p.set_defaults(fn=cmd_pole_member)
-    p.add_argument("n", type=int)
+    pole_sub = sub.add_parser("pole").add_subparsers(dest="subcommand",
+                                                     required=True)
+    p = add(pole_sub, "member", cmd_pole_member)
+    p.add_argument("n", type=_natural)
 
-    p = add("refutes", cmd_refutes)
-    p.add_argument("m", type=int)
+    p = add(sub, "refutes", cmd_refutes)
+    p.add_argument("m", type=_natural)
     p.add_argument("formula")
 
-    p = add("realises", cmd_realises)
-    p.add_argument("n", type=int)
+    p = add(sub, "realises", cmd_realises)
+    p.add_argument("n", type=_natural)
     p.add_argument("formula")
 
-    p = add("prove-check", cmd_prove_check)
+    p = add(sub, "prove-check", cmd_prove_check)
     p.add_argument("path")
 
-    p = add("extract", cmd_extract)
+    p = add(sub, "extract", cmd_extract)
     p.add_argument("path")
 
-    p = add("run", cmd_run)
-    p.add_argument("e", type=int)
-    p.add_argument("m", type=int)
+    p = add(sub, "run", cmd_run)
+    p.add_argument("e", type=_natural)
+    p.add_argument("m", type=_natural)
 
-    p = add("validate", cmd_validate)
+    p = add(sub, "validate", cmd_validate)
     p.add_argument("path")
 
-    ord_p = sub.add_parser("ord")
-    ord_sub = ord_p.add_subparsers(dest="subcommand", required=True)
-    p = ord_sub.add_parser("cmp")
-    _common(p)
-    p.set_defaults(fn=cmd_ord_cmp)
+    ord_sub = sub.add_parser("ord").add_subparsers(dest="subcommand",
+                                                   required=True)
+    p = add(ord_sub, "cmp", cmd_ord_cmp)
     p.add_argument("a")
     p.add_argument("b")
-    p = ord_sub.add_parser("fs")
-    _common(p)
-    p.set_defaults(fn=cmd_ord_fs)
+    p = add(ord_sub, "fs", cmd_ord_fs)
     p.add_argument("a")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_natural)
 
-    ti_p = sub.add_parser("ti")
-    ti_sub = ti_p.add_subparsers(dest="subcommand", required=True)
-    p = ti_sub.add_parser("prove")
-    _common(p)
-    p.set_defaults(fn=cmd_ti_prove)
+    ti_sub = sub.add_parser("ti").add_subparsers(dest="subcommand",
+                                                 required=True)
+    p = add(ti_sub, "prove", cmd_ti_prove)
     p.add_argument("kind", choices=["zero", "suc", "omega", "lim"])
     p.add_argument("--formula", default="(= x x)")
     p.add_argument("--var", default="x")
     p.add_argument("--alpha", default=None)
-    p = ti_sub.add_parser("realise")
-    _common(p)
-    p.set_defaults(fn=cmd_ti_realise)
+    p = add(ti_sub, "realise", cmd_ti_realise)
     p.add_argument("alpha")
     p.add_argument("--formula", default="(= x x)")
-    p = ti_sub.add_parser("validate")
-    _common(p)
-    p.set_defaults(fn=cmd_ti_validate)
+    p = add(ti_sub, "validate", cmd_ti_validate)
     p.add_argument("--alphas", default="0,1,2,w,w*2,w^2,w^w")
     p.add_argument("--formula", default="(= x x)")
 
-    ram_p = sub.add_parser("ram")
-    ram_sub = ram_p.add_subparsers(dest="subcommand", required=True)
-    p = ram_sub.add_parser("explicit")
-    _common(p)
-    p.set_defaults(fn=cmd_ram_explicit)
+    ram_sub = sub.add_parser("ram").add_subparsers(dest="subcommand",
+                                                   required=True)
+    p = add(ram_sub, "explicit", cmd_ram_explicit)
     p.add_argument("side", choices=["refute", "realise"])
     p.add_argument("s")
     p.add_argument("formula")
-    p = ram_sub.add_parser("translate")
-    _common(p)
-    p.set_defaults(fn=cmd_ram_translate)
+    p = add(ram_sub, "translate", cmd_ram_translate)
     p.add_argument("mode", choices=["conservative", "empty", "zero"])
     p.add_argument("formula")
-    p = ram_sub.add_parser("axiom")
-    _common(p)
-    p.set_defaults(fn=cmd_ram_axiom)
+    p = add(ram_sub, "axiom", cmd_ram_axiom)
     p.add_argument("kind")
     p.add_argument("--beta", default="1")
     p.add_argument("--low", default="0",
@@ -600,16 +601,13 @@ def build_parser() -> _Parser:
     p.add_argument("--formula", default="(= 0 0)")
     p.add_argument("--formula2", default="(= 0 0)")
     p.add_argument("--var", default="")
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
-    p = ram_sub.add_parser("check")
-    _common(p)
-    p.set_defaults(fn=cmd_ram_check)
-    p.add_argument("--count", type=int, default=60)
+    p.add_argument("--a", type=_natural, default=0)
+    p.add_argument("--b", type=_natural, default=0)
+    p = add(ram_sub, "check", cmd_ram_check)
+    p.add_argument("--count", type=_natural, default=60)
 
-    p = add("axioms-check", cmd_axioms_check)
-
-    p = add("suite", cmd_suite)
+    add(sub, "axioms-check", cmd_axioms_check)
+    add(sub, "suite", cmd_suite)
     return top
 
 

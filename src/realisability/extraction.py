@@ -38,21 +38,22 @@ _I = Lam(Lam(Pair(Proj0(Var(1)), Pair(Proj1(Var(1)), Var(0)))))
 _U = Lam(Lam(Pair(App(Var(1), Proj0(Var(0))), Proj1(Var(0)))))
 # continuation constant: k_pi . a = \b. <(b)0, a>
 _KPI = Lam(Lam(Pair(Proj0(Var(0)), Var(1))))
-# discard constant: k_bot . a = \b. a
-_KBOT = Lam(Lam(Var(1)))
 
 _I_CODE = encode(_I)
 _U_CODE = encode(_U)
 _KPI_CODE = encode(_KPI)
 
-_COMBINATORS = {"i": _I, "s": _I, "u": _U, "k_pi": _KPI, "k_bot": _KBOT}
+# encoded once, so a code keeps the closure the kernel decodes from it;
+# k_bot is the discard constant k_bot . a = \b. a
+_COMBINATORS = {"i": _I_CODE, "s": _I_CODE, "u": _U_CODE, "k_pi": _KPI_CODE,
+                "k_bot": encode(Lam(Lam(Var(1))))}
 
 
 def combinator(name: str) -> Nat:
     """Code of one of the fixed combinators i, u, s, k_pi, k_bot."""
     if name not in _COMBINATORS:
         raise ValueError("unknown combinator %r" % name)
-    return encode(_COMBINATORS[name])
+    return _COMBINATORS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -100,16 +101,13 @@ def _prim_eqcheck(v: Nat) -> Nat:
         raise StuckError()
 
 
-def install_standard_primitives(kernel: Kernel) -> Kernel:
+def fresh_kernel() -> Kernel:
+    """A kernel with the primitives extracted programs rely on."""
+    kernel = Kernel()
     kernel.register_primitive(PID_EVALTERM, _prim_evalterm,
                               cost=lambda _v: 4)
     kernel.register_primitive(PID_EQCHECK, _prim_eqcheck, cost=lambda _v: 4)
     return kernel
-
-
-def fresh_kernel() -> Kernel:
-    """A kernel with the primitives extracted programs rely on."""
-    return install_standard_primitives(Kernel())
 
 
 # ---------------------------------------------------------------------------
@@ -502,21 +500,6 @@ def _axiom_body(ax: Axiom, ctx: list) -> Program:
     raise ExtractionError("no realiser for axiom kind %r" % kind)
 
 
-def axiom_realiser(kind: str, formula: Formula, data: tuple = (),
-                   kernel: Optional[Kernel] = None,
-                   fuel: int = 10**6) -> Nat:
-    """Realiser code for a closed axiom instance."""
-    ax = Axiom(kind, formula, data)
-    _check_axiom(ax, "")
-    body = _axiom_body(ax, sorted(free_vars(formula)))
-    kernel = kernel or fresh_kernel()
-    r = kernel.apply(encode(Lam(body)), 0, fuel)
-    if not isinstance(r, Value):
-        raise ExtractionError("axiom realiser did not evaluate: %s"
-                              % r.reason)
-    return r.n
-
-
 def _extract_body(p: Proof, ctx: list, path: str) -> Program:
     if isinstance(p, Hyp):
         raise ExtractionError("cannot extract from a hypothesis at %s"
@@ -538,16 +521,6 @@ def _extract_body(p: Proof, ctx: list, path: str) -> Program:
         g = Lam(App(Lit(child_code), Pair(Var(0), Var(1))))
         return App(Lit(_U_CODE), g)
     raise TypeError(p)
-
-
-def extract(p: Proof) -> Nat:
-    """Code e with e . <values of free vars> realising the conclusion.
-
-    For a closed conclusion, e . 0 is the realiser.
-    """
-    c = check_proof(p)
-    ctx = sorted(free_vars(c))
-    return encode(Lam(_extract_body(p, ctx, "")))
 
 
 def extract_value(p: Proof, kernel: Kernel, fuel: int = 10**7,

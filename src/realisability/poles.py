@@ -106,8 +106,7 @@ def agreement(lhs: Verdict, rhs: Verdict) -> str:
     return AGREE if (lhs.kind in holds) == (rhs.kind in holds) else DISAGREE
 
 
-def member(n: Nat, pole: PoleSpec, fuel: int, kernel: Kernel,
-           depth: Optional[int] = None) -> Verdict:
+def member(n: Nat, pole: PoleSpec, fuel: int, kernel: Kernel) -> Verdict:
     """Three-valued membership test for n in the pole."""
     if isinstance(pole, Empty):
         return V_OUT
@@ -115,7 +114,7 @@ def member(n: Nat, pole: PoleSpec, fuel: int, kernel: Kernel,
         return V_IN
     seed = pole.seed
     bound = max(seed)
-    remaining = pole.chase_depth if depth is None else depth
+    remaining = pole.chase_depth
     while True:
         if vle(n, bound) and vint(n) in seed:
             return V_IN

@@ -15,7 +15,6 @@ model over an arbitrary pole.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from .notation import (
@@ -31,20 +30,7 @@ from .syntax import (
     fresh_var, godel, godel_term, in_language, max_level, print_formula,
     register_fn, subst, subt, ungodel,
 )
-from .vm import Kernel, Lam, Nat, Pair, Proj0, Proj1, Var, encode
-
-
-@dataclass(frozen=True)
-class LevelLanguage:
-    gamma: OrdNotation
-    side: str  # "truth" | "realisability"
-
-    def __post_init__(self):
-        if self.side not in (TRUTH_SIDE, REAL_SIDE):
-            raise ValueError("unknown language side %r" % self.side)
-
-    def contains(self, a: Formula) -> bool:
-        return in_language(a, self.gamma, self.side)
+from .vm import Kernel, Lam, Nat, Var, encode
 
 
 def iff(a: Formula, b: Formula) -> Formula:
@@ -157,7 +143,6 @@ def translate_zero(a: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Axiom-instance generators
 
-RT_KINDS = ("RT1", "RT2", "RT3", "RT4", "RT5", "RT6")
 RR_KINDS = ("RR1", "RR2", "RR3", "RR4", "RR5", "RR6", "RR7", "RR8",
             "RR9", "RR10")
 
@@ -179,9 +164,9 @@ def rt_axiom(kind: str, beta: OrdNotation, gamma: OrdNotation, *,
              a: Optional[Formula] = None, a2: Optional[Formula] = None,
              var: Optional[str] = None,
              s: Optional[ATerm] = None, t: Optional[ATerm] = None,
-             alpha: Optional[OrdNotation] = None,
-             delta: Optional[OrdNotation] = None) -> Formula:
-    """A closed truth-side axiom instance at level beta, below gamma."""
+             low: Optional[OrdNotation] = None) -> Formula:
+    """A closed truth-side axiom instance at level beta, below gamma;
+    RT5 and RT6 take the lower level low."""
     _need_below(beta, gamma, kind)
     if kind == "RT1":
         # term invariance: equal-valued terms substitute interchangeably
@@ -211,14 +196,14 @@ def rt_axiom(kind: str, beta: OrdNotation, gamma: OrdNotation, *,
                                       Num(_name_code(var)), TVar(x))))
         return iff(Tru(beta, Num(godel(closed))), All(x, inner))
     if kind == "RT5":
-        _need_below(alpha, beta, "RT5")
-        _need_sentence(a, TRUTH_SIDE, alpha)
-        inner = Tru(alpha, Num(godel(a)))
+        _need_below(low, beta, "RT5")
+        _need_sentence(a, TRUTH_SIDE, low)
+        inner = Tru(low, Num(godel(a)))
         return iff(Tru(beta, Num(godel(inner))), inner)
     if kind == "RT6":
-        _need_below(delta, beta, "RT6")
-        _need_sentence(a, TRUTH_SIDE, delta)
-        inner = Tru(delta, Num(godel(a)))
+        _need_below(low, beta, "RT6")
+        _need_sentence(a, TRUTH_SIDE, low)
+        inner = Tru(low, Num(godel(a)))
         return iff(Tru(beta, Num(godel(inner))),
                    Tru(beta, Num(godel(a))))
     raise ValueError("unknown truth axiom kind %r" % kind)
@@ -230,20 +215,18 @@ def rr_axiom(kind: str, beta: OrdNotation, gamma: OrdNotation, *,
              sent2: Optional[Formula] = None,
              var: Optional[str] = None,
              s: Optional[ATerm] = None, t: Optional[ATerm] = None,
-             alpha: Optional[OrdNotation] = None,
-             delta: Optional[OrdNotation] = None,
-             e: Optional[Nat] = None, m: Optional[Nat] = None,
+             low: Optional[OrdNotation] = None,
              r: Optional[Nat] = None) -> Formula:
     """A closed realisability-side axiom instance at level beta.
 
-    Numeric slots: a (the subject), b (an auxiliary subject), and for
-    the operational-closure instance the program e, input m and run
-    result r.
+    Numeric slots: a (the subject) and b (an auxiliary subject); for
+    the operational-closure instance, the program a, its input b and
+    the result r of the run a . b.  RR7-RR10 take the lower level low.
     """
     _need_below(beta, gamma, kind)
     if kind == "RR1":
         # operational closure: a pole run result pulls the pair in
-        return Imp(InPole(Num(r)), InPole(PairT(Num(e), Num(m))))
+        return Imp(InPole(Num(r)), InPole(PairT(Num(a), Num(b))))
     if kind == "RR2":
         _need_sentence(sent, REAL_SIDE, beta)
         code = Num(godel(sent))
@@ -280,35 +263,21 @@ def rr_axiom(kind: str, beta: OrdNotation, gamma: OrdNotation, *,
         return iff(Fals(beta, Num(a), Num(godel(closed))),
                    Fals(beta, Proj1T(Num(a)), inst))
     if kind in ("RR7", "RR8"):
-        _need_below(alpha, beta, kind)
-        _need_sentence(sent, REAL_SIDE, alpha)
+        _need_below(low, beta, kind)
+        _need_sentence(sent, REAL_SIDE, low)
         atom = (Fals if kind == "RR7" else Real)(
-            alpha, Num(b), Num(godel(sent)))
+            low, Num(b), Num(godel(sent)))
         return iff(Fals(beta, Num(a), Num(godel(atom))),
                    explicit_refutation(Num(a), atom))
     if kind in ("RR9", "RR10"):
-        _need_below(delta, beta, kind)
-        _need_sentence(sent, REAL_SIDE, delta)
+        _need_below(low, beta, kind)
+        _need_sentence(sent, REAL_SIDE, low)
         atom = (Fals if kind == "RR9" else Real)(
-            delta, Num(b), Num(godel(sent)))
+            low, Num(b), Num(godel(sent)))
         unfolded = (explicit_refutation if kind == "RR9"
                     else explicit_realisation)(Num(b), sent)
         return iff(Fals(beta, Num(a), Num(godel(atom))),
                    Fals(beta, Num(a), Num(godel(unfolded))))
-    raise ValueError("unknown realisability axiom kind %r" % kind)
-
-
-# ---------------------------------------------------------------------------
-# Realiser table for the closed axiom instances
-
-def rr_realiser(kind: str, kernel: Kernel) -> Nat:
-    """A program code realising closed instances of the named axiom
-    under the empty pole; the pair-rebuilding transport handles every
-    biconditional, identity handles operational closure."""
-    if kind == "RR1":
-        return encode(Lam(Var(0)))
-    if kind in RR_KINDS:
-        return encode(Lam(Pair(Proj0(Var(0)), Proj1(Var(0)))))
     raise ValueError("unknown realisability axiom kind %r" % kind)
 
 
@@ -409,7 +378,7 @@ def rr_instance_corpus(n: int, gamma: OrdNotation,
         sent = _gen_sentence(rng, [low], 1)
         if kind == "RR1":
             m_val = rng.randrange(0, 50)
-            inst = rr_axiom(kind, beta, gamma, e=ident, m=m_val, r=m_val)
+            inst = rr_axiom(kind, beta, gamma, a=ident, b=m_val, r=m_val)
         elif kind == "RR2":
             inst = rr_axiom(kind, beta, gamma, a=a_val, sent=sent)
         elif kind == "RR3":
@@ -430,14 +399,10 @@ def rr_instance_corpus(n: int, gamma: OrdNotation,
             tpl = Imp(Eq(TVar("x"), Num(rng.randrange(0, 5))),
                       _gen_eq(rng))
             inst = rr_axiom(kind, beta, gamma, a=a_val, sent=tpl, var="x")
-        elif kind in ("RR7", "RR8"):
+        else:  # RR7 - RR10
             flat = _gen_sentence(rng, [], 1)  # below level 0: level free
             inst = rr_axiom(kind, beta, gamma, a=a_val, b=b_val,
-                            alpha=low, sent=flat)
-        else:  # RR9 / RR10
-            flat = _gen_sentence(rng, [], 1)
-            inst = rr_axiom(kind, beta, gamma, a=a_val, b=b_val,
-                            delta=low, sent=flat)
+                            low=low, sent=flat)
         out.append((kind, inst))
     return out
 

@@ -445,20 +445,3 @@ def check_cr_axioms(pole: PoleSpec, corpus: list, b: Budget, kernel: Kernel,
                           kernel)
             rec("CR_all", text, lhs, rhs, 1)
     return records
-
-
-def check_term_regularity(template, x: str, s, t, pole: PoleSpec, b: Budget,
-                          kernel: Kernel) -> list:
-    """refutes(m, A(s)) must agree with refutes(m, A(t)) when s and t
-    have equal values."""
-    a_s = subst(template, x, s)
-    a_t = subst(template, x, t)
-    records = []
-    for m in range(0, 60, 7):
-        l = refutes(m, a_s, pole, b, kernel)
-        r = refutes(m, a_t, pole, b, kernel)
-        records.append({"axiom": "term-regularity",
-                        "instance": print_formula(a_s),
-                        "verdict": agreement(l, r), "lhs": _vstr(l),
-                        "rhs": _vstr(r), "samples": 1, "fuel_used": b.fuel})
-    return records

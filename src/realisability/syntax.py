@@ -89,10 +89,6 @@ ZERO = Num(0)
 ONE = Num(1)
 
 
-def numeral(n: Nat) -> Num:
-    return Num(n)
-
-
 def suc_t(t: ATerm) -> ATerm:
     if isinstance(t, Num) and isinstance(t.n, int):
         return Num(t.n + 1)
@@ -218,10 +214,6 @@ def free_vars(a: Formula) -> set:
     if isinstance(a, (Fals, Real)):
         return term_vars(a.s) | term_vars(a.t)
     raise TypeError(a)
-
-
-def is_sentence(a: Formula) -> bool:
-    return not free_vars(a)
 
 
 def subst_term(t: ATerm, x: str, s: ATerm) -> ATerm:
@@ -459,18 +451,6 @@ def godel(a) -> Nat:
     raise TypeError(a)
 
 
-def dot_imp(ca: Nat, cb: Nat) -> Nat:
-    return vpair(_F_IMP, vpair(ca, cb))
-
-
-def dot_eq(cl: Nat, cr: Nat) -> Nat:
-    return vpair(_F_EQ, vpair(cl, cr))
-
-
-def dot_all(name: str, cb: Nat) -> Nat:
-    return vpair(_F_ALL, vpair(_name_code(name), cb))
-
-
 def ungodel_term(c: Nat) -> Optional[ATerm]:
     tag, rest = vunpair(c)
     if isinstance(tag, PV):
@@ -693,7 +673,6 @@ class _P:
             raise ParseError("trailing input %r" % tok, pos)
 
 
-_TERM_HEADS = {"s", "+", "*", "pair", "p0", "p1"}
 _FORMULA_HEADS = {"=", "imp", "all", "not", "and", "or", "ex", "bot"}
 
 

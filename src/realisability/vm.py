@@ -57,24 +57,6 @@ def unpair(z: int) -> tuple[int, int]:
     return x, y
 
 
-def proj0(z: int) -> int:
-    return unpair(z)[0]
-
-
-def proj1(z: int) -> int:
-    return unpair(z)[1]
-
-
-def pair_seq(*xs: int) -> int:
-    """Right-associated iterated pairing: <x0, x1, x2> = <x0, <x1, x2>>."""
-    if not xs:
-        raise ValueError("pair_seq needs at least one element")
-    acc = xs[-1]
-    for x in reversed(xs[:-1]):
-        acc = pair(x, acc)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Sparse naturals
 

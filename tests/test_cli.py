@@ -12,9 +12,10 @@ from realisability import cli, extraction
 from realisability.cli import main, parse_pole
 from realisability.notation import onat
 from realisability.ordinals import ordinal_kernel, wo_realiser
-from realisability.poles import Empty, Full, Generated
+from realisability.poles import FALSE, Empty, Full, Generated
+from realisability.semantics import Budget, truth
 from realisability.syntax import godel, parse_formula
-from realisability.vm import Diverged, Kernel, Lam, Stuck, Var, encode
+from realisability.vm import Diverged, Kernel, Lam, Stuck, Suc, Var, encode
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -56,6 +57,22 @@ def test_removed_knobs_are_usage_errors(capsys):
                  "--var", "y"]) == 3
     assert main(["ti", "validate", "--alphas", "0,1", "--formula",
                  "(= y y)", "--var", "y"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "-1", "0"],
+    ["pole", "member", "-1", "--pole", "generated:3"],
+    ["refutes", "-1", "(= 0 0)", "--pole", "generated:3"],
+    ["realises", "-5", "(= 0 0)", "--pole", "generated:3"],
+    ["ord", "fs", "w", "-1"],
+    ["ram", "axiom", "RR4", "--a", "-1"],
+    ["ram", "axiom", "RR1", "--b", "-1"],
+    ["ram", "check", "--count", "-1"],
+], ids=["run", "pole-member", "refutes", "realises", "ord-fs",
+        "ram-axiom-a", "ram-axiom-b", "ram-check"])
+def test_negative_naturals_are_usage_errors(argv, capsys):
+    assert main(argv) == 3
+    assert "not a natural" in capsys.readouterr().err
 
 
 def test_bad_subcommand_is_usage_error():
@@ -344,6 +361,39 @@ def test_ram_axiom_and_level_error(capsys):
     assert code == 0 and rep["ok"]
     code, rep = run_cli(capsys, "ram", "axiom", "RR7", "--beta", "0")
     assert code == 1 and not rep["ok"]
+
+
+IDENT = encode(Lam(Var(0)))
+
+
+def test_ram_axiom_rr1_pulls_back_the_run_of_a_on_b(capsys):
+    code, rep = run_cli(capsys, "ram", "axiom", "RR1", "--a", str(IDENT),
+                        "--b", "3")
+    assert code == 0
+    assert rep["instance"] == "(imp (pole 3) (pole (pair %d 3)))" % IDENT
+    # 5 codes a program whose run is stuck, so it has no instance
+    code, rep = run_cli(capsys, "ram", "axiom", "RR1", "--a", "5",
+                        "--b", "3")
+    assert code == 1 and rep == {"ok": False, "reason": "stuck"}
+    # 13 codes \x.xx, so 13 . 13 runs until its fuel is gone
+    code, rep = run_cli(capsys, "ram", "axiom", "RR1", "--a", "13",
+                        "--b", "13", "--fuel", "1000")
+    assert code == 2 and rep == {"ok": False, "reason": "fuel"}
+
+
+def test_printed_rr1_instances_are_not_false(capsys):
+    pole, kernel = Generated(frozenset({3})), ordinal_kernel()
+    printed = 0
+    for a in (IDENT, encode(Lam(Suc(Var(0)))), 5, 13, 40, 1000):
+        for b in (0, 2, 3, 7):
+            code, rep = run_cli(capsys, "ram", "axiom", "RR1", "--a",
+                                str(a), "--b", str(b), "--fuel", "1000")
+            if rep["ok"]:
+                printed += 1
+                inst = parse_formula(rep["instance"])
+                assert truth(inst, pole, Budget(), kernel).kind != FALSE, \
+                    rep["instance"]
+    assert printed >= 8
 
 
 def test_ram_check_small_corpus(capsys):

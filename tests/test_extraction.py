@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from realisability.extraction import (
     Axiom, Gen, Hyp, MP, ProofError, ax_defining, ax_exfalso, ax_induction,
     ax_k, ax_leibniz, ax_peirce, ax_refleq, ax_s, ax_univdist, ax_univinst,
-    alpha_eq, axiom_realiser, check_proof, combinator, conclusion, deduce,
-    defining_axioms, eq_cong, eq_sym, eq_trans, extract, extract_value,
+    alpha_eq, check_proof, combinator, conclusion, deduce, defining_axioms,
+    eq_cong, eq_sym, eq_trans, extract_value,
     fresh_kernel, imp_refl, inst_all, parse_proof, print_proof, prove_dne,
     prove_plus, prove_plus_comm, prove_suc_plus, prove_zero_plus,
 )
@@ -67,6 +67,11 @@ def test_u_applies_to_witness():
 def test_unknown_combinator():
     with pytest.raises(ValueError):
         combinator("j")
+
+
+def test_combinators_are_encoded_once():
+    for name in ("i", "s", "u", "k_pi", "k_bot"):
+        assert combinator(name) is combinator(name)
 
 
 # ---------------------------------------------------------------------------
@@ -156,21 +161,26 @@ def test_proof_print_parse_roundtrip():
 # ---------------------------------------------------------------------------
 # Realisers
 
+def _axiom_realiser(ax):
+    # the realiser of a one-axiom proof is its schema's realiser
+    return extract_value(ax, K)[1]
+
+
 def test_refleq_realiser_is_identity_on_refuters():
-    r = axiom_realiser("refleq", EQ00)
+    r = _axiom_realiser(ax_refleq(Num(0)))
     for m in (0, 5, 40):
         assert veq(_apply(r, m), m)
 
 
 def test_exfalso_realiser_shape():
-    r = axiom_realiser("exfalso", Imp(bot(), EQ00))
+    r = _axiom_realiser(ax_exfalso(EQ00))
     v = _apply(r, vpair(9, 3))
     assert veq(v, vpair(9, 0))
 
 
 def test_defining_realiser_projects():
     d = defining_axioms()[0]
-    r = axiom_realiser("defining", d)
+    r = _axiom_realiser(ax_defining(d))
     assert veq(_apply(r, vpair(5, 77)), 77)
 
 

@@ -57,7 +57,7 @@ def test_depth_exhaustion_gives_unknown_depth():
     n = vpair(IDENT, vpair(IDENT, vpair(IDENT, vpair(IDENT, 3))))
     v = member(n, p, 10**5, K)
     assert v.kind == UNKNOWN and v.reason == "depth"
-    assert member(n, p, 10**5, K, depth=10).kind == IN
+    assert member(n, Generated(frozenset({3}), 10), 10**5, K).kind == IN
 
 
 def test_generated_pole_rejects_an_empty_seed():

@@ -12,8 +12,8 @@ from realisability.notation import omega, onat
 from realisability.ordinals import ordinal_kernel
 from realisability.poles import Empty, Full, Generated, IN, OUT, UNKNOWN
 from realisability.ramified import (
-    LevelLanguage, check_model_equivalence, check_rr_empty_properties, iff,
-    ram_corpus, rr_axiom, rr_instance_corpus, rr_realiser, rt_axiom,
+    check_model_equivalence, check_rr_empty_properties, iff, ram_corpus,
+    rr_axiom, rr_instance_corpus, rt_axiom,
     tau_empty_code, tau_zero_code, translate_conservative, translate_empty,
     translate_zero,
 )
@@ -125,13 +125,6 @@ def test_max_level_and_language_membership():
     t = Tru(L0, Num(5))
     assert in_language(t, L1, TRUTH_SIDE)
     assert not in_language(t, L1, REAL_SIDE)
-    assert LevelLanguage(L2, REAL_SIDE).contains(a)
-    assert not LevelLanguage(L1, REAL_SIDE).contains(a)
-
-
-def test_level_language_rejects_unknown_side():
-    with pytest.raises(ValueError):
-        LevelLanguage(L1, "sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +194,7 @@ def test_rt2_is_a_disquotation_instance():
 
 
 def test_rt5_lowers_the_inner_level():
-    inst = rt_axiom("RT5", L1, L2, alpha=L0, a=TRUE_EQ)
+    inst = rt_axiom("RT5", L1, L2, low=L0, a=TRUE_EQ)
     inner = Tru(L0, Num(godel(TRUE_EQ)))
     assert inst == iff(Tru(L1, Num(godel(inner))), inner)
 
@@ -210,9 +203,9 @@ def test_rt_level_constraints():
     with pytest.raises(LevelError):
         rt_axiom("RT2", L2, L2, a=TRUE_EQ)  # beta must be below gamma
     with pytest.raises(LevelError):
-        rt_axiom("RT5", L1, L2, alpha=L1, a=TRUE_EQ)  # alpha < beta
+        rt_axiom("RT5", L1, L2, low=L1, a=TRUE_EQ)  # low < beta
     with pytest.raises(LevelError):
-        rt_axiom("RT6", L1, L2, delta=L1, a=TRUE_EQ)  # delta < beta
+        rt_axiom("RT6", L1, L2, low=L1, a=TRUE_EQ)  # low < beta
 
 
 def test_rr5_unfolds_an_implication_code():
@@ -225,16 +218,16 @@ def test_rr5_unfolds_an_implication_code():
 
 
 def test_rr7_requires_a_strictly_lower_inner_level():
-    inst = rr_axiom("RR7", L1, L2, a=4, b=2, alpha=L0, sent=FALSE_EQ)
+    inst = rr_axiom("RR7", L1, L2, a=4, b=2, low=L0, sent=FALSE_EQ)
     atom = Fals(L0, Num(2), Num(godel(FALSE_EQ)))
     assert inst == iff(Fals(L1, Num(4), Num(godel(atom))),
                        explicit_refutation(Num(4), atom))
     with pytest.raises(LevelError):
-        rr_axiom("RR7", L1, L2, a=4, b=2, alpha=L1, sent=FALSE_EQ)
+        rr_axiom("RR7", L1, L2, a=4, b=2, low=L1, sent=FALSE_EQ)
 
 
 def test_rr9_rewrites_to_the_unfolded_code():
-    inst = rr_axiom("RR9", L1, L2, a=4, b=2, delta=L0, sent=FALSE_EQ)
+    inst = rr_axiom("RR9", L1, L2, a=4, b=2, low=L0, sent=FALSE_EQ)
     atom = Fals(L0, Num(2), Num(godel(FALSE_EQ)))
     unfolded = explicit_refutation(Num(2), FALSE_EQ)
     assert inst == iff(Fals(L1, Num(4), Num(godel(atom))),
@@ -401,7 +394,7 @@ def test_ram_sample_refuters_are_refuters():
 
 
 def test_rt5_instances_hold_in_the_model():
-    inst = rt_axiom("RT5", L1, L2, alpha=L0, a=TRUE_EQ)
+    inst = rt_axiom("RT5", L1, L2, low=L0, a=TRUE_EQ)
     assert truth(inst, Empty(), B, KERNEL, gamma=L2).kind == TRUE
     inst = rt_axiom("RT2", L0, L1, a=FALSE_EQ)
     assert truth(inst, Empty(), B, KERNEL, gamma=L1).kind == TRUE
@@ -447,18 +440,3 @@ def test_realiser_irrelevance_under_empty_pole():
         for x in (1, 17, 123456):
             vx = realises(x, a, Empty(), B, KERNEL, gamma=L2).verdict.kind
             assert vx == v0, print_formula(a)
-
-
-def test_rr_realiser_table():
-    codes = {k: rr_realiser(k, KERNEL) for k in
-             ("RR1", "RR2", "RR5", "RR7", "RR10")}
-    transport = codes["RR2"]
-    assert veq(codes["RR5"], transport) and veq(codes["RR7"], transport)
-    assert not veq(codes["RR1"], transport)
-    # the transport rebuilds a refuter pair: applying it to a pair code
-    # yields the pair of its projections
-    from realisability.vm import Value
-    r = KERNEL.apply(transport, vpair(4, 9), 10**5)
-    assert isinstance(r, Value) and veq(r.n, vpair(4, 9))
-    with pytest.raises(ValueError):
-        rr_realiser("RT1", KERNEL)

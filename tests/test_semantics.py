@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 from realisability.notation import onat
 from realisability.poles import (
-    Empty, Full, Generated, IN, OUT, UNKNOWN, Verdict,
+    Empty, Full, Generated, IN, OUT, UNKNOWN, Verdict, agreement,
 )
 from realisability.semantics import (
-    Budget, EmptySampleError, FALSE, TRUE, check_cr_axioms,
-    check_term_regularity, realises, refutes, sample_refuters, truth,
+    Budget, EmptySampleError, FALSE, TRUE, check_cr_axioms, realises,
+    refutes, sample_refuters, truth,
 )
 from realisability.syntax import (
-    Add, All, Eq, Imp, InPole, Num, SucT, TVar, bot, parse_formula,
+    Add, All, Eq, Imp, InPole, Num, SucT, TVar, bot, parse_formula, subst,
 )
 from realisability.vm import Kernel, vpair
 
@@ -170,6 +170,8 @@ def test_term_regularity_agreement():
     template = Eq(Add(TVar("v"), Num(1)), SucT(TVar("v")))
     s = parse_formula("(= (+ 1 1) 2)").l  # term (+ 1 1)
     t = Num(2)
+    a_s, a_t = subst(template, "v", s), subst(template, "v", t)
     for pole in (Empty(), Full(), Generated(frozenset({0, 9}), 16)):
-        recs = check_term_regularity(template, "v", s, t, pole, B, K)
-        assert all(r["verdict"] in ("agree", "unknown") for r in recs)
+        for m in range(0, 60, 7):
+            assert agreement(refutes(m, a_s, pole, B, K),
+                             refutes(m, a_t, pole, B, K)) != "disagree"

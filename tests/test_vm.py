@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from realisability.vm import (
     App, Diverged, Fix, IfZ, Kernel, Lam, Lit, Pair, Pred, Prim, Proj0,
-    Proj1, Stuck, Suc, Value, Var, decode, encode, pair, pair_seq, proj0,
-    proj1, unpair, veq, vint, vle, vpair, vunpair,
+    Proj1, Stuck, Suc, Value, Var, decode, encode, pair, unpair, veq, vint,
+    vle, vpair, vunpair,
 )
 
 
@@ -27,14 +27,7 @@ def test_pair_matches_closed_formula():
 
 
 def test_projection_laws():
-    assert proj0(pair(7, 9)) == 7
-    assert proj1(pair(7, 9)) == 9
-
-
-def test_iterated_pairing_right_associates():
-    x, y, z = 1, 2, 3
-    assert pair_seq(x, y, z) == pair(x, pair(y, z))
-    assert pair(x, proj1(pair(0, pair(y, z)))) == pair_seq(1, 2, 3)
+    assert unpair(pair(7, 9)) == (7, 9)
 
 
 def test_unpair_total_inverse():
