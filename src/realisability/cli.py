@@ -344,7 +344,17 @@ def cmd_ram_translate(args, cfg: RunConfig, kernel: Kernel):
                "result": print_formula(fn(f))}
 
 
+# the axiom kinds `ram axiom` prints; RT1 and RR3 also take two terms,
+# which it has no option for
+_RAM_AXIOM_KINDS = ({"RT%d" % i for i in range(2, 7)}
+                    | {"RR%d" % i for i in range(1, 11)} - {"RR3"})
+
+
 def cmd_ram_axiom(args, cfg: RunConfig, kernel: Kernel):
+    if args.kind not in _RAM_AXIOM_KINDS:
+        raise UsageError("axiom kind %r is not one of RT2-RT6, RR1, RR2, "
+                         "RR4-RR10 (RT1 and RR3 take two terms, which `ram "
+                         "axiom` has no option for)" % args.kind)
     beta = parse_ord(args.beta)
     low = parse_ord(args.low)
     sent = parse_formula(args.formula)

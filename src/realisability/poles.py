@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .vm import STUCK, Diverged, Kernel, Nat, Value, vint, vle, vunpair
+from .vm import (
+    MEMO_SIZE, PV, STUCK, Diverged, Kernel, Nat, Value, vint, vle, vunpair,
+)
 
 
 @dataclass(frozen=True)
@@ -106,12 +108,39 @@ def agreement(lhs: Verdict, rhs: Verdict) -> str:
     return AGREE if (lhs.kind in holds) == (rhs.kind in holds) else DISAGREE
 
 
+def _chase_key(n: Nat):
+    """A cheap key that only equal values share: an int is itself, and a
+    PV is the pair of its children, each an int or, tagged so that no int
+    equals it, the child's identity.  Hashing a whole PV would cost more
+    than the chase; the memo keeps n, so the identities stay valid."""
+    if type(n) is not PV:
+        return n
+    a, b = n.a, n.b
+    return (a if type(a) is int else (id(a),),
+            b if type(b) is int else (id(b),))
+
+
 def member(n: Nat, pole: PoleSpec, fuel: int, kernel: Kernel) -> Verdict:
-    """Three-valued membership test for n in the pole."""
+    """Three-valued membership test for n in the pole.  A chase's verdict
+    depends only on n, the pole, the fuel and the kernel's primitives, so
+    the kernel keeps it (see Kernel.chases)."""
     if isinstance(pole, Empty):
         return V_OUT
     if isinstance(pole, Full):
         return V_IN
+    chases = kernel.chases
+    key = (pole, fuel, _chase_key(n))
+    hit = chases.get(key)
+    if hit is not None:
+        return hit[1]
+    v = _chase(n, pole, fuel, kernel)
+    if len(chases) >= MEMO_SIZE:
+        chases.clear()
+    chases[key] = (n, v)
+    return v
+
+
+def _chase(n: Nat, pole: Generated, fuel: int, kernel: Kernel) -> Verdict:
     seed = pole.seed
     bound = max(seed)
     remaining = pole.chase_depth

@@ -14,8 +14,10 @@ substituted; a Lam or Fix evaluated as a value is encoded with its env
 read in, which gives the code the non-shifting ``subst`` followed by
 ``encode`` would give.  Continuations are kept on an explicit stack.
 Fuel is one unit per program node evaluated, one per application step,
-plus each primitive's cost, exactly as for decode-substitute-encode
-evaluation, which ``subst``, ``decode`` and ``encode`` still support.
+plus each primitive's cost, plus one unit per 64 bits of ``vbits(v)``
+where ``Suc`` or ``Pred`` expands a ``PV`` v into an int, exactly as for
+decode-substitute-encode evaluation, which ``subst``, ``decode`` and
+``encode`` still support.
 
 Naturals are represented sparsely: a value is either a Python ``int``
 or a ``PV`` node standing for the Cantor pair of two values.  The two
@@ -107,6 +109,23 @@ def vint(v: Nat) -> int:
     if isinstance(v, int):
         return v
     return pair(vint(v.a), vint(v.b))
+
+
+def vbits(v: Nat) -> int:
+    """An upper bound on the bit length of v, found without expanding it:
+    bits <a, b> <= 2 max(bits a, bits b) + 2.  Shared nodes are bounded
+    once, so the time is linear in v's node count."""
+    known: dict[int, int] = {}
+
+    def bound(v: Nat) -> int:
+        if type(v) is not PV:
+            return v.bit_length()
+        b = known.get(id(v))
+        if b is None:
+            b = known[id(v)] = 2 * max(bound(v.a), bound(v.b)) + 2
+        return b
+
+    return bound(v)
 
 
 def veq(u: Nat, v: Nat) -> bool:
@@ -387,7 +406,7 @@ class StuckError(Exception):
 
 # How many int codes one Kernel keeps closures for; the memo is emptied
 # when it fills.  PV codes carry their closure themselves (PV.clo).
-_MEMO_SIZE = 1 << 12
+MEMO_SIZE = 1 << 12
 
 # Continuation frames of the machine, tagged by their first item.
 _K_ARG = 0  # (_K_ARG, arg, env): evaluate an App's argument next
@@ -411,12 +430,16 @@ class Kernel:
         self._prims: dict[int, tuple[Callable[[Nat], Nat],
                                      Callable[[Nat], int]]] = {}
         self._memo: dict[int, tuple[Program, tuple]] = {}
+        # pole chase results, kept by poles.member under the same bound
+        # as the closure memo; a primitive changes what runs compute
+        self.chases: dict = {}
 
     def register_primitive(self, pid: int, fn: Callable[[Nat], Nat],
                            cost: Optional[Callable[[Nat], int]] = None) -> int:
         if pid in self._prims:
             raise ValueError("primitive id %d already registered" % pid)
         self._prims[pid] = (fn, cost or (lambda _v: 1))
+        self.chases.clear()
         return pid
 
     def closure(self, v: Nat) -> tuple[Program, tuple]:
@@ -432,7 +455,7 @@ class Kernel:
         if type(v) is PV:
             v.clo = clo
         else:
-            if len(self._memo) >= _MEMO_SIZE:
+            if len(self._memo) >= MEMO_SIZE:
                 self._memo.clear()
             self._memo[v] = clo
 
@@ -559,11 +582,17 @@ class Kernel:
                         v = vunpair(v)[0]
                     elif frame is _PROJ1_FRAME:
                         v = vunpair(v)[1]
-                    elif frame is _SUC_FRAME:
-                        v = vint(v) + 1
-                    else:
-                        v = vint(v)
-                        v = v - 1 if v > 0 else 0
+                    else:  # Suc or Pred
+                        if type(v) is PV:
+                            # expanding v costs one unit per 64 bits
+                            left -= (vbits(v) + 63) >> 6
+                            if left < 0:
+                                raise OutOfFuel()
+                            v = vint(v)
+                        if frame is _SUC_FRAME:
+                            v += 1
+                        else:
+                            v = v - 1 if v > 0 else 0
         finally:
             fuel[0] = left
 

@@ -15,9 +15,12 @@ from realisability.ordinals import ordinal_kernel, wo_realiser
 from realisability.poles import FALSE, Empty, Full, Generated
 from realisability.semantics import Budget, truth
 from realisability.syntax import godel, parse_formula
-from realisability.vm import Diverged, Kernel, Lam, Stuck, Suc, Var, encode
+from realisability.vm import (
+    Diverged, Kernel, Lam, Stuck, Suc, Var, encode, vpair,
+)
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+IDENT = encode(Lam(Var(0)))
 
 
 def run_cli(capsys, *argv):
@@ -223,6 +226,28 @@ def test_extract_and_validate_check_the_proof_once(monkeypatch):
         assert len(calls) == 1, command
 
 
+def test_repeated_queries_run_the_same_applications(monkeypatch, capsys):
+    # each query's chase memo goes with its kernel, so the second of two
+    # identical queries runs every application the first one ran
+    calls = []
+    apply_value = Kernel._apply_value
+
+    def counting(self, *args):
+        calls.append(None)
+        return apply_value(self, *args)
+
+    monkeypatch.setattr(Kernel, "_apply_value", counting)
+    n = str(vpair(IDENT, vpair(IDENT, 3)))  # an int code, in the pole
+    for argv in (["pole", "member", n, "--pole", "generated:3"],
+                 ["validate", PROOF, "--pole", "generated:0,3,8"]):
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert main(argv) == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0, argv
+
+
 # ---------------------------------------------------------------------------
 # Each exhausted budget exits 2 and names itself; stuck is definite
 
@@ -363,7 +388,11 @@ def test_ram_axiom_and_level_error(capsys):
     assert code == 1 and not rep["ok"]
 
 
-IDENT = encode(Lam(Var(0)))
+@pytest.mark.parametrize("kind", ["RT1", "RR3", "XX"])
+def test_ram_axiom_kinds_it_cannot_print_are_usage_errors(kind, capsys):
+    # RT1 and RR3 need two terms the CLI has no option for
+    assert main(["ram", "axiom", kind]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_ram_axiom_rr1_pulls_back_the_run_of_a_on_b(capsys):

@@ -13,7 +13,7 @@ from realisability.semantics import Budget, sample_refuters
 from realisability.vm import (
     App, Diverged, Fix, IfZ, Kernel, Lam, Lit, OutOfFuel, PV, Pair, Pred,
     Prim, Proj0, Proj1, Stuck, StuckError, Suc, Value, Var, decode, encode,
-    subst, veq, vint, vpair, vunpair,
+    subst, vbits, veq, vint, vpair, vunpair,
 )
 
 PROOF_DIR = pathlib.Path(__file__).resolve().parent.parent \
@@ -39,9 +39,9 @@ class SubstKernel:
         if isinstance(p, Var) or isinstance(p, Stuck):
             raise StuckError()
         if isinstance(p, Suc):
-            return vint(self._eval(p.p, fuel)) + 1
+            return self._expand(self._eval(p.p, fuel), fuel) + 1
         if isinstance(p, Pred):
-            v = vint(self._eval(p.p, fuel))
+            v = self._expand(self._eval(p.p, fuel), fuel)
             return v - 1 if v > 0 else 0
         if isinstance(p, IfZ):
             v = self._eval(p.scrutinee, fuel)
@@ -71,6 +71,15 @@ class SubstKernel:
                 raise OutOfFuel()
             return fn(va)
         raise StuckError()
+
+    @staticmethod
+    def _expand(v, fuel):
+        """vint(v), charging one unit per 64 bits of vbits(v) for a PV."""
+        if isinstance(v, PV):
+            fuel[0] -= (vbits(v) + 63) // 64
+            if fuel[0] < 0:
+                raise OutOfFuel()
+        return vint(v)
 
     def _apply_value(self, vf, va, fuel):
         while True:

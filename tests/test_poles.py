@@ -4,10 +4,11 @@ from hypothesis import strategies as st
 
 from realisability.poles import (
     Empty, FALSE, Full, Generated, IN, OUT, TRUE, UNKNOWN, V_IN, V_OUT,
-    Verdict, agreement, member,
+    Verdict, _chase, agreement, member,
 )
 from realisability.vm import (
-    App, Fix, Kernel, Lam, Lit, Pair, Suc, Value, Var, encode, pair, vpair,
+    MEMO_SIZE, PV, App, Fix, Kernel, Lam, Lit, Pair, Prim, Suc, Value, Var,
+    encode, pair, vpair,
 )
 
 K = Kernel()
@@ -94,6 +95,77 @@ def test_monotonicity_in_budgets(n):
     hi = member(n, p_hi, 10**4, K)
     if lo.kind != UNKNOWN:
         assert hi.kind == lo.kind
+
+
+# ---------------------------------------------------------------------------
+# The kernel's chase memo
+
+def test_chase_memo_tells_an_int_child_from_an_identity():
+    # x . 0 = 3; the int id(x) codes some other program
+    x = encode(Lam(App(Lam(Lit(3)), Lit(2**70))))
+    assert isinstance(x, PV)
+    p = Generated(frozenset({3}), 1)
+    by_object, by_int = PV(x, 0), PV(id(x), 0)
+    assert _chase(by_object, p, 1000, Kernel()) == V_IN
+    expected = _chase(by_int, p, 1000, Kernel())
+    assert expected != V_IN
+    k = Kernel()
+    for n, v in ((by_object, V_IN), (by_int, expected)) * 2:
+        assert member(n, p, 1000, k) == v
+    assert len(k.chases) == 2
+
+
+def test_chase_memo_keys_on_the_pole_and_the_fuel():
+    k = Kernel()
+    n = vpair(IDENT, vpair(IDENT, 3))  # two identity steps from 3
+    for seed, depth, fuel, kind, reason in (
+            ({3}, 8, 1, UNKNOWN, "fuel"), ({3}, 1, 1000, UNKNOWN, "depth"),
+            ({3}, 8, 1000, IN, None), ({0}, 8, 1000, OUT, None)):
+        v = member(n, Generated(frozenset(seed), depth), fuel, k)
+        assert (v.kind, v.reason) == (kind, reason)
+
+
+def test_register_primitive_empties_the_chase_memo():
+    k = Kernel()
+    p = Generated(frozenset({3}), 4)
+    n = vpair(encode(Lam(Prim(70, Var(0)))), 0)
+    assert member(n, p, 1000, k) == V_OUT  # primitive 70 is not there yet
+    k.register_primitive(70, lambda _v: 3)
+    assert not k.chases
+    assert member(n, p, 1000, k) == V_IN
+
+
+def test_chase_memo_stays_within_its_bound():
+    k = Kernel()
+    p = Generated(frozenset({0}), 4)
+    for n in range(MEMO_SIZE + 100):
+        member(n, p, 100, k)
+        assert len(k.chases) <= MEMO_SIZE
+    assert k.chases
+
+
+chase_codes = st.one_of(
+    st.integers(0, 3000),
+    st.builds(vpair, st.sampled_from([IDENT, 13, 55, encode(Lam(Suc(Var(0)))),
+                                      encode(Lam(Pair(Var(0), Var(0))))]),
+              st.integers(0, 2**70)),
+    st.builds(PV, st.integers(0, 400), st.integers(0, 400)),
+)
+
+
+@hyp.settings(deadline=None, max_examples=60)
+@hyp.given(st.lists(chase_codes, min_size=1, max_size=8),
+           st.lists(st.tuples(st.integers(0, 7), st.integers(1, 6),
+                              st.sampled_from([30, 300])),
+                    min_size=1, max_size=24),
+           st.frozensets(st.integers(0, 20), min_size=1))
+def test_memoised_member_agrees_with_the_chase(codes, queries, seed):
+    # one kernel answers every query, repeats and all; each reference
+    # chase runs on a kernel of its own
+    k = Kernel()
+    for i, depth, fuel in queries:
+        n, p = codes[i % len(codes)], Generated(seed, depth)
+        assert member(n, p, fuel, k) == _chase(n, p, fuel, Kernel())
 
 
 def test_an_unknown_verdict_names_its_budget():

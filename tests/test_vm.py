@@ -5,9 +5,9 @@ import hypothesis as hyp
 from hypothesis import strategies as st
 
 from realisability.vm import (
-    App, Diverged, Fix, IfZ, Kernel, Lam, Lit, Pair, Pred, Prim, Proj0,
-    Proj1, Stuck, Suc, Value, Var, decode, encode, pair, unpair, veq, vint,
-    vle, vpair, vunpair,
+    FUEL, PV, App, Diverged, Fix, IfZ, Kernel, Lam, Lit, Pair, Pred, Prim,
+    Proj0, Proj1, Stuck, Suc, Value, Var, decode, encode, pair, unpair,
+    vbits, veq, vint, vle, vpair, vunpair,
 )
 
 
@@ -179,8 +179,48 @@ def test_unregistered_primitive_is_stuck():
     assert r == Diverged("stuck")
 
 
+def pair_tower(levels, top):
+    """The code of Lam((Lam(... top))(Pair x x)), levels deep: on 2**70
+    the innermost x is a PV of about 71 * 2**levels bits made of levels
+    shared nodes."""
+    body = top
+    for _ in range(levels):
+        body = App(Lam(body), Pair(Var(0), Var(0)))
+    return encode(Lam(body))
+
+
+def test_expanding_a_pair_is_charged_by_its_size():
+    # Suc expands <2**70, 2**70>: vbits 144, so 3 units on top of the
+    # application and the four nodes Suc, Pair, Var, Var
+    r = K.apply(encode(Lam(Suc(Pair(Var(0), Var(0))))), 2**70, 100)
+    assert r == Value(pair(2**70, 2**70) + 1, 8)
+    r = K.apply(encode(Lam(Pred(Pair(Var(0), Var(0))))), 2**70, 100)
+    assert r == Value(pair(2**70, 2**70) - 1, 8)
+    assert K.apply(encode(Lam(Suc(Pair(Var(0), Var(0))))), 2**70, 7) \
+        == Diverged(FUEL)
+
+
+def test_suc_and_pred_of_a_pair_tower_run_out_of_fuel_quickly():
+    # expanding the 16-level tower would build a 4.65 Mbit int in seconds
+    for top in (Suc(Var(0)), Pred(Var(0))):
+        start = time.perf_counter()
+        assert K.apply(pair_tower(16, top), 2**70, 1000) == Diverged(FUEL)
+        assert time.perf_counter() - start < 0.1
+
+
 # ---------------------------------------------------------------------------
 # property tests
+
+sparse_naturals = st.recursive(
+    st.integers(0, 2**80),
+    lambda vs: st.builds(PV, vs, vs) | st.builds(vpair, vs, vs),
+    max_leaves=12,
+)
+
+
+@hyp.given(sparse_naturals)
+def test_vbits_bounds_the_bit_length(v):
+    assert vint(v).bit_length() <= vbits(v)
 
 programs = st.recursive(
     st.one_of(
