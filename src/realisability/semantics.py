@@ -391,8 +391,7 @@ def check_cr_axioms(pole: PoleSpec, corpus: list, b: Budget, kernel: Kernel,
             samples: int):
         records.append({"axiom": axiom, "instance": instance,
                         "verdict": agreement(lhs, rhs), "lhs": _vstr(lhs),
-                        "rhs": _vstr(rhs), "samples": samples,
-                        "fuel_used": b.fuel})
+                        "rhs": _vstr(rhs), "samples": samples})
 
     # (Ax_pole): converse closure, via identity-style programs
     ident = encode(Lam(Var(0)))
