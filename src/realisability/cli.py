@@ -47,7 +47,7 @@ from .syntax import (
     explicit_refutation, free_vars, godel, parse_base_formula,
     parse_formula, parse_term, print_formula,
 )
-from .vm import Diverged, Kernel, Value, vle, vint, vpair, vunpair
+from .vm import Diverged, Kernel, Value, vle, vnat, vpair, vunpair
 
 SCHEMA_VERSION = 1
 
@@ -108,9 +108,7 @@ def _config(args) -> RunConfig:
 
 def _nat_json(v):
     """A JSON-safe rendering of a possibly enormous natural."""
-    if vle(v, 2**53):
-        return int(vint(v))
-    return "large"
+    return v if vle(v, 2**53) else "large"
 
 
 def _verdict_json(v: Verdict) -> dict:
@@ -150,7 +148,7 @@ def cmd_truth(args, cfg: RunConfig, kernel: Kernel):
 
 
 def cmd_pole_member(args, cfg: RunConfig, kernel: Kernel):
-    v = member(args.n, cfg.pole, cfg.budget.fuel, kernel)
+    v = member(vnat(args.n), cfg.pole, cfg.budget.fuel, kernel)
     code = 2 if v.kind == UNKNOWN else 0
     return code, {"member": _verdict_json(v), "n": args.n,
                   "pole": _pole_text(cfg.pole)}
@@ -158,7 +156,7 @@ def cmd_pole_member(args, cfg: RunConfig, kernel: Kernel):
 
 def cmd_refutes(args, cfg: RunConfig, kernel: Kernel):
     f = parse_base_formula(args.formula)
-    v = refutes(args.m, f, cfg.pole, cfg.budget, kernel)
+    v = refutes(vnat(args.m), f, cfg.pole, cfg.budget, kernel)
     code = 2 if v.kind == UNKNOWN else 0
     return code, {"refutes": _verdict_json(v), "m": args.m,
                   "formula": print_formula(f)}
@@ -166,7 +164,7 @@ def cmd_refutes(args, cfg: RunConfig, kernel: Kernel):
 
 def cmd_realises(args, cfg: RunConfig, kernel: Kernel):
     f = parse_base_formula(args.formula)
-    rv = realises(args.n, f, cfg.pole, cfg.budget, kernel, cfg.rng())
+    rv = realises(vnat(args.n), f, cfg.pole, cfg.budget, kernel, cfg.rng())
     rep = {"realises": _verdict_json(rv.verdict), "samples": rv.samples,
            "n": args.n, "formula": print_formula(f)}
     if rv.verdict.witness is not None:
@@ -213,7 +211,7 @@ def cmd_extract(args, cfg: RunConfig, kernel: Kernel):
 
 
 def cmd_run(args, cfg: RunConfig, kernel: Kernel):
-    r = kernel.apply(args.e, args.m, cfg.budget.fuel)
+    r = kernel.apply(vnat(args.e), vnat(args.m), cfg.budget.fuel)
     if isinstance(r, Value):
         return 0, {"result": _nat_json(r.n)}
     return _exit([diverged(r.reason).kind]), {"diverged": r.reason}
@@ -359,11 +357,12 @@ def cmd_ram_axiom(args, cfg: RunConfig, kernel: Kernel):
     low = parse_ord(args.low)
     sent = parse_formula(args.formula)
     sent2 = parse_formula(args.formula2)
+    a, b = vnat(args.a), vnat(args.b)
     r = None
     if args.kind == "RR1":
         # the instance pulls <a, b> into the pole from the result of a . b;
         # a stuck run has no result, so there is no instance
-        run = kernel.apply(args.a, args.b, cfg.budget.fuel)
+        run = kernel.apply(a, b, cfg.budget.fuel)
         if isinstance(run, Diverged):
             return (_exit([diverged(run.reason).kind]),
                     {"ok": False, "reason": run.reason})
@@ -373,7 +372,7 @@ def cmd_ram_axiom(args, cfg: RunConfig, kernel: Kernel):
             inst = rt_axiom(args.kind, beta, cfg.gamma, a=sent, a2=sent2,
                             var=args.var or None, low=low)
         else:
-            inst = rr_axiom(args.kind, beta, cfg.gamma, a=args.a, b=args.b,
+            inst = rr_axiom(args.kind, beta, cfg.gamma, a=a, b=b,
                             sent=sent, sent2=sent2, var=args.var or None,
                             low=low, r=r)
     except LevelError as exc:
@@ -386,8 +385,7 @@ def cmd_ram_check(args, cfg: RunConfig, kernel: Kernel):
     rng = cfg.rng()
     corpus = ram_corpus(args.count, cfg.gamma, rng)
     eq_recs = check_model_equivalence(corpus, cfg.gamma, cfg.pole,
-                                      cfg.budget, kernel, rng,
-                                      beta=onat(1))
+                                      cfg.budget, kernel, rng)
     prop_recs = check_rr_empty_properties(cfg.gamma, corpus, cfg.budget,
                                           kernel, pole=cfg.pole, rng=rng)
     recs = eq_recs + prop_recs
@@ -462,7 +460,7 @@ def _suite_ram_section(cfg: RunConfig, kernel: Kernel,
                        rng: random.Random) -> dict:
     corpus = ram_corpus(30, onat(2), rng)
     eq_recs = check_model_equivalence(corpus, onat(2), cfg.pole,
-                                      cfg.budget, kernel, rng, beta=onat(1))
+                                      cfg.budget, kernel, rng)
     insts = rr_instance_corpus(20, onat(2), rng)
     true_count = sum(
         int(truth(translate_conservative(f), cfg.pole, cfg.budget,

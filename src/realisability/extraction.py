@@ -24,7 +24,7 @@ from .syntax import (
 )
 from .vm import (
     App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Program, Proj0,
-    Proj1, StuckError, Value, Var, encode, veq, vpair, vunpair,
+    Proj1, StuckError, Value, Var, encode, vpair, vunpair,
 )
 
 
@@ -65,7 +65,7 @@ PID_EQCHECK = 2
 
 def _read_env(ctx_code: Nat, env: Nat) -> dict:
     out = {}
-    while not veq(ctx_code, 0):
+    while ctx_code != 0:
         nc, ctx_code = vunpair(ctx_code)
         v, env = vunpair(env)
         name = _name_decode(nc)
@@ -96,7 +96,7 @@ def _prim_eqcheck(v: Nat) -> Nat:
         raise StuckError()
     try:
         envd = _read_env(cc, env)
-        return 0 if veq(eval_term(s, envd), eval_term(t, envd)) else 1
+        return 0 if eval_term(s, envd) == eval_term(t, envd) else 1
     except (ValueError, TypeError):
         raise StuckError()
 
@@ -439,6 +439,12 @@ _K_IND_CODE = encode(_K_IND)
 _AX_INDUCTION = Lam(Pair(App(Lit(_U_CODE), App(Lit(_K_IND_CODE), _M)),
                          Proj1(Proj1(_M))))
 
+# the closed axiom realisers, encoded once so that each keeps its closure
+_AXIOM_CODES = {kind: encode(p) for kind, p in (
+    ("k", _AX_K), ("s", _AX_S), ("peirce", _AX_PEIRCE),
+    ("exfalso", _AX_EXFALSO), ("refleq", _AX_REFLEQ),
+    ("univdist", _AX_UNIVDIST), ("induction", _AX_INDUCTION))}
+
 
 class ExtractionError(ValueError):
     """No realiser could be built.  When the extracted program's run
@@ -473,11 +479,8 @@ def _term_value_expr(t: ATerm, ctx: list) -> Program:
 def _axiom_body(ax: Axiom, ctx: list) -> Program:
     """Body (environment free as Var 0) evaluating to the realiser."""
     kind, f = ax.kind, ax.formula
-    closed = {"k": _AX_K, "s": _AX_S, "peirce": _AX_PEIRCE,
-              "exfalso": _AX_EXFALSO, "refleq": _AX_REFLEQ,
-              "univdist": _AX_UNIVDIST, "induction": _AX_INDUCTION}
-    if kind in closed:
-        return Lit(encode(closed[kind]))
+    if kind in _AXIOM_CODES:
+        return Lit(_AXIOM_CODES[kind])
     if kind == "defining":
         names, _core = _strip_alls(f)
         return Lit(encode(Lam(_p1n(Var(0), len(names)))))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .vm import Nat, veq, vint, vle, vpair, vunpair
+from .vm import Nat, vle, vpair, vunpair
 
 # ---------------------------------------------------------------------------
 # Notations
@@ -250,28 +250,28 @@ def odecode(v: Nat) -> Optional[OrdNotation]:
 
 
 def _odecode(v: Nat):
-    if veq(v, 0):
+    if v == 0:
         return O_ZERO
     tag, rest = vunpair(v)
-    if veq(tag, 2):
+    if tag == 2:
         sub = _odecode(rest)
         if sub is None or isinstance(sub, Eps):
             return None
         return Eps(sub)
-    if not veq(tag, 1):
+    if tag != 1:
         return None
     terms = []
     guard = 0
-    while not veq(rest, 0):
+    while rest != 0:
         guard += 1
         if guard > 64:
             return None
         tc, rest = vunpair(rest)
         ec, c = vunpair(tc)
         e = _odecode(ec)
-        if e is None or not vle(c, 1 << 30) or vint(c) < 1:
+        if e is None or not vle(c, 1 << 30) or c < 1:
             return None
-        terms.append((e, vint(c)))
+        terms.append((e, c))
     if not terms:
         return None
     return CnfSum(tuple(terms))

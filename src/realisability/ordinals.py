@@ -27,8 +27,8 @@ from .syntax import (
     free_vars, godel, in_language, register_fn, subst, ungodel, FN_ARITY,
 )
 from .vm import (
-    App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Proj0, Proj1,
-    StuckError, Value, Var, encode, vint, vle, vpair, vunpair,
+    MEMO_SIZE, App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Proj0,
+    Proj1, StuckError, Value, Var, encode, vle, vpair, vunpair,
 )
 
 
@@ -223,10 +223,6 @@ PID_ORDSUCN = 22
 
 _TEMPLATE_FUEL = 10**7
 
-# How many template realisers one kernel's primitives keep; the memo is
-# emptied when it fills.
-_TEMPLATE_MEMO_SIZE = 1 << 12
-
 
 def _decode_sentence_with_x(code: Nat) -> Formula:
     a = ungodel(code)
@@ -235,21 +231,6 @@ def _decode_sentence_with_x(code: Nat) -> Formula:
             or not free_vars(a) <= {"x"}:
         raise StuckError()
     return a
-
-
-def _code_key(v: Nat) -> tuple:
-    """A hashable image of a code (a PV does not hash): the preorder of
-    its pair tree, None marking each pair, so equal keys mean equal
-    codes."""
-    out, todo = [], [v]
-    while todo:
-        v = todo.pop()
-        if isinstance(v, int):
-            out.append(v)
-        else:
-            out.append(None)
-            todo += (v.b, v.a)
-    return tuple(out)
 
 
 def _decode_ord(code: Nat) -> OrdNotation:
@@ -277,7 +258,7 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
         a = _decode_ord(ac)
         if not isinstance(classify(a), LimC) or not vle(n, 1 << 20):
             raise StuckError()
-        return ocode(fundseq(a, vint(n)))
+        return ocode(fundseq(a, n))
 
     def p_ordclass(v: Nat) -> Nat:
         k = classify(_decode_ord(v))
@@ -308,14 +289,14 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
         r = templates.get(key)
         if r is None:
             _, r = extract_value(build(), kernel, _TEMPLATE_FUEL)
-            if len(templates) >= _TEMPLATE_MEMO_SIZE:
+            if len(templates) >= MEMO_SIZE:
                 templates.clear()
             templates[key] = r
         return r
 
     def p_ti0(v: Nat) -> Nat:
         a = _decode_sentence_with_x(v)
-        return _template(("zero", _code_key(v)),
+        return _template(("zero", v),
                          lambda: ti_proof_template("zero", a, var="x"))
 
     def _instantiate(univ_realiser: Nat, alpha_code: Nat) -> Nat:
@@ -329,7 +310,7 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
         ac, alphac = vunpair(v)
         a = _decode_sentence_with_x(ac)
         _decode_ord(alphac)
-        univ = _template(("suc", _code_key(ac)),
+        univ = _template(("suc", ac),
                          lambda: ti_proof_template("suc", a, var="x"))
         return _instantiate(univ, alphac)
 
@@ -337,7 +318,7 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
         ac, alphac = vunpair(v)
         a = _decode_sentence_with_x(ac)
         _decode_ord(alphac)
-        univ = _template(("omega", _code_key(ac)),
+        univ = _template(("omega", ac),
                          lambda: ti_proof_template("omega", a, var="x")[0])
         return _instantiate(univ, alphac)
 
@@ -349,7 +330,7 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
         ac, alphac = vunpair(v)
         a = _decode_sentence_with_x(ac)
         alpha = _decode_ord(alphac)
-        return _template(("lim", _code_key(ac), alpha),
+        return _template(("lim", ac, alpha),
                          lambda: ti_proof_template("lim", a, alpha,
                                                    var="x"))
 
@@ -357,7 +338,7 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
         ac, betac = vunpair(v)
         a = _decode_sentence_with_x(ac)
         beta = _decode_ord(betac)
-        return _template(("direct", _code_key(ac), beta),
+        return _template(("direct", ac, beta),
                          lambda: _ti_direct_proof(a, beta))
 
     def p_wo(v: Nat) -> Nat:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .vm import (
-    MEMO_SIZE, PV, STUCK, Diverged, Kernel, Nat, Value, vint, vle, vunpair,
+    MEMO_SIZE, STUCK, Diverged, Kernel, Nat, Value, vunpair,
 )
 
 
@@ -30,7 +30,7 @@ class Full:
 
 @dataclass(frozen=True)
 class Generated:
-    seed: frozenset  # finite decidable seed of small naturals
+    seed: frozenset  # finite seed of naturals below 2^64, so of ints
     chase_depth: int = 64
 
     def __post_init__(self):
@@ -38,6 +38,9 @@ class Generated:
         if not self.seed:
             raise ValueError("a generated pole needs a non-empty seed "
                              "(the empty seed generates the empty pole)")
+        if not all(0 <= x < 1 << 64 for x in self.seed):
+            raise ValueError("a generated pole's seed holds naturals below "
+                             "2^64")
 
 
 PoleSpec = Union[Empty, Full, Generated]
@@ -108,18 +111,6 @@ def agreement(lhs: Verdict, rhs: Verdict) -> str:
     return AGREE if (lhs.kind in holds) == (rhs.kind in holds) else DISAGREE
 
 
-def _chase_key(n: Nat):
-    """A cheap key that only equal values share: an int is itself, and a
-    PV is the pair of its children, each an int or, tagged so that no int
-    equals it, the child's identity.  Hashing a whole PV would cost more
-    than the chase; the memo keeps n, so the identities stay valid."""
-    if type(n) is not PV:
-        return n
-    a, b = n.a, n.b
-    return (a if type(a) is int else (id(a),),
-            b if type(b) is int else (id(b),))
-
-
 def member(n: Nat, pole: PoleSpec, fuel: int, kernel: Kernel) -> Verdict:
     """Three-valued membership test for n in the pole.  A chase's verdict
     depends only on n, the pole, the fuel and the kernel's primitives, so
@@ -129,23 +120,21 @@ def member(n: Nat, pole: PoleSpec, fuel: int, kernel: Kernel) -> Verdict:
     if isinstance(pole, Full):
         return V_IN
     chases = kernel.chases
-    key = (pole, fuel, _chase_key(n))
-    hit = chases.get(key)
-    if hit is not None:
-        return hit[1]
-    v = _chase(n, pole, fuel, kernel)
-    if len(chases) >= MEMO_SIZE:
-        chases.clear()
-    chases[key] = (n, v)
+    key = (pole, fuel, n)
+    v = chases.get(key)
+    if v is None:
+        v = _chase(n, pole, fuel, kernel)
+        if len(chases) >= MEMO_SIZE:
+            chases.clear()
+        chases[key] = v
     return v
 
 
 def _chase(n: Nat, pole: Generated, fuel: int, kernel: Kernel) -> Verdict:
     seed = pole.seed
-    bound = max(seed)
     remaining = pole.chase_depth
     while True:
-        if vle(n, bound) and vint(n) in seed:
+        if type(n) is int and n in seed:
             return V_IN
         if remaining <= 0:
             return Verdict(UNKNOWN, DEPTH)

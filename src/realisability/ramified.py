@@ -286,14 +286,14 @@ def rr_axiom(kind: str, beta: OrdNotation, gamma: OrdNotation, *,
 
 def check_model_equivalence(corpus: list, gamma: OrdNotation,
                             pole: PoleSpec, b: Budget, kernel: Kernel,
-                            rng: Optional[random.Random] = None,
-                            beta: Optional[OrdNotation] = None) -> list:
+                            rng: Optional[random.Random] = None) -> list:
     """Formal atoms versus their explicit unfolding, both sides
-    evaluated in the model; one record per corpus sentence."""
+    evaluated in the model; one record per corpus sentence.  The atoms
+    are at level 1, or at gamma when the sentence reaches level 1."""
     rng = rng or random.Random(0)
     records = []
     for sent in corpus:
-        lvl = beta if beta is not None else gamma
+        lvl = onat(1)
         top = max_level(sent)
         if top is not None and compare(top, lvl) != LESS:
             lvl = gamma  # the atom level must strictly dominate the sentence

@@ -32,7 +32,7 @@ from .syntax import (
     subst,
 )
 from .vm import (
-    Kernel, Lam, Nat, Value, Var, encode, veq, vpair, vunpair,
+    Kernel, Lam, Nat, Value, Var, encode, vpair, vunpair,
 )
 
 
@@ -125,7 +125,7 @@ def _truth(a: Formula, pole: PoleSpec, gamma: OrdNotation, b: Budget,
            kernel: Kernel, depth: int) -> Verdict:
     _too_deep(depth)
     if isinstance(a, Eq):
-        return V_TRUE if veq(eval_term(a.l), eval_term(a.r)) else V_FALSE
+        return V_TRUE if eval_term(a.l) == eval_term(a.r) else V_FALSE
     if isinstance(a, InPole):
         return _as_truth(member(eval_term(a.t), pole, b.fuel, kernel))
     if isinstance(a, Fals):
@@ -179,7 +179,7 @@ def _refutes(m: Nat, a: Formula, pole: PoleSpec, gamma: OrdNotation,
              b: Budget, kernel: Kernel, depth: int) -> Verdict:
     _too_deep(depth)
     if isinstance(a, Eq):
-        if not veq(eval_term(a.l), eval_term(a.r)):
+        if eval_term(a.l) != eval_term(a.r):
             return V_IN  # a false equation is refuted by every number
         return member(m, pole, b.fuel, kernel)
     if isinstance(a, InPole):
@@ -331,7 +331,7 @@ def _sample(a: Formula, pole: PoleSpec, k: int, gamma: OrdNotation,
             depth: int) -> list:
     _too_deep(depth)
     if isinstance(a, Eq):
-        if not veq(eval_term(a.l), eval_term(a.r)):
+        if eval_term(a.l) != eval_term(a.r):
             return _any_numbers(k, rng)
         return _pole_elements(pole, k, rng)
     if isinstance(a, InPole):
@@ -419,7 +419,7 @@ def check_cr_axioms(pole: PoleSpec, corpus: list, b: Budget, kernel: Kernel,
                 else lhs_r.verdict, V_IN, 0)
 
         if isinstance(a, Eq):
-            true_eq = veq(eval_term(a.l), eval_term(a.r))
+            true_eq = eval_term(a.l) == eval_term(a.r)
             for m in range(0, 101, 20):
                 lhs = refutes(m, a, pole, b, kernel)
                 if not true_eq:

@@ -26,7 +26,7 @@ from .notation import (
     LESS, O_ZERO, OrdNotation, OrdParseError, compare, ocode, odecode,
     parse_ord, print_ord,
 )
-from .vm import Nat, PV, veq, vint, vpair, vunpair
+from .vm import Nat, vint, vnat, vpair, vunpair
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ class TVar:
 
 @dataclass(frozen=True)
 class Num:
-    # sparse naturals compare through PV.__eq__, so dataclass equality is
+    # a natural in canonical form (vm.vnat), so dataclass equality is
     # value equality here
     n: Nat
 
@@ -91,7 +91,7 @@ ONE = Num(1)
 
 def suc_t(t: ATerm) -> ATerm:
     if isinstance(t, Num) and isinstance(t.n, int):
-        return Num(t.n + 1)
+        return Num(vnat(t.n + 1))
     return SucT(t)
 
 
@@ -344,13 +344,13 @@ def eval_term(t: ATerm, env: Optional[dict] = None) -> Nat:
             return env[t.name]
         raise OpenTermError("unbound variable %s" % t.name)
     if isinstance(t, Num):
-        return t.n
+        return vnat(t.n)
     if isinstance(t, SucT):
-        return vint(eval_term(t.t, env)) + 1
+        return vnat(vint(eval_term(t.t, env)) + 1)
     if isinstance(t, Add):
-        return vint(eval_term(t.l, env)) + vint(eval_term(t.r, env))
+        return vnat(vint(eval_term(t.l, env)) + vint(eval_term(t.r, env)))
     if isinstance(t, Mul):
-        return vint(eval_term(t.l, env)) * vint(eval_term(t.r, env))
+        return vnat(vint(eval_term(t.l, env)) * vint(eval_term(t.r, env)))
     if isinstance(t, PairT):
         return vpair(eval_term(t.l, env), eval_term(t.r, env))
     if isinstance(t, Proj0T):
@@ -386,8 +386,8 @@ _F_REAL = 25
 _F_TRU = 26
 
 
-def _name_code(name: str) -> int:
-    return int.from_bytes(("." + name).encode(), "big")
+def _name_code(name: str) -> Nat:
+    return vnat(int.from_bytes(("." + name).encode(), "big"))
 
 
 def _name_decode(c: Nat) -> Optional[str]:
@@ -453,8 +453,6 @@ def godel(a) -> Nat:
 
 def ungodel_term(c: Nat) -> Optional[ATerm]:
     tag, rest = vunpair(c)
-    if isinstance(tag, PV):
-        return None
     if tag == _T_VAR:
         name = _name_decode(rest)
         return TVar(name) if name else None
@@ -477,7 +475,7 @@ def ungodel_term(c: Nat) -> Optional[ATerm]:
         if name is None or name not in FN_ARITY:
             return None
         n, args_c = vunpair(rest2)
-        if isinstance(n, PV) or n != FN_ARITY[name] or n > 8:
+        if n != FN_ARITY[name] or n > 8:
             return None
         args = []
         for _ in range(n):
@@ -486,7 +484,7 @@ def ungodel_term(c: Nat) -> Optional[ATerm]:
             if a is None:
                 return None
             args.append(a)
-        if not veq(args_c, 0):
+        if args_c != 0:
             return None
         return Fn(name, tuple(args))
     return None
@@ -495,8 +493,6 @@ def ungodel_term(c: Nat) -> Optional[ATerm]:
 def ungodel(c: Nat):
     """Decode a formula or term code; returns None for non-codes."""
     tag, rest = vunpair(c)
-    if isinstance(tag, PV):
-        return None
     if tag == _F_EQ:
         cl, cr = vunpair(rest)
         l, r = ungodel_term(cl), ungodel_term(cr)
@@ -566,7 +562,7 @@ def eq_check(cs: Nat, ct: Nat) -> bool:
     s, t = ungodel_term(cs), ungodel_term(ct)
     if s is None or t is None:
         raise ValueError("invalid term code")
-    return veq(eval_term(s), eval_term(t))
+    return eval_term(s) == eval_term(t)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +695,7 @@ def _parse_term(p: _P) -> ATerm:
         p.expect(")")
         return t
     if tok.isdigit():
-        return Num(int(tok))
+        return Num(vnat(int(tok)))
     if tok == ")" or tok in _FORMULA_HEADS:
         raise ParseError("expected a term, found %r" % tok, pos)
     return TVar(tok)

@@ -19,10 +19,12 @@ where ``Suc`` or ``Pred`` expands a ``PV`` v into an int, exactly as for
 decode-substitute-encode evaluation, which ``subst``, ``decode`` and
 ``encode`` still support.
 
-Naturals are represented sparsely: a value is either a Python ``int``
-or a ``PV`` node standing for the Cantor pair of two values.  The two
-representations denote the same numbers; the sparse form exists because
-deeply nested pairs have astronomically many digits when written out.
+Naturals are represented sparsely: a value below 2^64 is a Python
+``int``, and a value at or above 2^64 is a ``PV`` node standing for the
+Cantor pair of two values, since deeply nested pairs have astronomically
+many digits when written out.  The form is canonical (``vnat`` gives it
+for any int, and ``vpair`` and the kernel keep it), so each natural has
+one representation and ``==`` and ``hash`` are value equality.
 """
 
 from __future__ import annotations
@@ -67,34 +69,88 @@ _SMALL = 1 << 64
 
 
 class PV:
-    """The Cantor pair of two sparse naturals, kept unexpanded."""
+    """The Cantor pair of two sparse naturals, kept unexpanded.  Only this
+    module builds one, and only in canonical form: its value is at least
+    2^64, and each child is an int below 2^64 or a PV."""
 
-    __slots__ = ("a", "b", "clo")
+    __slots__ = ("a", "b", "clo", "_hash")
 
     def __init__(self, a: "Nat", b: "Nat"):
         self.a = a
         self.b = b
         self.clo = None  # the kernel's (program, env) for this code
+        self._hash = None  # the structural hash, found when first asked
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, PV)):
-            return veq(self, other)
-        return NotImplemented
+        if type(other) is PV:
+            return _pv_eq(self, other)
+        # a canonical int is below 2^64, so it is never equal to a PV
+        return False if isinstance(other, int) else NotImplemented
 
-    __hash__ = None  # mixed int/PV equality makes hashing unreliable
+    def __hash__(self) -> int:
+        h = self._hash
+        return _pv_hash(self) if h is None else h
 
     def __repr__(self) -> str:
-        return "PV(%r, %r)" % (self.a, self.b)
+        # a shared tower has few nodes but exponentially many leaves, so
+        # show one level and a bound on the size
+        a, b = ("PV(...)" if type(c) is PV else repr(c)
+                for c in (self.a, self.b))
+        return "PV(%s, %s)[< 2^%d]" % (a, b, vbits(self))
 
 
 Nat = Union[int, PV]
 
 
+def _pv_eq(u: PV, v: PV) -> bool:
+    """Value equality of two PVs: each pair of nodes is compared once, so
+    values that share subtrees compare in time linear in their node
+    count."""
+    todo, seen = [(u, v)], set()
+    while todo:
+        a, b = todo.pop()
+        if a is b or (id(a), id(b)) in seen:
+            continue
+        if type(a) is not PV or type(b) is not PV:
+            if type(a) is not type(b) or a != b:
+                return False
+            continue
+        seen.add((id(a), id(b)))
+        todo += ((a.b, b.b), (a.a, b.a))
+    return True
+
+
+def _pv_hash(v: PV) -> int:
+    """The hash of the pair of v's children, each an int or its hash;
+    each node reached keeps its own, so shared nodes are hashed once."""
+    a, b = v.a, v.b
+    if type(a) is PV:
+        a = _pv_hash(a) if a._hash is None else a._hash
+    if type(b) is PV:
+        b = _pv_hash(b) if b._hash is None else b._hash
+    v._hash = h = hash((a, b))
+    return h
+
+
+def vnat(n: Nat) -> Nat:
+    """The canonical form of the natural n: an int below 2^64 as it is,
+    a larger int as the PV of its Cantor components.  A PV is returned
+    as it is."""
+    if type(n) is not int or n < _SMALL:
+        return n
+    a, b = unpair(n)
+    return PV(vnat(a), vnat(b))
+
+
 def vpair(a: Nat, b: Nat) -> Nat:
-    if isinstance(a, int) and isinstance(b, int):
-        z = pair(a, b)
-        if z < _SMALL:
-            return z
+    if isinstance(a, int):
+        if isinstance(b, int):
+            z = pair(a, b)
+            return z if z < _SMALL else PV(vnat(a), vnat(b))
+        if a >= _SMALL:
+            a = vnat(a)
+    elif isinstance(b, int) and b >= _SMALL:
+        b = vnat(b)
     return PV(a, b)
 
 
@@ -128,42 +184,9 @@ def vbits(v: Nat) -> int:
     return bound(v)
 
 
-def veq(u: Nat, v: Nat) -> bool:
-    """Value equality.  Each pair of PV nodes is compared once, so values
-    that share subtrees compare in time linear in their node count."""
-    if isinstance(u, int) and isinstance(v, int):
-        return u == v
-    if u is v:
-        return True
-    todo = [(u, v)]
-    seen = set()
-    while todo:
-        a, b = todo.pop()
-        if isinstance(a, int):
-            if isinstance(b, int):
-                if a != b:
-                    return False
-                continue
-            a, b = b, a
-        # a is a PV; unpair the other side (cheap either way)
-        if isinstance(b, PV):
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            seen.add((id(a), id(b)))
-        ba, bb = vunpair(b)
-        todo.append((a.b, bb))
-        todo.append((a.a, ba))
-    return True
-
-
 def vle(v: Nat, n: int) -> bool:
-    """Whether v <= n, without expanding large pairs."""
-    if isinstance(v, int):
-        return v <= n
-    # pair(a, b) >= max(a, b), so both components must already be small
-    if not (vle(v.a, n) and vle(v.b, n)):
-        return False
-    return vint(v) <= n
+    """Whether v <= n, for n below 2^64: a PV is at least 2^64."""
+    return type(v) is int and v <= n
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +331,9 @@ def _close(p: Program, env: tuple, d: int) -> Nat:
 def decode(v: Nat) -> Program:
     """Total decoding; codes outside the image become Stuck."""
     tag, rest = vunpair(v)
-    if isinstance(tag, PV) or tag > _TAG_STUCK:
-        return Stuck()
     if tag == _TAG_VAR:
-        return Var(vint(rest))
+        # a PV index is at least 2^64, so it names no bound variable
+        return Stuck() if type(rest) is PV else Var(rest)
     if tag == _TAG_LAM:
         return Lam(decode(rest))
     if tag == _TAG_APP:
@@ -575,7 +597,7 @@ class Kernel:
                             raise OutOfFuel()
                         v = fn(v)
                     elif k == _K_IFZ:
-                        p = frame[1] if veq(v, 0) else frame[2]
+                        p = frame[1] if v == 0 else frame[2]
                         env = frame[3]
                         break
                     elif frame is _PROJ0_FRAME:
@@ -593,6 +615,8 @@ class Kernel:
                             v += 1
                         else:
                             v = v - 1 if v > 0 else 0
+                        if v >= _SMALL:
+                            v = vnat(v)
         finally:
             fuel[0] = left
 

@@ -52,6 +52,12 @@ def test_empty_generated_seed_is_usage_error(capsys):
     assert main(["axioms-check", "--pole", "generated::8"]) == 3
 
 
+def test_out_of_range_generated_seed_is_usage_error(capsys):
+    for seed in ("-1", "0,18446744073709551616"):
+        assert main(["pole", "member", "0", "--pole",
+                     "generated:" + seed]) == 3
+
+
 def test_removed_knobs_are_usage_errors(capsys):
     assert main(["truth", "(= 0 0)", "--depth", "3"]) == 3
     # the realisers' primitives fix the induction variable to x

@@ -18,7 +18,7 @@ from realisability.syntax import (
     Add, All, Eq, Fn, Imp, InPole, Num, PairT, SucT, TVar, ZERO, bot,
     free_vars, parse_formula, print_formula, subst, suc_t,
 )
-from realisability.vm import Value, veq, vpair, vunpair
+from realisability.vm import Value, vpair, vunpair
 
 K = fresh_kernel()
 B = Budget(fuel=10**6, samples=8, width=20)
@@ -41,18 +41,18 @@ def test_i_combinator_builds_triples():
         for b in range(0, 21, 7):
             for c in (0, 9):
                 v = _apply(_apply(i, vpair(a, b)), c)
-                assert veq(v, vpair(a, vpair(b, c)))
+                assert v == vpair(a, vpair(b, c))
 
 
 def test_k_pi_pairs_head_with_saved_refuter():
     kpi = combinator("k_pi")
     v = _apply(_apply(kpi, 4), vpair(6, 1))
-    assert veq(v, vpair(6, 4))
+    assert v == vpair(6, 4)
 
 
 def test_k_bot_discards():
     kbot = combinator("k_bot")
-    assert veq(_apply(_apply(kbot, 11), 999), 11)
+    assert _apply(_apply(kbot, 11), 999) == 11
 
 
 def test_u_applies_to_witness():
@@ -61,7 +61,7 @@ def test_u_applies_to_witness():
     from realisability.vm import Lam, Var, encode
     idc = encode(Lam(Var(0)))
     v = _apply(_apply(u, idc), vpair(5, 7))
-    assert veq(v, vpair(5, 7))  # id . 5 = 5 paired with 7
+    assert v == vpair(5, 7)  # id . 5 = 5 paired with 7
 
 
 def test_unknown_combinator():
@@ -169,19 +169,19 @@ def _axiom_realiser(ax):
 def test_refleq_realiser_is_identity_on_refuters():
     r = _axiom_realiser(ax_refleq(Num(0)))
     for m in (0, 5, 40):
-        assert veq(_apply(r, m), m)
+        assert _apply(r, m) == m
 
 
 def test_exfalso_realiser_shape():
     r = _axiom_realiser(ax_exfalso(EQ00))
     v = _apply(r, vpair(9, 3))
-    assert veq(v, vpair(9, 0))
+    assert v == vpair(9, 0)
 
 
 def test_defining_realiser_projects():
     d = defining_axioms()[0]
     r = _axiom_realiser(ax_defining(d))
-    assert veq(_apply(r, vpair(5, 77)), 77)
+    assert _apply(r, vpair(5, 77)) == 77
 
 
 def test_peirce_extraction_shape():
@@ -190,10 +190,10 @@ def test_peirce_extraction_shape():
     b = vpair(4, 7)
     v = _apply(e, b)
     head, tail = vunpair(v)
-    assert veq(tail, 7)
+    assert tail == 7
     # head is i . <4, k_pi . 7>
     kpi_7 = _apply(combinator("k_pi"), 7)
-    assert veq(head, _apply(combinator("i"), vpair(4, kpi_7)))
+    assert head == _apply(combinator("i"), vpair(4, kpi_7))
 
 
 def _realise_ok(proof, pole=POLE, samples=8):
@@ -255,11 +255,11 @@ def test_induction_realiser_clauses():
     from realisability.extraction import _K_IND_CODE, _I_CODE
     b = vpair(21, vpair(33, vpair(2, 5)))
     kb = _apply(_K_IND_CODE, b)
-    assert veq(_apply(kb, 0), 21)
+    assert _apply(kb, 0) == 21
     lhs = _apply(kb, 2)
     s_part = _apply(combinator("s"), vpair(33, 1))
     rhs = _apply(_I_CODE, vpair(s_part, _apply(kb, 1)))
-    assert veq(lhs, rhs)
+    assert lhs == rhs
 
 
 sentence_pairs = st.tuples(

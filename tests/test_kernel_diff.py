@@ -13,7 +13,7 @@ from realisability.semantics import Budget, sample_refuters
 from realisability.vm import (
     App, Diverged, Fix, IfZ, Kernel, Lam, Lit, OutOfFuel, PV, Pair, Pred,
     Prim, Proj0, Proj1, Stuck, StuckError, Suc, Value, Var, decode, encode,
-    subst, vbits, veq, vint, vpair, vunpair,
+    subst, vbits, vint, vnat, vpair, vunpair,
 )
 
 PROOF_DIR = pathlib.Path(__file__).resolve().parent.parent \
@@ -39,13 +39,13 @@ class SubstKernel:
         if isinstance(p, Var) or isinstance(p, Stuck):
             raise StuckError()
         if isinstance(p, Suc):
-            return self._expand(self._eval(p.p, fuel), fuel) + 1
+            return vnat(self._expand(self._eval(p.p, fuel), fuel) + 1)
         if isinstance(p, Pred):
             v = self._expand(self._eval(p.p, fuel), fuel)
-            return v - 1 if v > 0 else 0
+            return vnat(v - 1 if v > 0 else 0)
         if isinstance(p, IfZ):
             v = self._eval(p.scrutinee, fuel)
-            if veq(v, 0):
+            if v == 0:
                 return self._eval(p.zero, fuel)
             return self._eval(p.succ, fuel)
         if isinstance(p, Pair):
@@ -108,34 +108,17 @@ def outcome(run, fuel):
     return "value", v, cell[0]
 
 
-def same_value(u, v):
-    """u and v are the same sparse natural, PV node for PV node.  Shared
-    nodes are compared once, so large values with much sharing are cheap
-    (veq would walk them as trees)."""
-    todo = [(u, v)]
-    seen = set()
-    while todo:
-        a, b = todo.pop()
-        if isinstance(a, PV) and isinstance(b, PV):
-            if (id(a), id(b)) not in seen:
-                seen.add((id(a), id(b)))
-                todo += [(a.a, b.a), (a.b, b.b)]
-        elif isinstance(a, PV) or isinstance(b, PV) or a != b:
-            return False
-    return True
-
-
 def assert_agree(kernel, oracle, e, m, fuel):
     new = outcome(lambda c: kernel._apply_value(e, m, c), fuel)
     old = outcome(lambda c: oracle._apply_value(e, m, c), fuel)
     assert new[0] == old[0] and new[2] == old[2], (e, m, fuel, new, old)
     if new[0] == "value":
-        assert same_value(new[1], old[1]), (e, m, fuel)
+        assert new[1] == old[1], (e, m, fuel)
     # the public result carries the same verdict
     r = kernel.apply(e, m, fuel)
     if new[0] == "value":
         assert isinstance(r, Value) and r.fuel_used == fuel - new[2]
-        assert same_value(r.n, new[1])
+        assert r.n == new[1]
     else:
         assert r == Diverged(new[0])
     return new
@@ -152,19 +135,19 @@ def assert_closure_agrees(kernel, code):
 
 def make_kernel():
     k = Kernel()
-    k.register_primitive(1, lambda v: vint(v) * 2)
+    k.register_primitive(1, lambda v: vnat(vint(v) * 2))
     k.register_primitive(2, lambda v: vpair(v, 5), cost=lambda v: 3)
 
     def half(v):
         if vint(v) % 2:
             raise StuckError()
-        return vint(v) // 2
+        return vnat(vint(v) // 2)
 
     k.register_primitive(3, half, cost=lambda v: vint(v) % 4)
     return k
 
 
-LITS = (0, 1, 2, 3, 7, 13, 55, 2**70, vpair(2**70, 3))
+LITS = (0, 1, 2, 3, 7, 13, 55, vnat(2**70), vpair(2**70, 3))
 
 
 def random_program(rng, depth):
@@ -231,7 +214,7 @@ def test_random_programs_agree():
         old = outcome(lambda c: oracle._eval(App(p, Lit(m)), c), fuel)
         assert new[0] == old[0] and new[2] == old[2], (p, m, fuel)
         if new[0] == "value":
-            assert same_value(new[1], old[1])
+            assert new[1] == old[1]
     assert kinds == {"value", "stuck", "fuel"}
     for code in list(k._memo):
         assert_closure_agrees(k, code)
@@ -244,10 +227,10 @@ def test_closures_built_by_the_machine_agree_with_decode():
     # closure binds the large value in its env
     r = k.apply(encode(Lam(Lam(Pair(Var(0), Var(1))))), big, 100)
     assert isinstance(r, Value) and isinstance(r.n, PV)
-    assert r.n.clo is not None and veq(r.n.clo[1][0], big)
+    assert r.n.clo is not None and r.n.clo[1][0] == big
     assert_closure_agrees(k, r.n)
     r2 = k.apply(r.n, 4, 100)
-    assert isinstance(r2, Value) and veq(r2.n, vpair(4, big))
+    assert isinstance(r2, Value) and r2.n == vpair(4, big)
     # an int code built under a non-empty env, with a dangling index
     r = k.apply(encode(Lam(Lam(App(Var(1), Var(3))))), 6, 100)
     assert isinstance(r, Value) and isinstance(r.n, int)

@@ -4,10 +4,11 @@ import time
 import hypothesis as hyp
 from hypothesis import strategies as st
 
+from realisability.syntax import Add, Mul, Num, SucT, eval_term
 from realisability.vm import (
     FUEL, PV, App, Diverged, Fix, IfZ, Kernel, Lam, Lit, Pair, Pred, Prim,
     Proj0, Proj1, Stuck, Suc, Value, Var, decode, encode, pair, unpair,
-    vbits, veq, vint, vle, vpair, vunpair,
+    vbits, vint, vle, vnat, vpair, vunpair,
 )
 
 
@@ -45,16 +46,17 @@ def test_sparse_values_agree_with_concrete():
     v = vpair(vpair(3, 4), vpair(5, vpair(6, 7)))
     assert vint(v) == pair(pair(3, 4), pair(5, pair(6, 7)))
     a, b = vunpair(v)
-    assert veq(a, pair(3, 4))
+    assert a == pair(3, 4)
     assert vle(v, 10) is False
     assert vle(vpair(1, 2), 100) is True
 
 
 def test_sparse_equality_mixed_representation():
     big = vpair(2**80, 3)
-    assert veq(big, pair(2**80, 3))
-    assert veq(pair(2**80, 3), big)
-    assert not veq(big, vpair(2**80, 4))
+    assert big == vnat(pair(2**80, 3)) and vnat(pair(2**80, 3)) == big
+    assert big != vpair(2**80, 4)
+    # an int at or above 2^64 is not in canonical form: it equals no PV
+    assert big != pair(2**80, 3) and pair(2**80, 3) != big
 
 
 def _tower(depth, leaf, last=None):
@@ -67,13 +69,23 @@ def _tower(depth, leaf, last=None):
     return y
 
 
-def test_veq_compares_shared_values_once():
+def test_equality_compares_shared_values_once():
     # each tower has 2^40 leaves but only about 80 distinct nodes
     start = time.perf_counter()
     a, b = _tower(40, 2**70), _tower(40, 2**70)
-    assert a is not b and veq(a, b) and veq(a, a)
-    assert not veq(a, _tower(40, 2**70, last=2**70 + 1))
+    assert a is not b and a == b and a == a and hash(a) == hash(b)
+    c = _tower(40, 2**70, last=2**70 + 1)
+    assert a != c and b != c
     assert time.perf_counter() - start < 0.5
+
+
+def test_repr_of_a_shared_tower_is_short():
+    t = _tower(40, 2**70)
+    start = time.perf_counter()
+    r = repr(t)
+    assert time.perf_counter() - start < 0.1
+    assert r.startswith("PV(PV(...), PV(...))[< 2^") and len(r) < 60, r
+    assert repr(vpair(2**70, 3)) == "PV(PV(...), 3)[< 2^150]"
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +97,7 @@ IDENT = encode(Lam(Var(0)))
 
 def test_identity_program():
     r = K.apply(IDENT, 5, 1000)
-    assert isinstance(r, Value) and veq(r.n, 5)
+    assert isinstance(r, Value) and r.n == 5
 
 
 def test_encode_decode_roundtrip_examples():
@@ -112,6 +124,14 @@ def test_invalid_code_is_stuck():
     assert r == Diverged("stuck")
 
 
+def test_a_variable_code_with_a_pv_index_is_stuck_at_once():
+    assert decode(vpair(0, vpair(2**70, 0))) == Stuck()
+    # the index is a shared tower that would take seconds to expand
+    start = time.perf_counter()
+    assert K.apply(vpair(0, _tower(30, 2**70)), 0, 10) == Diverged("stuck")
+    assert time.perf_counter() - start < 0.1
+
+
 def test_continuation_constant_shape():
     # k_pi = \a.\b.<(b)0, a>
     k_pi = encode(Lam(Lam(Pair(Proj0(Var(0)), Var(1)))))
@@ -120,7 +140,7 @@ def test_continuation_constant_shape():
     b = pair(11, 13)
     r2 = K.apply(r1.n, b, 10**4)
     assert isinstance(r2, Value)
-    assert veq(r2.n, pair(11, 4))
+    assert r2.n == pair(11, 4)
 
 
 def test_fix_divergence():
@@ -146,7 +166,7 @@ def test_fix_computes_recursion():
     # add-by-recursion: f(n) = if n=0 then 100 else f(n-1)+1
     f = Fix(Lam(IfZ(Var(0), Lit(100), Suc(App(Var(1), Pred(Var(0)))))))
     r = K.apply(encode(f), 7, 10**4)
-    assert isinstance(r, Value) and veq(r.n, 107)
+    assert isinstance(r, Value) and r.n == 107
 
 
 def test_fixpoint_unfolding_law_concrete():
@@ -159,14 +179,14 @@ def test_fixpoint_unfolding_law_concrete():
         a = K.apply(encode(f), n, 10**5)
         b = K.apply(encode(unfolded), n, 10**5)
         assert isinstance(a, Value) and isinstance(b, Value)
-        assert veq(a.n, b.n)
+        assert a.n == b.n
 
 
 def test_register_primitive():
     k = Kernel()
     k.register_primitive(1, lambda v: vint(v) * 2)
     r = k.run(Prim(1, Lit(21)), 100)
-    assert isinstance(r, Value) and veq(r.n, 42)
+    assert isinstance(r, Value) and r.n == 42
     try:
         k.register_primitive(1, lambda v: v)
         assert False, "duplicate id must be rejected"
@@ -192,11 +212,12 @@ def pair_tower(levels, top):
 def test_expanding_a_pair_is_charged_by_its_size():
     # Suc expands <2**70, 2**70>: vbits 144, so 3 units on top of the
     # application and the four nodes Suc, Pair, Var, Var
-    r = K.apply(encode(Lam(Suc(Pair(Var(0), Var(0))))), 2**70, 100)
-    assert r == Value(pair(2**70, 2**70) + 1, 8)
-    r = K.apply(encode(Lam(Pred(Pair(Var(0), Var(0))))), 2**70, 100)
-    assert r == Value(pair(2**70, 2**70) - 1, 8)
-    assert K.apply(encode(Lam(Suc(Pair(Var(0), Var(0))))), 2**70, 7) \
+    x = vnat(2**70)
+    r = K.apply(encode(Lam(Suc(Pair(Var(0), Var(0))))), x, 100)
+    assert r == Value(vnat(pair(2**70, 2**70) + 1), 8)
+    r = K.apply(encode(Lam(Pred(Pair(Var(0), Var(0))))), x, 100)
+    assert r == Value(vnat(pair(2**70, 2**70) - 1), 8)
+    assert K.apply(encode(Lam(Suc(Pair(Var(0), Var(0))))), x, 7) \
         == Diverged(FUEL)
 
 
@@ -204,7 +225,8 @@ def test_suc_and_pred_of_a_pair_tower_run_out_of_fuel_quickly():
     # expanding the 16-level tower would build a 4.65 Mbit int in seconds
     for top in (Suc(Var(0)), Pred(Var(0))):
         start = time.perf_counter()
-        assert K.apply(pair_tower(16, top), 2**70, 1000) == Diverged(FUEL)
+        assert K.apply(pair_tower(16, top), vnat(2**70), 1000) \
+            == Diverged(FUEL)
         assert time.perf_counter() - start < 0.1
 
 
@@ -212,8 +234,8 @@ def test_suc_and_pred_of_a_pair_tower_run_out_of_fuel_quickly():
 # property tests
 
 sparse_naturals = st.recursive(
-    st.integers(0, 2**80),
-    lambda vs: st.builds(PV, vs, vs) | st.builds(vpair, vs, vs),
+    st.integers(0, 2**80).map(vnat),
+    lambda vs: st.builds(vpair, vs, vs),
     max_leaves=12,
 )
 
@@ -221,6 +243,48 @@ sparse_naturals = st.recursive(
 @hyp.given(sparse_naturals)
 def test_vbits_bounds_the_bit_length(v):
     assert vint(v).bit_length() <= vbits(v)
+
+
+def is_canonical(v, seen=None):
+    """v is an int below 2^64 or a PV of canonical children whose value
+    is at least 2^64; shared nodes are checked once."""
+    if type(v) is int:
+        return 0 <= v < 2**64
+    if type(v) is not PV:
+        return False
+    seen = set() if seen is None else seen
+    if id(v) in seen:
+        return True
+    seen.add(id(v))
+    a, b = v.a, v.b
+    return (is_canonical(a, seen) and is_canonical(b, seen)
+            and (type(a) is PV or type(b) is PV or pair(a, b) >= 2**64))
+
+
+naturals = st.one_of(st.integers(0, 2**70), st.integers(2**64 - 2, 2**64 + 2),
+                     st.integers(0, 2**200))
+
+
+@hyp.given(naturals, naturals)
+@hyp.example(2**64 - 1, 0)
+@hyp.example(2**64, 2**64)
+def test_every_producer_of_naturals_gives_the_canonical_form(x, y):
+    vx, vy = vnat(x), vnat(y)
+    lit = Lit(vx)
+    made = [
+        (vnat(x), x), (vpair(x, y), pair(x, y)), (vpair(vx, y), pair(x, y)),
+        (eval_term(Num(x)), x), (eval_term(SucT(Num(vx))), x + 1),
+        (eval_term(Add(Num(vx), Num(vy))), x + y),
+        (eval_term(Mul(Num(vx), Num(vy))), x * y),
+        (Kernel().run(Suc(lit), 100).n, x + 1),
+        (Kernel().run(Pred(lit), 100).n, max(x - 1, 0)),
+    ]
+    for v, want in made:
+        assert is_canonical(v) and vint(v) == want
+        again = vnat(want)  # the same value, built separately
+        assert v == again and hash(v) == hash(again)
+        assert (v == vx) == (want == x)
+
 
 programs = st.recursive(
     st.one_of(
@@ -255,4 +319,4 @@ def test_determinism_and_monotonicity(p, m):
     assert r1 == r2
     if isinstance(r1, Value):
         r3 = K.apply(e, m, 10**4)
-        assert isinstance(r3, Value) and veq(r3.n, r1.n)
+        assert isinstance(r3, Value) and r3.n == r1.n
