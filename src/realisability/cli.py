@@ -178,6 +178,8 @@ def _load_proof(path: str):
             return parse_proof(f.read())
     except OSError as exc:
         raise UsageError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise UsageError("%s: %s" % (path, exc))
 
 
 def cmd_prove_check(args, cfg: RunConfig, kernel: Kernel):
@@ -639,8 +641,12 @@ def main(argv: Optional[list] = None) -> int:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     if cfg.report_path:
-        with open(cfg.report_path, "w") as f:
-            f.write(text)
+        try:
+            with open(cfg.report_path, "w") as f:
+                f.write(text)
+        except OSError as exc:
+            sys.stderr.write("error: %s\n" % exc)
+            return 3
     return code
 
 

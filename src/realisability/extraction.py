@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .syntax import (
-    Add, All, ATerm, Eq, Fn, Formula, Imp, Mul, Num, PairT, ParseError,
-    Proj0T, Proj1T, SucT, TVar, ZERO, _P,
+    Add, All, ATerm, Eq, Fn, Formula, Imp, Mul, Num, PairT, Proj0T,
+    Proj1T, SucT, TVar, ZERO, _CLOSE, _Misread, _read,
     _name_code, _name_decode, _parse_base_formula, _parse_term, bot,
     free_vars, fresh_var, godel_term, parse_formula, print_formula,
     print_term, subst, subst_term, term_vars, ungodel_term, eval_term,
@@ -759,38 +759,34 @@ def print_proof(p: Proof) -> str:
     raise TypeError(p)
 
 
-def _parse_proof(p: _P) -> Proof:
-    tok, pos = p.next()
+def _parse_proof(toks: list) -> Proof:
+    tok = toks.pop()
     if tok != "(":
-        raise ParseError("expected a proof, found %r" % tok, pos)
-    head, hpos = p.next()
+        raise _Misread("expected a proof, found %r" % tok, len(toks))
+    head = toks.pop()
     if head == "hyp":
-        out: Proof = Hyp(_parse_base_formula(p))
+        out: Proof = Hyp(_parse_base_formula(toks))
     elif head == "mp":
-        out = MP(_parse_proof(p), _parse_proof(p))
+        out = MP(_parse_proof(toks), _parse_proof(toks))
     elif head == "gen":
-        name, _ = p.next()
-        out = Gen(name, _parse_proof(p))
+        out = Gen(toks.pop(), _parse_proof(toks))
     elif head == "ax":
-        kind, kpos = p.next()
+        kind = toks.pop()
         if kind not in AXIOM_KINDS:
-            raise ParseError("unknown axiom kind %r" % kind, kpos)
-        f = _parse_base_formula(p)
+            raise _Misread("unknown axiom kind %r" % kind, len(toks))
+        f = _parse_base_formula(toks)
         if kind == "univinst":
-            out = Axiom(kind, f, (_parse_term(p),))
+            out = Axiom(kind, f, (_parse_term(toks),))
         elif kind == "leibniz":
-            x, _ = p.next()
-            out = Axiom(kind, f, (x, _parse_base_formula(p)))
+            out = Axiom(kind, f, (toks.pop(), _parse_base_formula(toks)))
         else:
             out = Axiom(kind, f)
     else:
-        raise ParseError("unknown proof head %r" % head, hpos)
-    p.expect(")")
+        raise _Misread("unknown proof head %r" % head, len(toks))
+    if (tok := toks.pop()) != ")":
+        raise _Misread(_CLOSE % tok, len(toks))
     return out
 
 
 def parse_proof(text: str) -> Proof:
-    p = _P(text)
-    out = _parse_proof(p)
-    p.done()
-    return out
+    return _read(text, _parse_proof)

@@ -18,9 +18,11 @@ the atom-free fragment, which is the level-0 language of either side.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Union
+from itertools import islice
+from typing import Callable, Optional, TypeVar, Union
 
 from .notation import (
     LESS, O_ZERO, OrdNotation, OrdParseError, compare, ocode, odecode,
@@ -620,167 +622,153 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-def _tokenize(text: str):
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            toks.append((ch, i))
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in "()":
-            j += 1
-        toks.append((text[i:j], i))
-        i = j
-    return toks
+# a token is a bracket or a run of other non-space characters; `\s` splits
+# exactly where `str.isspace` does
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+_CLOSE = "expected ')', found %r"
+_T = TypeVar("_T")
 
 
-class _P:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.i = 0
-        self.text = text
+class _Misread(Exception):
+    """`_Misread(message, left)`: a reader error at the token after which
+    `left` tokens remain; `_read` turns it into a ParseError at that
+    token's offset."""
 
-    def peek(self):
-        if self.i < len(self.toks):
-            return self.toks[self.i]
-        return (None, len(self.text))
 
-    def next(self):
-        tok = self.peek()
-        if tok[0] is None:
-            raise ParseError("unexpected end of input", tok[1])
-        self.i += 1
-        return tok
-
-    def expect(self, s):
-        tok, pos = self.next()
-        if tok != s:
-            raise ParseError("expected %r, found %r" % (s, tok), pos)
-
-    def done(self):
-        tok, pos = self.peek()
-        if tok is not None:
-            raise ParseError("trailing input %r" % tok, pos)
+def _read(text: str, parse: Callable[[list], _T]) -> _T:
+    """Read all of `text` with `parse`, which takes the tokens in reverse,
+    so that `pop()` reads the next one and `len()` counts those left.
+    Offsets are found again only for an error."""
+    toks = _TOKEN.findall(text)
+    n = len(toks)
+    toks.reverse()
+    try:
+        out = parse(toks)
+    except _Misread as exc:
+        message, left = exc.args
+    except IndexError as exc:
+        if toks or exc.args != ("pop from empty list",):
+            raise
+        raise ParseError("unexpected end of input", len(text)) from None
+    except RecursionError:
+        if len(toks) == n:
+            raise
+        message, left = "nesting too deep", len(toks)
+    else:
+        if not toks:
+            return out
+        message, left = "trailing input %r" % toks[-1], len(toks) - 1
+    pos = next(islice(_TOKEN.finditer(text), n - 1 - left, None)).start()
+    raise ParseError(message, pos) from None
 
 
 _FORMULA_HEADS = {"=", "imp", "all", "not", "and", "or", "ex", "bot"}
 
 
-def _parse_term(p: _P) -> ATerm:
-    tok, pos = p.next()
+def _parse_term(toks: list) -> ATerm:
+    tok = toks.pop()
     if tok == "(":
-        head, hpos = p.next()
+        head = toks.pop()
         if head == "s":
-            t = suc_t(_parse_term(p))
+            t = suc_t(_parse_term(toks))
         elif head == "+":
-            t = Add(_parse_term(p), _parse_term(p))
+            t = Add(_parse_term(toks), _parse_term(toks))
         elif head == "*":
-            t = Mul(_parse_term(p), _parse_term(p))
+            t = Mul(_parse_term(toks), _parse_term(toks))
         elif head == "pair":
-            t = PairT(_parse_term(p), _parse_term(p))
+            t = PairT(_parse_term(toks), _parse_term(toks))
         elif head == "p0":
-            t = Proj0T(_parse_term(p))
+            t = Proj0T(_parse_term(toks))
         elif head == "p1":
-            t = Proj1T(_parse_term(p))
+            t = Proj1T(_parse_term(toks))
         elif head in FN_ARITY:
-            t = Fn(head, tuple(_parse_term(p) for _ in range(FN_ARITY[head])))
+            t = Fn(head, tuple(_parse_term(toks)
+                               for _ in range(FN_ARITY[head])))
         else:
-            raise ParseError("unknown term head %r" % head, hpos)
-        p.expect(")")
+            raise _Misread("unknown term head %r" % head, len(toks))
+        if (tok := toks.pop()) != ")":
+            raise _Misread(_CLOSE % tok, len(toks))
         return t
     if tok.isdigit():
         return Num(vnat(int(tok)))
     if tok == ")" or tok in _FORMULA_HEADS:
-        raise ParseError("expected a term, found %r" % tok, pos)
+        raise _Misread("expected a term, found %r" % tok, len(toks))
     return TVar(tok)
 
 
-def _parse_level(p: _P) -> OrdNotation:
-    tok, pos = p.next()
+def _parse_level(toks: list) -> OrdNotation:
+    tok = toks.pop()
     if tok in ("(", ")"):
-        raise ParseError("expected an ordinal level", pos)
+        raise _Misread("expected an ordinal level", len(toks))
     try:
         return parse_ord(tok)
     except OrdParseError as exc:
-        raise ParseError("bad level %r (%s)" % (tok, exc), pos)
+        raise _Misread("bad level %r (%s)" % (tok, exc), len(toks))
 
 
-def _parse_formula(p: _P) -> Formula:
-    tok, pos = p.next()
+def _parse_var(toks: list) -> str:
+    name = toks.pop()
+    if name in "()" or name.isdigit():
+        raise _Misread("expected a variable name", len(toks))
+    return name
+
+
+def _parse_formula(toks: list) -> Formula:
+    tok = toks.pop()
     if tok != "(":
-        raise ParseError("expected a formula, found %r" % tok, pos)
-    head, hpos = p.next()
+        raise _Misread("expected a formula, found %r" % tok, len(toks))
+    head = toks.pop()
     if head == "=":
-        f: Formula = Eq(_parse_term(p), _parse_term(p))
+        f: Formula = Eq(_parse_term(toks), _parse_term(toks))
     elif head == "imp":
-        f = Imp(_parse_formula(p), _parse_formula(p))
+        f = Imp(_parse_formula(toks), _parse_formula(toks))
     elif head == "all":
-        name, npos = p.next()
-        if name in "()" or name.isdigit():
-            raise ParseError("expected a variable name", npos)
-        f = All(name, _parse_formula(p))
+        f = All(_parse_var(toks), _parse_formula(toks))
     elif head == "not":
-        f = neg(_parse_formula(p))
+        f = neg(_parse_formula(toks))
     elif head == "and":
-        f = conj(_parse_formula(p), _parse_formula(p))
+        f = conj(_parse_formula(toks), _parse_formula(toks))
     elif head == "or":
-        f = disj(_parse_formula(p), _parse_formula(p))
+        f = disj(_parse_formula(toks), _parse_formula(toks))
     elif head == "ex":
-        name, npos = p.next()
-        if name in "()" or name.isdigit():
-            raise ParseError("expected a variable name", npos)
-        f = ex(name, _parse_formula(p))
+        f = ex(_parse_var(toks), _parse_formula(toks))
     elif head == "bot":
         f = bot()
     elif head == "pole":
-        f = InPole(_parse_term(p))
+        f = InPole(_parse_term(toks))
     elif head == "fals":
-        f = Fals(_parse_level(p), _parse_term(p), _parse_term(p))
+        f = Fals(_parse_level(toks), _parse_term(toks), _parse_term(toks))
     elif head == "real":
-        f = Real(_parse_level(p), _parse_term(p), _parse_term(p))
+        f = Real(_parse_level(toks), _parse_term(toks), _parse_term(toks))
     elif head == "tru":
-        f = Tru(_parse_level(p), _parse_term(p))
+        f = Tru(_parse_level(toks), _parse_term(toks))
     else:
-        raise ParseError("unknown formula head %r" % head, hpos)
-    p.expect(")")
+        raise _Misread("unknown formula head %r" % head, len(toks))
+    if (tok := toks.pop()) != ")":
+        raise _Misread(_CLOSE % tok, len(toks))
+    return f
+
+
+def _parse_base_formula(toks: list) -> Formula:
+    """A formula of the base language: the level-0 check rejects every
+    level-indexed atom."""
+    left = len(toks) - 1
+    f = _parse_formula(toks)
+    if not in_language(f, O_ZERO, TRUTH_SIDE):
+        raise _Misread("level-indexed atom in a base formula", left)
     return f
 
 
 def parse_term(text: str) -> ATerm:
-    p = _P(text)
-    t = _parse_term(p)
-    p.done()
-    return t
-
-
-def _parse_base_formula(p: _P) -> Formula:
-    """A formula of the base language: the level-0 check rejects every
-    level-indexed atom."""
-    pos = p.peek()[1]
-    f = _parse_formula(p)
-    if not in_language(f, O_ZERO, TRUTH_SIDE):
-        raise ParseError("level-indexed atom in a base formula", pos)
-    return f
+    return _read(text, _parse_term)
 
 
 def parse_formula(text: str) -> Formula:
-    p = _P(text)
-    f = _parse_formula(p)
-    p.done()
-    return f
+    return _read(text, _parse_formula)
 
 
 def parse_base_formula(text: str) -> Formula:
-    p = _P(text)
-    f = _parse_base_formula(p)
-    p.done()
-    return f
+    return _read(text, _parse_base_formula)
 
 
 def print_term(t: ATerm) -> str:

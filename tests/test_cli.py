@@ -207,6 +207,52 @@ def test_prove_check_missing_file_is_usage_error(capsys):
     assert main(["prove-check", "/nonexistent/file.sexp"]) == 3
 
 
+@pytest.mark.parametrize("cmd", [["prove-check"], ["validate"],
+                                 ["extract"]])
+def test_proof_file_not_in_utf8_is_usage_error(cmd, tmp_path, capsys):
+    path = tmp_path / "latin1.sexp"
+    path.write_bytes(b"(ax refleq (= \xff 0))")
+    assert main(cmd + [str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s: 'utf-8' codec" % path)
+
+
+def test_proof_nested_past_the_recursion_limit_is_usage_error(tmp_path,
+                                                              capsys):
+    path = tmp_path / "deep.sexp"
+    path.write_text("(ax refleq (= " + "(p0 " * 2000 + "0" + ")" * 2000
+                    + " 0))")
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 400)
+    try:
+        code = main(["prove-check", str(path)])
+    finally:
+        sys.setrecursionlimit(old)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: nesting too deep at ")
+
+
+def test_report_path_that_cannot_be_opened_is_usage_error(tmp_path, capsys):
+    code, rep = run_cli(capsys, "truth", "(= 0 0)")
+    assert code == 0
+    path = tmp_path / "missing" / "x.json"
+    assert main(["truth", "(= 0 0)", "--report", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == rep
+    assert captured.err.startswith("error: [Errno 2] ")
+    assert not path.parent.exists()
+
+
+def test_report_is_written_where_asked(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    assert main(["truth", "(= 0 0)", "--report", str(path)]) == 0
+    assert path.read_text() == capsys.readouterr().out
+
+
 def test_extract_and_validate(capsys):
     code, rep = run_cli(capsys, "extract", PROOF)
     assert code == 0 and rep["ok"]

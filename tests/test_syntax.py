@@ -1,13 +1,24 @@
+import pathlib
+import re
+import sys
+
 import hypothesis as hyp
+import pytest
 from hypothesis import strategies as st
 
-from realisability.syntax import (
-    Add, All, Eq, Imp, Mul, Num, PairT, Proj0T, Proj1T, SucT, TVar, bot,
-    eq_check, eval_term, free_vars, fresh_var, godel, godel_term,
-    parse_formula, parse_term, print_formula,
-    print_term, subst, subt, suc_t, ungodel, ungodel_term,
+from realisability import syntax
+from realisability.extraction import (
+    AXIOM_KINDS, MP, Axiom, Gen, Hyp, parse_proof,
 )
-from realisability.vm import pair, vint
+from realisability.notation import O_ZERO, OrdParseError, parse_ord
+from realisability.syntax import (
+    FN_ARITY, TRUTH_SIDE, Add, All, Eq, Fals, Fn, Imp, InPole, Mul, Num,
+    PairT, ParseError, Proj0T, Proj1T, Real, SucT, Tru, TVar, bot, conj,
+    disj, eq_check, eval_term, ex, free_vars, fresh_var, godel, godel_term,
+    in_language, neg, parse_base_formula, parse_formula, parse_term,
+    print_formula, print_term, subst, subt, suc_t, ungodel, ungodel_term,
+)
+from realisability.vm import pair, vint, vnat
 
 names = st.sampled_from(["x", "y", "z", "w"])
 
@@ -196,3 +207,236 @@ def test_parse_print_roundtrip(a):
 @hyp.given(terms)
 def test_parse_print_roundtrip_terms(t):
     assert parse_term(print_term(t)) == t
+
+
+# ---------------------------------------------------------------------------
+# The reader against its old character scanner
+
+def scan(text):
+    """The reader's old character scanner, kept as the oracle: the tokens
+    of `text` as (token, offset) pairs."""
+    toks = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "()":
+            toks.append((ch, i))
+            i += 1
+            continue
+        j = i
+        while j < len(text) and not text[j].isspace() and text[j] not in "()":
+            j += 1
+        toks.append((text[i:j], i))
+        i = j
+    return toks
+
+
+class Ref:
+    """A reference reader over the oracle's tokens, written from the
+    grammar: each argument sort is a letter (t term, f formula, b base
+    formula, p proof, v variable, n any name, l level), and every error
+    names the offset of the token it is about."""
+
+    TERMS = {"s": (suc_t, "t"), "+": (Add, "tt"), "*": (Mul, "tt"),
+             "pair": (PairT, "tt"), "p0": (Proj0T, "t"), "p1": (Proj1T, "t")}
+    FORMULAS = {"=": (Eq, "tt"), "imp": (Imp, "ff"), "all": (All, "vf"),
+                "not": (neg, "f"), "and": (conj, "ff"), "or": (disj, "ff"),
+                "ex": (ex, "vf"), "bot": (bot, ""), "pole": (InPole, "t"),
+                "fals": (Fals, "ltt"), "real": (Real, "ltt"),
+                "tru": (Tru, "lt")}
+    BASE_HEADS = ("=", "imp", "all", "not", "and", "or", "ex", "bot")
+    PROOFS = {"hyp": (Hyp, "b"), "mp": (MP, "pp"), "gen": (Gen, "np")}
+    AXIOM_DATA = {"univinst": "t", "leibniz": "nb"}
+    NOUN = {"t": "term", "f": "formula", "b": "formula", "p": "proof"}
+
+    def __init__(self, text):
+        self.toks = scan(text) + [(None, len(text))]
+        self.i = 0
+
+    def next(self):
+        tok, pos = self.toks[self.i]
+        if tok is None:
+            raise ParseError("unexpected end of input", pos)
+        self.i += 1
+        return tok, pos
+
+    def read_all(self, sort):
+        out = self.read(sort)
+        tok, pos = self.toks[self.i]
+        if tok is not None:
+            raise ParseError("trailing input %r" % tok, pos)
+        return out
+
+    def read(self, sort):
+        tok, pos = self.next()
+        if sort == "n":
+            return tok
+        if sort == "v":
+            if tok in ("(", ")") or tok.isdigit():
+                raise ParseError("expected a variable name", pos)
+            return tok
+        if sort == "l":
+            if tok in ("(", ")"):
+                raise ParseError("expected an ordinal level", pos)
+            try:
+                return parse_ord(tok)
+            except OrdParseError as exc:
+                raise ParseError("bad level %r (%s)" % (tok, exc), pos)
+        if sort == "t" and tok != "(":
+            if tok.isdigit():
+                return Num(vnat(int(tok)))
+            if tok == ")" or tok in self.BASE_HEADS:
+                raise ParseError("expected a term, found %r" % tok, pos)
+            return TVar(tok)
+        if tok != "(":
+            raise ParseError("expected a %s, found %r"
+                             % (self.NOUN[sort], tok), pos)
+        head, hpos = self.next()
+        if sort == "p" and head == "ax":
+            kind, kpos = self.next()
+            if kind not in AXIOM_KINDS:
+                raise ParseError("unknown axiom kind %r" % kind, kpos)
+            out = Axiom(kind, self.read("b"), tuple(
+                self.read(s) for s in self.AXIOM_DATA.get(kind, "")))
+        else:
+            table = {"t": self.TERMS, "p": self.PROOFS}.get(sort,
+                                                           self.FORMULAS)
+            if sort == "t" and head in FN_ARITY and head not in table:
+                table = {head: (lambda *a: Fn(head, a),
+                                "t" * FN_ARITY[head])}
+            if head not in table:
+                raise ParseError("unknown %s head %r"
+                                 % (self.NOUN[sort], head), hpos)
+            make, sorts = table[head]
+            out = make(*(self.read(s) for s in sorts))
+        tok, cpos = self.next()
+        if tok != ")":
+            raise ParseError("expected %r, found %r" % (")", tok), cpos)
+        if sort == "b" and not in_language(out, O_ZERO, TRUTH_SIDE):
+            raise ParseError("level-indexed atom in a base formula", pos)
+        return out
+
+
+ENTRIES = [(parse_term, "t"), (parse_formula, "f"),
+           (parse_base_formula, "b"), (parse_proof, "p")]
+
+
+def outcome(read, text):
+    try:
+        return ("ok", read(text))
+    except ParseError as exc:
+        return ("error", str(exc), exc.pos)
+
+
+def assert_reads_as_reference(text):
+    for entry, sort in ENTRIES:
+        assert outcome(entry, text) == outcome(
+            lambda t: Ref(t).read_all(sort), text), (entry.__name__, text)
+
+
+SEPARATORS = ["", " ", "\t", "\n", "\x1c", "\xa0", "  "]
+HEADS = ["s", "+", "*", "pair", "p0", "p1", "=", "imp", "all", "not", "and",
+         "or", "ex", "bot", "pole", "fals", "real", "tru", "memf", "foo",
+         "hyp", "mp", "gen", "ax", "refleq", "univinst", "leibniz", "k"]
+READER_TOKENS = ["(", ")", "0", "12", "x", "y", "w", "e[0]", "w^", "1.2"]
+READER_TOKENS += HEADS
+PROOF = (pathlib.Path(__file__).resolve().parent.parent / "corpus" / "proofs"
+         / "add-zero.sexp").read_text()
+
+
+@st.composite
+def reader_texts(draw):
+    """A valid term, formula or proof with a few tokens deleted or put
+    in, or a short run of tokens, joined by mixed whitespace."""
+    base = draw(st.one_of(terms.map(print_term), formulas.map(print_formula),
+                          st.just(PROOF), st.just("")))
+    toks = [t for t, _ in scan(base)]
+    for k, tok in draw(st.lists(st.tuples(
+            st.integers(0, 10**6), st.none() | st.sampled_from(READER_TOKENS)),
+            max_size=4)):
+        k %= len(toks) + 1
+        if tok is None:
+            del toks[k:k + 1]
+        else:
+            toks.insert(k, tok)
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(toks) + 1,
+                         max_size=len(toks) + 1))
+    return seps[0] + "".join(t + s for t, s in zip(toks, seps[1:]))
+
+
+def test_token_regex_splits_where_isspace_does():
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+
+@hyp.given(st.lists(st.sampled_from(
+    ["(", ")", "0", "7", "42"] + HEADS + ["\t", "\n", "\x1c", "\xa0", " "]),
+    max_size=40).map("".join))
+def test_tokens_match_the_character_scanner(text):
+    assert syntax._TOKEN.findall(text) == [t for t, _ in scan(text)]
+    assert [m.start() for m in syntax._TOKEN.finditer(text)] == [
+        p for _, p in scan(text)]
+
+
+@hyp.settings(deadline=None, max_examples=300)
+@hyp.given(reader_texts())
+def test_every_entry_reads_as_the_reference(text):
+    assert_reads_as_reference(text)
+
+
+@pytest.mark.parametrize("entry, text, message", [
+    (parse_formula, "(= 0", "unexpected end of input at offset 4"),
+    (parse_term, "", "unexpected end of input at offset 0"),
+    (parse_formula, "(= 0 0) x", "trailing input 'x' at offset 8"),
+    (parse_term, "(s 0))", "trailing input ')' at offset 5"),
+    (parse_term, "(foo 0)", "unknown term head 'foo' at offset 1"),
+    (parse_formula, "(all x (nope))", "unknown formula head 'nope' at "
+     "offset 8"),
+    (parse_proof, "(mp (hyp (= 0 0)) (cut))", "unknown proof head 'cut' at "
+     "offset 19"),
+    (parse_proof, "(ax nope (= 0 0))", "unknown axiom kind 'nope' at "
+     "offset 4"),
+    (parse_formula, "(tru w^ 0)", "bad level 'w^' ("),
+    (parse_formula, "(tru ( 0)", "expected an ordinal level at offset 5"),
+    (parse_formula, "(= 0 0 0)", "expected ')', found '0' at offset 7"),
+    (parse_formula, "(all 3 (= 0 0))", "expected a variable name at "
+     "offset 5"),
+    (parse_base_formula, "(imp (= 0 0) (tru 1 0))",
+     "level-indexed atom in a base formula at offset 0"),
+    (parse_proof, "(gen x  (hyp\t(imp (= x x) (pole x))))",
+     "level-indexed atom in a base formula at offset 13"),
+])
+def test_reader_errors(entry, text, message):
+    with pytest.raises(ParseError) as err:
+        entry(text)
+    assert str(err.value).startswith(message)
+    assert_reads_as_reference(text)
+
+
+def test_nesting_past_the_recursion_limit_is_a_parse_error():
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    text = "(p0 " * 1000 + "0" + ")" * 1000
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 200)
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_term(text)
+    finally:
+        sys.setrecursionlimit(old)
+    assert re.fullmatch(r"nesting too deep at offset \d+", str(err.value))
+    assert text[err.value.pos:].startswith(("(", "p0"))
+    assert isinstance(parse_term(text), Proj0T)
+
+
+def test_reader_passes_on_index_errors_it_did_not_raise(monkeypatch):
+    def broken(_text):
+        raise IndexError("not the token list")
+    monkeypatch.setattr(syntax, "parse_ord", broken)
+    for text in ("(tru 1 0)", "(tru 1"):
+        with pytest.raises(IndexError, match="not the token list"):
+            parse_formula(text)
