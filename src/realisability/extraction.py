@@ -476,14 +476,14 @@ def _term_value_expr(t: ATerm, ctx: list) -> Program:
                 Pair(Lit(godel_term(t)), Pair(Lit(_ctx_code(ctx)), Var(0))))
 
 
-def _axiom_body(ax: Axiom, ctx: list) -> Program:
+def _axiom_body(ax: Axiom, ctx: list, kernel: Kernel) -> Program:
     """Body (environment free as Var 0) evaluating to the realiser."""
     kind, f = ax.kind, ax.formula
     if kind in _AXIOM_CODES:
         return Lit(_AXIOM_CODES[kind])
     if kind == "defining":
         names, _core = _strip_alls(f)
-        return Lit(encode(Lam(_p1n(Var(0), len(names)))))
+        return Lit(kernel.code(Lam(_p1n(Var(0), len(names)))))
     if kind == "univinst":
         t = ax.data[0]
         if not term_vars(t) <= set(ctx):
@@ -503,7 +503,8 @@ def _axiom_body(ax: Axiom, ctx: list) -> Program:
     raise ExtractionError("no realiser for axiom kind %r" % kind)
 
 
-def _extract_body(p: Proof, ctx: list, path: str) -> Program:
+def _extract_body(p: Proof, ctx: list, path: str,
+                  kernel: Kernel) -> Program:
     if isinstance(p, Hyp):
         raise ExtractionError("cannot extract from a hypothesis at %s"
                               % (path or "root"))
@@ -512,14 +513,14 @@ def _extract_body(p: Proof, ctx: list, path: str) -> Program:
             raise ExtractionError(
                 "free variables of %s are not all in scope at %s"
                 % (print_formula(p.formula), path or "root"))
-        return _axiom_body(p, ctx)
+        return _axiom_body(p, ctx, kernel)
     if isinstance(p, MP):
-        fa = _extract_body(p.major, ctx, path + "/mp-major")
-        fb = _extract_body(p.minor, ctx, path + "/mp-minor")
+        fa = _extract_body(p.major, ctx, path + "/mp-major", kernel)
+        fb = _extract_body(p.minor, ctx, path + "/mp-minor", kernel)
         return App(Lit(_I_CODE), Pair(fa, fb))
     if isinstance(p, Gen):
-        child = _extract_body(p.sub, [p.var] + ctx, path + "/gen")
-        child_code = encode(Lam(child))
+        child = _extract_body(p.sub, [p.var] + ctx, path + "/gen", kernel)
+        child_code = kernel.code(Lam(child))
         # g . w realises the instance at w; u . g realises the universal
         g = Lam(App(Lit(child_code), Pair(Var(0), Var(1))))
         return App(Lit(_U_CODE), g)
@@ -533,7 +534,10 @@ def extract_value(p: Proof, kernel: Kernel, fuel: int = 10**7,
     c = check_proof(p)
     ctx = sorted(free_vars(c))
     env = env_value(ctx, assignment or {})
-    r = kernel.apply(encode(Lam(_extract_body(p, ctx, ""))), env, fuel)
+    # the kernel keeps the program as the code's closure, so it runs the
+    # program without decoding the code
+    code = kernel.code(Lam(_extract_body(p, ctx, "", kernel)))
+    r = kernel.apply(code, env, fuel)
     if not isinstance(r, Value):
         raise ExtractionError("extracted program did not evaluate: %s"
                               % r.reason, r.reason)

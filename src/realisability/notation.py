@@ -337,6 +337,18 @@ def parse_ord(text: str) -> OrdNotation:
     return out
 
 
+def _numeral(text: str) -> Optional[int]:
+    """The natural an ASCII decimal numeral names, or None when text is
+    not one."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # past int's limit on decimal digits
+        raise OrdParseError("numeral of %d digits is too long"
+                            % len(text)) from None
+
+
 def _parse_summand(s: str) -> OrdNotation:
     coeff = 1
     factors = _split_top(s, "*")
@@ -344,19 +356,23 @@ def _parse_summand(s: str) -> OrdNotation:
         raise OrdParseError("too many factors in %r" % s)
     if len(factors) == 2:
         s, ctext = factors[0].strip(), factors[1].strip()
-        if not ctext.isdigit() or int(ctext) < 1:
+        coeff = _numeral(ctext) or 0
+        if coeff < 1:
             raise OrdParseError("bad coefficient %r" % ctext)
-        coeff = int(ctext)
     s = s.strip()
-    if s.isdigit():
+    n = _numeral(s)
+    if n is not None:
         if coeff != 1:
             raise OrdParseError("numeral with coefficient")
-        return onat(int(s))
+        return onat(n)
     if s == "w":
         return CnfSum(((onat(1), coeff),))
     if s.startswith("e[") and s.endswith("]"):
         sub = parse_ord(s[2:-1])
-        base = eps(sub)
+        try:
+            base = eps(sub)
+        except ValueError as exc:  # an epsilon inside the index
+            raise OrdParseError("%s: %r" % (exc, s)) from None
         return CnfSum(((base.terms[0][0], coeff),))
     if s.startswith("w^"):
         e_text = s[2:]

@@ -690,7 +690,13 @@ def _parse_term(toks: list) -> ATerm:
             raise _Misread(_CLOSE % tok, len(toks))
         return t
     if tok.isdigit():
-        return Num(vnat(int(tok)))
+        if not tok.isascii():
+            raise _Misread("bad numeral %r" % tok, len(toks))
+        try:
+            return Num(vnat(int(tok)))
+        except ValueError:  # past int's limit on decimal digits
+            raise _Misread("numeral of %d digits is too long" % len(tok),
+                           len(toks)) from None
     if tok == ")" or tok in _FORMULA_HEADS:
         raise _Misread("expected a term, found %r" % tok, len(toks))
     return TVar(tok)

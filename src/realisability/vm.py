@@ -10,14 +10,21 @@ closure, a (program, env) pair, so a code is decoded once: the closures
 of ``int`` codes sit in a bounded memo owned by the ``Kernel`` (emptied
 when it fills), and a ``PV`` code keeps its closure in its ``clo`` slot
 for as long as the code lives.  An argument is bound in the env, not
-substituted; a Lam or Fix evaluated as a value is encoded with its env
-read in, which gives the code the non-shifting ``subst`` followed by
-``encode`` would give.  Continuations are kept on an explicit stack.
-Fuel is one unit per program node evaluated, one per application step,
-plus each primitive's cost, plus one unit per 64 bits of ``vbits(v)``
-where ``Suc`` or ``Pred`` expands a ``PV`` v into an int, exactly as for
-decode-substitute-encode evaluation, which ``subst``, ``decode`` and
-``encode`` still support.
+substituted.  A Lam or Fix evaluated as a value stands for the code the
+non-shifting ``subst`` followed by ``encode`` would give, and keeps
+(program, env) as its closure (``Kernel.code``).  That code is built
+only when something reads it: a value whose code is at least 2^64, as a
+lower bound cached on the program shows, is a ``PV`` whose children are
+filled in when first read (by ``vunpair``, ``==``, ``hash``, ``vint``,
+``vbits`` or printing), and applying it runs its closure without
+building them.  Only a code that may be below 2^64 is built at once,
+so that it can be an ``int``.  Continuations are kept on an explicit
+stack.  Fuel is one unit per program node evaluated, one per
+application step, plus each primitive's cost, plus one unit per 64 bits
+of ``vbits(v)`` where ``Suc`` or ``Pred`` expands a ``PV`` v into an
+int, exactly as for decode-substitute-encode evaluation, which
+``subst``, ``decode`` and ``encode`` still support; building a code is
+not charged.
 
 Naturals are represented sparsely: a value below 2^64 is a Python
 ``int``, and a value at or above 2^64 is a ``PV`` node standing for the
@@ -71,7 +78,11 @@ _SMALL = 1 << 64
 class PV:
     """The Cantor pair of two sparse naturals, kept unexpanded.  Only this
     module builds one, and only in canonical form: its value is at least
-    2^64, and each child is an int below 2^64 or a PV."""
+    2^64, and each child is an int below 2^64 or a PV.
+
+    The code of a closure may be a PV whose children are not built yet
+    (see ``Kernel.code``): then ``a`` and ``b`` are unset, and the first
+    read of either fills both from ``clo``."""
 
     __slots__ = ("a", "b", "clo", "_hash")
 
@@ -80,6 +91,17 @@ class PV:
         self.b = b
         self.clo = None  # the kernel's (program, env) for this code
         self._hash = None  # the structural hash, found when first asked
+
+    def __getattr__(self, name: str):
+        # reached only when a slot is unset: a child of a closure's code
+        # that has not been built
+        if name not in ("a", "b") or self.clo is None:
+            raise AttributeError(name)
+        prog, env = self.clo
+        code = _close(prog, env, 0)
+        self.a = code.a
+        self.b = code.b
+        return code.a if name == "a" else code.b
 
     def __eq__(self, other: object) -> bool:
         if type(other) is PV:
@@ -328,6 +350,48 @@ def _close(p: Program, env: tuple, d: int) -> Nat:
     raise TypeError("not a Program: %r" % (p,))
 
 
+def _floor(p: Program) -> int:
+    """A lower bound on the code of p under any binders and env, capped at
+    2^64: a Var counts as 0, and pairing is monotone in each argument.
+    It is kept on the node once found."""
+    f = getattr(p, "_floor", None)
+    if f is not None:
+        return f
+    t = type(p)
+    if t is Var:
+        f = 0
+    elif t is Lit:
+        f = pair(_TAG_LIT, p.n) if type(p.n) is int else _SMALL
+    elif t is Lam:
+        f = pair(_TAG_LAM, _floor(p.body))
+    elif t is App:
+        f = pair(_TAG_APP, pair(_floor(p.fn), _floor(p.arg)))
+    elif t is Suc:
+        f = pair(_TAG_SUC, _floor(p.p))
+    elif t is Pred:
+        f = pair(_TAG_PRED, _floor(p.p))
+    elif t is IfZ:
+        f = pair(_TAG_IFZ, pair(_floor(p.scrutinee),
+                                pair(_floor(p.zero), _floor(p.succ))))
+    elif t is Pair:
+        f = pair(_TAG_PAIR, pair(_floor(p.l), _floor(p.r)))
+    elif t is Proj0:
+        f = pair(_TAG_PROJ0, _floor(p.p))
+    elif t is Proj1:
+        f = pair(_TAG_PROJ1, _floor(p.p))
+    elif t is Fix:
+        f = pair(_TAG_FIX, _floor(p.body))
+    elif t is Prim:
+        f = pair(_TAG_PRIM, pair(p.pid, _floor(p.arg)))
+    elif t is Stuck:
+        f = pair(_TAG_STUCK, 0)
+    else:
+        raise TypeError("not a Program: %r" % (p,))
+    f = min(f, _SMALL)
+    object.__setattr__(p, "_floor", f)
+    return f
+
+
 def decode(v: Nat) -> Program:
     """Total decoding; codes outside the image become Stuck."""
     tag, rest = vunpair(v)
@@ -464,8 +528,23 @@ class Kernel:
         self.chases.clear()
         return pid
 
+    def code(self, p: Program, env: tuple = ()) -> Nat:
+        """The code of the Lam or Fix p with env read in, ``_close(p, env,
+        0)``, with (p, env) kept as its closure.  When p's floor shows the
+        code is at least 2^64 it is not built here: it is a PV whose
+        children are filled in when first read."""
+        if _floor(p) >= _SMALL:
+            v = PV.__new__(PV)
+            v._hash = None
+            v.clo = (p, env)
+            return v
+        v = _close(p, env, 0)
+        self._keep(v, (p, env))
+        return v
+
     def closure(self, v: Nat) -> tuple[Program, tuple]:
-        """The (program, env) pair the machine runs when v is applied."""
+        """The (program, env) pair the machine runs when v is applied:
+        the one v was made from by ``code``, else v decoded."""
         clo = v.clo if type(v) is PV else self._memo.get(v)
         if clo is None:
             clo = (decode(v), ())
@@ -527,8 +606,7 @@ class Kernel:
                 elif t is Lit:
                     v = p.n
                 elif t is Lam or t is Fix:
-                    v = _close(p, env, 0)
-                    self._keep(v, (p, env))
+                    v = self.code(p, env)
                 elif t is Prim:
                     push((_K_PRIM, p.pid))
                     p = p.arg

@@ -93,6 +93,20 @@ def test_bad_formula_is_usage_error(capsys):
     assert main(["ord", "cmp", "wibble", "0"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["truth", "(= \u00b2 0)"],
+    ["truth", "(= %s 0)" % ("9" * 5000)],
+    ["ord", "cmp", "\u00b2", "1"],
+    ["ord", "cmp", "w*\u00b2", "1"],
+    ["ord", "cmp", "e[e[0]]", "1"],
+    ["ti", "realise", "e[e[0]]", "--formula", "(= x x)"],
+])
+def test_bad_numerals_and_notations_are_usage_errors(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # Atoms stay out of the base paths
 

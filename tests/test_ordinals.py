@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import hypothesis as hyp
 import pytest
@@ -330,6 +331,19 @@ def test_print_parse_roundtrip():
         parse_ord("w^")
     with pytest.raises(OrdParseError):
         parse_ord("q + 1")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\u00b2", "cannot parse summand"),
+    ("w*\u00b2", "bad coefficient"),
+    ("w + 9" + "9" * 5000, "numeral of 5001 digits is too long"),
+    ("w*1" + "0" * 5000, "numeral of 5001 digits is too long"),
+    ("e[e[0]]", "epsilon indices must be epsilon-free"),
+    ("w + e[1 + e[0]]", "epsilon indices must be epsilon-free"),
+])
+def test_bad_notations_are_ord_parse_errors(text, message):
+    with pytest.raises(OrdParseError, match=re.escape(message)):
+        parse_ord(text)
 
 
 # ---------------------------------------------------------------------------

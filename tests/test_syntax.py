@@ -416,6 +416,20 @@ def test_reader_errors(entry, text, message):
     assert_reads_as_reference(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(= \u00b2 0)", "bad numeral '\u00b2' at offset 3"),
+    ("(= 0 \u0663)", "bad numeral '\u0663' at offset 5"),
+    ("(= %s 0)" % ("9" * 5000), "numeral of 5000 digits is too long at "
+     "offset 3"),
+])
+def test_numerals_are_ascii_digits_within_the_int_limit(text, message):
+    # str.isdigit also holds for superscripts and other scripts' digits
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert str(err.value) == message
+    assert parse_term("9" * 4000) == Num(vnat(int("9" * 4000)))
+
+
 def test_nesting_past_the_recursion_limit_is_a_parse_error():
     depth, frame = 0, sys._getframe()
     while frame:

@@ -4,11 +4,12 @@ import time
 import hypothesis as hyp
 from hypothesis import strategies as st
 
+from realisability.poles import Generated, member
 from realisability.syntax import Add, Mul, Num, SucT, eval_term
 from realisability.vm import (
     FUEL, PV, App, Diverged, Fix, IfZ, Kernel, Lam, Lit, Pair, Pred, Prim,
-    Proj0, Proj1, Stuck, Suc, Value, Var, decode, encode, pair, unpair,
-    vbits, vint, vle, vnat, vpair, vunpair,
+    Proj0, Proj1, Stuck, Suc, Value, Var, _close, decode, encode, pair,
+    unpair, vbits, vint, vle, vnat, vpair, vunpair,
 )
 
 
@@ -320,3 +321,69 @@ def test_determinism_and_monotonicity(p, m):
     if isinstance(r1, Value):
         r3 = K.apply(e, m, 10**4)
         assert isinstance(r3, Value) and r3.n == r1.n
+
+
+# ---------------------------------------------------------------------------
+# closure codes, built when first read
+
+def built(v):
+    """Whether the children of the PV v have been built."""
+    try:
+        PV.a.__get__(v), PV.b.__get__(v)
+    except AttributeError:
+        return False
+    return True
+
+
+envs = st.lists(st.one_of(st.integers(0, 50), sparse_naturals), max_size=3)
+
+
+@hyp.settings(deadline=None)
+@hyp.given(st.one_of(st.builds(Lam, programs), st.builds(Fix, programs)),
+           envs)
+def test_a_closure_value_is_its_code(p, env):
+    v = Kernel()._machine(p, tuple(env), None, None, [10])
+    want = _close(p, tuple(env), 0)  # canonical: an int iff below 2^64
+    assert (type(v) is int) == (type(want) is int)
+    assert v == want and hash(v) == hash(want) and is_canonical(v)
+    # the children are filled in once and stay
+    if type(v) is PV:
+        assert built(v) and v.clo == (p, tuple(env))
+        assert (v.a, v.b) == (want.a, want.b)
+
+
+@hyp.settings(deadline=None)
+@hyp.given(programs, sparse_naturals, sparse_naturals)
+def test_closures_of_one_program_in_different_envs_are_different_keys(
+        body, x, y):
+    hyp.assume(x != y)
+    p = Lam(Pair(Var(1), body))  # reads its env's first value
+    k = Kernel()
+    pole = Generated(frozenset({0}), 2)
+    for env in ((x,), (y,), (x,)):
+        member(vpair(k.code(p, env), 0), pole, 50, k)
+    # the third closure equals the first, so it finds the first's verdict
+    assert len(k.chases) == 2
+
+
+@hyp.settings(deadline=None)
+@hyp.given(programs, envs, st.one_of(st.integers(0, 20), sparse_naturals))
+def test_applying_a_closure_does_not_build_its_code(body, env, m):
+    big = vpair(2**70, 1)
+    # Lit(big) makes the code at least 2^64 whatever the body
+    p = Lam(Pair(Lit(big), body))
+    v = K.code(p, tuple(env))
+    assert type(v) is PV and not built(v)
+    K.apply(v, m, 300)
+    assert not built(v)
+    # one made by the machine, applied by the machine
+    maker = encode(Lam(Lam(Pair(Lit(big), Pair(Var(0), Var(1))))))
+    r = K.apply(maker, m, 100)
+    assert isinstance(r, Value) and not built(r.n)
+    r2 = K.apply(r.n, 4, 100)
+    assert r2 == Value(vpair(big, vpair(4, m)), r2.fuel_used)
+    assert not built(r.n)
+    # comparing it builds it
+    prog, cenv = r.n.clo
+    assert r.n == _close(prog, cenv, 0) and built(r.n)
+
