@@ -8,6 +8,12 @@ of A's free variables realises the corresponding closed instance of A,
 relative to any pole.  Each axiom schema has a fixed realiser program;
 modus ponens composes with the application combinator and
 generalisation abstracts over the environment.
+
+Proof nodes are checked once per object, as in LCF: the first successful
+check of a node keeps its conclusion and open hypotheses on the node,
+and every later check of a tree that contains it, such as the builders'
+``conclusion`` calls and the final check in ``extract_value``, reads
+them from there.
 """
 
 from __future__ import annotations
@@ -218,8 +224,18 @@ def alpha_eq(a: Formula, b: Formula) -> bool:
     other side, and free variables match by name (de Bruijn's nameless
     comparison, without building the nameless formulas).  Under a
     binder, (s n) matches the numeral n+1.  Raises TypeError on a node
-    outside the base grammar."""
-    return _alpha(a, b, {}, {}, 0)
+    outside the base grammar.
+
+    A walk that answers True has reached every leaf of both sides, so
+    both are base formulas; each keeps that as its _base flag, and a
+    flagged formula compared with itself is equal without a walk."""
+    if a is b and getattr(a, "_base", False):
+        return True
+    if not _alpha(a, b, {}, {}, 0):
+        return False
+    object.__setattr__(a, "_base", True)
+    object.__setattr__(b, "_base", True)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -352,27 +368,42 @@ def _check(p: Proof, path: str, hyps_out: list) -> Formula:
     if isinstance(p, Hyp):
         hyps_out.append((p.formula, path))
         return p.formula
+    rec = getattr(p, "_checked", None)
+    if rec is not None:
+        c, hyps = rec
+        for hf, rel in hyps:
+            hyps_out.append((hf, path + rel))
+        return c
+    before = len(hyps_out)
     if isinstance(p, Axiom):
         _check_axiom(p, path)
-        return p.formula
-    if isinstance(p, MP):
+        c = p.formula
+    elif isinstance(p, MP):
         fa = _check(p.major, path + "/mp-major", hyps_out)
         fb = _check(p.minor, path + "/mp-minor", hyps_out)
         if not (isinstance(fa, Imp) and alpha_eq(fa.a, fb)):
             raise ProofError(
                 "modus ponens mismatch: major %s, minor %s"
                 % (print_formula(fa), print_formula(fb)), path)
-        return fa.b
-    if isinstance(p, Gen):
-        before = len(hyps_out)
+        c = fa.b
+    elif isinstance(p, Gen):
         fb = _check(p.sub, path + "/gen", hyps_out)
         for hf, hpath in hyps_out[before:]:
             if p.var in free_vars(hf):
                 raise ProofError(
                     "generalised variable %s is free in hypothesis %s"
                     % (p.var, print_formula(hf)), path)
-        return All(p.var, fb)
-    raise ProofError("not a proof node: %r" % (p,), path)
+        c = All(p.var, fb)
+    else:
+        raise ProofError("not a proof node: %r" % (p,), path)
+    # the check record: the conclusion and the open hypotheses with their
+    # paths relative to p.  Only a success is kept, and whether a node
+    # checks depends on nothing but the node and _DEFINING, which only
+    # grows, so a record never goes stale.
+    n = len(path)
+    object.__setattr__(p, "_checked", (c, tuple(
+        (hf, hpath[n:]) for hf, hpath in hyps_out[before:])))
+    return c
 
 
 def check_proof(p: Proof, allow_hypotheses: bool = False) -> Formula:

@@ -11,6 +11,7 @@ formula about codes.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from .extraction import (
@@ -247,7 +248,12 @@ def _ti_direct_proof(a: Formula, alpha: OrdNotation) -> Proof:
 
 
 def install_ordinal_primitives(kernel: Kernel) -> Kernel:
-    """Primitives the well-ordering combinators reduce through."""
+    """Primitives the well-ordering combinators reduce through.
+
+    They reach the kernel through a weak proxy: the kernel holds them,
+    so a strong reference would make a cycle, and the kernel with its
+    memos would live on until the cyclic collector ran."""
+    owner = weakref.proxy(kernel)
 
     def p_ordlt(v: Nat) -> Nat:
         x, y = vunpair(v)
@@ -288,7 +294,7 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
     def _template(key: tuple, build) -> Nat:
         r = templates.get(key)
         if r is None:
-            _, r = extract_value(build(), kernel, _TEMPLATE_FUEL)
+            _, r = extract_value(build(), owner, _TEMPLATE_FUEL)
             if len(templates) >= MEMO_SIZE:
                 templates.clear()
             templates[key] = r
@@ -300,8 +306,8 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
                          lambda: ti_proof_template("zero", a, var="x"))
 
     def _instantiate(univ_realiser: Nat, alpha_code: Nat) -> Nat:
-        r = kernel.apply(combinator("s"), vpair(univ_realiser, alpha_code),
-                         _TEMPLATE_FUEL)
+        r = owner.apply(combinator("s"), vpair(univ_realiser, alpha_code),
+                        _TEMPLATE_FUEL)
         if not isinstance(r, Value):
             raise StuckError()
         return r.n
@@ -342,7 +348,7 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
                          lambda: _ti_direct_proof(a, beta))
 
     def p_wo(v: Nat) -> Nat:
-        return wo_realiser(_decode_ord(v), kernel)
+        return wo_realiser(_decode_ord(v), owner)
 
     cost = lambda _v: 50
     for pid, fn in ((PID_ORDLT, p_ordlt), (PID_ORDFS, p_ordfs),

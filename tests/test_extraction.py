@@ -1,9 +1,12 @@
 import random
+from collections import Counter
+from pathlib import Path
 
 import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
+from realisability import extraction
 from realisability.extraction import (
     Axiom, Gen, Hyp, MP, ProofError, ax_defining, ax_exfalso, ax_induction,
     ax_k, ax_leibniz, ax_peirce, ax_refleq, ax_s, ax_univdist, ax_univinst,
@@ -348,6 +351,28 @@ def test_alpha_eq_rejects_atoms():
         alpha_eq(All("x", EQ00), All("x", InPole(Num(0))))
 
 
+def test_identity_is_alpha_equality_only_for_base_formulas(monkeypatch):
+    x = InPole(Num(0))
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            alpha_eq(x, x)
+    with pytest.raises(TypeError):
+        check_proof(Axiom("k", Imp(x, Imp(EQ00, x))))
+    a = parse_formula("(all y (imp (= y 0) (= (s y) 1)))")
+    assert alpha_eq(a, a)
+    walks = []
+    real = extraction._alpha
+    monkeypatch.setattr(extraction, "_alpha",
+                        lambda *args: walks.append(args) or real(*args))
+    assert alpha_eq(a, a) and not walks
+    # a formula built around a base one is walked, and fails, afresh,
+    # and a False answer establishes nothing
+    for c in (Imp(a, x), Imp(x, a)):
+        assert not alpha_eq(c, EQ00)
+        with pytest.raises(TypeError):
+            alpha_eq(c, c)
+
+
 def _canon(a, depth=0):
     # the substitution-based canonical form alpha_eq used to compare;
     # subst folds (s n) into n+1 under every binder, not outside them
@@ -459,3 +484,153 @@ def test_alpha_eq_is_invariant_under_bound_renaming(a, c):
     b = _rename_bound(a, fresh)
     assert alpha_eq(a, b) and alpha_eq(b, a)
     assert alpha_eq(b, c) == alpha_eq(a, c)
+
+
+# ---------------------------------------------------------------------------
+# Check records: a node is checked once, and a record changes no verdict
+
+CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus"
+                 / "proofs").glob("*.sexp"))
+
+
+def _nodes(p, where=()):
+    """Every node of p with the child selectors that lead to it."""
+    yield where, p
+    if isinstance(p, MP):
+        yield from _nodes(p.major, where + ("major",))
+        yield from _nodes(p.minor, where + ("minor",))
+    elif isinstance(p, Gen):
+        yield from _nodes(p.sub, where + ("sub",))
+
+
+def _replace(p, where, new):
+    if not where:
+        return new
+    sel, rest = where[0], where[1:]
+    if sel == "major":
+        return MP(_replace(p.major, rest, new), p.minor)
+    if sel == "minor":
+        return MP(p.major, _replace(p.minor, rest, new))
+    return Gen(p.var, _replace(p.sub, rest, new))
+
+
+def _mutate(p, rng):
+    """p with one node changed: its MP premises swapped, wrapped in a
+    Gen, or replaced by a stray hypothesis or by a false refleq axiom."""
+    nodes = list(_nodes(p))
+    where, n = rng.choice(nodes)
+    how = rng.choice(("swap", "gen", "hyp", "refleq"))
+    if how == "swap":
+        mps = [(w, m) for w, m in nodes if isinstance(m, MP)]
+        if mps:
+            where, n = rng.choice(mps)
+            return _replace(p, where, MP(n.minor, n.major))
+    if how == "gen":
+        return _replace(p, where, Gen(rng.choice(("x", "y", "z")), n))
+    if how == "hyp":
+        gens = [(w, m) for w, m in nodes if isinstance(m, Gen)]
+        if gens and rng.random() < 0.5:
+            # below a Gen, where the variable may be free in the hypothesis
+            w, g = rng.choice(gens)
+            u, n = rng.choice(list(_nodes(g))[1:])
+            where = w + u
+        try:
+            f = conclusion(n)
+        except ProofError:
+            f = EQ00
+        return _replace(p, where, Hyp(f))
+    return _replace(p, where, Axiom("refleq", Eq(Num(0), Num(1))))
+
+
+def _outcome(p, allow):
+    try:
+        return "ok", print_formula(check_proof(p, allow_hypotheses=allow))
+    except ProofError as exc:
+        return "error", str(exc), exc.path
+
+
+def _precheck_some(p, rng):
+    """Check a few sub-proofs of p, some below a Gen, so that their
+    records hold paths relative to a node that is not the root."""
+    nodes = [n for _, n in _nodes(p)]
+    for n in rng.sample(nodes, min(5, len(nodes))):
+        try:
+            check_proof(rng.choice((n, Gen("w0", n))), allow_hypotheses=True)
+        except ProofError:
+            pass
+
+
+def test_check_records_change_no_verdict_or_error():
+    rng = random.Random(20261018)
+    texts = [path.read_text() for path in CORPUS] + [
+        print_proof(prove_dne(parse_formula("(= 2 2)")))]
+    outcomes = Counter()
+    for _ in range(240):
+        p = parse_proof(rng.choice(texts))
+        _precheck_some(p, rng)
+        q = _mutate(p, rng)
+        _precheck_some(q, rng)
+        fresh = parse_proof(print_proof(q))
+        assert fresh == q
+        for allow in (False, True):
+            got = _outcome(q, allow)
+            assert got == _outcome(fresh, allow)
+            assert got == _outcome(q, allow)  # and again, on a failure too
+            outcomes[got[0], allow, got[1].split(" ")[0]] += 1
+    # the mutations reach each kind of verdict, hypotheses included
+    assert outcomes["error", False, "undischarged"]
+    assert outcomes["error", True, "generalised"]
+    assert outcomes["error", True, "modus"]
+    assert outcomes["ok", True, "(imp"]
+
+
+def test_undischarged_hypothesis_path_from_a_record():
+    inner = MP(ax_k(EQ00, bot()), Hyp(EQ00))
+    outer = Gen("x", MP(ax_k(Imp(bot(), EQ00), EQ00), inner))
+    assert conclusion(outer)  # records inner below the root
+    for p, at in ((outer, "/gen/mp-minor/mp-minor"),
+                  (MP(ax_k(Imp(bot(), EQ00), bot()), inner),
+                   "/mp-minor/mp-minor")):
+        for _ in range(2):
+            with pytest.raises(ProofError) as e:
+                check_proof(p)
+            assert e.value.path == at
+            assert str(e.value) == ("undischarged hypothesis (= 0 0) "
+                                    "(at %s)" % at)
+
+
+def test_a_gen_nodes_conclusion_is_kept():
+    g = Gen("x", ax_refleq(TVar("x")))
+    assert conclusion(g) is conclusion(g) is check_proof(g)
+
+
+def _axioms(p):
+    return {id(n): n for _, n in _nodes(p) if isinstance(n, Axiom)}
+
+
+@pytest.mark.parametrize("m", [0, 3])
+def test_each_node_is_checked_once(monkeypatch, m):
+    axioms_checked, node_checks = Counter(), []
+    real_axiom, real_check = extraction._check_axiom, extraction._check
+
+    def count_axiom(ax, path):
+        axioms_checked[id(ax)] += 1
+        return real_axiom(ax, path)
+
+    def count_check(p, path, hyps_out):
+        node_checks.append(p)
+        return real_check(p, path, hyps_out)
+
+    monkeypatch.setattr(extraction, "_check_axiom", count_axiom)
+    monkeypatch.setattr(extraction, "_check", count_check)
+    totals = []
+    for n in (4, 8, 16):
+        axioms_checked.clear()
+        del node_checks[:]
+        p = prove_plus(m, n)
+        c, _ = extract_value(p, fresh_kernel())
+        assert c == Eq(Add(Num(m), Num(n)), Num(m + n))
+        assert dict(axioms_checked) == dict.fromkeys(_axioms(p), 1)
+        totals.append(len(node_checks))
+    # each step of n adds the same nodes, so the counts grow linearly
+    assert totals[2] - totals[1] == 2 * (totals[1] - totals[0])

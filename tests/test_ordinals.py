@@ -1,12 +1,16 @@
+import contextlib
+import gc
+import io
 import itertools
 import random
 import re
+import weakref
 
 import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
-from realisability import ordinals
+from realisability import cli, ordinals
 from realisability.extraction import (
     ExtractionError, check_proof, combinator, extract_value,
 )
@@ -590,3 +594,30 @@ def test_klim_below_branches():
     q_geq = vpair(ocode(CnfSum(((onat(1), 2),))), vpair(r_lt, 0))
     ans2 = vunpair(_app(below, q_geq))
     assert ans2[0] == r_lt and ans2[1] == 0
+
+
+def test_kernels_are_freed_without_the_cyclic_collector(monkeypatch):
+    made = []
+
+    def recording_kernel():
+        k = ordinal_kernel()
+        made.append(weakref.ref(k))
+        return k
+
+    monkeypatch.setattr(cli, "ordinal_kernel", recording_kernel)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        k = ordinal_kernel()
+        # the primitives run and fill the template memo
+        assert isinstance(k.apply(wo_realiser(W, k), A_CODE, 10**7), Value)
+        ref = weakref.ref(k)
+        del k
+        assert ref() is None
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["ti", "realise", "w+1", "--formula",
+                             "(= x x)", "--pole", "generated:0,3,8"]) == 0
+        assert len(made) == 1 and made[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
