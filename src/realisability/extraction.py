@@ -633,37 +633,47 @@ def imp_refl(a: Formula) -> Proof:
     return MP(MP(ax_s(a, aa, a), ax_k(a, aa)), ax_k(a, a))
 
 
-def _uses_hyp(p: Proof, h: Formula) -> bool:
-    if isinstance(p, Hyp):
-        return alpha_eq(p.formula, h)
-    if isinstance(p, MP):
-        return _uses_hyp(p.major, h) or _uses_hyp(p.minor, h)
-    if isinstance(p, Gen):
-        return _uses_hyp(p.sub, h)
-    return False
+def _uses_hyp(p: Proof, h: Formula, known: dict[int, bool]) -> bool:
+    """Whether p has a hypothesis alpha-equal to h.  known keeps each
+    node's answer by id, so a node is walked once."""
+    r = known.get(id(p))
+    if r is None:
+        if isinstance(p, Hyp):
+            r = alpha_eq(p.formula, h)
+        elif isinstance(p, MP):
+            r = _uses_hyp(p.major, h, known) or _uses_hyp(p.minor, h, known)
+        else:
+            r = isinstance(p, Gen) and _uses_hyp(p.sub, h, known)
+        known[id(p)] = r
+    return r
 
 
 def deduce(h: Formula, p: Proof) -> Proof:
     """Discharge the hypothesis h: from a proof of B using h, a proof
-    of h -> B."""
-    if isinstance(p, Hyp) and alpha_eq(p.formula, h):
-        return imp_refl(h)
-    if isinstance(p, (Hyp, Axiom)) or not _uses_hyp(p, h):
-        c = conclusion(p)
-        return MP(ax_k(c, h), p)
-    if isinstance(p, MP):
-        maj = conclusion(p.major)
-        assert isinstance(maj, Imp)
-        return MP(MP(ax_s(h, maj.a, maj.b), deduce(h, p.major)),
-                  deduce(h, p.minor))
-    if isinstance(p, Gen):
-        if p.var in free_vars(h):
-            raise ProofError(
-                "cannot discharge %s across generalisation over %s"
-                % (print_formula(h), p.var), "")
-        c = conclusion(p.sub)
-        return MP(ax_univdist(p.var, h, c), Gen(p.var, deduce(h, p.sub)))
-    raise TypeError(p)
+    of h -> B.  Whether a node uses h is decided once per node, so the
+    search for h is linear in the size of p."""
+    known: dict[int, bool] = {}  # p's nodes, alive for the whole call
+
+    def go(p: Proof) -> Proof:
+        if isinstance(p, Hyp) and _uses_hyp(p, h, known):
+            return imp_refl(h)
+        if isinstance(p, (Hyp, Axiom)) or not _uses_hyp(p, h, known):
+            c = conclusion(p)
+            return MP(ax_k(c, h), p)
+        if isinstance(p, MP):
+            maj = conclusion(p.major)
+            assert isinstance(maj, Imp)
+            return MP(MP(ax_s(h, maj.a, maj.b), go(p.major)), go(p.minor))
+        if isinstance(p, Gen):
+            if p.var in free_vars(h):
+                raise ProofError(
+                    "cannot discharge %s across generalisation over %s"
+                    % (print_formula(h), p.var), "")
+            c = conclusion(p.sub)
+            return MP(ax_univdist(p.var, h, c), Gen(p.var, go(p.sub)))
+        raise TypeError(p)
+
+    return go(p)
 
 
 def eq_sym(p: Proof) -> Proof:

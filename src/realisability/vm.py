@@ -26,6 +26,17 @@ int, exactly as for decode-substitute-encode evaluation, which
 ``subst``, ``decode`` and ``encode`` still support; building a code is
 not charged.
 
+A fixed point whose body gives back that fixed point itself (the same
+object) with the stack below untouched leaves the machine in the state
+in which the fixed point was applied, c units later, where c >= 2: one
+for the application step and at least one for a body node.  The
+machine is deterministic and a primitive is a function of its argument,
+so the run repeats that period until its fuel is gone.  The kernel
+skips the whole periods in one step, keeping the remainder of its fuel
+modulo c, and runs the last partial period, so the run runs out of fuel
+with exactly the fuel cell that stepping every period would leave.  A
+primitive inside a skipped period is not called again.
+
 Naturals are represented sparsely: a value below 2^64 is a Python
 ``int``, and a value at or above 2^64 is a ``PV`` node standing for the
 Cantor pair of two values, since deeply nested pairs have astronomically
@@ -497,7 +508,9 @@ MEMO_SIZE = 1 << 12
 # Continuation frames of the machine, tagged by their first item.
 _K_ARG = 0  # (_K_ARG, arg, env): evaluate an App's argument next
 _K_CALL = 1  # (_K_CALL, vf): apply vf to the value
-_K_UNFOLD = 2  # (_K_UNFOLD, va): apply the unfolded fixed point to va
+# (_K_UNFOLD, va, vf, left): apply the body's value to va; the fixed
+# point vf was applied to va with left + 1 fuel
+_K_UNFOLD = 2
 _K_PAIR_R = 3  # (_K_PAIR_R, r, env): evaluate a Pair's right side next
 _K_PAIRED = 4  # (_K_PAIRED, l): pair l with the value
 _K_PRIM = 5  # (_K_PRIM, pid): run primitive pid on the value
@@ -586,7 +599,7 @@ class Kernel:
                         env = (va,) + cenv
                     elif t is Fix:
                         # one-step unfolding: Var 0 is the fixed point
-                        push((_K_UNFOLD, va))
+                        push((_K_UNFOLD, va, vf, left))
                         p = prog.body
                         env = (vf,) + cenv
                     else:
@@ -654,6 +667,14 @@ class Kernel:
                         p = None
                         break
                     if k == _K_UNFOLD:
+                        if v is frame[2]:
+                            # the body gave back the fixed point itself
+                            # and the stack below is untouched, so the
+                            # run is back in the state the frame was
+                            # pushed in, c = frame[3] + 1 - left >= 2
+                            # units later; it repeats that period until
+                            # its fuel is gone: skip the whole periods
+                            left %= frame[3] + 1 - left
                         vf = v
                         va = frame[1]
                         p = None

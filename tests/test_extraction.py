@@ -6,7 +6,7 @@ import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
-from realisability import extraction
+from realisability import extraction, ordinals
 from realisability.extraction import (
     Axiom, Gen, Hyp, MP, ProofError, ax_defining, ax_exfalso, ax_induction,
     ax_k, ax_leibniz, ax_peirce, ax_refleq, ax_s, ax_univdist, ax_univinst,
@@ -634,3 +634,114 @@ def test_each_node_is_checked_once(monkeypatch, m):
         totals.append(len(node_checks))
     # each step of n adds the same nodes, so the counts grow linearly
     assert totals[2] - totals[1] == 2 * (totals[1] - totals[0])
+
+
+# The deduction transform decides hypothesis use once per node
+
+def _deduce_by_walks(h, p):
+    """The deduction transform that walks the remaining sub-proof for h
+    again at every MP and Gen: the oracle for deduce."""
+    def uses(q):
+        if isinstance(q, Hyp):
+            return alpha_eq(q.formula, h)
+        if isinstance(q, MP):
+            return uses(q.major) or uses(q.minor)
+        if isinstance(q, Gen):
+            return uses(q.sub)
+        return False
+
+    if isinstance(p, Hyp) and alpha_eq(p.formula, h):
+        return imp_refl(h)
+    if isinstance(p, (Hyp, Axiom)) or not uses(p):
+        return MP(ax_k(conclusion(p), h), p)
+    if isinstance(p, MP):
+        maj = conclusion(p.major)
+        return MP(MP(ax_s(h, maj.a, maj.b), _deduce_by_walks(h, p.major)),
+                  _deduce_by_walks(h, p.minor))
+    if p.var in free_vars(h):
+        raise ProofError("cannot discharge %s across generalisation over %s"
+                         % (print_formula(h), p.var), "")
+    return MP(ax_univdist(p.var, h, conclusion(p.sub)),
+              Gen(p.var, _deduce_by_walks(h, p.sub)))
+
+
+def _deduced(transform, h, p):
+    try:
+        return print_proof(transform(h, p))
+    except ProofError as exc:
+        return "error", str(exc)
+
+
+def test_deduce_prints_as_the_walking_transform_on_the_corpus():
+    rng = random.Random(6607)
+    seen = Counter()
+    for path in CORPUS:
+        p = parse_proof(path.read_text())
+        assert _deduced(deduce, EQ00, p) == _deduced(_deduce_by_walks,
+                                                      EQ00, p)
+        nodes = list(_nodes(p))
+        for where, n in rng.sample(nodes, min(8, len(nodes))):
+            # turn a sub-proof into a hypothesis of its conclusion and
+            # discharge it again
+            h = conclusion(n)
+            q = _replace(p, where, Hyp(h))
+            got = _deduced(deduce, h, q)
+            assert got == _deduced(_deduce_by_walks, h, q)
+            seen[got[0]] += 1
+    assert seen["error"] and seen["("]
+
+
+def test_deduce_prints_as_the_walking_transform_in_the_builders(
+        monkeypatch):
+    refl = parse_formula("(= x x)")
+    jumped = subst(ordinals.jump_formula(refl, "x"), "oj", TVar("x"))
+    builds = [
+        lambda: prove_dne(parse_formula("(= 2 2)")),
+        prove_zero_plus, prove_suc_plus, prove_plus_comm,
+        lambda: ordinals.ti_proof_template("zero", refl, var="x"),
+        lambda: ordinals.ti_proof_template("zero", jumped, var="x"),
+        lambda: ordinals.ti_proof_template(
+            "zero", parse_formula("(imp (= x 0) (= 0 x))"), var="x"),
+    ]
+    got = [print_proof(build()) for build in builds]
+    monkeypatch.setattr(extraction, "deduce", _deduce_by_walks)
+    monkeypatch.setattr(ordinals, "deduce", _deduce_by_walks)
+    assert got == [print_proof(build()) for build in builds]
+
+
+def _hyp_chain(d):
+    """A chain of d MP nodes over Hyp((= 0 0)), each with a hypothesis
+    (imp C_i C_i+1) as its major premise."""
+    p, c = Hyp(EQ00), EQ00
+    for i in range(d):
+        nxt = Eq(Num(i + 1), Num(i + 1))
+        p, c = MP(Hyp(Imp(c, nxt)), p), nxt
+    return p, c
+
+
+def test_deduce_decides_each_node_once(monkeypatch):
+    calls = Counter()
+    real_uses, real_alpha = extraction._uses_hyp, extraction.alpha_eq
+
+    def count_uses(p, h, known):
+        calls["uses"] += 1
+        return real_uses(p, h, known)
+
+    def count_alpha(a, b):
+        calls["alpha"] += 1
+        return real_alpha(a, b)
+
+    monkeypatch.setattr(extraction, "_uses_hyp", count_uses)
+    monkeypatch.setattr(extraction, "alpha_eq", count_alpha)
+    totals = {"uses": [], "alpha": []}
+    for d in (50, 100, 200):
+        p, c = _hyp_chain(d)
+        calls.clear()
+        q = deduce(EQ00, p)
+        for key in totals:
+            totals[key].append(calls[key])
+        assert check_proof(q, allow_hypotheses=True) == Imp(EQ00, c)
+        assert print_proof(q) == print_proof(_deduce_by_walks(EQ00, p))
+    # each step of d adds the same nodes, so the counts grow linearly
+    for t in totals.values():
+        assert 0 < t[0] and t[2] - t[1] == 2 * (t[1] - t[0]), totals

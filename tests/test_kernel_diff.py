@@ -261,3 +261,74 @@ def test_corpus_realisers_on_sampled_refuters_agree():
                     break
                 e, m = vunpair(n)
     assert steps >= 100
+
+
+# every fuel up to a few periods of each loop below, and some large ones
+LOOP_FUELS = tuple(range(1, 121)) + (997, 1000, 3001, 10**5)
+
+
+def self_loops():
+    """Programs that apply a fixed point whose body gives back the fixed
+    point itself, by what one period charges besides program nodes and
+    application steps."""
+    big = vpair(2**70, 3)
+
+    def back(side):
+        # in a Fix body: evaluate side, then give back Var 0, the fixed
+        # point
+        return App(Lam(Var(1)), side)
+
+    return {
+        "bare": Fix(Var(0)),
+        "cost-3 primitive": Fix(back(Prim(2, Lit(0)))),
+        "cost-0 primitive": Fix(back(Prim(3, Lit(4)))),
+        "cost-2 primitive": Fix(back(Prim(3, Lit(2)))),
+        "vbits of a PV": Fix(back(Suc(Lit(big)))),
+        "PV code": Fix(back(Pair(Lit(big), Lit(1)))),
+        "branch": Fix(IfZ(Prim(1, Lit(0)), Var(0), Lit(3))),
+        # a fixed point built under a Lam, with a Suc of the Lam's
+        # argument in its period
+        "Fix under a Lam": Lam(App(Fix(back(Suc(Var(1)))), Var(0))),
+        # a period that builds another fixed point under a Lam
+        "Fix value in the period":
+            Fix(App(Lam(App(Lam(Var(2)), Fix(Var(0)))), Lit(1))),
+        # pending frames below the loop
+        "frames below": Lam(Suc(Pair(Var(0), App(Fix(back(Var(1))),
+                                                  Var(0))))),
+        # two fixed points that give back each other, with halves of
+        # equal and of unequal cost: no self-loop
+        "two-step loop": Fix(Fix(Var(1))),
+        "uneven two-step loop": Fix(Fix(App(Lam(Var(2)), Prim(2, Lit(0))))),
+    }
+
+
+def test_fixed_point_self_loops_agree_at_every_fuel():
+    k = make_kernel()
+    oracle = SubstKernel(k._prims)
+    big = vpair(2**70, 3)
+    for name, p in self_loops().items():
+        e = encode(p)
+        for m in (0, big):
+            # the oracle steps every period: the largest fuel runs once
+            fuels = LOOP_FUELS if m is big else LOOP_FUELS[:-1]
+            kinds = {assert_agree(k, oracle, e, m, fuel)[0]
+                     for fuel in fuels}
+            assert kinds == {"fuel"}, (name, m)
+
+
+def test_random_fixed_points_agree():
+    rng = random.Random(4)
+    k = make_kernel()
+    oracle = SubstKernel(k._prims)
+    kinds = set()
+    for _ in range(3000):
+        p = random_program(rng, rng.randrange(1, 6))
+        if rng.random() < 0.3:
+            p = App(Lam(Var(1)), p)  # then give back the fixed point
+        p = Fix(p)
+        if rng.random() < 0.3:
+            p = Lam(App(p, Var(0)))
+        m = rng.choice(LITS) if rng.random() < 0.3 else rng.randrange(50)
+        fuel = rng.choice(FUELS + (997, 1000, 3001))
+        kinds.add(assert_agree(k, oracle, encode(p), m, fuel)[0])
+    assert kinds == {"value", "stuck", "fuel"}

@@ -150,6 +150,24 @@ def test_fix_divergence():
     assert r == Diverged("fuel")
 
 
+def test_a_fixed_point_that_unfolds_to_itself_runs_o1_periods():
+    # each period calls the primitive once, then gives back Var 0; the
+    # whole periods are skipped, so only the first and the last partial
+    # one run
+    calls = []
+
+    def count(v):
+        calls.append(v)
+        # stepping every period would call it 10^12 / 8 times
+        assert len(calls) <= 2, "a skipped period ran"
+        return v
+
+    k = Kernel()
+    pid = k.register_primitive(5, count)
+    loop = encode(Fix(App(Lam(Var(1)), Prim(pid, Lit(0)))))
+    assert k.apply(loop, 0, 10**12) == Diverged("fuel")
+
+
 def test_omega_exhausts_fuel_without_recursion_error():
     # 13 codes \x.xx; its self-application is a tail call
     assert decode(13) == Lam(App(Var(0), Var(0)))
