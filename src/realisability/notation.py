@@ -306,37 +306,6 @@ class OrdParseError(ValueError):
     pass
 
 
-def _split_top(text: str, sep: str):
-    """Split on sep at bracket depth zero."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise OrdParseError("unbalanced brackets in %r" % text)
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise OrdParseError("unbalanced brackets in %r" % text)
-    parts.append("".join(cur))
-    return parts
-
-
-def parse_ord(text: str) -> OrdNotation:
-    out = O_ZERO
-    for chunk in _split_top(text, "+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise OrdParseError("empty summand in %r" % text)
-        out = add(out, _parse_summand(chunk))
-    return out
-
-
 def _numeral(text: str) -> Optional[int]:
     """The natural an ASCII decimal numeral names, or None when text is
     not one."""
@@ -349,36 +318,115 @@ def _numeral(text: str) -> Optional[int]:
                             % len(text)) from None
 
 
-def _parse_summand(s: str) -> OrdNotation:
-    coeff = 1
-    factors = _split_top(s, "*")
-    if len(factors) > 2:
-        raise OrdParseError("too many factors in %r" % s)
-    if len(factors) == 2:
-        s, ctext = factors[0].strip(), factors[1].strip()
-        coeff = _numeral(ctext) or 0
-        if coeff < 1:
-            raise OrdParseError("bad coefficient %r" % ctext)
-    s = s.strip()
-    n = _numeral(s)
-    if n is not None:
-        if coeff != 1:
-            raise OrdParseError("numeral with coefficient")
-        return onat(n)
-    if s == "w":
-        return CnfSum(((onat(1), coeff),))
-    if s.startswith("e[") and s.endswith("]"):
-        sub = parse_ord(s[2:-1])
-        try:
-            base = eps(sub)
-        except ValueError as exc:  # an epsilon inside the index
-            raise OrdParseError("%s: %r" % (exc, s)) from None
-        return CnfSum(((base.terms[0][0], coeff),))
-    if s.startswith("w^"):
-        e_text = s[2:]
-        if e_text.startswith("(") and e_text.endswith(")"):
-            e_text = e_text[1:-1]
-        e_val = parse_ord(e_text)
-        p = omega_pow(e_val)
-        return CnfSum(((p.terms[0][0], coeff),))
-    raise OrdParseError("cannot parse summand %r" % s)
+def parse_ord(text: str) -> OrdNotation:
+    """The notation text names, in the format ``print_ord`` writes."""
+    return _OrdReader(text).parse(0, len(text))
+
+
+class _OrdReader:
+    """Parses index ranges of one text.  One pass over the text matches
+    its brackets and finds, for each position, the next ``+`` or ``*`` at
+    that position's bracket depth, so splitting a range never scans what
+    is nested in it and nothing is copied but numerals and error text: a
+    notation nested n deep parses in time linear in n.  ``(`` and ``[``
+    match either closing bracket; the summand rules tell them apart."""
+
+    def __init__(self, text: str):
+        self.text = text
+        n = len(text)
+        self.close: dict[int, int] = {}  # opening bracket -> its match
+        # sep[i]: the first + or * at or after i at i's depth, or n when
+        # the bracket around i closes first
+        self.sep = sep = [n] * (n + 1)
+        nxt, outer = n, []  # outer: (closing bracket, nxt) of each level
+        for i in range(n - 1, -1, -1):
+            ch = text[i]
+            if ch in ")]":
+                outer.append((i, nxt))
+                nxt = n
+            elif ch in "([":
+                if not outer:
+                    raise OrdParseError("unbalanced brackets in %r" % text)
+                self.close[i], nxt = outer.pop()
+            elif ch in "+*":
+                nxt = i
+            sep[i] = nxt
+        if outer:
+            raise OrdParseError("unbalanced brackets in %r" % text)
+
+    def _split(self, lo: int, hi: int, c: str) -> list:
+        """The ranges between the c's at depth zero of [lo, hi)."""
+        text, sep, parts = self.text, self.sep, []
+        p = sep[lo]
+        while p < hi:
+            if text[p] == c:
+                parts.append((lo, p))
+                lo = p + 1
+            p = sep[p + 1]
+        parts.append((lo, hi))
+        return parts
+
+    def _strip(self, lo: int, hi: int) -> tuple:
+        """[lo, hi) without the whitespace ``str.strip`` removes."""
+        text = self.text
+        while lo < hi and text[lo].isspace():
+            lo += 1
+        while hi > lo and text[hi - 1].isspace():
+            hi -= 1
+        return lo, hi
+
+    def parse(self, lo: int, hi: int) -> OrdNotation:
+        """The notation text[lo:hi] names; its brackets are balanced."""
+        out = O_ZERO
+        for a, b in self._split(lo, hi, "+"):
+            a, b = self._strip(a, b)
+            if a == b:
+                raise OrdParseError("empty summand in %r"
+                                    % self.text[lo:hi])
+            out = add(out, self._summand(a, b))
+        return out
+
+    def _inside(self, lo: int, hi: int) -> OrdNotation:
+        """The notation between the brackets at lo - 1 and hi."""
+        if self.close[lo - 1] != hi:
+            raise OrdParseError("unbalanced brackets in %r"
+                                % self.text[lo:hi])
+        return self.parse(lo, hi)
+
+    def _summand(self, lo: int, hi: int) -> OrdNotation:
+        text = self.text
+        coeff = 1
+        factors = self._split(lo, hi, "*")
+        if len(factors) > 2:
+            raise OrdParseError("too many factors in %r" % text[lo:hi])
+        if len(factors) == 2:
+            lo, hi = self._strip(*factors[0])
+            ctext = text[slice(*self._strip(*factors[1]))]
+            coeff = _numeral(ctext) or 0
+            if coeff < 1:
+                raise OrdParseError("bad coefficient %r" % ctext)
+        # a numeral starts with an ASCII digit
+        n = _numeral(text[lo:hi]) if lo < hi and text[lo] in "0123456789" \
+            else None
+        if n is not None:
+            if coeff != 1:
+                raise OrdParseError("numeral with coefficient")
+            return onat(n)
+        if hi - lo == 1 and text[lo] == "w":
+            return CnfSum(((onat(1), coeff),))
+        if text.startswith("e[", lo, hi) and text.endswith("]", lo, hi):
+            sub = self._inside(lo + 2, hi - 1)
+            try:
+                base = eps(sub)
+            except ValueError as exc:  # an epsilon inside the index
+                raise OrdParseError("%s: %r" % (exc, text[lo:hi])) from None
+            return CnfSum(((base.terms[0][0], coeff),))
+        if text.startswith("w^", lo, hi):
+            lo += 2
+            if text.startswith("(", lo, hi) and text.endswith(")", lo, hi):
+                e_val = self._inside(lo + 1, hi - 1)
+            else:
+                e_val = self.parse(lo, hi)
+            p = omega_pow(e_val)
+            return CnfSum(((p.terms[0][0], coeff),))
+        raise OrdParseError("cannot parse summand %r" % text[lo:hi])

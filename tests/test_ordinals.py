@@ -4,15 +4,16 @@ import io
 import itertools
 import random
 import re
+import time
 import weakref
 
 import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
-from realisability import cli, ordinals
+from realisability import cli, notation, ordinals
 from realisability.extraction import (
-    ExtractionError, check_proof, combinator, extract_value,
+    ExtractionError, check_proof, combinator, extract_value, fresh_kernel,
 )
 from realisability.notation import (
     CnfSum, Eps, GREATER, LESS, EQUAL, LimC, O_ZERO, OrdParseError, SucC,
@@ -20,7 +21,8 @@ from realisability.notation import (
     odecode, omega, omega_pow, omega_tower, onat, parse_ord, print_ord,
 )
 from realisability.ordinals import (
-    PID_TISUC, build_Prog, build_TI, jump_formula, olt, ordinal_kernel,
+    PID_ORDFS, PID_TI0, PID_TISUC, PID_WO, build_Prog, build_TI,
+    install_ordinal_primitives, jump_formula, olt, ordinal_kernel,
     ti_formula, ti_proof_template, wo_combinator, wo_realiser,
 )
 from realisability.poles import Generated, OUT, member
@@ -29,7 +31,9 @@ from realisability.syntax import (
     All, Eq, Fn, Imp, Num, SucT, TVar, free_vars, godel, parse_formula,
     ungodel,
 )
-from realisability.vm import Lam, PV, Prim, Value, Var, encode, vpair
+from realisability.vm import (
+    Kernel, Lam, Lit, PV, Pair, Prim, StuckError, Value, Var, encode, vpair,
+)
 
 K = ordinal_kernel()
 POLE = Generated(frozenset({0, 3, 8}), 64)
@@ -350,6 +354,129 @@ def test_bad_notations_are_ord_parse_errors(text, message):
         parse_ord(text)
 
 
+# The parser as it was before it parsed index ranges: it splits and
+# copies the remaining text at every level, so it is quadratic in the
+# nesting depth.  Kept as the reference for results and error messages.
+
+def _split_top_by_copying(text, sep):
+    parts, depth, cur = [], 0, []
+    for ch in text:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+            if depth < 0:
+                raise OrdParseError("unbalanced brackets in %r" % text)
+        if ch == sep and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    if depth != 0:
+        raise OrdParseError("unbalanced brackets in %r" % text)
+    parts.append("".join(cur))
+    return parts
+
+
+def _parse_ord_by_copying(text):
+    out = O_ZERO
+    for chunk in _split_top_by_copying(text, "+"):
+        chunk = chunk.strip()
+        if not chunk:
+            raise OrdParseError("empty summand in %r" % text)
+        out = add(out, _summand_by_copying(chunk))
+    return out
+
+
+def _summand_by_copying(s):
+    coeff = 1
+    factors = _split_top_by_copying(s, "*")
+    if len(factors) > 2:
+        raise OrdParseError("too many factors in %r" % s)
+    if len(factors) == 2:
+        s, ctext = factors[0].strip(), factors[1].strip()
+        coeff = notation._numeral(ctext) or 0
+        if coeff < 1:
+            raise OrdParseError("bad coefficient %r" % ctext)
+    s = s.strip()
+    n = notation._numeral(s)
+    if n is not None:
+        if coeff != 1:
+            raise OrdParseError("numeral with coefficient")
+        return onat(n)
+    if s == "w":
+        return CnfSum(((onat(1), coeff),))
+    if s.startswith("e[") and s.endswith("]"):
+        sub = _parse_ord_by_copying(s[2:-1])
+        try:
+            base = eps(sub)
+        except ValueError as exc:
+            raise OrdParseError("%s: %r" % (exc, s)) from None
+        return CnfSum(((base.terms[0][0], coeff),))
+    if s.startswith("w^"):
+        e_text = s[2:]
+        if e_text.startswith("(") and e_text.endswith(")"):
+            e_text = e_text[1:-1]
+        p = omega_pow(_parse_ord_by_copying(e_text))
+        return CnfSum(((p.terms[0][0], coeff),))
+    raise OrdParseError("cannot parse summand %r" % s)
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except OrdParseError as exc:
+        return "error", str(exc)
+
+
+# pieces of notations, of malformed ones, and whitespace str.strip removes
+_PIECES = ("w", "w", "w^", "w^(", "(", ")", "[", "]", "e[", "e[0]", "+",
+           " + ", "*", "*2", "0", "1", "3", "10", "07", " ", "\t",
+           "\u2003", "\u00b2", "x", "^", "e", "ww", "(w)")
+
+
+def _mutate(rng, text):
+    i = rng.randrange(len(text) + 1)
+    j = min(len(text), i + rng.randrange(3))
+    return text[:i] + rng.choice(("",) + _PIECES) + text[j:]
+
+
+def test_parse_ord_matches_the_copying_reference():
+    rng = random.Random(20260)
+    texts = ["", " ", "w^(1)(2)", "e[0][1]", "w^()", "e[]", "*2", "w^+1",
+             "e[0)", "w^(0]", "w^ (1)", " w ^(1)", "w^(1) * 2 ", "3*2",
+             "e[e[0]]", "w + e[1 + e[0]]", "w + 9" + "9" * 5000,
+             "w*1" + "0" * 5000]
+    texts += [print_ord(a) for a in CORPUS]
+    for _ in range(3000):
+        pick = rng.random()
+        if pick < 0.4:
+            text = "".join(rng.choice(_PIECES)
+                           for _ in range(rng.randrange(1, 9)))
+        else:
+            text = print_ord(rng.choice(CORPUS))
+            for _ in range(rng.randrange(0 if pick < 0.6 else 1, 4)):
+                text = _mutate(rng, text)
+        texts.append(text)
+    outcomes = set()
+    for text in texts:
+        want = _outcome(_parse_ord_by_copying, text)
+        assert _outcome(parse_ord, text) == want, text
+        outcomes.add(want[0] if want[0] == "ok"
+                     else want[1].split(" in ")[0].split(" %r")[0][:12])
+    # both results and several kinds of error were compared
+    assert len(outcomes) >= 8, outcomes
+
+
+def test_parse_ord_is_linear_in_nesting_depth():
+    n = 3000
+    text = "w^(" * n + "1" + ")" * n
+    start = time.perf_counter()
+    a = parse_ord(text)
+    assert time.perf_counter() - start < 0.5
+    assert a == omega_tower(onat(1), n)
+
+
 # ---------------------------------------------------------------------------
 # TI formulas and proof templates
 
@@ -431,6 +558,8 @@ def _tisuc(kernel, a_code, alpha):
 
 
 def _counting_extractions(monkeypatch, fail_first=False):
+    # the memo is shared by every kernel in the process: start cold
+    monkeypatch.setattr(ordinals, "_TEMPLATES", {})
     calls = []
 
     def counting(p, kernel, fuel=10**7, assignment=None):
@@ -453,9 +582,9 @@ def test_template_memo_extracts_once_per_kernel(monkeypatch):
     for alpha, g in zip((onat(1), W), got):
         want = _app(combinator("s"), vpair(univ, ocode(alpha)))
         assert g == want
-    # a fresh kernel starts with an empty memo
+    # a fresh kernel finds the entry
     _tisuc(ordinal_kernel(), A_CODE, W)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_template_memo_takes_large_numerals(monkeypatch):
@@ -489,11 +618,73 @@ def test_template_memo_keeps_no_failure(monkeypatch):
     assert len(calls) == 2
 
 
+def test_template_memo_keeps_its_bound(monkeypatch):
+    calls = _counting_extractions(monkeypatch)
+    monkeypatch.setattr(ordinals, "MEMO_SIZE", 3)
+    k = ordinal_kernel()
+    sizes = []
+    for n in range(8):
+        _tisuc(k, godel(Imp(Eq(TVar("x"), Num(n)), A_REFL)), W)
+        sizes.append(len(ordinals._TEMPLATES))
+    # emptied when full, then refilled
+    assert sizes == [1, 2, 3, 1, 2, 3, 1, 2]
+    assert len(calls) == 8
+
+
+def test_template_memo_answers_a_bare_kernel(monkeypatch):
+    # a kernel without the extraction primitives gets the realisers an
+    # ordinal kernel gets, whether it fills the memo or finds it filled
+    calls = _counting_extractions(monkeypatch)
+    bare = lambda: install_ordinal_primitives(Kernel())
+    zero = encode(Lam(Prim(PID_TI0, Var(0))))
+    cold = (_app(zero, A_CODE, kernel=bare()), _tisuc(bare(), A_CODE, W))
+    assert len(calls) == 2
+    monkeypatch.setattr(ordinals, "_TEMPLATES", {})
+    k = ordinal_kernel()
+    want = (_app(zero, A_CODE, kernel=k), _tisuc(k, A_CODE, W))
+    warm = (_app(zero, A_CODE, kernel=bare()), _tisuc(bare(), A_CODE, W))
+    assert len(calls) == 4
+    assert cold == want == warm
+
+
+# The notations and formulas of the `ti` benchmark universe: its queries
+# are `realis ti realise ALPHA --formula A --pole generated:0,3,8`.
+BENCH_ALPHAS = ("0", "1", "2", "3", "5", "8", "w", "w+1", "w+3", "w*2",
+                "w*3+2", "w^2", "w^2+w", "w^3", "w^w", "e[0]", "e[0]+1",
+                "e[1]")
+BENCH_FORMULAS = (
+    "(= x x)", "(= (s x) (s x))", "(= (+ x 1) (+ x 1))",
+    "(= (* x 2) (* x 2))", "(imp (= x 0) (= x x))",
+    "(imp (= x x) (= x x))", "(imp (= x 1) (= (s x) (s x)))",
+    "(imp (= 0 1) (= x x))", "(all y (= (+ x y) (+ x y)))",
+    "(all y (= (* x y) (* x y)))", "(all y (= (+ y x) (+ y x)))",
+    "(all y (imp (= y 0) (= x x)))")
+
+
+def _template_proof(key):
+    kind, a = key[0], ungodel(key[1])
+    p = ti_proof_template(kind, a, *key[2:], var="x")
+    return p[0] if kind == "omega" else p
+
+
+def test_template_memo_entries_are_fresh_extractions(monkeypatch):
+    monkeypatch.setattr(ordinals, "_TEMPLATES", {})
+    with contextlib.redirect_stdout(io.StringIO()):
+        for alpha, a in itertools.product(BENCH_ALPHAS, BENCH_FORMULAS):
+            assert cli.main(["ti", "realise", alpha, "--formula", a,
+                             "--pole", "generated:0,3,8"]) == 0
+    memo = ordinals._TEMPLATES
+    assert len(memo) == 156
+    assert {key[0] for key in memo} == {"zero", "suc", "omega", "lim"}
+    for key, r in memo.items():
+        assert r == extract_value(_template_proof(key), fresh_kernel())[1]
+
+
 # ---------------------------------------------------------------------------
 # Well-ordering combinators
 
-def _app(code, arg, fuel=10**7):
-    r = K.apply(code, arg, fuel)
+def _app(code, arg, fuel=10**7, kernel=K):
+    r = kernel.apply(code, arg, fuel)
     assert isinstance(r, Value), r
     return r.n
 
@@ -542,6 +733,42 @@ def test_wo_realiser_structure_cases():
     # successor goes through k_suc
     e1 = wo_realiser(onat(1), K)
     assert e1 == _app(wo_combinator("k_suc"), vpair(wo_combinator("k0"), 0))
+
+
+def _wo_realiser_by_encoding(alpha, kernel):
+    """wo_realiser as it was when it encoded each limit's sequence and
+    the kernel decoded it again: the reference for the codes."""
+    def app(code, arg):
+        r = kernel.apply(code, arg, 10**7)
+        if not isinstance(r, Value):
+            raise StuckError()
+        return r.n
+
+    if isinstance(alpha, CnfSum) and len(alpha.terms) == 1 \
+            and isinstance(alpha.terms[0][0], Eps) \
+            and alpha.terms[0][1] == 1:
+        return app(wo_combinator("k_eps"), ocode(alpha.terms[0][0].sub))
+    k = classify(alpha)
+    if isinstance(k, ZeroC):
+        return wo_combinator("k0")
+    if isinstance(k, SucC):
+        return app(wo_combinator("k_suc"),
+                   vpair(_wo_realiser_by_encoding(k.pred, kernel),
+                         ocode(k.pred)))
+    if len(alpha.terms) == 1 and alpha.terms[0][1] == 1:
+        e = alpha.terms[0][0]
+        return app(wo_combinator("k_omega"),
+                   vpair(_wo_realiser_by_encoding(e, kernel), ocode(e)))
+    seq = encode(Lam(Prim(PID_WO, Prim(PID_ORDFS,
+                                       Pair(Lit(ocode(alpha)), Var(0))))))
+    return app(wo_combinator("k_lim"), vpair(seq, ocode(alpha)))
+
+
+def test_wo_realiser_codes_match_the_encoding_reference():
+    for text in BENCH_ALPHAS:
+        alpha = parse_ord(text)
+        got = wo_realiser(alpha, ordinal_kernel())
+        assert got == _wo_realiser_by_encoding(alpha, ordinal_kernel()), text
 
 
 ALPHAS = [O_ZERO, onat(1), onat(2), W, CnfSum(((onat(1), 2),)),
