@@ -158,9 +158,16 @@ class ProofError(ValueError):
 # ---------------------------------------------------------------------------
 # Alpha equivalence
 
+# The walk dispatches on the exact class of each node: no node class has
+# a subclass, and type identity is cheaper than isinstance on a tuple.
+_UNARY_TERMS = (SucT, Proj0T, Proj1T)
+_BINARY_TERMS = (Add, Mul, PairT)
+
+
 def _alpha_term(s: ATerm, t: ATerm, da: dict, db: dict) -> bool:
-    if isinstance(s, TVar):
-        if not isinstance(t, TVar):
+    ts, tt = type(s), type(t)
+    if ts is TVar:
+        if tt is not TVar:
             return False
         i, j = da.get(s.name), db.get(t.name)
         return i == j and (i is not None or s.name == t.name)
@@ -168,40 +175,75 @@ def _alpha_term(s: ATerm, t: ATerm, da: dict, db: dict) -> bool:
         # under a binder (da is not empty) a successor matches the
         # numeral one bigger, as subst folds (s n) to n+1 in the
         # instances the schemas are checked against
-        if isinstance(s, SucT) and isinstance(t, Num):
+        if ts is SucT and tt is Num:
             return (isinstance(t.n, int)
                     and _alpha_term(s.t, Num(t.n - 1), da, db))
-        if isinstance(s, Num) and isinstance(t, SucT):
+        if ts is Num and tt is SucT:
             return (isinstance(s.n, int)
                     and _alpha_term(Num(s.n - 1), t.t, da, db))
-    if type(s) is not type(t):
+    if ts is not tt:
         return False
-    if isinstance(s, Num):
+    if ts is Num:
         return s.n == t.n
-    if isinstance(s, (SucT, Proj0T, Proj1T)):
+    if ts in _UNARY_TERMS:
         return _alpha_term(s.t, t.t, da, db)
-    if isinstance(s, (Add, Mul, PairT)):
+    if ts in _BINARY_TERMS:
         return (_alpha_term(s.l, t.l, da, db)
                 and _alpha_term(s.r, t.r, da, db))
-    if isinstance(s, Fn):
+    if ts is Fn:
         return (s.name == t.name and len(s.args) == len(t.args)
                 and all(_alpha_term(u, v, da, db)
                         for u, v in zip(s.args, t.args)))
     raise TypeError(s)
 
 
+def _base_term(t: ATerm) -> bool:
+    tt = type(t)
+    if tt is TVar or tt is Num:
+        return True
+    if tt in _UNARY_TERMS:
+        return _base_term(t.t)
+    if tt in _BINARY_TERMS:
+        return _base_term(t.l) and _base_term(t.r)
+    return tt is Fn and all(_base_term(u) for u in t.args)
+
+
+def _is_base(a: Formula) -> bool:
+    """Whether a is in the base grammar: Eq, Imp and All over the term
+    grammar.  A formula keeps the answer as its _base flag."""
+    r = getattr(a, "_base", None)
+    if r is None:
+        ta = type(a)
+        if ta is Eq:
+            r = _base_term(a.l) and _base_term(a.r)
+        elif ta is Imp:
+            r = _is_base(a.a) and _is_base(a.b)
+        elif ta is All:
+            r = _is_base(a.body)
+        else:
+            return False
+        object.__setattr__(a, "_base", r)
+    return r
+
+
 def _alpha(a: Formula, b: Formula, da: dict, db: dict, depth: int) -> bool:
     # da/db map each bound name to the depth of its innermost binder
-    if not isinstance(a, (Eq, Imp, All)):
+    if a is b and da == db and _is_base(a):
+        # the same base formula on both sides, under binders that bind
+        # the same names at the same depths: the walk would meet only
+        # equal pairs
+        return True
+    ta, tb = type(a), type(b)
+    if ta is not Eq and ta is not Imp and ta is not All:
         raise TypeError(a)
-    if not isinstance(b, (Eq, Imp, All)):
+    if tb is not Eq and tb is not Imp and tb is not All:
         raise TypeError(b)
-    if type(a) is not type(b):
+    if ta is not tb:
         return False
-    if isinstance(a, Eq):
+    if ta is Eq:
         return (_alpha_term(a.l, b.l, da, db)
                 and _alpha_term(a.r, b.r, da, db))
-    if isinstance(a, Imp):
+    if ta is Imp:
         return (_alpha(a.a, b.a, da, db, depth)
                 and _alpha(a.b, b.b, da, db, depth))
     x, y = a.var, b.var
@@ -226,10 +268,14 @@ def alpha_eq(a: Formula, b: Formula) -> bool:
     binder, (s n) matches the numeral n+1.  Raises TypeError on a node
     outside the base grammar.
 
-    A walk that answers True has reached every leaf of both sides, so
-    both are base formulas; each keeps that as its _base flag, and a
-    flagged formula compared with itself is equal without a walk."""
-    if a is b and getattr(a, "_base", False):
+    A subformula met on both sides as the same object, under binders
+    that bind the same names at the same depths on both sides, is not
+    walked when it is a base formula: most comparisons the checker
+    makes are of such formulas.  Whether a formula is a base formula is
+    found once and kept on it as its _base flag; a walk that answers
+    True has reached every leaf of both sides or found them base, so it
+    flags both."""
+    if a is b and _is_base(a):
         return True
     if not _alpha(a, b, {}, {}, 0):
         return False

@@ -7,9 +7,6 @@ naturals, so ordinals appear inside arithmetic formulas through
 registered function symbols (ordlt, ordsuc, ordadd, ordpow); the
 transfinite-induction statement TI(A, alpha) is an ordinary arithmetic
 formula about codes.
-
-The TI template realisers are extracted once per process: every kernel's
-primitives share one memo of them (see ``_TEMPLATES``).
 """
 
 from __future__ import annotations
@@ -250,33 +247,12 @@ def _ti_direct_proof(a: Formula, alpha: OrdNotation) -> Proof:
     return MP(ax_k(inst, build_Prog(a, "x")), _prove_outright(inst))
 
 
-# The realisers of the templates, keyed on the kind, the formula's code
-# and, for lim/direct, the notation.  One memo serves every kernel in the
-# process: a template is extracted in a kernel made for it, so an entry
-# is a function of its key alone and holds no kernel.  Bounded like the
-# kernel's closure memo; only successes are kept.
-_TEMPLATES: dict = {}
-
-
-def _template(key: tuple, build) -> Nat:
-    r = _TEMPLATES.get(key)
-    if r is None:
-        _, r = extract_value(build(), ordinal_kernel(), _TEMPLATE_FUEL)
-        if len(_TEMPLATES) >= MEMO_SIZE:
-            _TEMPLATES.clear()
-        _TEMPLATES[key] = r
-    return r
-
-
 def install_ordinal_primitives(kernel: Kernel) -> Kernel:
     """Primitives the well-ordering combinators reduce through.
 
-    The template primitives answer from the process's template memo and
-    extract on a miss in a kernel of their own, so what they return does
-    not depend on the primitives this kernel carries.  The primitives
-    reach the kernel through a weak proxy: the kernel holds them, so a
-    strong reference would make a cycle, and the kernel with its memos
-    would live on until the cyclic collector ran."""
+    They reach the kernel through a weak proxy: the kernel holds them,
+    so a strong reference would make a cycle, and the kernel with its
+    memos would live on until the cyclic collector ran."""
     owner = weakref.proxy(kernel)
 
     def p_ordlt(v: Nat) -> Nat:
@@ -309,6 +285,20 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
 
     def p_ordsucn(v: Nat) -> Nat:
         return ocode(add(_decode_ord(v), onat(1)))
+
+    # realisers of the templates, keyed on the kind, the formula's code
+    # and, for lim/direct, the notation; bounded like the kernel's
+    # closure memo
+    templates: dict = {}
+
+    def _template(key: tuple, build) -> Nat:
+        r = templates.get(key)
+        if r is None:
+            _, r = extract_value(build(), owner, _TEMPLATE_FUEL)
+            if len(templates) >= MEMO_SIZE:
+                templates.clear()
+            templates[key] = r
+        return r
 
     def p_ti0(v: Nat) -> Nat:
         a = _decode_sentence_with_x(v)

@@ -204,18 +204,34 @@ def term_vars(t: ATerm) -> set:
     raise TypeError(t)
 
 
-def free_vars(a: Formula) -> set:
-    if isinstance(a, Eq):
-        return term_vars(a.l) | term_vars(a.r)
-    if isinstance(a, Imp):
-        return free_vars(a.a) | free_vars(a.b)
-    if isinstance(a, All):
-        return free_vars(a.body) - {a.var}
-    if isinstance(a, (InPole, Tru)):
-        return term_vars(a.t)
-    if isinstance(a, (Fals, Real)):
-        return term_vars(a.s) | term_vars(a.t)
-    raise TypeError(a)
+def free_vars(a: Formula) -> frozenset:
+    """The free variables of a.  A formula is frozen, so an implication's
+    or a universal's set is kept on the node as _fv the first time it is
+    asked for: a subformula that many formulas share (a TI template's
+    Prog(A) sits in most of its axioms) is walked once, not once per
+    formula that contains it.  An atom's set is built each time; keeping
+    it would cost as much as building it."""
+    t = type(a)
+    if t is Eq:
+        return frozenset(term_vars(a.l) | term_vars(a.r))
+    if t is InPole or t is Tru:
+        return frozenset(term_vars(a.t))
+    if t is Fals or t is Real:
+        return frozenset(term_vars(a.s) | term_vars(a.t))
+    fv = getattr(a, "_fv", None)
+    if fv is None:
+        if t is Imp:
+            fa, fb = free_vars(a.a), free_vars(a.b)
+            # shares a child's set when it equals it
+            fv = fa | fb if fa and fb else fa or fb
+        elif t is All:
+            fv = free_vars(a.body)
+            if a.var in fv:
+                fv = fv - {a.var}
+        else:
+            raise TypeError(a)
+        object.__setattr__(a, "_fv", fv)
+    return fv
 
 
 def subst_term(t: ATerm, x: str, s: ATerm) -> ATerm:

@@ -364,7 +364,9 @@ def _close(p: Program, env: tuple, d: int) -> Nat:
 def _floor(p: Program) -> int:
     """A lower bound on the code of p under any binders and env, capped at
     2^64: a Var counts as 0, and pairing is monotone in each argument.
-    It is kept on the node once found."""
+    It is kept on the node once found.  A pair is at least each of its
+    components, so once the first child of an App, IfZ or Pair reaches
+    the cap the rest of the node is not walked."""
     f = getattr(p, "_floor", None)
     if f is not None:
         return f
@@ -376,16 +378,21 @@ def _floor(p: Program) -> int:
     elif t is Lam:
         f = pair(_TAG_LAM, _floor(p.body))
     elif t is App:
-        f = pair(_TAG_APP, pair(_floor(p.fn), _floor(p.arg)))
+        f = _floor(p.fn)
+        if f < _SMALL:
+            f = pair(_TAG_APP, pair(f, _floor(p.arg)))
     elif t is Suc:
         f = pair(_TAG_SUC, _floor(p.p))
     elif t is Pred:
         f = pair(_TAG_PRED, _floor(p.p))
     elif t is IfZ:
-        f = pair(_TAG_IFZ, pair(_floor(p.scrutinee),
-                                pair(_floor(p.zero), _floor(p.succ))))
+        f = _floor(p.scrutinee)
+        if f < _SMALL:
+            f = pair(_TAG_IFZ, pair(f, pair(_floor(p.zero), _floor(p.succ))))
     elif t is Pair:
-        f = pair(_TAG_PAIR, pair(_floor(p.l), _floor(p.r)))
+        f = _floor(p.l)
+        if f < _SMALL:
+            f = pair(_TAG_PAIR, pair(f, _floor(p.r)))
     elif t is Proj0:
         f = pair(_TAG_PROJ0, _floor(p.p))
     elif t is Proj1:

@@ -373,6 +373,24 @@ def test_identity_is_alpha_equality_only_for_base_formulas(monkeypatch):
             alpha_eq(c, c)
 
 
+def test_a_shared_subformula_is_compared_in_its_context():
+    # the same object under binders that bind its variables differently
+    b = parse_formula("(= (+ x y) z)")
+    assert not alpha_eq(All("x", All("y", b)), All("y", All("x", b)))
+    assert not alpha_eq(All("x", b), All("w", b))
+    assert not alpha_eq(All("x", Imp(b, b)), Imp(b, All("x", b)))
+    assert alpha_eq(All("x", All("y", b)), All("x", All("y", b)))
+    assert alpha_eq(All("w", b), All("v", b))
+    # bound at the same depth under different names
+    c = parse_formula("(all x (= x y))")
+    assert alpha_eq(All("y", c), All("u", subst(c, "y", TVar("u"))))
+    # a shared non-base subformula still raises
+    x = InPole(Num(0))
+    d = parse_formula("(= x z)")
+    with pytest.raises(TypeError):
+        alpha_eq(All("y", Imp(d, x)), All("u", Imp(d, x)))
+
+
 def _canon(a, depth=0):
     # the substitution-based canonical form alpha_eq used to compare;
     # subst folds (s n) into n+1 under every binder, not outside them

@@ -4,7 +4,6 @@ import io
 import itertools
 import random
 import re
-import time
 import weakref
 
 import hypothesis as hyp
@@ -21,9 +20,9 @@ from realisability.notation import (
     odecode, omega, omega_pow, omega_tower, onat, parse_ord, print_ord,
 )
 from realisability.ordinals import (
-    PID_ORDFS, PID_TI0, PID_TISUC, PID_WO, build_Prog, build_TI,
-    install_ordinal_primitives, jump_formula, olt, ordinal_kernel,
-    ti_formula, ti_proof_template, wo_combinator, wo_realiser,
+    PID_ORDFS, PID_TISUC, PID_WO, build_Prog, build_TI, jump_formula, olt,
+    ordinal_kernel, ti_formula, ti_proof_template, wo_combinator,
+    wo_realiser,
 )
 from realisability.poles import Generated, OUT, member
 from realisability.semantics import Budget, realises
@@ -32,7 +31,7 @@ from realisability.syntax import (
     ungodel,
 )
 from realisability.vm import (
-    Kernel, Lam, Lit, PV, Pair, Prim, StuckError, Value, Var, encode, vpair,
+    Lam, Lit, PV, Pair, Prim, StuckError, Value, Var, encode, vpair,
 )
 
 K = ordinal_kernel()
@@ -468,13 +467,28 @@ def test_parse_ord_matches_the_copying_reference():
     assert len(outcomes) >= 8, outcomes
 
 
+class _CountingText(str):
+    """A text that counts the characters read from it; a slice counts
+    its length."""
+    reads = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            _CountingText.reads += len(range(*key.indices(len(self))))
+        else:
+            _CountingText.reads += 1
+        return str.__getitem__(self, key)
+
+
 def test_parse_ord_is_linear_in_nesting_depth():
-    n = 3000
-    text = "w^(" * n + "1" + ")" * n
-    start = time.perf_counter()
-    a = parse_ord(text)
-    assert time.perf_counter() - start < 0.5
-    assert a == omega_tower(onat(1), n)
+    # each character is read a bounded number of times, however deep the
+    # nesting: the quadratic parser re-read the rest of the text at every
+    # level
+    for n in (750, 1500, 3000):
+        text = _CountingText("w^(" * n + "1" + ")" * n)
+        _CountingText.reads = 0
+        assert parse_ord(text) == omega_tower(onat(1), n)
+        assert _CountingText.reads <= 2 * len(text), n
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +572,6 @@ def _tisuc(kernel, a_code, alpha):
 
 
 def _counting_extractions(monkeypatch, fail_first=False):
-    # the memo is shared by every kernel in the process: start cold
-    monkeypatch.setattr(ordinals, "_TEMPLATES", {})
     calls = []
 
     def counting(p, kernel, fuel=10**7, assignment=None):
@@ -582,9 +594,9 @@ def test_template_memo_extracts_once_per_kernel(monkeypatch):
     for alpha, g in zip((onat(1), W), got):
         want = _app(combinator("s"), vpair(univ, ocode(alpha)))
         assert g == want
-    # a fresh kernel finds the entry
+    # a fresh kernel starts with an empty memo
     _tisuc(ordinal_kernel(), A_CODE, W)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_template_memo_takes_large_numerals(monkeypatch):
@@ -622,29 +634,15 @@ def test_template_memo_keeps_its_bound(monkeypatch):
     calls = _counting_extractions(monkeypatch)
     monkeypatch.setattr(ordinals, "MEMO_SIZE", 3)
     k = ordinal_kernel()
-    sizes = []
-    for n in range(8):
-        _tisuc(k, godel(Imp(Eq(TVar("x"), Num(n)), A_REFL)), W)
-        sizes.append(len(ordinals._TEMPLATES))
-    # emptied when full, then refilled
-    assert sizes == [1, 2, 3, 1, 2, 3, 1, 2]
-    assert len(calls) == 8
-
-
-def test_template_memo_answers_a_bare_kernel(monkeypatch):
-    # a kernel without the extraction primitives gets the realisers an
-    # ordinal kernel gets, whether it fills the memo or finds it filled
-    calls = _counting_extractions(monkeypatch)
-    bare = lambda: install_ordinal_primitives(Kernel())
-    zero = encode(Lam(Prim(PID_TI0, Var(0))))
-    cold = (_app(zero, A_CODE, kernel=bare()), _tisuc(bare(), A_CODE, W))
-    assert len(calls) == 2
-    monkeypatch.setattr(ordinals, "_TEMPLATES", {})
-    k = ordinal_kernel()
-    want = (_app(zero, A_CODE, kernel=k), _tisuc(k, A_CODE, W))
-    warm = (_app(zero, A_CODE, kernel=bare()), _tisuc(bare(), A_CODE, W))
+    codes = [godel(Imp(Eq(TVar("x"), Num(n)), A_REFL)) for n in range(4)]
+    for code in codes:
+        _tisuc(k, code, W)
     assert len(calls) == 4
-    assert cold == want == warm
+    # the fourth entry found the memo full and emptied it: only it is kept
+    _tisuc(k, codes[3], W)
+    assert len(calls) == 4
+    _tisuc(k, codes[0], W)
+    assert len(calls) == 5
 
 
 # The notations and formulas of the `ti` benchmark universe: its queries
@@ -661,30 +659,31 @@ BENCH_FORMULAS = (
     "(all y (imp (= y 0) (= x x)))")
 
 
-def _template_proof(key):
-    kind, a = key[0], ungodel(key[1])
-    p = ti_proof_template(kind, a, *key[2:], var="x")
-    return p[0] if kind == "omega" else p
+def test_template_realisers_are_fresh_extractions(monkeypatch):
+    # every template the ti benchmark universe extracts, in the kernel of
+    # its query, has the realiser a fresh kernel extracts from it
+    made = []
 
+    def recording(p, kernel, fuel=10**7, assignment=None):
+        c, r = extract_value(p, kernel, fuel, assignment)
+        made.append((p, r))
+        return c, r
 
-def test_template_memo_entries_are_fresh_extractions(monkeypatch):
-    monkeypatch.setattr(ordinals, "_TEMPLATES", {})
+    monkeypatch.setattr(ordinals, "extract_value", recording)
     with contextlib.redirect_stdout(io.StringIO()):
         for alpha, a in itertools.product(BENCH_ALPHAS, BENCH_FORMULAS):
             assert cli.main(["ti", "realise", alpha, "--formula", a,
                              "--pole", "generated:0,3,8"]) == 0
-    memo = ordinals._TEMPLATES
-    assert len(memo) == 156
-    assert {key[0] for key in memo} == {"zero", "suc", "omega", "lim"}
-    for key, r in memo.items():
-        assert r == extract_value(_template_proof(key), fresh_kernel())[1]
+    assert len(made) > len(BENCH_ALPHAS) * len(BENCH_FORMULAS)
+    for p, r in made:
+        assert r == extract_value(p, fresh_kernel())[1]
 
 
 # ---------------------------------------------------------------------------
 # Well-ordering combinators
 
-def _app(code, arg, fuel=10**7, kernel=K):
-    r = kernel.apply(code, arg, fuel)
+def _app(code, arg, fuel=10**7):
+    r = K.apply(code, arg, fuel)
     assert isinstance(r, Value), r
     return r.n
 

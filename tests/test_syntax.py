@@ -177,6 +177,26 @@ def test_fresh_names_are_the_first_not_in_use():
     assert b.var == "v3" and free_vars(b) == {"v1", "v2", "y"}
 
 
+def test_free_variables_are_kept_on_the_node(monkeypatch):
+    calls = []
+    real = syntax.free_vars
+    monkeypatch.setattr(syntax, "free_vars",
+                        lambda a: calls.append(a) or real(a))
+    shared = parse_formula("(all y (= (+ x y) z))")
+    f = Imp(shared, All("z", Imp(shared, Eq(TVar("w"), Num(0)))))
+    fv = real(f)
+    assert fv == {"x", "z", "w"} and isinstance(fv, frozenset)
+    # the shared universal is asked twice and walked once
+    assert [a is shared for a in calls].count(True) == 2
+    assert [a is shared.body for a in calls].count(True) == 1
+    del calls[:]
+    assert real(f) is fv and real(shared) == {"x", "z"} and not calls
+    # the kept set is not part of the formula's value
+    assert f == Imp(shared, All("z", Imp(shared, Eq(TVar("w"), Num(0)))))
+    with pytest.raises(TypeError):
+        real(TVar("x"))
+
+
 def test_parse_examples():
     f = parse_formula("(all x (= (+ x 0) x))")
     assert f == All("x", Eq(Add(TVar("x"), Num(0)), TVar("x")))

@@ -8,8 +8,8 @@ from realisability.poles import Generated, member
 from realisability.syntax import Add, Mul, Num, SucT, eval_term
 from realisability.vm import (
     FUEL, PV, App, Diverged, Fix, IfZ, Kernel, Lam, Lit, Pair, Pred, Prim,
-    Proj0, Proj1, Stuck, Suc, Value, Var, _close, decode, encode, pair,
-    unpair, vbits, vint, vle, vnat, vpair, vunpair,
+    Proj0, Proj1, Stuck, Suc, Value, Var, _close, _floor, decode, encode,
+    pair, unpair, vbits, vint, vle, vnat, vpair, vunpair,
 )
 
 
@@ -368,6 +368,32 @@ def test_a_closure_value_is_its_code(p, env):
     if type(v) is PV:
         assert built(v) and v.clo == (p, tuple(env))
         assert (v.a, v.b) == (want.a, want.b)
+
+
+def _programs_over(leaves):
+    return st.recursive(leaves, lambda ps: st.one_of(
+        st.builds(Lam, ps), st.builds(App, ps, ps), st.builds(Suc, ps),
+        st.builds(IfZ, ps, ps, ps), st.builds(Pair, ps, ps),
+        st.builds(Fix, ps), st.builds(Prim, st.integers(0, 30), ps)),
+        max_leaves=12)
+
+
+literals = st.builds(Lit, st.one_of(st.integers(0, 50), sparse_naturals))
+
+
+@hyp.settings(deadline=None)
+@hyp.given(_programs_over(literals),
+           _programs_over(st.one_of(literals,
+                                    st.builds(Var, st.integers(0, 3)))),
+           envs)
+def test_the_floor_is_the_code_capped_at_2_64(closed, p, env):
+    # with no variable the floor is the code itself, capped: the
+    # canonical code is an int exactly when it is below 2^64
+    code = encode(closed)
+    assert _floor(closed) == (code if type(code) is int else 2**64)
+    # with variables it is a lower bound under any env
+    code = _close(p, tuple(env), 0)
+    assert type(code) is PV or _floor(p) <= code
 
 
 @hyp.settings(deadline=None)
