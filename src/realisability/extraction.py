@@ -13,7 +13,9 @@ Proof nodes are checked once per object, as in LCF: the first successful
 check of a node keeps its conclusion and open hypotheses on the node,
 and every later check of a tree that contains it, such as the builders'
 ``conclusion`` calls and the final check in ``extract_value``, reads
-them from there.
+them from there.  Proof and formula nodes are plain dataclasses that are
+never assigned a field after they are built, so a record kept on a node
+describes it for as long as it lives.
 """
 
 from __future__ import annotations
@@ -119,26 +121,26 @@ def fresh_kernel() -> Kernel:
 # ---------------------------------------------------------------------------
 # Proof trees
 
-@dataclass(frozen=True)
+@dataclass
 class Axiom:
     kind: str
     formula: Formula
     data: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass
 class MP:
     major: "Proof"
     minor: "Proof"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Gen:
     var: str
     sub: "Proof"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Hyp:
     formula: Formula
 
@@ -222,7 +224,7 @@ def _is_base(a: Formula) -> bool:
             r = _is_base(a.body)
         else:
             return False
-        object.__setattr__(a, "_base", r)
+        a._base = r
     return r
 
 
@@ -279,8 +281,7 @@ def alpha_eq(a: Formula, b: Formula) -> bool:
         return True
     if not _alpha(a, b, {}, {}, 0):
         return False
-    object.__setattr__(a, "_base", True)
-    object.__setattr__(b, "_base", True)
+    a._base = b._base = True
     return True
 
 
@@ -447,8 +448,8 @@ def _check(p: Proof, path: str, hyps_out: list) -> Formula:
     # checks depends on nothing but the node and _DEFINING, which only
     # grows, so a record never goes stale.
     n = len(path)
-    object.__setattr__(p, "_checked", (c, tuple(
-        (hf, hpath[n:]) for hf, hpath in hyps_out[before:])))
+    p._checked = (c, tuple(
+        (hf, hpath[n:]) for hf, hpath in hyps_out[before:]))
     return c
 
 

@@ -34,52 +34,52 @@ from .vm import Nat, vint, vnat, vpair, vunpair
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
+@dataclass
 class TVar:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class Num:
     # a natural in canonical form (vm.vnat), so dataclass equality is
     # value equality here
     n: Nat
 
 
-@dataclass(frozen=True)
+@dataclass
 class SucT:
     t: "ATerm"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Add:
     l: "ATerm"
     r: "ATerm"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Mul:
     l: "ATerm"
     r: "ATerm"
 
 
-@dataclass(frozen=True)
+@dataclass
 class PairT:
     l: "ATerm"
     r: "ATerm"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Proj0T:
     t: "ATerm"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Proj1T:
     t: "ATerm"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Fn:
     name: str
     args: tuple
@@ -112,31 +112,31 @@ def register_fn(name: str, arity: int, fn: Callable[..., Nat]) -> None:
 # ---------------------------------------------------------------------------
 # Formulas
 
-@dataclass(frozen=True)
+@dataclass
 class Eq:
     l: ATerm
     r: ATerm
 
 
-@dataclass(frozen=True)
+@dataclass
 class Imp:
     a: "Formula"
     b: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass
 class All:
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass
 class InPole:
     """Atom: the value of t is a pole element."""
     t: ATerm
 
 
-@dataclass(frozen=True)
+@dataclass
 class Fals:
     """Atom: the value of s falsifies the sentence coded by t, at level."""
     level: OrdNotation
@@ -144,7 +144,7 @@ class Fals:
     t: ATerm
 
 
-@dataclass(frozen=True)
+@dataclass
 class Real:
     """Atom: the value of s realises the sentence coded by t, at level."""
     level: OrdNotation
@@ -152,7 +152,7 @@ class Real:
     t: ATerm
 
 
-@dataclass(frozen=True)
+@dataclass
 class Tru:
     """Atom: t codes a true sentence of the language below level."""
     level: OrdNotation
@@ -205,12 +205,13 @@ def term_vars(t: ATerm) -> set:
 
 
 def free_vars(a: Formula) -> frozenset:
-    """The free variables of a.  A formula is frozen, so an implication's
-    or a universal's set is kept on the node as _fv the first time it is
-    asked for: a subformula that many formulas share (a TI template's
-    Prog(A) sits in most of its axioms) is walked once, not once per
-    formula that contains it.  An atom's set is built each time; keeping
-    it would cost as much as building it."""
+    """The free variables of a.  No node is assigned a field after it is
+    built, so an implication's or a universal's set is kept on the node
+    as _fv the first time it is asked for: a subformula that many
+    formulas share (a TI template's Prog(A) sits in most of its axioms)
+    is walked once, not once per formula that contains it.  An atom's
+    set is built each time; keeping it would cost as much as building
+    it."""
     t = type(a)
     if t is Eq:
         return frozenset(term_vars(a.l) | term_vars(a.r))
@@ -230,7 +231,7 @@ def free_vars(a: Formula) -> frozenset:
                 fv = fv - {a.var}
         else:
             raise TypeError(a)
-        object.__setattr__(a, "_fv", fv)
+        a._fv = fv
     return fv
 
 
@@ -265,8 +266,55 @@ def fresh_var(avoid: set) -> str:
     return "v%d" % n
 
 
+def _term_folds(t: ATerm) -> bool:
+    tt = type(t)
+    if tt is TVar or tt is Num:
+        return False
+    if tt is SucT:
+        u = t.t
+        return (type(u) is Num and isinstance(u.n, int)) or _term_folds(u)
+    if tt is Proj0T or tt is Proj1T:
+        return _term_folds(t.t)
+    if tt is Add or tt is Mul or tt is PairT:
+        return _term_folds(t.l) or _term_folds(t.r)
+    if tt is Fn:
+        return any(_term_folds(u) for u in t.args)
+    raise TypeError(t)
+
+
+def _folds(a: Formula) -> bool:
+    """Whether a holds a successor of a numeral, (s n), which subst folds
+    to the numeral n+1 wherever it rebuilds a term.  Kept on an
+    implication or a universal as _fold, as free_vars keeps _fv."""
+    t = type(a)
+    if t is Eq:
+        return _term_folds(a.l) or _term_folds(a.r)
+    if t is InPole or t is Tru:
+        return _term_folds(a.t)
+    if t is Fals or t is Real:
+        return _term_folds(a.s) or _term_folds(a.t)
+    r = getattr(a, "_fold", None)
+    if r is None:
+        if t is Imp:
+            r = _folds(a.a) or _folds(a.b)
+        elif t is All:
+            r = _folds(a.body)
+        else:
+            raise TypeError(a)
+        a._fold = r
+    return r
+
+
 def subst(a: Formula, x: str, s: ATerm) -> Formula:
-    """Capture-avoiding substitution of term s for free x in a."""
+    """Capture-avoiding substitution of term s for free x in a.
+
+    Where it rebuilds a term, (s n) over a numeral n becomes the numeral
+    n+1.  An implication or a universal in which x is not free and
+    which holds no such (s n) would be rebuilt equal to itself, so it is
+    returned as it is, and the copy shares it with its source."""
+    t = type(a)
+    if (t is Imp or t is All) and x not in free_vars(a) and not _folds(a):
+        return a
     if isinstance(a, Eq):
         return Eq(subst_term(a.l, x, s), subst_term(a.r, x, s))
     if isinstance(a, Imp):

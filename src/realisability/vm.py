@@ -225,72 +225,72 @@ def vle(v: Nat, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # Programs
 
-@dataclass(frozen=True)
+@dataclass
 class Var:
     index: int  # de Bruijn index, 0 = innermost binder
 
 
-@dataclass(frozen=True)
+@dataclass
 class Lam:
     body: "Program"
 
 
-@dataclass(frozen=True)
+@dataclass
 class App:
     fn: "Program"
     arg: "Program"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Lit:
     n: Nat
 
 
-@dataclass(frozen=True)
+@dataclass
 class Suc:
     p: "Program"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Pred:
     p: "Program"
 
 
-@dataclass(frozen=True)
+@dataclass
 class IfZ:
     scrutinee: "Program"
     zero: "Program"
     succ: "Program"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Pair:
     l: "Program"
     r: "Program"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Proj0:
     p: "Program"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Proj1:
     p: "Program"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Fix:
     body: "Program"  # Var 0 in the body is the fixed point itself
 
 
-@dataclass(frozen=True)
+@dataclass
 class Prim:
     pid: int
     arg: "Program"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Stuck:
     pass
 
@@ -364,7 +364,8 @@ def _close(p: Program, env: tuple, d: int) -> Nat:
 def _floor(p: Program) -> int:
     """A lower bound on the code of p under any binders and env, capped at
     2^64: a Var counts as 0, and pairing is monotone in each argument.
-    It is kept on the node once found.  A pair is at least each of its
+    A program node is never assigned a field after it is built, so the
+    bound is kept on the node once found.  A pair is at least each of its
     components, so once the first child of an App, IfZ or Pair reaches
     the cap the rest of the node is not walked."""
     f = getattr(p, "_floor", None)
@@ -406,7 +407,7 @@ def _floor(p: Program) -> int:
     else:
         raise TypeError("not a Program: %r" % (p,))
     f = min(f, _SMALL)
-    object.__setattr__(p, "_floor", f)
+    p._floor = f
     return f
 
 
@@ -480,7 +481,7 @@ def subst(p: Program, depth: int, value: Nat) -> Program:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-@dataclass(frozen=True)
+@dataclass
 class Value:
     n: Nat
     fuel_used: int = 0
@@ -492,7 +493,7 @@ FUEL = "fuel"
 STUCK = "stuck"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Diverged:
     reason: str  # FUEL | STUCK
 

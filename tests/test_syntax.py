@@ -16,7 +16,8 @@ from realisability.syntax import (
     PairT, ParseError, Proj0T, Proj1T, Real, SucT, Tru, TVar, bot, conj,
     disj, eq_check, eval_term, ex, free_vars, fresh_var, godel, godel_term,
     in_language, neg, parse_base_formula, parse_formula, parse_term,
-    print_formula, print_term, subst, subt, suc_t, ungodel, ungodel_term,
+    print_formula, print_term, subst, subst_term, subt, suc_t, term_vars,
+    ungodel, ungodel_term,
 )
 from realisability.vm import pair, vint, vnat
 
@@ -175,6 +176,89 @@ def test_fresh_names_are_the_first_not_in_use():
     a = parse_formula("(all y (= (+ v1 x) y))")
     b = subst(a, "x", Add(TVar("y"), TVar("v2")))
     assert b.var == "v3" and free_vars(b) == {"v1", "v2", "y"}
+
+
+# ---------------------------------------------------------------------------
+# subst against the substitution that rebuilds every formula it passes
+
+def rebuild_subst(a, x, s):
+    """subst as it was before it kept the subformulas it does not change:
+    every formula it passes is rebuilt, and subst_term folds each (s n)
+    it rebuilds.  The reference for subst."""
+    if isinstance(a, Eq):
+        return Eq(subst_term(a.l, x, s), subst_term(a.r, x, s))
+    if isinstance(a, Imp):
+        return Imp(rebuild_subst(a.a, x, s), rebuild_subst(a.b, x, s))
+    if isinstance(a, All):
+        if a.var == x:
+            return a
+        if a.var in term_vars(s) and x in free_vars(a.body):
+            y = fresh_var(term_vars(s) | free_vars(a.body))
+            renamed = rebuild_subst(a.body, a.var, TVar(y))
+            return All(y, rebuild_subst(renamed, x, s))
+        return All(a.var, rebuild_subst(a.body, x, s))
+    if isinstance(a, InPole):
+        return InPole(subst_term(a.t, x, s))
+    if isinstance(a, Fals):
+        return Fals(a.level, subst_term(a.s, x, s), subst_term(a.t, x, s))
+    if isinstance(a, Real):
+        return Real(a.level, subst_term(a.s, x, s), subst_term(a.t, x, s))
+    return Tru(a.level, subst_term(a.t, x, s))
+
+
+# successors built with SucT, so that (s n) over a numeral occurs, and
+# binders of the names that substituted terms hold, so that subst renames
+raw_terms = st.recursive(
+    st.one_of(st.builds(TVar, names), st.builds(Num, st.integers(0, 3))),
+    lambda ts: st.one_of(
+        st.builds(SucT, ts),
+        st.builds(Add, ts, ts),
+        st.builds(PairT, ts, ts),
+        st.builds(Proj0T, ts),
+        st.builds(lambda u, v: Fn("memf", (u, v)), ts, ts),
+    ),
+    max_leaves=4,
+)
+
+raw_formulas = st.recursive(
+    st.one_of(
+        st.builds(Eq, raw_terms, raw_terms),
+        st.builds(InPole, raw_terms),
+        st.builds(lambda s, t: Fals(O_ZERO, s, t), raw_terms, raw_terms),
+        st.builds(lambda s, t: Real(O_ZERO, s, t), raw_terms, raw_terms),
+        st.builds(lambda t: Tru(O_ZERO, t), raw_terms),
+    ),
+    lambda fs: st.one_of(
+        st.builds(Imp, fs, fs),
+        st.builds(All, names, fs),
+    ),
+    max_leaves=8,
+)
+
+
+@hyp.given(raw_formulas, names, raw_terms)
+@hyp.settings(deadline=None, max_examples=400)
+def test_subst_is_the_rebuilding_reference(a, x, s):
+    out = subst(a, x, s)
+    assert out == rebuild_subst(a, x, s)
+    # "u" is bound nowhere, so substituting it rebuilds every node and
+    # folds every (s n)
+    folds = rebuild_subst(a, "u", s) != a
+    if isinstance(a, (Imp, All)) and x not in free_vars(a) and not folds:
+        # nothing to substitute and nothing to fold: a is kept, not copied
+        assert out is a
+
+
+def test_subst_keeps_the_subformulas_it_does_not_change():
+    kept = parse_formula("(all y (= (+ x y) y))")
+    f = Imp(kept, parse_formula("(all y (= z y))"))
+    out = subst(f, "z", Num(1))
+    assert out == parse_formula("(imp (all y (= (+ x y) y)) (all y (= 1 y)))")
+    assert out.a is kept and subst(kept, "z", Num(1)) is kept
+    # a successor of a numeral is folded wherever subst rebuilds, so a
+    # formula holding one is rebuilt although z is not free in it
+    folds = All("y", Eq(SucT(Num(0)), TVar("y")))
+    assert subst(folds, "z", Num(1)) == parse_formula("(all y (= 1 y))")
 
 
 def test_free_variables_are_kept_on_the_node(monkeypatch):
