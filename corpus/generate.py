@@ -12,7 +12,7 @@ from realisability.extraction import (
     prove_suc_plus, prove_zero_plus,
 )
 from realisability.syntax import (
-    Add, Eq, Num, TVar, ZERO, bot, parse_formula, print_formula,
+    Eq, Fn, Num, TVar, ZERO, bot, parse_formula, print_formula,
 )
 
 EQ00 = Eq(Num(0), Num(0))
@@ -20,7 +20,7 @@ D = defining_axioms()
 
 PROOFS = {
     "refleq-zero": ax_refleq(Num(0)),
-    "refleq-sum": ax_refleq(Add(Num(3), Num(4))),
+    "refleq-sum": ax_refleq(Fn("+", (Num(3), Num(4)))),
     "peirce-eq": ax_peirce(EQ00, bot()),
     "peirce-bot": ax_peirce(bot(), EQ00),
     "exfalso": ax_exfalso(Eq(Num(5), Num(7))),
@@ -38,7 +38,7 @@ PROOFS = {
     "univdist-instance": ax_univdist("x", EQ00,
                                      Eq(TVar("x"), TVar("x"))),
     "leibniz-instance": ax_leibniz("x", Eq(TVar("x"), Num(0)),
-                                   Add(Num(0), ZERO), Num(0)),
+                                   Fn("+", (Num(0), ZERO)), Num(0)),
     "plus-2-2": prove_plus(2, 2),
     "plus-7-5": prove_plus(7, 5),
     "sym-example": eq_sym(inst_all(ax_defining(D[0]), Num(5))),

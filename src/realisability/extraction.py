@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .syntax import (
-    Add, All, ATerm, Eq, Fn, Formula, Imp, Mul, Num, PairT, Proj0T,
-    Proj1T, SucT, TVar, ZERO, _CLOSE, _Misread, _read,
-    _name_code, _name_decode, _parse_base_formula, _parse_term, bot,
+    All, ATerm, Eq, Fn, Formula, Imp, Num, TVar, ZERO, _CLOSE, _Misread,
+    _read, _name_code, _name_decode, _parse_base_formula, _parse_term, bot,
     free_vars, fresh_var, godel_term, parse_formula, print_formula,
-    print_term, subst, subst_term, term_vars, ungodel_term, eval_term,
+    print_term, subst, subst_term, suc_t, term_vars, ungodel_term,
+    eval_term,
 )
 from .vm import (
     App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Program, Proj0,
@@ -161,11 +161,7 @@ class ProofError(ValueError):
 # Alpha equivalence
 
 # The walk dispatches on the exact class of each node: no node class has
-# a subclass, and type identity is cheaper than isinstance on a tuple.
-_UNARY_TERMS = (SucT, Proj0T, Proj1T)
-_BINARY_TERMS = (Add, Mul, PairT)
-
-
+# a subclass, and type identity is cheaper than isinstance.
 def _alpha_term(s: ATerm, t: ATerm, da: dict, db: dict) -> bool:
     ts, tt = type(s), type(t)
     if ts is TVar:
@@ -177,48 +173,35 @@ def _alpha_term(s: ATerm, t: ATerm, da: dict, db: dict) -> bool:
         # under a binder (da is not empty) a successor matches the
         # numeral one bigger, as subst folds (s n) to n+1 in the
         # instances the schemas are checked against
-        if ts is SucT and tt is Num:
+        if ts is Fn and tt is Num and s.name == "s":
             return (isinstance(t.n, int)
-                    and _alpha_term(s.t, Num(t.n - 1), da, db))
-        if ts is Num and tt is SucT:
+                    and _alpha_term(s.args[0], Num(t.n - 1), da, db))
+        if ts is Num and tt is Fn and t.name == "s":
             return (isinstance(s.n, int)
-                    and _alpha_term(Num(s.n - 1), t.t, da, db))
+                    and _alpha_term(Num(s.n - 1), t.args[0], da, db))
     if ts is not tt:
         return False
     if ts is Num:
         return s.n == t.n
-    if ts in _UNARY_TERMS:
-        return _alpha_term(s.t, t.t, da, db)
-    if ts in _BINARY_TERMS:
-        return (_alpha_term(s.l, t.l, da, db)
-                and _alpha_term(s.r, t.r, da, db))
     if ts is Fn:
-        return (s.name == t.name and len(s.args) == len(t.args)
-                and all(_alpha_term(u, v, da, db)
-                        for u, v in zip(s.args, t.args)))
+        if s.name != t.name or len(s.args) != len(t.args):
+            return False
+        for u, v in zip(s.args, t.args):
+            if not _alpha_term(u, v, da, db):
+                return False
+        return True
     raise TypeError(s)
 
 
-def _base_term(t: ATerm) -> bool:
-    tt = type(t)
-    if tt is TVar or tt is Num:
-        return True
-    if tt in _UNARY_TERMS:
-        return _base_term(t.t)
-    if tt in _BINARY_TERMS:
-        return _base_term(t.l) and _base_term(t.r)
-    return tt is Fn and all(_base_term(u) for u in t.args)
-
-
 def _is_base(a: Formula) -> bool:
-    """Whether a is in the base grammar: Eq, Imp and All over the term
-    grammar.  A formula keeps the answer as its _base flag."""
+    """Whether a is in the base grammar, built from Eq, Imp and All.  An
+    implication or a universal keeps the answer as its _base flag."""
+    ta = type(a)
+    if ta is Eq:
+        return True
     r = getattr(a, "_base", None)
     if r is None:
-        ta = type(a)
-        if ta is Eq:
-            r = _base_term(a.l) and _base_term(a.r)
-        elif ta is Imp:
+        if ta is Imp:
             r = _is_base(a.a) and _is_base(a.b)
         elif ta is All:
             r = _is_base(a.body)
@@ -405,7 +388,7 @@ def _check_axiom(ax: Axiom, path: str) -> None:
             x = f.b.a.var
             a = f.b.a.body.a
             ok = (alpha_eq(f.a, subst(a, x, ZERO))
-                  and alpha_eq(f.b.a.body.b, subst(a, x, SucT(TVar(x))))
+                  and alpha_eq(f.b.a.body.b, subst(a, x, suc_t(TVar(x))))
                   and alpha_eq(f.b.b, All(x, a)))
         if not ok:
             raise _schema_error(kind, f, path)
@@ -668,7 +651,7 @@ def ax_defining(a: Formula) -> Axiom:
 def ax_induction(x: str, a: Formula) -> Axiom:
     return Axiom("induction",
                  Imp(subst(a, x, ZERO),
-                     Imp(All(x, Imp(a, subst(a, x, SucT(TVar(x))))),
+                     Imp(All(x, Imp(a, subst(a, x, suc_t(TVar(x))))),
                          All(x, a))))
 
 
@@ -768,7 +751,7 @@ def prove_plus(m: int, n: int) -> Proof:
         return inst_all(ax_defining(d1), Num(m))
     step = inst_all(inst_all(ax_defining(d2), Num(m)), Num(n - 1))
     ih = prove_plus(m, n - 1)
-    lifted = eq_cong("z", SucT(TVar("z")), ih)  # s(m+(n-1)) = s(...)
+    lifted = eq_cong("z", suc_t(TVar("z")), ih)  # s(m+(n-1)) = s(...)
     return eq_trans(step, lifted)
 
 
@@ -786,10 +769,10 @@ def prove_dne(a: Formula) -> Proof:
 def prove_zero_plus() -> Proof:
     """(all x (= (+ 0 x) x)) by induction."""
     d1, d2 = _DEFINING[0], _DEFINING[1]
-    a = Eq(Add(ZERO, TVar("x")), TVar("x"))
+    a = Eq(Fn("+", (ZERO, TVar("x"))), TVar("x"))
     base = inst_all(ax_defining(d1), ZERO)
     step_eq = inst_all(inst_all(ax_defining(d2), ZERO), TVar("x"))
-    lifted = eq_cong("z", SucT(TVar("z")), Hyp(a))
+    lifted = eq_cong("z", suc_t(TVar("z")), Hyp(a))
     tr = eq_trans(step_eq, lifted)
     step = Gen("x", deduce(a, tr))
     return MP(MP(ax_induction("x", a), base), step)
@@ -799,15 +782,15 @@ def prove_suc_plus() -> Proof:
     """(all x (all y (= (+ (s x) y) (s (+ x y))))) by induction on y."""
     d1, d2 = _DEFINING[0], _DEFINING[1]
     x, y = TVar("x"), TVar("y")
-    a = Eq(Add(SucT(x), y), SucT(Add(x, y)))
-    b1 = inst_all(ax_defining(d1), SucT(x))
+    a = Eq(Fn("+", (suc_t(x), y)), suc_t(Fn("+", (x, y))))
+    b1 = inst_all(ax_defining(d1), suc_t(x))
     b2 = inst_all(ax_defining(d1), x)
-    b3 = eq_cong("z", SucT(TVar("z")), eq_sym(b2))
+    b3 = eq_cong("z", suc_t(TVar("z")), eq_sym(b2))
     base = eq_trans(b1, b3)
-    s1 = inst_all(inst_all(ax_defining(d2), SucT(x)), y)
-    s2 = eq_cong("z", SucT(TVar("z")), Hyp(a))
+    s1 = inst_all(inst_all(ax_defining(d2), suc_t(x)), y)
+    s2 = eq_cong("z", suc_t(TVar("z")), Hyp(a))
     s3 = inst_all(inst_all(ax_defining(d2), x), y)
-    s4 = eq_cong("z", SucT(TVar("z")), eq_sym(s3))
+    s4 = eq_cong("z", suc_t(TVar("z")), eq_sym(s3))
     tr = eq_trans(eq_trans(s1, s2), s4)
     step = Gen("y", deduce(a, tr))
     return Gen("x", MP(MP(ax_induction("y", a), base), step))
@@ -817,12 +800,12 @@ def prove_plus_comm() -> Proof:
     """(all x (all y (= (+ x y) (+ y x)))) by double induction."""
     d1, d2 = _DEFINING[0], _DEFINING[1]
     x, y = TVar("x"), TVar("y")
-    b = All("y", Eq(Add(x, y), Add(y, x)))
+    b = All("y", Eq(Fn("+", (x, y)), Fn("+", (y, x))))
     l1, l2 = prove_zero_plus(), prove_suc_plus()
     base = Gen("y", eq_trans(inst_all(l1, y),
                              eq_sym(inst_all(ax_defining(d1), y))))
     t1 = inst_all(inst_all(l2, x), y)
-    t2 = eq_cong("z", SucT(TVar("z")), inst_all(Hyp(b), y))
+    t2 = eq_cong("z", suc_t(TVar("z")), inst_all(Hyp(b), y))
     t3 = inst_all(inst_all(ax_defining(d2), y), x)
     tr = eq_trans(eq_trans(t1, t2), eq_sym(t3))
     step = Gen("x", deduce(b, Gen("y", tr)))

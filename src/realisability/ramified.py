@@ -15,7 +15,7 @@ model over an arbitrary pole.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Callable, Optional
 
 from .notation import (
     LESS, OrdNotation, add, compare, ocode, odecode, onat, print_ord,
@@ -24,7 +24,7 @@ from .poles import Empty, UNKNOWN, PoleSpec, agreement
 from .semantics import Budget, realises, truth
 from .syntax import (
     All, ATerm, Eq, FN_ARITY, Fals, Fn, Formula, Imp, InPole, LevelError,
-    Num, ONE, PairT, Proj0T, Proj1T, REAL_SIDE, Real, TRUTH_SIDE, TVar, Tru,
+    Num, ONE, REAL_SIDE, Real, TRUTH_SIDE, TVar, Tru,
     ZERO, _FORMS, _name_code, _name_decode, bot, conj, decode_sentence,
     eq_check, explicit_realisation, explicit_refutation, free_vars,
     fresh_var, godel, godel_term, in_language, max_level, print_formula,
@@ -90,54 +90,51 @@ _register_symbols()
 # ---------------------------------------------------------------------------
 # Translations
 
-def translate_conservative(a: Formula) -> Formula:
-    """Collapse every level-indexed atom to a trivial truth."""
+def _translate(a: Formula, atom: Callable[[Formula], Formula]) -> Formula:
+    """a with each level-indexed atom replaced by its image under atom."""
     if isinstance(a, Eq):
         return a
     if isinstance(a, Imp):
-        return Imp(translate_conservative(a.a), translate_conservative(a.b))
+        return Imp(_translate(a.a, atom), _translate(a.b, atom))
     if isinstance(a, All):
-        return All(a.var, translate_conservative(a.body))
+        return All(a.var, _translate(a.body, atom))
     if isinstance(a, (InPole, Fals, Real, Tru)):
-        return Eq(ZERO, ZERO)
+        return atom(a)
     raise TypeError(a)
 
 
-def translate_empty(a: Formula) -> Formula:
-    """Empty-pole reading: pole membership is absurd, falsification and
-    realisation become truth of the translated explicit formula."""
-    if isinstance(a, Eq):
-        return a
-    if isinstance(a, Imp):
-        return Imp(translate_empty(a.a), translate_empty(a.b))
-    if isinstance(a, All):
-        return All(a.var, translate_empty(a.body))
+def translate_conservative(a: Formula) -> Formula:
+    """Collapse every level-indexed atom to a trivial truth."""
+    return _translate(a, lambda _atom: Eq(ZERO, ZERO))
+
+
+def _empty_atom(a: Formula) -> Formula:
     if isinstance(a, InPole):
         return bot()
     if isinstance(a, Fals):
         return Tru(a.level, Fn("taue", (Fn("memf", (a.s, a.t)),)))
     if isinstance(a, Real):
         return Tru(a.level, Fn("taue", (Fn("memt", (a.s, a.t)),)))
+    return a
+
+
+def translate_empty(a: Formula) -> Formula:
+    """Empty-pole reading: pole membership is absurd, falsification and
+    realisation become truth of the translated explicit formula."""
+    return _translate(a, _empty_atom)
+
+
+def _zero_atom(a: Formula) -> Formula:
     if isinstance(a, Tru):
-        return a
-    raise TypeError(a)
+        guard = Eq(Fn("sentt", (a.t, Num(ocode(a.level)))), ONE)
+        return Imp(guard, Real(a.level, ZERO, Fn("tau0", (a.t,))))
+    return a
 
 
 def translate_zero(a: Formula) -> Formula:
     """Truth-to-realisability reading: a truth atom becomes guarded
     zero-realisation of the translated code."""
-    if isinstance(a, Eq):
-        return a
-    if isinstance(a, Imp):
-        return Imp(translate_zero(a.a), translate_zero(a.b))
-    if isinstance(a, All):
-        return All(a.var, translate_zero(a.body))
-    if isinstance(a, (InPole, Fals, Real)):
-        return a
-    if isinstance(a, Tru):
-        guard = Eq(Fn("sentt", (a.t, Num(ocode(a.level)))), ONE)
-        return Imp(guard, Real(a.level, ZERO, Fn("tau0", (a.t,))))
-    raise TypeError(a)
+    return _translate(a, _zero_atom)
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +223,14 @@ def rr_axiom(kind: str, beta: OrdNotation, gamma: OrdNotation, *,
     _need_below(beta, gamma, kind)
     if kind == "RR1":
         # operational closure: a pole run result pulls the pair in
-        return Imp(InPole(Num(r)), InPole(PairT(Num(a), Num(b))))
+        return Imp(InPole(Num(r)), InPole(Fn("pair", (Num(a), Num(b)))))
     if kind == "RR2":
         _need_sentence(sent, REAL_SIDE, beta)
         code = Num(godel(sent))
         x = fresh_var(set())
         return iff(Real(beta, Num(a), code),
                    All(x, Imp(Fals(beta, TVar(x), code),
-                              InPole(PairT(Num(a), TVar(x))))))
+                              InPole(Fn("pair", (Num(a), TVar(x)))))))
     if kind == "RR3":
         ca = godel(sent)
         cs, ct = godel_term(s), godel_term(t)
@@ -251,17 +248,17 @@ def rr_axiom(kind: str, beta: OrdNotation, gamma: OrdNotation, *,
         _need_sentence(sent2, REAL_SIDE, beta)
         code = Num(godel(Imp(sent, sent2)))
         return iff(Fals(beta, Num(a), code),
-                   conj(Real(beta, Proj0T(Num(a)), Num(godel(sent))),
-                        Fals(beta, Proj1T(Num(a)), Num(godel(sent2)))))
+                   conj(Real(beta, Fn("p0", (Num(a),)), Num(godel(sent))),
+                        Fals(beta, Fn("p1", (Num(a),)), Num(godel(sent2)))))
     if kind == "RR6":
         if var is None or var not in free_vars(sent):
             raise LevelError("RR6 wants a formula with the named free var")
         closed = All(var, sent)
         _need_sentence(closed, REAL_SIDE, beta)
         inst = Fn("subv", (Num(godel(sent)), Num(_name_code(var)),
-                           Proj0T(Num(a))))
+                           Fn("p0", (Num(a),))))
         return iff(Fals(beta, Num(a), Num(godel(closed))),
-                   Fals(beta, Proj1T(Num(a)), inst))
+                   Fals(beta, Fn("p1", (Num(a),)), inst))
     if kind in ("RR7", "RR8"):
         _need_below(low, beta, kind)
         _need_sentence(sent, REAL_SIDE, low)
@@ -385,7 +382,7 @@ def rr_instance_corpus(n: int, gamma: OrdNotation,
             tpl = Eq(TVar("x"), Num(rng.randrange(0, 6)))
             v = rng.randrange(0, 9)
             inst = rr_axiom(kind, beta, gamma, a=a_val, sent=tpl, var="x",
-                            s=Num(v), t=PairT(Num(v), Num(v)))
+                            s=Num(v), t=Fn("pair", (Num(v), Num(v))))
         elif kind == "RR4":
             atom = (Eq(Num(0), Num(rng.randrange(0, 2)))
                     if rng.random() < 0.6
@@ -410,8 +407,11 @@ def rr_instance_corpus(n: int, gamma: OrdNotation,
 # ---------------------------------------------------------------------------
 # Corpus generation
 
-def ram_corpus(n: int, gamma: OrdNotation, rng: random.Random,
-               max_depth: int = 2) -> list:
+# the nesting depth of a corpus sentence's implications and atoms
+_CORPUS_DEPTH = 2
+
+
+def ram_corpus(n: int, gamma: OrdNotation, rng: random.Random) -> list:
     """n closed realisability-side sentences with levels below gamma.
 
     Weighted toward shapes whose explicit unfolding evaluates
@@ -421,7 +421,7 @@ def ram_corpus(n: int, gamma: OrdNotation, rng: random.Random,
               if compare(lv, gamma) == LESS] or [onat(0)]
     out = []
     while len(out) < n:
-        out.append(_gen_sentence(rng, levels, max_depth))
+        out.append(_gen_sentence(rng, levels, _CORPUS_DEPTH))
     return out
 
 

@@ -1,8 +1,9 @@
 """Object-language syntax: arithmetic terms, formulas, coding, substitution.
 
-Terms are built from 0, successor, +, *, pairing and projections, plus a
-small extensible family of named primitive recursive function symbols
-(used for ordinal-code arithmetic).  Formulas use ->, forall and =; the
+Terms are variables, numerals and function symbols applied to terms:
+s, +, *, pair, p0 and p1 are built in, and further primitive recursive
+symbols (dot membership, code functions, ordinal arithmetic) are
+registered where they are defined.  Formulas use ->, forall and =; the
 other connectives are parser-level sugar.  Numerals are carried as a
 single literal node so that very large (sparse) naturals can appear in
 formulas without chains of successors.
@@ -47,57 +48,26 @@ class Num:
 
 
 @dataclass
-class SucT:
-    t: "ATerm"
-
-
-@dataclass
-class Add:
-    l: "ATerm"
-    r: "ATerm"
-
-
-@dataclass
-class Mul:
-    l: "ATerm"
-    r: "ATerm"
-
-
-@dataclass
-class PairT:
-    l: "ATerm"
-    r: "ATerm"
-
-
-@dataclass
-class Proj0T:
-    t: "ATerm"
-
-
-@dataclass
-class Proj1T:
-    t: "ATerm"
-
-
-@dataclass
 class Fn:
+    """A function symbol of FN_ARITY applied to its arguments."""
     name: str
     args: tuple
 
 
-ATerm = Union[TVar, Num, SucT, Add, Mul, PairT, Proj0T, Proj1T, Fn]
+ATerm = Union[TVar, Num, Fn]
 
 ZERO = Num(0)
 ONE = Num(1)
 
 
 def suc_t(t: ATerm) -> ATerm:
+    """The successor of t, with (s n) over a numeral folded to n+1."""
     if isinstance(t, Num) and isinstance(t.n, int):
         return Num(vnat(t.n + 1))
-    return SucT(t)
+    return Fn("s", (t,))
 
 
-# named primitive recursive function symbols: semantics and arity
+# function symbols: arity and semantics
 FN_ARITY: dict[str, int] = {}
 FN_SEMANTICS: dict[str, Callable[..., Nat]] = {}
 
@@ -107,6 +77,15 @@ def register_fn(name: str, arity: int, fn: Callable[..., Nat]) -> None:
         raise ValueError("function symbol %r already registered" % name)
     FN_ARITY[name] = arity
     FN_SEMANTICS[name] = fn
+
+
+# the symbols of the language of arithmetic, built in
+register_fn("s", 1, lambda n: vnat(vint(n) + 1))
+register_fn("+", 2, lambda m, n: vnat(vint(m) + vint(n)))
+register_fn("*", 2, lambda m, n: vnat(vint(m) * vint(n)))
+register_fn("pair", 2, vpair)
+register_fn("p0", 1, lambda p: vunpair(p)[0])
+register_fn("p1", 1, lambda p: vunpair(p)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +171,6 @@ def term_vars(t: ATerm) -> set:
         return {t.name}
     if isinstance(t, Num):
         return set()
-    if isinstance(t, (SucT, Proj0T, Proj1T)):
-        return term_vars(t.t)
-    if isinstance(t, (Add, Mul, PairT)):
-        return term_vars(t.l) | term_vars(t.r)
     if isinstance(t, Fn):
         out = set()
         for a in t.args:
@@ -240,20 +215,14 @@ def subst_term(t: ATerm, x: str, s: ATerm) -> ATerm:
         return s if t.name == x else t
     if isinstance(t, Num):
         return t
-    if isinstance(t, SucT):
-        return suc_t(subst_term(t.t, x, s))
-    if isinstance(t, Add):
-        return Add(subst_term(t.l, x, s), subst_term(t.r, x, s))
-    if isinstance(t, Mul):
-        return Mul(subst_term(t.l, x, s), subst_term(t.r, x, s))
-    if isinstance(t, PairT):
-        return PairT(subst_term(t.l, x, s), subst_term(t.r, x, s))
-    if isinstance(t, Proj0T):
-        return Proj0T(subst_term(t.t, x, s))
-    if isinstance(t, Proj1T):
-        return Proj1T(subst_term(t.t, x, s))
     if isinstance(t, Fn):
-        return Fn(t.name, tuple(subst_term(a, x, s) for a in t.args))
+        a = t.args
+        if len(a) == 1:
+            u = subst_term(a[0], x, s)
+            return suc_t(u) if t.name == "s" else Fn(t.name, (u,))
+        if len(a) == 2:
+            return Fn(t.name, (subst_term(a[0], x, s), subst_term(a[1], x, s)))
+        return Fn(t.name, tuple([subst_term(u, x, s) for u in a]))
     raise TypeError(t)
 
 
@@ -270,15 +239,12 @@ def _term_folds(t: ATerm) -> bool:
     tt = type(t)
     if tt is TVar or tt is Num:
         return False
-    if tt is SucT:
-        u = t.t
-        return (type(u) is Num and isinstance(u.n, int)) or _term_folds(u)
-    if tt is Proj0T or tt is Proj1T:
-        return _term_folds(t.t)
-    if tt is Add or tt is Mul or tt is PairT:
-        return _term_folds(t.l) or _term_folds(t.r)
     if tt is Fn:
-        return any(_term_folds(u) for u in t.args)
+        for u in t.args:
+            if (t.name == "s" and type(u) is Num and isinstance(u.n, int)
+                    or _term_folds(u)):
+                return True
+        return False
     raise TypeError(t)
 
 
@@ -404,30 +370,23 @@ class OpenTermError(ValueError):
 
 
 def eval_term(t: ATerm, env: Optional[dict] = None) -> Nat:
-    env = env or {}
-    if isinstance(t, TVar):
-        if t.name in env:
-            return env[t.name]
-        raise OpenTermError("unbound variable %s" % t.name)
-    if isinstance(t, Num):
-        return vnat(t.n)
-    if isinstance(t, SucT):
-        return vnat(vint(eval_term(t.t, env)) + 1)
-    if isinstance(t, Add):
-        return vnat(vint(eval_term(t.l, env)) + vint(eval_term(t.r, env)))
-    if isinstance(t, Mul):
-        return vnat(vint(eval_term(t.l, env)) * vint(eval_term(t.r, env)))
-    if isinstance(t, PairT):
-        return vpair(eval_term(t.l, env), eval_term(t.r, env))
-    if isinstance(t, Proj0T):
-        return vunpair(eval_term(t.t, env))[0]
-    if isinstance(t, Proj1T):
-        return vunpair(eval_term(t.t, env))[1]
-    if isinstance(t, Fn):
+    tt = type(t)
+    if tt is Fn:
         fn = FN_SEMANTICS.get(t.name)
         if fn is None:
             raise ValueError("unregistered function symbol %r" % t.name)
-        return fn(*[eval_term(a, env) for a in t.args])
+        a = t.args
+        if len(a) == 1:
+            return fn(eval_term(a[0], env))
+        if len(a) == 2:
+            return fn(eval_term(a[0], env), eval_term(a[1], env))
+        return fn(*[eval_term(u, env) for u in a])
+    if tt is Num:
+        return vnat(t.n)
+    if tt is TVar:
+        if env and t.name in env:
+            return env[t.name]
+        raise OpenTermError("unbound variable %s" % t.name)
     raise TypeError(t)
 
 
@@ -436,13 +395,10 @@ def eval_term(t: ATerm, env: Optional[dict] = None) -> Nat:
 
 _T_VAR = 0
 _T_NUM = 1
-_T_SUC = 2
-_T_ADD = 3
-_T_MUL = 4
-_T_PAIR = 5
-_T_P0 = 6
-_T_P1 = 7
+# a built-in symbol's code has a tag of its own, not _T_FN and its name
+_BUILTIN_TAGS = {"s": 2, "+": 3, "*": 4, "pair": 5, "p0": 6, "p1": 7}
 _T_FN = 8
+_BUILTIN_NAMES = {tag: name for name, tag in _BUILTIN_TAGS.items()}
 _F_EQ = 20
 _F_IMP = 21
 _F_ALL = 22
@@ -474,29 +430,22 @@ def godel_term(t: ATerm) -> Nat:
         return vpair(_T_VAR, _name_code(t.name))
     if isinstance(t, Num):
         return vpair(_T_NUM, t.n)
-    if isinstance(t, SucT):
-        return vpair(_T_SUC, godel_term(t.t))
-    if isinstance(t, Add):
-        return vpair(_T_ADD, vpair(godel_term(t.l), godel_term(t.r)))
-    if isinstance(t, Mul):
-        return vpair(_T_MUL, vpair(godel_term(t.l), godel_term(t.r)))
-    if isinstance(t, PairT):
-        return vpair(_T_PAIR, vpair(godel_term(t.l), godel_term(t.r)))
-    if isinstance(t, Proj0T):
-        return vpair(_T_P0, godel_term(t.t))
-    if isinstance(t, Proj1T):
-        return vpair(_T_P1, godel_term(t.t))
     if isinstance(t, Fn):
+        a = t.args
+        tag = _BUILTIN_TAGS.get(t.name)
+        if tag is not None:
+            if len(a) == 1:
+                return vpair(tag, godel_term(a[0]))
+            return vpair(tag, vpair(godel_term(a[0]), godel_term(a[1])))
         args: Nat = 0
-        for a in reversed(t.args):
-            args = vpair(godel_term(a), args)
-        return vpair(_T_FN, vpair(_name_code(t.name),
-                                  vpair(len(t.args), args)))
+        for u in reversed(a):
+            args = vpair(godel_term(u), args)
+        return vpair(_T_FN, vpair(_name_code(t.name), vpair(len(a), args)))
     raise TypeError(t)
 
 
 def godel(a) -> Nat:
-    if isinstance(a, (TVar, Num, SucT, Add, Mul, PairT, Proj0T, Proj1T, Fn)):
+    if isinstance(a, (TVar, Num, Fn)):
         return godel_term(a)
     if isinstance(a, Eq):
         return vpair(_F_EQ, vpair(godel_term(a.l), godel_term(a.r)))
@@ -524,21 +473,20 @@ def ungodel_term(c: Nat) -> Optional[ATerm]:
         return TVar(name) if name else None
     if tag == _T_NUM:
         return Num(rest)
-    if tag in (_T_SUC, _T_P0, _T_P1):
-        sub_t = ungodel_term(rest)
-        if sub_t is None:
-            return None
-        return {_T_SUC: SucT, _T_P0: Proj0T, _T_P1: Proj1T}[tag](sub_t)
-    if tag in (_T_ADD, _T_MUL, _T_PAIR):
+    # a tag that is a PV is no built-in's, and is not hashed
+    name = _BUILTIN_NAMES.get(tag) if type(tag) is int else None
+    if name is not None:
+        if FN_ARITY[name] == 1:
+            a = ungodel_term(rest)
+            return None if a is None else Fn(name, (a,))
         cl, cr = vunpair(rest)
         l, r = ungodel_term(cl), ungodel_term(cr)
-        if l is None or r is None:
-            return None
-        return {_T_ADD: Add, _T_MUL: Mul, _T_PAIR: PairT}[tag](l, r)
+        return None if l is None or r is None else Fn(name, (l, r))
     if tag == _T_FN:
         cn, rest2 = vunpair(rest)
         name = _name_decode(cn)
-        if name is None or name not in FN_ARITY:
+        # a built-in symbol has one code, under its own tag
+        if name is None or name not in FN_ARITY or name in _BUILTIN_TAGS:
             return None
         n, args_c = vunpair(rest2)
         if n != FN_ARITY[name] or n > 8:
@@ -643,11 +591,11 @@ def explicit_refutation(s: ATerm, a: Formula) -> Formula:
     if isinstance(a, Real):
         return Fals(a.level, s, Fn("memt", (a.s, a.t)))
     if isinstance(a, Imp):
-        return conj(explicit_realisation(Proj0T(s), a.a),
-                    explicit_refutation(Proj1T(s), a.b))
+        return conj(explicit_realisation(Fn("p0", (s,)), a.a),
+                    explicit_refutation(Fn("p1", (s,)), a.b))
     if isinstance(a, All):
-        inst = subst(a.body, a.var, Proj0T(s))
-        return explicit_refutation(Proj1T(s), inst)
+        inst = subst(a.body, a.var, Fn("p0", (s,)))
+        return explicit_refutation(Fn("p1", (s,)), inst)
     if isinstance(a, Tru):
         raise TypeError("truth atoms have no explicit refutation")
     raise TypeError(a)
@@ -657,7 +605,7 @@ def explicit_realisation(s: ATerm, a: Formula) -> Formula:
     """The formula expressing "the value of s realises a"."""
     v = fresh_var(term_vars(s) | free_vars(a))
     return All(v, Imp(explicit_refutation(TVar(v), a),
-                      InPole(PairT(s, TVar(v)))))
+                      InPole(Fn("pair", (s, TVar(v))))))
 
 
 def _dot_membership(unfold: Callable, s: Nat, y: Nat) -> Nat:
@@ -733,21 +681,17 @@ def _parse_term(toks: list) -> ATerm:
     tok = toks.pop()
     if tok == "(":
         head = toks.pop()
-        if head == "s":
-            t = suc_t(_parse_term(toks))
-        elif head == "+":
-            t = Add(_parse_term(toks), _parse_term(toks))
-        elif head == "*":
-            t = Mul(_parse_term(toks), _parse_term(toks))
-        elif head == "pair":
-            t = PairT(_parse_term(toks), _parse_term(toks))
-        elif head == "p0":
-            t = Proj0T(_parse_term(toks))
-        elif head == "p1":
-            t = Proj1T(_parse_term(toks))
-        elif head in FN_ARITY:
-            t = Fn(head, tuple(_parse_term(toks)
-                               for _ in range(FN_ARITY[head])))
+        n = FN_ARITY.get(head)
+        # the arguments of a 1- or 2-ary head are read by direct calls,
+        # so that a nesting level costs one frame
+        if n == 2:
+            u = _parse_term(toks)
+            t = Fn(head, (u, _parse_term(toks)))
+        elif n == 1:
+            u = _parse_term(toks)
+            t = suc_t(u) if head == "s" else Fn(head, (u,))
+        elif n is not None:
+            t = Fn(head, tuple(_parse_term(toks) for _ in range(n)))
         else:
             raise _Misread("unknown term head %r" % head, len(toks))
         if (tok := toks.pop()) != ")":
@@ -846,20 +790,13 @@ def print_term(t: ATerm) -> str:
         return t.name
     if isinstance(t, Num):
         return str(vint(t.n))
-    if isinstance(t, SucT):
-        return "(s %s)" % print_term(t.t)
-    if isinstance(t, Add):
-        return "(+ %s %s)" % (print_term(t.l), print_term(t.r))
-    if isinstance(t, Mul):
-        return "(* %s %s)" % (print_term(t.l), print_term(t.r))
-    if isinstance(t, PairT):
-        return "(pair %s %s)" % (print_term(t.l), print_term(t.r))
-    if isinstance(t, Proj0T):
-        return "(p0 %s)" % print_term(t.t)
-    if isinstance(t, Proj1T):
-        return "(p1 %s)" % print_term(t.t)
     if isinstance(t, Fn):
-        return "(%s %s)" % (t.name, " ".join(print_term(a) for a in t.args))
+        a = t.args
+        if len(a) == 1:
+            return "(%s %s)" % (t.name, print_term(a[0]))
+        if len(a) == 2:
+            return "(%s %s %s)" % (t.name, print_term(a[0]), print_term(a[1]))
+        return "(%s %s)" % (t.name, " ".join([print_term(u) for u in a]))
     raise TypeError(t)
 
 

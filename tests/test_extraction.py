@@ -18,7 +18,7 @@ from realisability.extraction import (
 from realisability.poles import Empty, Generated, IN, OUT
 from realisability.semantics import Budget, realises, sample_refuters
 from realisability.syntax import (
-    Add, All, Eq, Fn, Imp, InPole, Num, PairT, SucT, TVar, ZERO, bot,
+    All, Eq, Fn, Imp, InPole, Num, TVar, ZERO, bot,
     free_vars, parse_formula, print_formula, subst, suc_t,
 )
 from realisability.vm import Value, vpair, vunpair
@@ -125,11 +125,12 @@ def test_imp_refl():
 
 def test_equality_derived_rules():
     p = inst_all(ax_defining(defining_axioms()[0]), Num(5))  # 5+0=5
-    assert check_proof(eq_sym(p)) == Eq(Num(5), Add(Num(5), ZERO))
+    five = Fn("+", (Num(5), ZERO))
+    assert check_proof(eq_sym(p)) == Eq(Num(5), five)
     q = eq_trans(p, eq_sym(p))
-    assert check_proof(q) == Eq(Add(Num(5), ZERO), Add(Num(5), ZERO))
-    r = eq_cong("z", SucT(TVar("z")), p)
-    assert check_proof(r) == Eq(SucT(Add(Num(5), ZERO)), Num(6))
+    assert check_proof(q) == Eq(five, five)
+    r = eq_cong("z", Fn("s", (TVar("z"),)), p)
+    assert check_proof(r) == Eq(Fn("s", (five,)), Num(6))
 
 
 def test_prove_plus():
@@ -245,7 +246,7 @@ def test_open_proof_environment():
     # proof of x+0=x with free x: realiser takes the value of x
     p = inst_all(ax_defining(defining_axioms()[0]), TVar("x"))
     c = check_proof(p)
-    assert c == Eq(Add(TVar("x"), ZERO), TVar("x"))
+    assert c == Eq(Fn("+", (TVar("x"), ZERO)), TVar("x"))
     for n in (0, 4, 11):
         _, e = extract_value(p, K, assignment={"x": n})
         inst = subst(c, "x", Num(n))
@@ -334,14 +335,14 @@ def test_capturing_proof_is_rejected():
 def test_alpha_eq_folds_successor_numerals_under_binders():
     # subst folds (s 0) to 1, so an instance may differ from its source
     # there; outside every binder terms compare as written
-    raw = All("x", Eq(SucT(Num(0)), TVar("x")))
+    raw = All("x", Eq(Fn("s", (Num(0),)), TVar("x")))
     assert alpha_eq(raw, All("y", Eq(Num(1), TVar("y"))))
     assert alpha_eq(All("y", Eq(Num(1), TVar("y"))), raw)
     assert not alpha_eq(raw, All("y", Eq(Num(0), TVar("y"))))
     pv = All("x", Eq(Num(vpair(2**70, 3)), ZERO))
-    one = All("x", Eq(SucT(ZERO), ZERO))
+    one = All("x", Eq(Fn("s", (ZERO,)), ZERO))
     assert not alpha_eq(pv, one) and not alpha_eq(one, pv)
-    assert not alpha_eq(Eq(SucT(Num(0)), ZERO), Eq(Num(1), ZERO))
+    assert not alpha_eq(Eq(Fn("s", (Num(0),)), ZERO), Eq(Num(1), ZERO))
 
 
 def test_alpha_eq_rejects_atoms():
@@ -416,9 +417,9 @@ terms = st.recursive(
               st.integers(0, 3).map(Num)),
     lambda t: st.one_of(
         t.map(suc_t),
-        t.map(SucT),
-        st.builds(Add, t, t),
-        st.builds(PairT, t, t),
+        t.map(lambda u: Fn("s", (u,))),
+        st.builds(lambda u, v: Fn("+", (u, v)), t, t),
+        st.builds(lambda u, v: Fn("pair", (u, v)), t, t),
         st.builds(lambda u, v: Fn("f", (u, v)), t, t)),
     max_leaves=5)
 
@@ -435,11 +436,8 @@ def _rename_term(t, x, y):
         return TVar(y) if t.name == x else t
     if isinstance(t, Num):
         return t
-    if isinstance(t, SucT):
-        return SucT(_rename_term(t.t, x, y))
-    if isinstance(t, Fn):
-        return Fn(t.name, tuple(_rename_term(u, x, y) for u in t.args))
-    return type(t)(_rename_term(t.l, x, y), _rename_term(t.r, x, y))
+    # (s n) stays as it is: unlike subst, a renaming folds nothing
+    return Fn(t.name, tuple(_rename_term(u, x, y) for u in t.args))
 
 
 def _rename_free(a, x, y):
@@ -647,7 +645,7 @@ def test_each_node_is_checked_once(monkeypatch, m):
         del node_checks[:]
         p = prove_plus(m, n)
         c, _ = extract_value(p, fresh_kernel())
-        assert c == Eq(Add(Num(m), Num(n)), Num(m + n))
+        assert c == Eq(Fn("+", (Num(m), Num(n))), Num(m + n))
         assert dict(axioms_checked) == dict.fromkeys(_axioms(p), 1)
         totals.append(len(node_checks))
     # each step of n adds the same nodes, so the counts grow linearly

@@ -57,7 +57,7 @@ def _expected(workload):
 
 
 def test_node_classes_are_the_plain_dataclasses():
-    assert len(NODE_CLASSES) == 35
+    assert len(NODE_CLASSES) == 29
     assert not any(c.__dataclass_params__.frozen for c in NODE_CLASSES)
 
 
@@ -83,9 +83,11 @@ def test_nodes_are_never_reassigned(guarded, monkeypatch):
             [(k, ti[k]) for k in notations]:
         code, out = _run(json.loads(key))
         assert (code, _digest(out)) == (want["exit"], want["stdout_sha256"])
-    golden = json.loads((ROOT / "tests" / "golden"
-                         / "suite-seed0.json").read_text())
-    assert _run(golden["argv"]) == (golden["exit_code"], golden["stdout"])
+    goldens = sorted((ROOT / "tests" / "golden").glob("suite-*.json"))
+    assert len(goldens) == 3
+    for path in goldens:
+        golden = json.loads(path.read_text())
+        assert _run(golden["argv"]) == (golden["exit_code"], golden["stdout"])
 
 
 def test_nodes_are_unhashable():

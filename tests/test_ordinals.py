@@ -27,7 +27,7 @@ from realisability.ordinals import (
 from realisability.poles import Generated, OUT, member
 from realisability.semantics import Budget, realises
 from realisability.syntax import (
-    All, Eq, Fn, Imp, Num, SucT, TVar, free_vars, godel, parse_formula,
+    All, Eq, Fn, Imp, Num, TVar, free_vars, godel, parse_formula,
     ungodel,
 )
 from realisability.vm import (
@@ -554,7 +554,7 @@ def test_templates_take_unfolded_successor_numerals():
     # a decoded code keeps (s 0) where subst, building the template,
     # folds it to 1
     a = Imp(Eq(TVar("x"), TVar("x")),
-            All("x", Eq(SucT(Num(0)), SucT(Num(0)))))
+            All("x", Eq(Fn("s", (Num(0),)), Fn("s", (Num(0),)))))
     assert ungodel(godel(a)) == a
     for kind in ("zero", "suc"):
         check_proof(ti_proof_template(kind, a, var="x"))

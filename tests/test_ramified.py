@@ -21,8 +21,8 @@ from realisability.semantics import (
     Budget, FALSE, TRUE, realises, refutes, sample_refuters, truth,
 )
 from realisability.syntax import (
-    Add, All, Eq, Fals, Fn, Imp, InPole, LevelError, Num, PairT, ParseError,
-    Proj0T, Proj1T, REAL_SIDE, Real, TRUTH_SIDE, TVar, Tru, bot, conj,
+    All, Eq, Fals, Fn, Imp, InPole, LevelError, Num, ParseError,
+    REAL_SIDE, Real, TRUTH_SIDE, TVar, Tru, bot, conj,
     explicit_realisation, explicit_refutation, free_vars, godel, godel_term,
     in_language, max_level, parse_formula, print_formula, subst, subt,
     ungodel,
@@ -68,20 +68,21 @@ def test_explicit_refutation_implication_splits_the_pair():
     # conj(x, y) is sugar for (x -> (y -> bot)) -> bot; unpack it
     assert isinstance(got, Imp) and got.b == bot()
     left, right = got.a.a, got.a.b.a
-    assert right == explicit_refutation(Proj1T(TVar("s")), FALSE_EQ)
+    assert right == explicit_refutation(Fn("p1", (TVar("s"),)), FALSE_EQ)
     # the left conjunct realises the antecedent at the first projection,
     # up to the choice of bound refuter variable
     assert isinstance(left, All)
     v = left.var
+    s0 = Fn("p0", (TVar("s"),))
     assert left.body == Imp(explicit_refutation(TVar(v), TRUE_EQ),
-                            InPole(PairT(Proj0T(TVar("s")), TVar(v))))
+                            InPole(Fn("pair", (s0, TVar(v)))))
 
 
 def test_explicit_refutation_universal_instantiates_first_projection():
     a = All("x", Eq(TVar("x"), Num(0)))
     got = explicit_refutation(TVar("s"), a)
     want = explicit_refutation(
-        Proj1T(TVar("s")), Eq(Proj0T(TVar("s")), Num(0)))
+        Fn("p1", (TVar("s"),)), Eq(Fn("p0", (TVar("s"),)), Num(0)))
     assert got == want
 
 
@@ -91,7 +92,7 @@ def test_explicit_realisation_quantifies_a_fresh_refuter():
     v = got.var
     assert v != "s"
     assert got.body == Imp(explicit_refutation(TVar(v), FALSE_EQ),
-                           InPole(PairT(TVar("s"), TVar(v))))
+                           InPole(Fn("pair", (TVar("s"), TVar(v)))))
 
 
 def test_explicit_refutation_rejects_truth_atoms():
@@ -136,7 +137,7 @@ def _sample_formulas():
     corpus += [
         Tru(L1, Num(godel(TRUE_EQ))),
         All("x", Imp(InPole(TVar("x")), FALSE_EQ)),
-        Fals(LW, Add(Num(1), Num(2)), Num(7)),
+        Fals(LW, Fn("+", (Num(1), Num(2))), Num(7)),
         explicit_realisation(Num(3), FALSE_EQ),
     ]
     return corpus
@@ -212,8 +213,8 @@ def test_rr5_unfolds_an_implication_code():
     inst = rr_axiom("RR5", L1, L2, a=4, sent=TRUE_EQ, sent2=FALSE_EQ)
     code = Num(godel(Imp(TRUE_EQ, FALSE_EQ)))
     want = iff(Fals(L1, Num(4), code),
-               conj(Real(L1, Proj0T(Num(4)), Num(godel(TRUE_EQ))),
-                    Fals(L1, Proj1T(Num(4)), Num(godel(FALSE_EQ)))))
+               conj(Real(L1, Fn("p0", (Num(4),)), Num(godel(TRUE_EQ))),
+                    Fals(L1, Fn("p1", (Num(4),)), Num(godel(FALSE_EQ)))))
     assert inst == want
 
 

@@ -13,7 +13,7 @@ from realisability.semantics import (
     refutes, sample_refuters, truth,
 )
 from realisability.syntax import (
-    Add, All, Eq, Imp, InPole, Num, SucT, TVar, bot, parse_formula, subst,
+    All, Eq, Fn, Imp, InPole, Num, TVar, bot, parse_formula, subst,
 )
 from realisability.vm import Kernel, vpair
 
@@ -167,7 +167,7 @@ def test_check_cr_axioms_report():
 
 
 def test_term_regularity_agreement():
-    template = Eq(Add(TVar("v"), Num(1)), SucT(TVar("v")))
+    template = Eq(Fn("+", (TVar("v"), Num(1))), Fn("s", (TVar("v"),)))
     s = parse_formula("(= (+ 1 1) 2)").l  # term (+ 1 1)
     t = Num(2)
     a_s, a_t = subst(template, "v", s), subst(template, "v", t)

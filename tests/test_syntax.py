@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 import re
 import sys
@@ -12,26 +13,31 @@ from realisability.extraction import (
 )
 from realisability.notation import O_ZERO, OrdParseError, parse_ord
 from realisability.syntax import (
-    FN_ARITY, TRUTH_SIDE, Add, All, Eq, Fals, Fn, Imp, InPole, Mul, Num,
-    PairT, ParseError, Proj0T, Proj1T, Real, SucT, Tru, TVar, bot, conj,
-    disj, eq_check, eval_term, ex, free_vars, fresh_var, godel, godel_term,
-    in_language, neg, parse_base_formula, parse_formula, parse_term,
-    print_formula, print_term, subst, subst_term, subt, suc_t, term_vars,
-    ungodel, ungodel_term,
+    FN_ARITY, TRUTH_SIDE, All, Eq, Fals, Fn, Imp, InPole, Num, ParseError,
+    Real, Tru, TVar, bot, conj, disj, eq_check, eval_term, ex, free_vars,
+    fresh_var, godel, godel_term, in_language, neg, parse_base_formula,
+    parse_formula, parse_term, print_formula, print_term, subst, subst_term,
+    subt, suc_t, term_vars, ungodel, ungodel_term,
 )
-from realisability.vm import pair, vint, vnat
+from realisability.vm import pair, vint, vnat, vpair
 
 names = st.sampled_from(["x", "y", "z", "w"])
+
+
+def fn(name):
+    """The builder of name's terms from their arguments."""
+    return lambda *args: Fn(name, args)
+
 
 terms = st.recursive(
     st.one_of(st.builds(TVar, names), st.builds(Num, st.integers(0, 30))),
     lambda ts: st.one_of(
         st.builds(suc_t, ts),
-        st.builds(Add, ts, ts),
-        st.builds(Mul, ts, ts),
-        st.builds(PairT, ts, ts),
-        st.builds(Proj0T, ts),
-        st.builds(Proj1T, ts),
+        st.builds(fn("+"), ts, ts),
+        st.builds(fn("*"), ts, ts),
+        st.builds(fn("pair"), ts, ts),
+        st.builds(fn("p0"), ts),
+        st.builds(fn("p1"), ts),
     ),
     max_leaves=12,
 )
@@ -39,12 +45,12 @@ terms = st.recursive(
 closed_terms = st.recursive(
     st.builds(Num, st.integers(0, 30)),
     lambda ts: st.one_of(
-        st.builds(SucT, ts),
-        st.builds(Add, ts, ts),
-        st.builds(Mul, ts, ts),
-        st.builds(PairT, ts, ts),
-        st.builds(Proj0T, ts),
-        st.builds(Proj1T, ts),
+        st.builds(fn("s"), ts),
+        st.builds(fn("+"), ts, ts),
+        st.builds(fn("*"), ts, ts),
+        st.builds(fn("pair"), ts, ts),
+        st.builds(fn("p0"), ts),
+        st.builds(fn("p1"), ts),
     ),
     max_leaves=12,
 )
@@ -63,23 +69,24 @@ def naive_eval(t):
     # independent big-step oracle, written without eval_term
     if isinstance(t, Num):
         return vint(t.n)
-    if isinstance(t, SucT):
-        return naive_eval(t.t) + 1
-    if isinstance(t, Add):
-        return naive_eval(t.l) + naive_eval(t.r)
-    if isinstance(t, Mul):
-        return naive_eval(t.l) * naive_eval(t.r)
-    if isinstance(t, PairT):
-        x, y = naive_eval(t.l), naive_eval(t.r)
+    args = [naive_eval(a) for a in t.args]
+    if t.name == "s":
+        return args[0] + 1
+    if t.name == "+":
+        return args[0] + args[1]
+    if t.name == "*":
+        return args[0] * args[1]
+    if t.name == "pair":
+        x, y = args
         return (x + y) * (x + y + 1) // 2 + y
-    if isinstance(t, Proj0T):
-        z = naive_eval(t.t)
+    if t.name == "p0":
+        z = args[0]
         w = 0
         while (w + 1) * (w + 2) // 2 <= z:
             w += 1
         return w - (z - w * (w + 1) // 2)
-    if isinstance(t, Proj1T):
-        z = naive_eval(t.t)
+    if t.name == "p1":
+        z = args[0]
         w = 0
         while (w + 1) * (w + 2) // 2 <= z:
             w += 1
@@ -128,6 +135,23 @@ def test_ungodel_flags_noncodes():
     assert ungodel(pair(99, 0)) is None
 
 
+def test_built_in_symbols_keep_their_codes():
+    text = "(all x (= (+ (s x) (* 2 y)) (p0 (pair (p1 z) (s 3)))))"
+    a = parse_formula(text)
+    assert print_formula(a) == text.replace("(s 3)", "4")
+    # the code each built-in symbol had as a term class of its own
+    c = vint(godel(a))
+    assert c.bit_length() == 6437
+    assert hashlib.sha256(str(c).encode()).hexdigest() == (
+        "249a4dbe3d92078a09dd362dc6703042e90f4e28babbf9a8acf266f5e81e6423")
+    assert ungodel(godel(a)) == a
+    # a built-in has that one code: the general function-symbol code
+    # naming it decodes to nothing
+    fn_s = vpair(syntax._T_FN, vpair(syntax._name_code("s"),
+                                     vpair(1, vpair(num_code(0), 0))))
+    assert ungodel_term(fn_s) is None and ungodel(fn_s) is None
+
+
 def num_code(n):
     return godel_term(Num(n))
 
@@ -174,7 +198,7 @@ def test_fresh_names_are_the_first_not_in_use():
     assert fresh_var({"v1", "v3"}) == "v2"
     # the renamed binder avoids v1, free in the body, and v2, free in s
     a = parse_formula("(all y (= (+ v1 x) y))")
-    b = subst(a, "x", Add(TVar("y"), TVar("v2")))
+    b = subst(a, "x", Fn("+", (TVar("y"), TVar("v2"))))
     assert b.var == "v3" and free_vars(b) == {"v1", "v2", "y"}
 
 
@@ -206,16 +230,17 @@ def rebuild_subst(a, x, s):
     return Tru(a.level, subst_term(a.t, x, s))
 
 
-# successors built with SucT, so that (s n) over a numeral occurs, and
-# binders of the names that substituted terms hold, so that subst renames
+# successors built without suc_t, so that (s n) over a numeral occurs,
+# and binders of the names that substituted terms hold, so that subst
+# renames
 raw_terms = st.recursive(
     st.one_of(st.builds(TVar, names), st.builds(Num, st.integers(0, 3))),
     lambda ts: st.one_of(
-        st.builds(SucT, ts),
-        st.builds(Add, ts, ts),
-        st.builds(PairT, ts, ts),
-        st.builds(Proj0T, ts),
-        st.builds(lambda u, v: Fn("memf", (u, v)), ts, ts),
+        st.builds(fn("s"), ts),
+        st.builds(fn("+"), ts, ts),
+        st.builds(fn("pair"), ts, ts),
+        st.builds(fn("p0"), ts),
+        st.builds(fn("memf"), ts, ts),
     ),
     max_leaves=4,
 )
@@ -257,7 +282,7 @@ def test_subst_keeps_the_subformulas_it_does_not_change():
     assert out.a is kept and subst(kept, "z", Num(1)) is kept
     # a successor of a numeral is folded wherever subst rebuilds, so a
     # formula holding one is rebuilt although z is not free in it
-    folds = All("y", Eq(SucT(Num(0)), TVar("y")))
+    folds = All("y", Eq(Fn("s", (Num(0),)), TVar("y")))
     assert subst(folds, "z", Num(1)) == parse_formula("(all y (= 1 y))")
 
 
@@ -283,7 +308,7 @@ def test_free_variables_are_kept_on_the_node(monkeypatch):
 
 def test_parse_examples():
     f = parse_formula("(all x (= (+ x 0) x))")
-    assert f == All("x", Eq(Add(TVar("x"), Num(0)), TVar("x")))
+    assert f == All("x", Eq(Fn("+", (TVar("x"), Num(0))), TVar("x")))
     g = parse_formula("(imp (= 0 1) (= 0 0))")
     assert g == Imp(bot(), Eq(Num(0), Num(0)))
 
@@ -344,8 +369,9 @@ class Ref:
     formula, p proof, v variable, n any name, l level), and every error
     names the offset of the token it is about."""
 
-    TERMS = {"s": (suc_t, "t"), "+": (Add, "tt"), "*": (Mul, "tt"),
-             "pair": (PairT, "tt"), "p0": (Proj0T, "t"), "p1": (Proj1T, "t")}
+    TERMS = {"s": (suc_t, "t"), "+": (fn("+"), "tt"), "*": (fn("*"), "tt"),
+             "pair": (fn("pair"), "tt"), "p0": (fn("p0"), "t"),
+             "p1": (fn("p1"), "t")}
     FORMULAS = {"=": (Eq, "tt"), "imp": (Imp, "ff"), "all": (All, "vf"),
                 "not": (neg, "f"), "and": (conj, "ff"), "or": (disj, "ff"),
                 "ex": (ex, "vf"), "bot": (bot, ""), "pole": (InPole, "t"),
@@ -548,7 +574,7 @@ def test_nesting_past_the_recursion_limit_is_a_parse_error():
         sys.setrecursionlimit(old)
     assert re.fullmatch(r"nesting too deep at offset \d+", str(err.value))
     assert text[err.value.pos:].startswith(("(", "p0"))
-    assert isinstance(parse_term(text), Proj0T)
+    assert parse_term(text).name == "p0"
 
 
 def test_reader_passes_on_index_errors_it_did_not_raise(monkeypatch):

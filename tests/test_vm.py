@@ -5,7 +5,7 @@ import hypothesis as hyp
 from hypothesis import strategies as st
 
 from realisability.poles import Generated, member
-from realisability.syntax import Add, Mul, Num, SucT, eval_term
+from realisability.syntax import Fn, Num, eval_term
 from realisability.vm import (
     FUEL, PV, App, Diverged, Fix, IfZ, Kernel, Lam, Lit, Pair, Pred, Prim,
     Proj0, Proj1, Stuck, Suc, Value, Var, _close, _floor, decode, encode,
@@ -292,9 +292,9 @@ def test_every_producer_of_naturals_gives_the_canonical_form(x, y):
     lit = Lit(vx)
     made = [
         (vnat(x), x), (vpair(x, y), pair(x, y)), (vpair(vx, y), pair(x, y)),
-        (eval_term(Num(x)), x), (eval_term(SucT(Num(vx))), x + 1),
-        (eval_term(Add(Num(vx), Num(vy))), x + y),
-        (eval_term(Mul(Num(vx), Num(vy))), x * y),
+        (eval_term(Num(x)), x), (eval_term(Fn("s", (Num(vx),))), x + 1),
+        (eval_term(Fn("+", (Num(vx), Num(vy)))), x + y),
+        (eval_term(Fn("*", (Num(vx), Num(vy)))), x * y),
         (Kernel().run(Suc(lit), 100).n, x + 1),
         (Kernel().run(Pred(lit), 100).n, max(x - 1, 0)),
     ]
