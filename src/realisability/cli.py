@@ -244,7 +244,15 @@ def cmd_ord_cmp(args, cfg: RunConfig, kernel: Kernel):
                "result": compare(a, b)}
 
 
+# the largest n `ord fs` takes: the n-th member of an epsilon's sequence
+# is a tower of n exponents, which the printer walks by recursion, and
+# Python 3.10 was seen to print one of 20,000 but not one of 30,000
+FS_MAX = 10000
+
+
 def cmd_ord_fs(args, cfg: RunConfig, kernel: Kernel):
+    if args.n > FS_MAX:
+        raise UsageError("ord fs takes n at most %d" % FS_MAX)
     a = parse_ord(args.a)
     if not isinstance(classify(a), LimC):
         return 1, {"error": "%s is not a limit notation" % print_ord(a)}

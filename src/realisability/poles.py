@@ -111,16 +111,69 @@ def agreement(lhs: Verdict, rhs: Verdict) -> str:
     return AGREE if (lhs.kind in holds) == (rhs.kind in holds) else DISAGREE
 
 
+class _Key:
+    """The chase-memo key of a natural with a closure in it: a closure's
+    program, compared by identity, with the keys of its env values; or,
+    for a pair, None with the keys of its two children.  The hash is
+    found once, from the parts' own kept hashes."""
+
+    __slots__ = ("prog", "parts", "_hash")
+
+    def __init__(self, prog, parts: tuple):
+        self.prog = prog
+        self.parts = parts
+        self._hash = hash((id(prog), parts))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is _Key and self.prog is other.prog
+                and self.parts == other.parts)
+
+
+# the kept key of a PV with no closure below it, which is its own key
+_ITSELF = object()
+
+
+def _chase_key(n: Nat):
+    """The key of n in the chase memo, found without building the code of
+    any closure in n.  An int is its own key.  A PV that carries a
+    closure is keyed by its program and the keys of its env values; any
+    other PV by the keys of its children, and one with no closure below
+    it is its own key.  Equal keys imply equal values: one program object
+    with equal envs has one code, and a decoded closure's program belongs
+    to the one PV it was decoded from.  Equal values may have different
+    keys (a closure and its code built apart), which costs only a miss.
+    A key holds its program, so no id is reused while the key lives.
+    Each PV keeps its key, so finding keys costs O(1) per node."""
+    if type(n) is int:
+        return n
+    k = n.key
+    if k is None:
+        clo = n.clo
+        if clo is not None:
+            prog, env = clo
+            k = _Key(prog, tuple([_chase_key(v) for v in env]))
+        else:
+            a, b = n.a, n.b
+            ka, kb = _chase_key(a), _chase_key(b)
+            k = _ITSELF if ka is a and kb is b else _Key(None, (ka, kb))
+        n.key = k
+    return n if k is _ITSELF else k
+
+
 def member(n: Nat, pole: PoleSpec, fuel: int, kernel: Kernel) -> Verdict:
     """Three-valued membership test for n in the pole.  A chase's verdict
     depends only on n, the pole, the fuel and the kernel's primitives, so
-    the kernel keeps it (see Kernel.chases)."""
+    the kernel keeps it (see Kernel.chases), under n's ``_chase_key``, so
+    that asking builds no closure's code."""
     if isinstance(pole, Empty):
         return V_OUT
     if isinstance(pole, Full):
         return V_IN
     chases = kernel.chases
-    key = (pole, fuel, n)
+    key = (pole, fuel, n if type(n) is int else _chase_key(n))
     v = chases.get(key)
     if v is None:
         v = _chase(n, pole, fuel, kernel)

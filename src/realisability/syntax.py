@@ -29,7 +29,7 @@ from .notation import (
     LESS, O_ZERO, OrdNotation, OrdParseError, compare, ocode, odecode,
     parse_ord, print_ord,
 )
-from .vm import Nat, vint, vnat, vpair, vunpair
+from .vm import Nat, pair, vint, vnat, vpair, vunpair
 
 
 # ---------------------------------------------------------------------------
@@ -785,11 +785,42 @@ def parse_base_formula(text: str) -> Formula:
     return _read(text, _parse_base_formula)
 
 
+# Python refuses to print an int of more than 4300 decimal digits, by
+# default, so a numeral at or past this cap is printed over its Cantor
+# components
+_NUMERAL_CAP = 10 ** 4300
+
+
+def _below_cap(n: Nat) -> Optional[int]:
+    """The value of n if it is below _NUMERAL_CAP, else None.  A pair is
+    at least each of its components, so no value past the cap is
+    expanded."""
+    if type(n) is int:
+        return n if n < _NUMERAL_CAP else None
+    a, b = vunpair(n)
+    a = _below_cap(a)
+    b = None if a is None else _below_cap(b)
+    if b is None:
+        return None
+    v = pair(a, b)
+    return v if v < _NUMERAL_CAP else None
+
+
+def _pair_text(n: Nat) -> str:
+    """``(pair a b)`` over the sparse Cantor components of n, each a PV in
+    the same form or an int in decimal; it reads back to the value n."""
+    if type(n) is int:
+        return str(n)
+    a, b = vunpair(n)
+    return "(pair %s %s)" % (_pair_text(a), _pair_text(b))
+
+
 def print_term(t: ATerm) -> str:
     if isinstance(t, TVar):
         return t.name
     if isinstance(t, Num):
-        return str(vint(t.n))
+        v = _below_cap(t.n)
+        return str(v) if v is not None else _pair_text(t.n)
     if isinstance(t, Fn):
         a = t.args
         if len(a) == 1:

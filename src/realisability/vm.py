@@ -95,13 +95,14 @@ class PV:
     (see ``Kernel.code``): then ``a`` and ``b`` are unset, and the first
     read of either fills both from ``clo``."""
 
-    __slots__ = ("a", "b", "clo", "_hash")
+    __slots__ = ("a", "b", "clo", "_hash", "key")
 
     def __init__(self, a: "Nat", b: "Nat"):
         self.a = a
         self.b = b
         self.clo = None  # the kernel's (program, env) for this code
         self._hash = None  # the structural hash, found when first asked
+        self.key = None  # the pole-chase memo's key, found when first asked
 
     def __getattr__(self, name: str):
         # reached only when a slot is unset: a child of a closure's code
@@ -538,7 +539,8 @@ class Kernel:
                                      Callable[[Nat], int]]] = {}
         self._memo: dict[int, tuple[Program, tuple]] = {}
         # pole chase results, kept by poles.member under the same bound
-        # as the closure memo; a primitive changes what runs compute
+        # as the closure memo and keyed by poles._chase_key, so a lookup
+        # builds no closure's code; a primitive changes what runs compute
         self.chases: dict = {}
 
     def register_primitive(self, pid: int, fn: Callable[[Nat], Nat],
@@ -556,7 +558,7 @@ class Kernel:
         children are filled in when first read."""
         if _floor(p) >= _SMALL:
             v = PV.__new__(PV)
-            v._hash = None
+            v._hash = v.key = None
             v.clo = (p, env)
             return v
         v = _close(p, env, 0)

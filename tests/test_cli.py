@@ -14,7 +14,7 @@ from realisability.notation import onat
 from realisability.ordinals import ordinal_kernel, wo_realiser
 from realisability.poles import FALSE, Empty, Full, Generated
 from realisability.semantics import Budget, truth
-from realisability.syntax import godel, parse_formula
+from realisability.syntax import godel, parse_formula, print_formula
 from realisability.vm import (
     Diverged, Kernel, Lam, Stuck, Suc, Var, encode, vpair,
 )
@@ -378,6 +378,22 @@ def test_ord_fs_epsilon_zero(capsys):
     assert rep["result"] == "w^w"
 
 
+@pytest.mark.parametrize("n, code", [
+    (str(cli.FS_MAX), 0), ("120000", 3), ("18446744073709551616", 3)])
+def test_ord_fs_takes_n_up_to_its_limit(n, code):
+    # the n-th member of e[0]'s sequence is a tower of n exponents: the
+    # largest n allowed answers, and a larger one is refused before any
+    # tower is built
+    r = subprocess.run([sys.executable, "-m", "realisability.cli",
+                        "ord", "fs", "e[0]", n],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == code
+    if code:
+        assert r.stderr == "error: ord fs takes n at most %d\n" % cli.FS_MAX
+    else:
+        assert json.loads(r.stdout)["result"] == "^".join(["w"] * cli.FS_MAX)
+
+
 def test_ord_fs_rejects_non_limits(capsys):
     code, rep = run_cli(capsys, "ord", "fs", "3", "2")
     assert code == 1
@@ -459,6 +475,18 @@ def test_ram_axiom_kinds_it_cannot_print_are_usage_errors(kind, capsys):
     # RT1 and RR3 need two terms the CLI has no option for
     assert main(["ram", "axiom", kind]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind", ["RR9", "RR10"])
+def test_ram_axiom_prints_numerals_past_the_digit_limit(kind, capsys):
+    # the instance holds codes of millions of digits; they print as
+    # (pair a b), and the instance reads back to the same text
+    code, rep = run_cli(capsys, "ram", "axiom", kind, "--formula",
+                        "(imp (= 0 0) (all x (= x x)))", "--beta", "1",
+                        "--low", "0", "--gamma", "2")
+    assert code == 0 and rep["ok"]
+    assert "(pair (pair " in rep["instance"]
+    assert print_formula(parse_formula(rep["instance"])) == rep["instance"]
 
 
 def test_ram_axiom_rr1_pulls_back_the_run_of_a_on_b(capsys):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
@@ -7,8 +10,8 @@ from realisability.poles import (
     Verdict, _chase, agreement, member,
 )
 from realisability.vm import (
-    MEMO_SIZE, PV, App, Fix, Kernel, Lam, Lit, Pair, Prim, Suc, Value, Var,
-    encode, pair, vnat, vpair,
+    MEMO_SIZE, PV, App, Fix, Kernel, Lam, Lit, Pair, Prim, Proj1, Suc, Value,
+    Var, encode, pair, vnat, vpair,
 )
 
 K = Kernel()
@@ -121,6 +124,23 @@ def test_chase_memo_keys_on_the_value():
         assert member(vpair(code(), 0), p, 1000, k) == V_IN
         assert member(vpair(code(), 1), p, 1000, k) == V_IN
     assert len(k.chases) == 2
+
+
+def test_a_chase_key_keeps_its_program_alive():
+    # the key holds the program it compares by identity, so no later
+    # program can take its id while the entry lives
+    k = Kernel()
+    p = Lam(Proj1(Pair(Lit(vnat(2**70)), Lit(0))))
+    ref = weakref.ref(p)
+    t = k.code(p)
+    assert type(t) is PV
+    assert member(vpair(t, 3), Generated(frozenset({0}), 4), 100, k) == V_IN
+    del p, t
+    gc.collect()
+    assert ref() is not None
+    k.chases.clear()
+    gc.collect()
+    assert ref() is None
 
 
 def test_chase_memo_keys_on_the_pole_and_the_fuel():

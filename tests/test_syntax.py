@@ -560,6 +560,31 @@ def test_numerals_are_ascii_digits_within_the_int_limit(text, message):
     assert parse_term("9" * 4000) == Num(vnat(int("9" * 4000)))
 
 
+def test_numerals_past_the_digit_limit_print_as_pairs():
+    # up to 4300 digits a numeral prints in decimal, as Python prints it;
+    # past that, as (pair a b) over its sparse components, read back to
+    # the same value
+    assert print_term(Num(vnat(10**4300 - 1))) == "9" * 4300
+    big = vnat(10**4300)
+    text = print_term(Num(big))
+    assert text.startswith("(pair (pair ")
+    assert eval_term(parse_term(text)) == big
+    # 2^70 paired with 0, 1, ..., 39: 2659 digits after 7 pairings, 5317
+    # after 8, and far too many to expand after 40
+    v = vnat(2**70)
+    for k in range(40):
+        if k == 7:
+            assert print_term(Num(v)) == str(vint(v))
+        if k == 8:
+            assert print_term(Num(v)).startswith("(pair ")
+        v = vpair(v, k)
+    text = print_formula(Eq(Num(v), TVar("x")))
+    assert text == "(= %s42916700575 5675307424)%s x)" % (
+        "(pair " * 41, "".join(" %d)" % k for k in range(40)))
+    read = parse_formula(text)
+    assert eval_term(read.l) == v and print_formula(read) == text
+
+
 def test_nesting_past_the_recursion_limit_is_a_parse_error():
     depth, frame = 0, sys._getframe()
     while frame:

@@ -4,7 +4,7 @@ import time
 import hypothesis as hyp
 from hypothesis import strategies as st
 
-from realisability.poles import Generated, member
+from realisability.poles import Generated, _chase, _chase_key, member
 from realisability.syntax import Fn, Num, eval_term
 from realisability.vm import (
     FUEL, PV, App, Diverged, Fix, IfZ, Kernel, Lam, Lit, Pair, Pred, Prim,
@@ -430,4 +430,73 @@ def test_applying_a_closure_does_not_build_its_code(body, env, m):
     # comparing it builds it
     prog, cenv = r.n.clo
     assert r.n == _close(prog, cenv, 0) and built(r.n)
+
+
+# applied to anything, gives back its env's first value; its code is at
+# least 2^64 (Lit of a PV), so its closures are lazy
+BIG_BODY = Lam(Proj1(Pair(Lit(vpair(2**70, 1)), Var(1))))
+
+
+def test_member_builds_no_closure_code():
+    pole = Generated(frozenset({0}), 4)
+    k = Kernel()
+    t = k.code(BIG_BODY, (0,))
+    assert member(vpair(t, 3), pole, 100, k).kind == "in"
+    assert not built(t)
+    # a closure of the same program in an equal env is an equal value,
+    # and it finds the entry without being built either
+    t2 = k.code(BIG_BODY, (0,))
+    assert _chase_key(vpair(t2, 3)) == _chase_key(vpair(t, 3))
+    assert member(vpair(t2, 3), pole, 100, k).kind == "in"
+    assert len(k.chases) == 1 and not built(t2)
+    # in another env, or another program in the same env, it is another
+    # value, and another key
+    other = Lam(Proj1(Pair(Lit(vpair(2**70, 1)), Lit(5))))
+    for t3 in (k.code(BIG_BODY, (5,)), k.code(other, (0,))):
+        assert member(vpair(t3, 3), pole, 100, k).kind == "out"
+    assert len(k.chases) == 3
+
+
+def _decoded(p):
+    # a code that the kernel decodes when it applies it
+    v = encode(p)
+    K.closure(v)
+    return v
+
+
+# ways to make a value, each called twice below so that equal values are
+# built apart: by vpair and vnat, by encode, by Kernel.code (lazily or at
+# once; the program object is shared by both builds), by decoding, and
+# pairs of those
+value_makers = st.recursive(
+    st.one_of(
+        sparse_naturals.map(lambda v: lambda: vnat(vint(v))),
+        programs.map(lambda p: lambda: encode(p)),
+        st.builds(lambda p, env: lambda: K.code(p, tuple(env)),
+                  st.one_of(st.builds(Lam, programs), st.builds(Fix, programs),
+                            programs.map(lambda b: Lam(Pair(BIG_BODY, b)))),
+                  envs),
+        programs.map(lambda p: lambda: _decoded(p)),
+    ),
+    lambda ms: st.builds(lambda f, g: lambda: vpair(f(), g()), ms, ms),
+    max_leaves=4,
+)
+
+
+@hyp.settings(deadline=None, max_examples=80)
+@hyp.given(st.lists(value_makers, min_size=1, max_size=4),
+           st.frozensets(st.integers(0, 20), min_size=1))
+def test_equal_chase_keys_are_equal_values(makers, seed):
+    vs = [make() for make in makers for _ in range(2)]
+    keys = [_chase_key(v) for v in vs]
+    for v, kv in zip(vs, keys):
+        for w, kw in zip(vs, keys):
+            if kv == kw:
+                assert hash(kv) == hash(kw) and v == w
+    # one kernel answers all, so equal keys share an entry; each
+    # reference chase runs on a kernel of its own
+    pole = Generated(seed, 3)
+    k = Kernel()
+    for v in vs:
+        assert member(v, pole, 60, k) == _chase(v, pole, 60, Kernel())
 
