@@ -22,8 +22,8 @@ from .extraction import (
     ExtractionError, ProofError, check_proof, extract_value, parse_proof,
 )
 from .notation import (
-    EQUAL, GREATER, LESS, LimC, OrdNotation, OrdParseError, classify,
-    compare, fundseq, omega, onat, parse_ord, print_ord,
+    EQUAL, GREATER, LESS, NESTING_MAX, LimC, OrdNotation, OrdParseError,
+    classify, compare, fundseq, omega, onat, parse_ord, print_ord,
 )
 from .ordinals import (
     build_TI, check_ti_formula, ordinal_kernel, ti_proof_template,
@@ -245,9 +245,8 @@ def cmd_ord_cmp(args, cfg: RunConfig, kernel: Kernel):
 
 
 # the largest n `ord fs` takes: the n-th member of an epsilon's sequence
-# is a tower of n exponents, which the printer walks by recursion, and
-# Python 3.10 was seen to print one of 20,000 but not one of 30,000
-FS_MAX = 10000
+# is a tower of n exponents, so its text reads back as a notation
+FS_MAX = NESTING_MAX
 
 
 def cmd_ord_fs(args, cfg: RunConfig, kernel: Kernel):

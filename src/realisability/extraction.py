@@ -25,14 +25,14 @@ from typing import Optional, Union
 
 from .syntax import (
     All, ATerm, Eq, Fn, Formula, Imp, Num, TVar, ZERO, _CLOSE, _Misread,
-    _read, _name_code, _name_decode, _parse_base_formula, _parse_term, bot,
-    free_vars, fresh_var, godel_term, parse_formula, print_formula,
-    print_term, subst, subst_term, suc_t, term_vars, ungodel_term,
-    eval_term,
+    _is_base, _read, _name_code, _name_decode, _parse_base_formula,
+    _parse_term, bot, free_vars, fresh_var, godel_term, parse_formula,
+    print_formula, print_term, subst, subst_term, suc_t, term_vars,
+    ungodel_term, eval_term,
 )
 from .vm import (
-    App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Program, Proj0,
-    Proj1, StuckError, Value, Var, encode, vpair, vunpair,
+    MEMO_SIZE, App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim,
+    Program, Proj0, Proj1, StuckError, Value, Var, encode, vpair, vunpair,
 )
 
 
@@ -71,50 +71,74 @@ PID_EVALTERM = 1
 PID_EQCHECK = 2
 
 
-def _read_env(ctx_code: Nat, env: Nat) -> dict:
-    out = {}
+def _ctx_names(ctx_code: Nat) -> Optional[list]:
+    """The variable names a context code lists, or None when one of its
+    entries codes no name."""
+    names = []
     while ctx_code != 0:
         nc, ctx_code = vunpair(ctx_code)
-        v, env = vunpair(env)
         name = _name_decode(nc)
         if name is None:
-            raise StuckError()
-        out[name] = v
+            return None
+        names.append(name)
+    return names
+
+
+def _decoded(memo: dict, decode, c: Nat):
+    """decode(c), kept in memo under the kernel's memo bound; a code that
+    decodes to None makes the run stuck, each time it is met."""
+    try:
+        out = memo[c]
+    except KeyError:
+        out = decode(c)
+        if len(memo) >= MEMO_SIZE:
+            memo.clear()
+        memo[c] = out
+    if out is None:
+        raise StuckError()
     return out
 
 
-def _prim_evalterm(v: Nat) -> Nat:
-    tc, rest = vunpair(v)
-    cc, env = vunpair(rest)
-    t = ungodel_term(tc)
-    if t is None:
-        raise StuckError()
-    try:
-        return eval_term(t, _read_env(cc, env))
-    except (ValueError, TypeError):
-        raise StuckError()
-
-
-def _prim_eqcheck(v: Nat) -> Nat:
-    sc, rest = vunpair(v)
-    tc, rest2 = vunpair(rest)
-    cc, env = vunpair(rest2)
-    s, t = ungodel_term(sc), ungodel_term(tc)
-    if s is None or t is None:
-        raise StuckError()
-    try:
-        envd = _read_env(cc, env)
-        return 0 if eval_term(s, envd) == eval_term(t, envd) else 1
-    except (ValueError, TypeError):
-        raise StuckError()
-
-
 def fresh_kernel() -> Kernel:
-    """A kernel with the primitives extracted programs rely on."""
+    """A kernel with the primitives extracted programs rely on.
+
+    An extracted program passes the same few term and context codes on
+    every call, so the primitives keep, per kernel, the term each term
+    code decodes to and the names each context code lists."""
+    terms: dict = {}
+    contexts: dict = {}
+
+    def env_of(cc: Nat, env: Nat) -> dict:
+        out = {}
+        for name in _decoded(contexts, _ctx_names, cc):
+            v, env = vunpair(env)
+            out[name] = v
+        return out
+
+    def p_evalterm(v: Nat) -> Nat:
+        tc, rest = vunpair(v)
+        cc, env = vunpair(rest)
+        t = _decoded(terms, ungodel_term, tc)
+        try:
+            return eval_term(t, env_of(cc, env))
+        except (ValueError, TypeError):
+            raise StuckError()
+
+    def p_eqcheck(v: Nat) -> Nat:
+        sc, rest = vunpair(v)
+        tc, rest2 = vunpair(rest)
+        cc, env = vunpair(rest2)
+        s = _decoded(terms, ungodel_term, sc)
+        t = _decoded(terms, ungodel_term, tc)
+        try:
+            envd = env_of(cc, env)
+            return 0 if eval_term(s, envd) == eval_term(t, envd) else 1
+        except (ValueError, TypeError):
+            raise StuckError()
+
     kernel = Kernel()
-    kernel.register_primitive(PID_EVALTERM, _prim_evalterm,
-                              cost=lambda _v: 4)
-    kernel.register_primitive(PID_EQCHECK, _prim_eqcheck, cost=lambda _v: 4)
+    kernel.register_primitive(PID_EVALTERM, p_evalterm, cost=lambda _v: 4)
+    kernel.register_primitive(PID_EQCHECK, p_eqcheck, cost=lambda _v: 4)
     return kernel
 
 
@@ -191,24 +215,6 @@ def _alpha_term(s: ATerm, t: ATerm, da: dict, db: dict) -> bool:
                 return False
         return True
     raise TypeError(s)
-
-
-def _is_base(a: Formula) -> bool:
-    """Whether a is in the base grammar, built from Eq, Imp and All.  An
-    implication or a universal keeps the answer as its _base flag."""
-    ta = type(a)
-    if ta is Eq:
-        return True
-    r = getattr(a, "_base", None)
-    if r is None:
-        if ta is Imp:
-            r = _is_base(a.a) and _is_base(a.b)
-        elif ta is All:
-            r = _is_base(a.body)
-        else:
-            return False
-        a._base = r
-    return r
 
 
 def _alpha(a: Formula, b: Formula, da: dict, db: dict, depth: int) -> bool:

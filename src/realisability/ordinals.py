@@ -24,8 +24,8 @@ from .notation import (
     add, classify, compare, eps, fundseq, ocode, odecode, omega_pow, onat,
 )
 from .syntax import (
-    All, ATerm, Eq, Fn, Formula, Imp, Num, ONE, TRUTH_SIDE, TVar, ZERO,
-    free_vars, godel, in_language, register_fn, subst, ungodel, FN_ARITY,
+    All, ATerm, Eq, Fn, Formula, Imp, Num, ONE, TVar, ZERO, _is_base,
+    free_vars, godel, register_fn, subst, ungodel, FN_ARITY,
 )
 from .vm import (
     MEMO_SIZE, App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Proj0,
@@ -227,9 +227,7 @@ _TEMPLATE_FUEL = 10**7
 
 def _decode_sentence_with_x(code: Nat) -> Formula:
     a = ungodel(code)
-    if not isinstance(a, (Eq, Imp, All)) \
-            or not in_language(a, O_ZERO, TRUTH_SIDE) \
-            or not free_vars(a) <= {"x"}:
+    if not _is_base(a) or not free_vars(a) <= {"x"}:
         raise StuckError()
     return a
 

@@ -22,12 +22,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from typing import Callable, Optional, TypeVar, Union
 
 from .notation import (
-    LESS, O_ZERO, OrdNotation, OrdParseError, compare, ocode, odecode,
-    parse_ord, print_ord,
+    LESS, OrdNotation, OrdParseError, compare, ocode, odecode, parse_ord,
+    print_ord,
 )
 from .vm import Nat, pair, vint, vnat, vpair, vunpair
 
@@ -362,6 +362,26 @@ def in_language(a: Formula, gamma: OrdNotation, side: str) -> bool:
     raise TypeError(a)
 
 
+def _is_base(a: Formula) -> bool:
+    """Whether a is in the base grammar, built from Eq, Imp and All: the
+    answer of in_language(a, O_ZERO, TRUTH_SIDE), false for anything that
+    is not a formula.  An implication or a universal keeps the answer as
+    its _base flag."""
+    ta = type(a)
+    if ta is Eq:
+        return True
+    r = getattr(a, "_base", None)
+    if r is None:
+        if ta is Imp:
+            r = _is_base(a.a) and _is_base(a.b)
+        elif ta is All:
+            r = _is_base(a.body)
+        else:
+            return False
+        a._base = r
+    return r
+
+
 # ---------------------------------------------------------------------------
 # Closed-term evaluation
 
@@ -639,6 +659,19 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"[()]|[^\s()]+")
 _CLOSE = "expected ')', found %r"
 _T = TypeVar("_T")
+# the longest formula, in tokens after its opening bracket, that a read
+# shares: a key copies no more tokens than this, so deep nesting stays
+# linear.  One formula of the shipped proofs is longer (261 tokens).
+_SHARE_SPAN = 256
+_DEPTH_STEP = {"(": 1, ")": -1}
+
+
+class _Tokens(list):
+    """The tokens of one read, in reverse.  `depths[i]` is the bracket
+    depth after the text's i-th token, and `shared` maps each formula
+    text read so far, as the tuple of its tokens after the opening
+    bracket in reverse, to the formula built for it."""
+    __slots__ = ("depths", "shared")
 
 
 class _Misread(Exception):
@@ -647,12 +680,14 @@ class _Misread(Exception):
     token's offset."""
 
 
-def _read(text: str, parse: Callable[[list], _T]) -> _T:
+def _read(text: str, parse: Callable[[_Tokens], _T]) -> _T:
     """Read all of `text` with `parse`, which takes the tokens in reverse,
     so that `pop()` reads the next one and `len()` counts those left.
     Offsets are found again only for an error."""
-    toks = _TOKEN.findall(text)
+    toks = _Tokens(_TOKEN.findall(text))
     n = len(toks)
+    toks.depths = list(accumulate(map(_DEPTH_STEP.get, toks, repeat(0))))
+    toks.shared = {}
     toks.reverse()
     try:
         out = parse(toks)
@@ -727,10 +762,25 @@ def _parse_var(toks: list) -> str:
     return name
 
 
-def _parse_formula(toks: list) -> Formula:
+def _parse_formula(toks: _Tokens) -> Formula:
     tok = toks.pop()
     if tok != "(":
         raise _Misread("expected a formula, found %r" % tok, len(toks))
+    # a formula text read before in this read gives the formula built
+    # then; its closing bracket is the first token after i at the depth
+    # before i, found at C speed
+    left, depths = len(toks), toks.depths
+    i = len(depths) - 1 - left
+    try:
+        m = depths.index(depths[i] - 1, i, i + _SHARE_SPAN) - i
+    except ValueError:  # unbalanced, or longer than a shared formula
+        key = None
+    else:
+        key = tuple(toks[left - m:left])
+        f = toks.shared.get(key)
+        if f is not None:
+            del toks[left - m:]
+            return f
     head = toks.pop()
     if head == "=":
         f: Formula = Eq(_parse_term(toks), _parse_term(toks))
@@ -760,15 +810,16 @@ def _parse_formula(toks: list) -> Formula:
         raise _Misread("unknown formula head %r" % head, len(toks))
     if (tok := toks.pop()) != ")":
         raise _Misread(_CLOSE % tok, len(toks))
+    if key is not None:
+        toks.shared[key] = f
     return f
 
 
-def _parse_base_formula(toks: list) -> Formula:
-    """A formula of the base language: the level-0 check rejects every
-    level-indexed atom."""
+def _parse_base_formula(toks: _Tokens) -> Formula:
+    """A formula of the base language, which has no atoms."""
     left = len(toks) - 1
     f = _parse_formula(toks)
-    if not in_language(f, O_ZERO, TRUTH_SIDE):
+    if not _is_base(f):
         raise _Misread("level-indexed atom in a base formula", left)
     return f
 

@@ -10,7 +10,7 @@ import pytest
 
 from realisability import cli, extraction
 from realisability.cli import main, parse_pole
-from realisability.notation import onat
+from realisability.notation import NESTING_MAX, omega_tower, onat, parse_ord
 from realisability.ordinals import ordinal_kernel, wo_realiser
 from realisability.poles import FALSE, Empty, Full, Generated
 from realisability.semantics import Budget, truth
@@ -391,7 +391,21 @@ def test_ord_fs_takes_n_up_to_its_limit(n, code):
     if code:
         assert r.stderr == "error: ord fs takes n at most %d\n" % cli.FS_MAX
     else:
-        assert json.loads(r.stdout)["result"] == "^".join(["w"] * cli.FS_MAX)
+        result = json.loads(r.stdout)["result"]
+        assert result == "^".join(["w"] * cli.FS_MAX)
+        # the largest tower reads back as a notation
+        assert parse_ord(result) == omega_tower(onat(1), cli.FS_MAX)
+
+
+def test_a_notation_past_the_nesting_bound_exits_3():
+    # 30,000 levels crashed Python 3.10 with SIGSEGV before the bound
+    deep = "w^" * 30000 + "1"
+    r = subprocess.run([sys.executable, "-m", "realisability.cli",
+                        "ord", "cmp", deep, deep],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 3 and r.stdout == ""
+    assert r.stderr == "error: notation nested more than %d deep\n" \
+        % NESTING_MAX
 
 
 def test_ord_fs_rejects_non_limits(capsys):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from collections import Counter
 from pathlib import Path
@@ -6,22 +8,27 @@ import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
-from realisability import extraction, ordinals
+from realisability import cli, extraction, ordinals, syntax
 from realisability.extraction import (
-    Axiom, Gen, Hyp, MP, ProofError, ax_defining, ax_exfalso, ax_induction,
-    ax_k, ax_leibniz, ax_peirce, ax_refleq, ax_s, ax_univdist, ax_univinst,
-    alpha_eq, check_proof, combinator, conclusion, deduce, defining_axioms,
-    eq_cong, eq_sym, eq_trans, extract_value,
-    fresh_kernel, imp_refl, inst_all, parse_proof, print_proof, prove_dne,
-    prove_plus, prove_plus_comm, prove_suc_plus, prove_zero_plus,
+    PID_EQCHECK, PID_EVALTERM, Axiom, Gen, Hyp, MP, ProofError, ax_defining,
+    ax_exfalso, ax_induction, ax_k, ax_leibniz, ax_peirce, ax_refleq, ax_s,
+    ax_univdist, ax_univinst, alpha_eq, check_proof, combinator, conclusion,
+    deduce, defining_axioms, env_value, eq_cong, eq_sym, eq_trans,
+    extract_value, fresh_kernel, imp_refl, inst_all, parse_proof,
+    print_proof, prove_dne, prove_plus, prove_plus_comm, prove_suc_plus,
+    prove_zero_plus,
 )
 from realisability.poles import Empty, Generated, IN, OUT
 from realisability.semantics import Budget, realises, sample_refuters
 from realisability.syntax import (
-    All, Eq, Fn, Imp, InPole, Num, TVar, ZERO, bot,
-    free_vars, parse_formula, print_formula, subst, suc_t,
+    All, Eq, Fn, Imp, InPole, Num, TVar, ZERO, bot, eval_term, free_vars,
+    godel_term, parse_formula, parse_term, print_formula, subst, suc_t,
+    ungodel_term,
 )
-from realisability.vm import Value, vpair, vunpair
+from realisability.vm import (
+    STUCK, Diverged, Kernel, Lam, Lit, Prim, StuckError, Value, vpair,
+    vunpair,
+)
 
 K = fresh_kernel()
 B = Budget(fuel=10**6, samples=8, width=20)
@@ -761,3 +768,126 @@ def test_deduce_decides_each_node_once(monkeypatch):
     # each step of d adds the same nodes, so the counts grow linearly
     for t in totals.values():
         assert 0 < t[0] and t[2] - t[1] == 2 * (t[1] - t[0]), totals
+
+
+# ---------------------------------------------------------------------------
+# The term primitives keep decoded codes per kernel
+
+def _plain_kernel():
+    """The reference for fresh_kernel: term primitives that decode their
+    term and context codes afresh on every call."""
+    def read_env(cc, env):
+        out = {}
+        while cc != 0:
+            nc, cc = vunpair(cc)
+            v, env = vunpair(env)
+            name = syntax._name_decode(nc)
+            if name is None:
+                raise StuckError()
+            out[name] = v
+        return out
+
+    def evalterm(v):
+        tc, rest = vunpair(v)
+        cc, env = vunpair(rest)
+        t = ungodel_term(tc)
+        if t is None:
+            raise StuckError()
+        try:
+            return eval_term(t, read_env(cc, env))
+        except (ValueError, TypeError):
+            raise StuckError()
+
+    def eqcheck(v):
+        sc, rest = vunpair(v)
+        tc, rest2 = vunpair(rest)
+        cc, env = vunpair(rest2)
+        s, t = ungodel_term(sc), ungodel_term(tc)
+        if s is None or t is None:
+            raise StuckError()
+        try:
+            envd = read_env(cc, env)
+            return 0 if eval_term(s, envd) == eval_term(t, envd) else 1
+        except (ValueError, TypeError):
+            raise StuckError()
+
+    kernel = Kernel()
+    kernel.register_primitive(PID_EVALTERM, evalterm, cost=lambda _v: 4)
+    kernel.register_primitive(PID_EQCHECK, eqcheck, cost=lambda _v: 4)
+    return kernel
+
+
+def test_each_kernel_decodes_its_codes_once(monkeypatch):
+    calls = Counter()
+    real_term, real_name = extraction.ungodel_term, extraction._name_decode
+
+    def count_term(c):
+        calls["term"] += 1
+        return real_term(c)
+
+    def count_name(c):
+        calls["name"] += 1
+        return real_name(c)
+
+    monkeypatch.setattr(extraction, "ungodel_term", count_term)
+    monkeypatch.setattr(extraction, "_name_decode", count_name)
+    ctx = ["x", "y"]
+    body = extraction._term_value_expr(parse_term("(+ x (s y))"), ctx)
+    env = env_value(ctx, {"x": 2, "y": 3})
+    seen = []
+    for k in (fresh_kernel(), fresh_kernel()):
+        code = k.code(Lam(body))
+        for _ in range(3):
+            assert k.apply(code, env, 100).n == 6
+        seen.append(dict(calls))
+    # one term and two names decoded by each kernel: the second kernel
+    # finds nothing the first one kept
+    assert seen == [{"term": 1, "name": 2}, {"term": 2, "name": 4}]
+
+
+@pytest.mark.parametrize("pid, arg", [
+    # a term code with no term's tag
+    (PID_EVALTERM, vpair(99, vpair(0, 0))),
+    # a context entry that codes no name
+    (PID_EVALTERM, vpair(godel_term(TVar("x")), vpair(vpair(5, 0), 0))),
+    # the second of two terms has no term's tag
+    (PID_EQCHECK, vpair(godel_term(ZERO), vpair(vpair(99, 0), vpair(0, 0)))),
+])
+def test_a_code_that_decodes_to_nothing_is_stuck_each_time(pid, arg):
+    k = fresh_kernel()
+    code = k.code(Lam(Prim(pid, Lit(arg))))
+    for _ in range(3):
+        assert k.apply(code, 0, 100) == Diverged(STUCK)
+
+
+def test_validate_is_the_same_with_plain_primitives(monkeypatch):
+    runs = []
+    real_apply = Kernel.apply
+
+    def apply(self, e, m, fuel):
+        r = real_apply(self, e, m, fuel)
+        runs.append((type(r).__name__, getattr(r, "fuel_used", None)))
+        return r
+
+    monkeypatch.setattr(Kernel, "apply", apply)
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    proofs = sorted(Path("corpus/proofs").glob("*.sexp"))
+    assert len(proofs) == 24
+    outs = []
+    for make in (fresh_kernel, _plain_kernel):
+        monkeypatch.setattr(
+            cli, "ordinal_kernel",
+            lambda make=make: ordinals.install_ordinal_primitives(make()))
+        runs.clear()
+        out = []
+        for path in proofs:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(["validate", str(path),
+                                 "--pole", "generated:0,3,8"])
+            out.append((code, stdout.getvalue()))
+        outs.append((out, list(runs)))
+    # the same reports, and every kernel run, the extracted ones first
+    # among them, used the same fuel
+    assert outs[0] == outs[1]
+    assert len(outs[0][1]) > 24

@@ -15,9 +15,10 @@ from realisability.extraction import (
     ExtractionError, check_proof, combinator, extract_value, fresh_kernel,
 )
 from realisability.notation import (
-    CnfSum, Eps, GREATER, LESS, EQUAL, LimC, O_ZERO, OrdParseError, SucC,
-    ZeroC, ZeroO, add, classify, compare, eps, fundseq, is_normal, ocode,
-    odecode, omega, omega_pow, omega_tower, onat, parse_ord, print_ord,
+    NESTING_MAX, CnfSum, Eps, GREATER, LESS, EQUAL, LimC, O_ZERO,
+    OrdParseError, SucC, ZeroC, ZeroO, add, classify, compare, eps, fundseq,
+    is_normal, ocode, odecode, omega, omega_pow, omega_tower, onat,
+    parse_ord, print_ord,
 )
 from realisability.ordinals import (
     PID_ORDFS, PID_TISUC, PID_WO, build_Prog, build_TI, jump_formula, olt,
@@ -489,6 +490,21 @@ def test_parse_ord_is_linear_in_nesting_depth():
         _CountingText.reads = 0
         assert parse_ord(text) == omega_tower(onat(1), n)
         assert _CountingText.reads <= 2 * len(text), n
+
+
+@pytest.mark.parametrize("shape", [
+    lambda n: "w^" * n + "1", lambda n: "w^(" * n + "1" + ")" * n,
+    lambda n: "e[" + "w^" * (n - 1) + "1]",
+    lambda n: "w^(" * n + "w*2 + 1" + ")*3 + 1" * n])
+def test_notations_nest_at_most_the_bound(shape):
+    # an exponent or an epsilon index is one level deeper than the text
+    # around it; past the bound the reader stops before the walks that
+    # recurse per level run out of stack
+    a = parse_ord(shape(NESTING_MAX))
+    assert parse_ord(print_ord(a)) == a
+    with pytest.raises(OrdParseError,
+                       match="nested more than %d deep" % NESTING_MAX):
+        parse_ord(shape(NESTING_MAX + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from realisability import syntax
 from realisability.extraction import (
-    AXIOM_KINDS, MP, Axiom, Gen, Hyp, parse_proof,
+    AXIOM_KINDS, MP, Axiom, Gen, Hyp, parse_proof, print_proof, prove_plus,
 )
 from realisability.notation import O_ZERO, OrdParseError, parse_ord
 from realisability.syntax import (
@@ -473,16 +473,13 @@ HEADS = ["s", "+", "*", "pair", "p0", "p1", "=", "imp", "all", "not", "and",
          "hyp", "mp", "gen", "ax", "refleq", "univinst", "leibniz", "k"]
 READER_TOKENS = ["(", ")", "0", "12", "x", "y", "w", "e[0]", "w^", "1.2"]
 READER_TOKENS += HEADS
-PROOF = (pathlib.Path(__file__).resolve().parent.parent / "corpus" / "proofs"
-         / "add-zero.sexp").read_text()
+PROOF_DIR = pathlib.Path(__file__).resolve().parents[1] / "corpus" / "proofs"
+PROOF = (PROOF_DIR / "add-zero.sexp").read_text()
 
 
-@st.composite
-def reader_texts(draw):
-    """A valid term, formula or proof with a few tokens deleted or put
-    in, or a short run of tokens, joined by mixed whitespace."""
-    base = draw(st.one_of(terms.map(print_term), formulas.map(print_formula),
-                          st.just(PROOF), st.just("")))
+def mutated(draw, base):
+    """base with a few tokens deleted or put in, joined by mixed
+    whitespace."""
     toks = [t for t, _ in scan(base)]
     for k, tok in draw(st.lists(st.tuples(
             st.integers(0, 10**6), st.none() | st.sampled_from(READER_TOKENS)),
@@ -495,6 +492,34 @@ def reader_texts(draw):
     seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(toks) + 1,
                          max_size=len(toks) + 1))
     return seps[0] + "".join(t + s for t, s in zip(toks, seps[1:]))
+
+
+@st.composite
+def reader_texts(draw):
+    """A valid term, formula or proof with a few tokens deleted or put
+    in, or a short run of tokens, joined by mixed whitespace."""
+    return mutated(draw, draw(st.one_of(
+        terms.map(print_term), formulas.map(print_formula), st.just(PROOF),
+        st.just(""))))
+
+
+# proof and formula texts that restate their formulas, as the K and S
+# schemas and modus ponens make proofs do
+REPEATING = ["(imp {a} (imp {b} {a}))", "(all x (imp {a} (imp {a} {b})))",
+             "(mp (ax k (imp {a} (imp {b} {a}))) (hyp {a}))",
+             "(mp (mp (ax s (imp (imp {a} (imp {b} {a})) (imp (imp {a} {b}) "
+             "(imp {a} {a})))) (ax k (imp {a} (imp {b} {a})))) (hyp {b}))",
+             "(ax leibniz (imp (= 0 0) (imp {a} {a})) x {a})"]
+
+
+@st.composite
+def repeating_texts(draw):
+    """A text that repeats formulas, valid or with a few tokens deleted
+    or put in."""
+    a, b = draw(formulas), draw(formulas)
+    text = draw(st.sampled_from(REPEATING)).format(
+        a=print_formula(a), b=print_formula(b))
+    return text if draw(st.booleans()) else mutated(draw, text)
 
 
 def test_token_regex_splits_where_isspace_does():
@@ -515,6 +540,84 @@ def test_tokens_match_the_character_scanner(text):
 @hyp.given(reader_texts())
 def test_every_entry_reads_as_the_reference(text):
     assert_reads_as_reference(text)
+
+
+@hyp.settings(deadline=None, max_examples=100)
+@hyp.given(repeating_texts())
+def test_a_sharing_read_gives_what_a_fresh_read_gives(text):
+    # the reference builds a new node for every formula it reads; the
+    # reader returns one node for each formula text, and its results,
+    # error messages and offsets must be the reference's
+    assert_reads_as_reference(text)
+
+
+def formula_nodes(p):
+    """Every formula node of proof p, subformulas included, once per
+    occurrence in p's text."""
+    out, todo = [], [p]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, MP):
+            todo += [n.major, n.minor]
+        elif isinstance(n, Gen):
+            todo.append(n.sub)
+        elif isinstance(n, (Axiom, Hyp)):
+            todo.append(n.formula)
+            if isinstance(n, Axiom) and n.kind == "leibniz":
+                todo.append(n.data[1])
+        else:
+            out.append(n)
+            if isinstance(n, Imp):
+                todo += [n.a, n.b]
+            elif isinstance(n, All):
+                todo.append(n.body)
+    return out
+
+
+def subtrees(text):
+    """The parenthesised subtrees of text, one tuple of tokens each."""
+    toks, opened, out = [t for t, _ in scan(text)], [], []
+    for i, tok in enumerate(toks):
+        if tok == "(":
+            opened.append(i)
+        elif tok == ")":
+            out.append(tuple(toks[opened.pop():i + 1]))
+    return out
+
+
+def test_equal_formula_texts_read_as_one_object():
+    text = (PROOF_DIR / "plus-comm.sexp").read_text()
+    trees = subtrees(text)
+    assert (len(trees), len(set(trees))) == (2140, 428)
+    nodes = formula_nodes(parse_proof(text))
+    objects: dict = {}
+    for f in nodes:
+        objects.setdefault(print_formula(f), set()).add(id(f))
+    assert all(len(ids) == 1 for ids in objects.values())
+    # one node is built for each distinct formula text, which is less
+    # than half of the formulas the text holds
+    assert 2 * len(objects) <= len(nodes)
+
+
+def test_shipped_and_generated_proofs_print_back_to_their_text():
+    texts = [path.read_text() for path in sorted(PROOF_DIR.glob("*.sexp"))]
+    assert len(texts) == 24
+    # every prove_plus proof the corpus benchmark can draw
+    texts += [print_proof(prove_plus(m, n))
+              for m in range(12) for n in range(12)]
+    for text in texts:
+        assert print_proof(parse_proof(text)) == text.strip()
+
+
+def test_a_deep_formula_reads_in_one_frame_per_level():
+    n = 60000
+    a = parse_formula("(imp (= 0 0) " * n + "(= 0 0)" + ")" * n)
+    eq = a.a
+    assert eq == Eq(Num(0), Num(0))
+    for _ in range(n):
+        assert a.a is eq
+        a = a.b
+    assert a is eq
 
 
 @pytest.mark.parametrize("entry, text, message", [
