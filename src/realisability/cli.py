@@ -68,6 +68,17 @@ class RunConfig:
         return random.Random(self.seed)
 
 
+def _natural(text: str) -> int:
+    """The argparse type of an argument that names a natural: ASCII
+    digits only, as every numeral is written."""
+    try:
+        if text.isascii() and text.isdigit():
+            return int(text)
+    except ValueError:  # past the interpreter's digit limit
+        pass
+    raise argparse.ArgumentTypeError("not a natural: %r" % text)
+
+
 def parse_pole(text: str) -> PoleSpec:
     if text == "empty":
         return Empty()
@@ -76,10 +87,11 @@ def parse_pole(text: str) -> PoleSpec:
     if text.startswith("generated:"):
         parts = text.split(":")
         try:
-            seed = frozenset(int(x) for x in parts[1].split(",") if x != "")
-            depth = int(parts[2]) if len(parts) > 2 else 64
+            seed = frozenset(_natural(x) for x in parts[1].split(",")
+                             if x != "")
+            depth = _natural(parts[2]) if len(parts) > 2 else 64
             return Generated(seed, depth)
-        except ValueError as exc:
+        except (argparse.ArgumentTypeError, ValueError) as exc:
             raise UsageError("bad generated pole spec %r (%s)" % (text, exc))
     raise UsageError("unknown pole spec %r (empty | full | "
                      "generated:n,m[,..][:depth])" % text)
@@ -507,22 +519,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _natural(text: str) -> int:
-    """The argparse type of an argument that names a natural."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError("not a natural: %r" % text)
-    return n
-
-
 def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fuel", type=int, default=10**6)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--width", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--fuel", type=_natural, default=10**6)
+    p.add_argument("--samples", type=_natural, default=20)
+    p.add_argument("--width", type=_natural, default=50)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--pole", default="empty")
     p.add_argument("--gamma", default="w")
     p.add_argument("--report", default=None,

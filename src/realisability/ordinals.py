@@ -25,7 +25,7 @@ from .notation import (
 )
 from .syntax import (
     All, ATerm, Eq, Fn, Formula, Imp, Num, ONE, TVar, ZERO, _is_base,
-    free_vars, godel, register_fn, subst, ungodel, FN_ARITY,
+    free_vars, godel, register_fn, subst, ungodel,
 )
 from .vm import (
     MEMO_SIZE, App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Proj0,
@@ -64,16 +64,10 @@ def _fn_ordpow(x: Nat) -> Nat:
     return ocode(omega_pow(a))
 
 
-def _register_symbols() -> None:
-    for name, arity, fn in (("ordlt", 2, _fn_ordlt),
-                            ("ordsuc", 1, _fn_ordsuc),
-                            ("ordadd", 2, _fn_ordadd),
-                            ("ordpow", 1, _fn_ordpow)):
-        if name not in FN_ARITY:
-            register_fn(name, arity, fn)
-
-
-_register_symbols()
+register_fn("ordlt", 2, _fn_ordlt)
+register_fn("ordsuc", 1, _fn_ordsuc)
+register_fn("ordadd", 2, _fn_ordadd)
+register_fn("ordpow", 1, _fn_ordpow)
 
 # nothing is below zero: a true equation schema usable as an axiom
 _NOTHING_BELOW_ZERO = All("ob", Eq(Fn("ordlt", (TVar("ob"), Num(0))), ZERO))
@@ -87,18 +81,14 @@ def olt(s: ATerm, t: ATerm) -> Formula:
     return Eq(Fn("ordlt", (s, t)), ONE)
 
 
-def _the_var(a: Formula, var: Optional[str]) -> str:
+def _the_var(a: Formula, var: str) -> str:
     fv = free_vars(a)
-    if var is None:
-        if len(fv) != 1:
-            raise ValueError("formula must have exactly one free variable")
-        return next(iter(fv))
     if not fv <= {var}:
         raise ValueError("unexpected free variables %r" % (fv - {var}))
     return var
 
 
-def build_Prog(a: Formula, var: Optional[str] = None) -> Formula:
+def build_Prog(a: Formula, var: str) -> Formula:
     """Progressiveness: every code whose strict predecessors all satisfy
     A satisfies A."""
     x = _the_var(a, var)
@@ -107,13 +97,12 @@ def build_Prog(a: Formula, var: Optional[str] = None) -> Formula:
     return All("oa", Imp(below, subst(a, x, TVar("oa"))))
 
 
-def ti_formula(a: Formula, t: ATerm, var: Optional[str] = None) -> Formula:
+def ti_formula(a: Formula, t: ATerm, var: str) -> Formula:
     x = _the_var(a, var)
     return Imp(build_Prog(a, x), subst(a, x, t))
 
 
-def build_TI(a: Formula, alpha: OrdNotation,
-             var: Optional[str] = None) -> Formula:
+def build_TI(a: Formula, alpha: OrdNotation, var: str) -> Formula:
     return ti_formula(a, Num(ocode(alpha)), var)
 
 
@@ -147,8 +136,8 @@ def check_ti_formula(a: Formula) -> None:
     _prove_outright(a)
 
 
-def ti_proof_template(kind: str, a: Formula, alpha: Optional[OrdNotation]
-                      = None, var: Optional[str] = None):
+def ti_proof_template(kind: str, a: Formula,
+                      alpha: Optional[OrdNotation] = None, *, var: str):
     """A checker-accepted proof of the named transfinite-induction step.
 
     kind "zero": TI(A, 0), fully schematic in A.
@@ -196,7 +185,7 @@ def ti_proof_template(kind: str, a: Formula, alpha: Optional[OrdNotation]
     raise ValueError("unknown template kind %r" % kind)
 
 
-def jump_formula(a: Formula, var: Optional[str] = None) -> Formula:
+def jump_formula(a: Formula, var: str) -> Formula:
     """A'(b): every A-closed initial segment extends by omega^b."""
     x = _the_var(a, var)
     og, od, oj = TVar("og"), TVar("od"), TVar("oj")

@@ -23,7 +23,7 @@ from .notation import (
 from .poles import Empty, UNKNOWN, PoleSpec, agreement
 from .semantics import Budget, realises, truth
 from .syntax import (
-    All, ATerm, Eq, FN_ARITY, Fals, Fn, Formula, Imp, InPole, LevelError,
+    All, ATerm, Eq, Fals, Fn, Formula, Imp, InPole, LevelError,
     Num, ONE, REAL_SIDE, Real, TRUTH_SIDE, TVar, Tru,
     ZERO, _FORMS, _name_code, _name_decode, bot, conj, decode_sentence,
     eq_check, explicit_realisation, explicit_refutation, free_vars,
@@ -74,17 +74,11 @@ def _fn_eqc(cs: Nat, ct: Nat) -> Nat:
         return 0
 
 
-def _register_symbols() -> None:
-    for name, arity, fn in (("taue", 1, tau_empty_code),
-                            ("tau0", 1, tau_zero_code),
-                            ("sentt", 2, _fn_sentt),
-                            ("subv", 3, _fn_subv),
-                            ("eqc", 2, _fn_eqc)):
-        if name not in FN_ARITY:
-            register_fn(name, arity, fn)
-
-
-_register_symbols()
+register_fn("taue", 1, tau_empty_code)
+register_fn("tau0", 1, tau_zero_code)
+register_fn("sentt", 2, _fn_sentt)
+register_fn("subv", 3, _fn_subv)
+register_fn("eqc", 2, _fn_eqc)
 
 
 # ---------------------------------------------------------------------------

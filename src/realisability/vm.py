@@ -10,8 +10,8 @@ closure, a (program, env) pair, so a code is decoded once: the closures
 of ``int`` codes sit in a bounded memo owned by the ``Kernel`` (emptied
 when it fills), and a ``PV`` code keeps its closure in its ``clo`` slot
 for as long as the code lives.  An argument is bound in the env, not
-substituted.  A Lam or Fix evaluated as a value stands for the code the
-non-shifting ``subst`` followed by ``encode`` would give, and keeps
+substituted.  A Lam or Fix evaluated as a value stands for the code a
+non-shifting substitution followed by ``encode`` would give, and keeps
 (program, env) as its closure (``Kernel.code``).  That code is built
 only when something reads it: a value whose code is at least 2^64, as a
 lower bound cached on the program shows, is a ``PV`` whose children are
@@ -22,9 +22,8 @@ so that it can be an ``int``.  Continuations are kept on an explicit
 stack.  Fuel is one unit per program node evaluated, one per
 application step, plus each primitive's cost, plus one unit per 64 bits
 of ``vbits(v)`` where ``Suc`` or ``Pred`` expands a ``PV`` v into an
-int, exactly as for decode-substitute-encode evaluation, which
-``subst``, ``decode`` and ``encode`` still support; building a code is
-not charged.
+int, exactly as for decode-substitute-encode evaluation (the oracle of
+the kernel's differential tests); building a code is not charged.
 
 A fixed point whose body gives back that fixed point itself (the same
 object) with the stack below untouched leaves the machine in the state
@@ -322,9 +321,9 @@ def _close(p: Program, env: tuple, d: int) -> Nat:
     """The code of p under d binders, reading Var(d+i) as Lit(env[i]).
 
     With an empty env this is plain encoding.  Otherwise it is the code
-    the non-shifting ``subst`` would give after substituting env's values
-    for the variables they bind, innermost first: indices past env are
-    left as they are."""
+    a non-shifting substitution of env's values for the variables they
+    bind would give, innermost first: indices past env are left as they
+    are."""
     t = type(p)
     if t is Var:
         i = p.index - d
@@ -448,35 +447,6 @@ def decode(v: Nat) -> Program:
             return Stuck()
         return Prim(pid, decode(a))
     return Stuck()
-
-
-def subst(p: Program, depth: int, value: Nat) -> Program:
-    """Replace Var(depth) by Lit(value); only closed values are inserted."""
-    if isinstance(p, Var):
-        return Lit(value) if p.index == depth else p
-    if isinstance(p, Lam):
-        return Lam(subst(p.body, depth + 1, value))
-    if isinstance(p, Fix):
-        return Fix(subst(p.body, depth + 1, value))
-    if isinstance(p, App):
-        return App(subst(p.fn, depth, value), subst(p.arg, depth, value))
-    if isinstance(p, Suc):
-        return Suc(subst(p.p, depth, value))
-    if isinstance(p, Pred):
-        return Pred(subst(p.p, depth, value))
-    if isinstance(p, IfZ):
-        return IfZ(subst(p.scrutinee, depth, value),
-                   subst(p.zero, depth, value),
-                   subst(p.succ, depth, value))
-    if isinstance(p, Pair):
-        return Pair(subst(p.l, depth, value), subst(p.r, depth, value))
-    if isinstance(p, Proj0):
-        return Proj0(subst(p.p, depth, value))
-    if isinstance(p, Proj1):
-        return Proj1(subst(p.p, depth, value))
-    if isinstance(p, Prim):
-        return Prim(p.pid, subst(p.arg, depth, value))
-    return p  # Lit, Stuck
 
 
 # ---------------------------------------------------------------------------

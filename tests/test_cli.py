@@ -53,7 +53,8 @@ def test_empty_generated_seed_is_usage_error(capsys):
 
 
 def test_out_of_range_generated_seed_is_usage_error(capsys):
-    for seed in ("-1", "0,18446744073709551616"):
+    for seed in ("-1", "0,18446744073709551616", "\u0663", "1_0", "+1",
+                 "3:\u0663", "3:-9"):
         assert main(["pole", "member", "0", "--pole",
                      "generated:" + seed]) == 3
 
@@ -77,11 +78,27 @@ def test_removed_knobs_are_usage_errors(capsys):
     ["ram", "axiom", "RR4", "--a", "-1"],
     ["ram", "axiom", "RR1", "--b", "-1"],
     ["ram", "check", "--count", "-1"],
+    ["pole", "member", "\u0663", "--pole", "generated:3"],
+    ["run", "1_0", "0"],
+    ["run", "+1", "0"],
+    ["run", "1", "0", "--fuel", "\u0661\u0660"],
+    ["run", "1", "0", "--fuel", "-5"],
+    ["truth", "(= 0 0)", "--samples", "+2"],
+    ["truth", "(= 0 0)", "--width", "\u0665"],
+    ["truth", "(= 0 0)", "--seed", "-1"],
 ], ids=["run", "pole-member", "refutes", "realises", "ord-fs",
-        "ram-axiom-a", "ram-axiom-b", "ram-check"])
+        "ram-axiom-a", "ram-axiom-b", "ram-check", "arabic-indic-digit",
+        "underscore", "sign", "fuel-digits", "fuel-negative",
+        "samples-sign", "width-digit", "seed-negative"])
 def test_negative_naturals_are_usage_errors(argv, capsys):
     assert main(argv) == 3
     assert "not a natural" in capsys.readouterr().err
+
+
+def test_zero_budget_is_usage_error(capsys):
+    for flag in ("--fuel", "--samples", "--width"):
+        assert main(["truth", "(= 0 0)", flag, "0"]) == 3
+        assert "must be positive" in capsys.readouterr().err
 
 
 def test_bad_subcommand_is_usage_error():

@@ -105,6 +105,44 @@ def test_axiom_schema_rejection():
         check_proof(Axiom("refleq", Eq(Num(0), Num(1))))
     with pytest.raises(ProofError):
         check_proof(Axiom("defining", parse_formula("(all x (= x x))")))
+    # each instance differs from a well-formed one in a single place
+    a, b, c = EQ00, bot(), parse_formula("(= 1 1)")
+    x_is_0, refl_x = parse_formula("(= x 0)"), parse_formula("(= x x)")
+    eq01 = Eq(Num(0), Num(1))
+    induction = ax_induction("x", x_is_0).formula
+    malformed = [
+        Axiom("s", Imp(Imp(a, Imp(b, c)), Imp(Imp(a, b), Imp(a, b)))),
+        Axiom("peirce", Imp(Imp(Imp(a, b), a), b)),
+        Axiom("exfalso", Imp(a, c)),
+        Axiom("univinst", Imp(All("x", x_is_0), Eq(Num(1), Num(0))),
+              (Num(2),)),
+        Axiom("univdist", Imp(All("x", Imp(x_is_0, a)),
+                              Imp(x_is_0, All("x", a)))),
+        Axiom("leibniz", Imp(eq01, Imp(a, a)), ("x", refl_x)),
+        Axiom("induction", Imp(Eq(Num(1), Num(0)), induction.b)),
+    ]
+    for ax in malformed:
+        with pytest.raises(ProofError,
+                           match="does not match the %s schema" % ax.kind):
+            check_proof(ax)
+    well_formed = ax_univinst("x", x_is_0, Num(2))
+    with pytest.raises(ProofError, match="needs the instantiating term"):
+        check_proof(Axiom("univinst", well_formed.formula))
+    well_formed = ax_leibniz("x", refl_x, Num(0), Num(1))
+    with pytest.raises(ProofError, match=r"needs \(variable, template\)"):
+        check_proof(Axiom("leibniz", well_formed.formula))
+    with pytest.raises(ProofError, match="unknown axiom kind 'j'"):
+        check_proof(Axiom("j", EQ00))
+
+
+def test_defining_axioms_are_closed_equations():
+    before = len(defining_axioms())
+    with pytest.raises(ValueError, match="must be sentences"):
+        extraction.register_defining_axiom(parse_formula("(= x 0)"))
+    with pytest.raises(ValueError, match="must be quantified equations"):
+        extraction.register_defining_axiom(
+            parse_formula("(all x (imp (= x x) (= x x)))"))
+    assert len(defining_axioms()) == before
 
 
 def test_gen_over_hypothesis_variable_rejected():

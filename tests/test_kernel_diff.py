@@ -13,12 +13,41 @@ from realisability.semantics import Budget, sample_refuters
 from realisability.vm import (
     App, Diverged, Fix, IfZ, Kernel, Lam, Lit, OutOfFuel, PV, Pair, Pred,
     Prim, Proj0, Proj1, Stuck, StuckError, Suc, Value, Var, decode, encode,
-    subst, vbits, vint, vnat, vpair, vunpair,
+    vbits, vint, vnat, vpair, vunpair,
 )
 
 PROOF_DIR = pathlib.Path(__file__).resolve().parent.parent \
     / "corpus" / "proofs"
 FUELS = (1, 7, 60, 400, 3000)
+
+
+def subst(p, depth, value):
+    """Replace Var(depth) by Lit(value); only closed values are inserted."""
+    if isinstance(p, Var):
+        return Lit(value) if p.index == depth else p
+    if isinstance(p, Lam):
+        return Lam(subst(p.body, depth + 1, value))
+    if isinstance(p, Fix):
+        return Fix(subst(p.body, depth + 1, value))
+    if isinstance(p, App):
+        return App(subst(p.fn, depth, value), subst(p.arg, depth, value))
+    if isinstance(p, Suc):
+        return Suc(subst(p.p, depth, value))
+    if isinstance(p, Pred):
+        return Pred(subst(p.p, depth, value))
+    if isinstance(p, IfZ):
+        return IfZ(subst(p.scrutinee, depth, value),
+                   subst(p.zero, depth, value),
+                   subst(p.succ, depth, value))
+    if isinstance(p, Pair):
+        return Pair(subst(p.l, depth, value), subst(p.r, depth, value))
+    if isinstance(p, Proj0):
+        return Proj0(subst(p.p, depth, value))
+    if isinstance(p, Proj1):
+        return Proj1(subst(p.p, depth, value))
+    if isinstance(p, Prim):
+        return Prim(p.pid, subst(p.arg, depth, value))
+    return p  # Lit, Stuck
 
 
 class SubstKernel:

@@ -324,6 +324,10 @@ def test_parse_error_position():
 def test_sugar_expansion():
     assert parse_formula("(not (= 0 0))") == Imp(Eq(Num(0), Num(0)), bot())
     assert parse_formula("(bot)") == bot()
+    a, b = Eq(Num(0), Num(0)), Eq(Num(0), Num(1))
+    assert parse_formula("(and (= 0 0) (= 0 1))") == \
+        Imp(Imp(a, Imp(b, bot())), bot())
+    assert parse_formula("(or (= 0 0) (= 0 1))") == Imp(Imp(a, bot()), b)
     f = parse_formula("(ex x (= x 1))")
     assert not free_vars(f)
 

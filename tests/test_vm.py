@@ -192,7 +192,7 @@ def test_fixpoint_unfolding_law_concrete():
     f = Fix(Lam(IfZ(Var(0), Lit(9), Suc(App(Var(1), Pred(Var(0)))))))
     # one-step unfolding: substitute the fixed point's own code for the
     # bound variable
-    from realisability.vm import subst
+    from test_kernel_diff import subst
     unfolded = subst(f.body, 0, encode(f))
     for n in [0, 1, 5]:
         a = K.apply(encode(f), n, 10**5)
