@@ -31,8 +31,8 @@ from .syntax import (
     ungodel_term, eval_term,
 )
 from .vm import (
-    MEMO_SIZE, App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim,
-    Program, Proj0, Proj1, StuckError, Value, Var, encode, vpair, vunpair,
+    App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Program, Proj0,
+    Proj1, StuckError, Value, Var, _remember, encode, vpair, vunpair,
 )
 
 
@@ -85,15 +85,9 @@ def _ctx_names(ctx_code: Nat) -> Optional[list]:
 
 
 def _decoded(memo: dict, decode, c: Nat):
-    """decode(c), kept in memo under the kernel's memo bound; a code that
-    decodes to None makes the run stuck, each time it is met."""
-    try:
-        out = memo[c]
-    except KeyError:
-        out = decode(c)
-        if len(memo) >= MEMO_SIZE:
-            memo.clear()
-        memo[c] = out
+    """decode(c), kept in memo by vm._remember; a code that decodes to
+    None makes the run stuck, each time it is met."""
+    out = memo[c] if c in memo else _remember(memo, c, decode(c))
     if out is None:
         raise StuckError()
     return out

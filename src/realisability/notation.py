@@ -281,25 +281,49 @@ def _odecode(v: Nat):
 # Text format: 0, w^a*k + ..., e[a]
 
 def print_ord(a: OrdNotation) -> str:
-    if isinstance(a, ZeroO):
-        return "0"
-    if isinstance(a, Eps):
-        return "e[%s]" % print_ord(a.sub)
-    parts = []
-    for e, c in a.terms:
-        if isinstance(e, Eps):
-            base = print_ord(e)
-        elif isinstance(e, ZeroO):
-            parts.append(str(c))
-            continue
-        elif e == onat(1):
-            base = "w"
-        else:
-            inner = print_ord(e)
-            base = "w^(%s)" % inner if ("+" in inner or "*" in inner) \
-                else "w^%s" % inner
-        parts.append(base if c == 1 else "%s*%d" % (base, c))
-    return " + ".join(parts)
+    parts: list = []
+    _print_ord(a, parts, {})
+    return "".join(parts)
+
+
+def _print_ord(a: OrdNotation, parts: list, done: dict) -> bool:
+    """Append the text of a to parts; return whether it holds a + or a *,
+    which an exponent is bracketed for.  A node met again (done is keyed
+    by id) copies its first parts, so the time is linear in the output."""
+    if id(a) in done:
+        start, end, ops = done[id(a)]
+        parts.extend(parts[start:end])
+        return ops
+    start, ops = len(parts), False
+    if type(a) is ZeroO:
+        parts.append("0")
+    elif type(a) is Eps:
+        parts.append("e[")
+        ops = _print_ord(a.sub, parts, done)
+        parts.append("]")
+    else:
+        ops = len(a.terms) > 1
+        for i, (e, c) in enumerate(a.terms):
+            parts.append(" + " if i else "")
+            if type(e) is ZeroO:
+                parts.append(str(c))
+                continue
+            if type(e) is Eps:
+                ops |= _print_ord(e, parts, done)
+            elif e.terms == ((O_ZERO, 1),):  # w^1 is printed w
+                parts.append("w")
+            else:
+                parts += ("w^", "")
+                slot = len(parts) - 1
+                if _print_ord(e, parts, done):
+                    parts[slot] = "("
+                    parts.append(")")
+                    ops = True
+            if c != 1:
+                parts.append("*%d" % c)
+                ops = True
+    done[id(a)] = (start, len(parts), ops)
+    return ops
 
 
 class OrdParseError(ValueError):

@@ -28,8 +28,8 @@ from .syntax import (
     free_vars, godel, register_fn, subst, ungodel,
 )
 from .vm import (
-    MEMO_SIZE, App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Proj0,
-    Proj1, StuckError, Value, Var, encode, vle, vpair, vunpair,
+    App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Proj0, Proj1,
+    StuckError, Value, Var, _remember, encode, vle, vpair, vunpair,
 )
 
 
@@ -274,17 +274,14 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
         return ocode(add(_decode_ord(v), onat(1)))
 
     # realisers of the templates, keyed on the kind, the formula's code
-    # and, for lim/direct, the notation; bounded like the kernel's
-    # closure memo
+    # and, for lim/direct, the notation; kept by vm._remember
     templates: dict = {}
 
     def _template(key: tuple, build) -> Nat:
         r = templates.get(key)
         if r is None:
             _, r = extract_value(build(), owner, _TEMPLATE_FUEL)
-            if len(templates) >= MEMO_SIZE:
-                templates.clear()
-            templates[key] = r
+            _remember(templates, key, r)
         return r
 
     def p_ti0(v: Nat) -> Nat:

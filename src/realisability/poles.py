@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .vm import (
-    MEMO_SIZE, STUCK, Diverged, Kernel, Nat, Value, vunpair,
+    STUCK, Diverged, Kernel, Nat, Value, _remember, vunpair,
 )
 
 
@@ -176,10 +176,7 @@ def member(n: Nat, pole: PoleSpec, fuel: int, kernel: Kernel) -> Verdict:
     key = (pole, fuel, n if type(n) is int else _chase_key(n))
     v = chases.get(key)
     if v is None:
-        v = _chase(n, pole, fuel, kernel)
-        if len(chases) >= MEMO_SIZE:
-            chases.clear()
-        chases[key] = v
+        v = _remember(chases, key, _chase(n, pole, fuel, kernel))
     return v
 
 

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import cycle, islice
 from typing import Optional
 
+from .extraction import combinator
 from .notation import LESS, O_ZERO, OrdNotation, compare, print_ord
 from .poles import (
     Empty, FALSE, Full, IN, OUT, TRUE, UNKNOWN, PoleSpec, V_IN, V_OUT,
@@ -62,7 +64,7 @@ class OpenFormulaError(ValueError):
 
 
 # realiser of everything, given a pole element: k_bot . a = \b. a
-_K_BOT = encode(Lam(Lam(Var(1))))
+_K_BOT = combinator("k_bot")
 
 # the reason of an unknown truth when no instance below --width falsified
 # a universal
@@ -118,37 +120,31 @@ def truth(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel, *,
     top = max_level(a)
     if top is not None and compare(top, gamma) != LESS:
         raise LevelError("formula level exceeds %s" % print_ord(gamma))
-    return _truth(a, pole, gamma, b, kernel, _DEPTH)
+    return _truth(a, pole, b, kernel, _DEPTH)
 
 
-def _truth(a: Formula, pole: PoleSpec, gamma: OrdNotation, b: Budget,
-           kernel: Kernel, depth: int) -> Verdict:
+def _truth(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
+           depth: int) -> Verdict:
     _too_deep(depth)
     if isinstance(a, Eq):
         return V_TRUE if eval_term(a.l) == eval_term(a.r) else V_FALSE
     if isinstance(a, InPole):
         return _as_truth(member(eval_term(a.t), pole, b.fuel, kernel))
-    if isinstance(a, Fals):
-        sent = decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
+    if isinstance(a, (Fals, Real, Tru)):
+        side = TRUTH_SIDE if isinstance(a, Tru) else REAL_SIDE
+        sent = decode_sentence(eval_term(a.t), side, a.level)
         if sent is None:
             return V_FALSE
-        return _as_truth(_refutes(eval_term(a.s), sent, pole, gamma, b,
-                                  kernel, depth - 1))
-    if isinstance(a, Real):
-        sent = decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
-        if sent is None:
-            return V_FALSE
-        rv = _realises(eval_term(a.s), sent, pole, gamma, b, kernel,
-                       random.Random(0), depth - 1)
-        return _as_truth(rv.verdict)
-    if isinstance(a, Tru):
-        sent = decode_sentence(eval_term(a.t), TRUTH_SIDE, a.level)
-        if sent is None:
-            return V_FALSE
-        return _truth(sent, pole, gamma, b, kernel, depth - 1)
+        if isinstance(a, Tru):
+            return _truth(sent, pole, b, kernel, depth - 1)
+        if isinstance(a, Fals):
+            return _as_truth(_refutes(eval_term(a.s), sent, pole, b, kernel,
+                                      depth - 1))
+        return _as_truth(_realises(eval_term(a.s), sent, pole, b, kernel,
+                                   random.Random(0), depth - 1).verdict)
     if isinstance(a, Imp):
-        ta = _truth(a.a, pole, gamma, b, kernel, depth)
-        tb = _truth(a.b, pole, gamma, b, kernel, depth)
+        ta = _truth(a.a, pole, b, kernel, depth)
+        tb = _truth(a.b, pole, b, kernel, depth)
         if ta.kind == FALSE or tb.kind == TRUE:
             return V_TRUE
         if ta.kind == TRUE and tb.kind == FALSE:
@@ -157,26 +153,35 @@ def _truth(a: Formula, pole: PoleSpec, gamma: OrdNotation, b: Budget,
     if isinstance(a, All):
         if a.var not in free_vars(a.body):
             # the quantifier is vacuous; the body decides the sentence
-            t = _truth(a.body, pole, gamma, b, kernel, depth)
+            t = _truth(a.body, pole, b, kernel, depth)
             return Verdict(FALSE, witness=0) if t.kind == FALSE else t
         for n in range(b.width):
-            t = _truth(subst(a.body, a.var, Num(n)), pole, gamma, b, kernel,
-                       depth)
+            t = _truth(subst(a.body, a.var, Num(n)), pole, b, kernel, depth)
             if t.kind == FALSE:
                 return Verdict(FALSE, witness=n)
         return Verdict(UNKNOWN, WIDTH)
     raise TypeError(a)
 
 
+def _unfold(a: Formula) -> Optional[Formula]:
+    """The explicit unfolding of the Fals or Real atom a, or None when its
+    code names no sentence."""
+    sent = decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
+    if sent is None:
+        return None
+    return (explicit_refutation if isinstance(a, Fals)
+            else explicit_realisation)(Num(eval_term(a.s)), sent)
+
+
 def refutes(m: Nat, a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
             *, gamma: OrdNotation = O_ZERO) -> Verdict:
     """Whether m is a refuter of the sentence a."""
     _check_sentence(a, gamma)
-    return _refutes(m, a, pole, gamma, b, kernel, _DEPTH)
+    return _refutes(m, a, pole, b, kernel, _DEPTH)
 
 
-def _refutes(m: Nat, a: Formula, pole: PoleSpec, gamma: OrdNotation,
-             b: Budget, kernel: Kernel, depth: int) -> Verdict:
+def _refutes(m: Nat, a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
+             depth: int) -> Verdict:
     _too_deep(depth)
     if isinstance(a, Eq):
         if eval_term(a.l) != eval_term(a.r):
@@ -190,22 +195,20 @@ def _refutes(m: Nat, a: Formula, pole: PoleSpec, gamma: OrdNotation,
             return member(m, pole, b.fuel, kernel)
         return v
     if isinstance(a, (Fals, Real)):
-        sent = decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
-        if sent is None:
+        unfold = _unfold(a)
+        if unfold is None:
             return V_OUT  # no refuters of an atom about a non-sentence
-        unfold = (explicit_refutation if isinstance(a, Fals)
-                  else explicit_realisation)(Num(eval_term(a.s)), sent)
-        return _refutes(m, unfold, pole, gamma, b, kernel, depth - 1)
+        return _refutes(m, unfold, pole, b, kernel, depth - 1)
     if isinstance(a, Imp):
         m0, m1 = vunpair(m)
         return verdict_and(
-            _realises(m0, a.a, pole, gamma, b, kernel, random.Random(0),
+            _realises(m0, a.a, pole, b, kernel, random.Random(0),
                       depth).verdict,
-            _refutes(m1, a.b, pole, gamma, b, kernel, depth))
+            _refutes(m1, a.b, pole, b, kernel, depth))
     if isinstance(a, All):
         m0, m1 = vunpair(m)
-        return _refutes(m1, subst(a.body, a.var, Num(m0)), pole, gamma, b,
-                        kernel, depth)
+        return _refutes(m1, subst(a.body, a.var, Num(m0)), pole, b, kernel,
+                        depth)
     raise TypeError(a)
 
 
@@ -214,29 +217,25 @@ def realises(n: Nat, a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
              gamma: OrdNotation = O_ZERO) -> RealVerdict:
     """Whether n realises a; exact under the empty pole, else sampled."""
     _check_sentence(a, gamma)
-    return _realises(n, a, pole, gamma, b, kernel, rng or random.Random(0),
-                     _DEPTH)
+    return _realises(n, a, pole, b, kernel, rng or random.Random(0), _DEPTH)
 
 
-def _realises(n: Nat, a: Formula, pole: PoleSpec, gamma: OrdNotation,
-              b: Budget, kernel: Kernel, rng: random.Random,
-              depth: int) -> RealVerdict:
+def _realises(n: Nat, a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
+              rng: random.Random, depth: int) -> RealVerdict:
     _too_deep(depth)
     if isinstance(pole, Empty):
-        t = _truth(a, pole, gamma, b, kernel, depth)
+        t = _truth(a, pole, b, kernel, depth)
         if t.kind == TRUE:
             return RealVerdict(V_IN, 0)
         if t.kind == FALSE:
             try:
-                w = _sample_refuters(a, pole, 1, gamma, b, kernel, rng,
-                                     depth)[0]
+                w = _sample_refuters(a, pole, 1, b, kernel, rng, depth)[0]
             except EmptySampleError:
                 w = None
             return RealVerdict(Verdict(OUT, witness=w), 0)
         return RealVerdict(t, 0)
     try:
-        refs = _sample_refuters(a, pole, b.samples, gamma, b, kernel, rng,
-                                depth)
+        refs = _sample_refuters(a, pole, b.samples, b, kernel, rng, depth)
     except EmptySampleError:
         return RealVerdict(V_IN, 0)  # refuter set provably empty
     except _SampleUnknown as exc:
@@ -260,16 +259,15 @@ def certified_realiser(a: Formula, pole: PoleSpec, b: Budget,
                        gamma: OrdNotation = O_ZERO) -> Nat:
     """A number guaranteed to realise a, used to build refuter samples."""
     _check_sentence(a, gamma)
-    return _certified(a, pole, gamma, b, kernel, _DEPTH)
+    return _certified(a, pole, b, kernel, _DEPTH)
 
 
-def _certified(a: Formula, pole: PoleSpec, gamma: OrdNotation, b: Budget,
-               kernel: Kernel, depth: int) -> Nat:
+def _certified(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
+               depth: int) -> Nat:
     if isinstance(pole, Empty):
-        t = _truth(a, pole, gamma, b, kernel, depth)
-        if t.kind == TRUE:
-            return 0  # every number realises a true sentence when the
-            # pole is empty
+        t = _truth(a, pole, b, kernel, depth)
+        if t.kind == TRUE:  # under the empty pole every number realises it
+            return 0
         raise EmptySampleError(
             "no realiser of %r available under the empty pole"
             % print_formula(a))
@@ -290,21 +288,17 @@ def sample_refuters(a: Formula, pole: PoleSpec, k: int, b: Budget,
     (e.g. a true equation under the empty pole).
     """
     _check_sentence(a, gamma)
-    return _sample_refuters(a, pole, k, gamma, b, kernel,
-                            rng or random.Random(0), _DEPTH)
+    return _sample_refuters(a, pole, k, b, kernel, rng or random.Random(0),
+                            _DEPTH)
 
 
-def _sample_refuters(a: Formula, pole: PoleSpec, k: int, gamma: OrdNotation,
-                     b: Budget, kernel: Kernel, rng: random.Random,
-                     depth: int) -> list:
-    out = _sample(a, pole, k, gamma, b, kernel, rng, depth)
+def _sample_refuters(a: Formula, pole: PoleSpec, k: int, b: Budget,
+                     kernel: Kernel, rng: random.Random, depth: int) -> list:
+    out = _sample(a, pole, k, b, kernel, rng, depth)
     if not out:
         raise EmptySampleError(print_formula(a))
-    i = 0
-    while len(out) < k:  # cycle when structure yields fewer than k
-        out.append(out[i % len(out)])
-        i += 1
-    return out[:k]
+    # cycle when structure yields fewer than k
+    return list(islice(cycle(out), k))
 
 
 _WITNESS_BASE = [0, 1, 2, 3, 5, 7, 11, 17]
@@ -326,9 +320,8 @@ def _any_numbers(k: int, rng: random.Random) -> list:
     return base[:k]
 
 
-def _sample(a: Formula, pole: PoleSpec, k: int, gamma: OrdNotation,
-            b: Budget, kernel: Kernel, rng: random.Random,
-            depth: int) -> list:
+def _sample(a: Formula, pole: PoleSpec, k: int, b: Budget, kernel: Kernel,
+            rng: random.Random, depth: int) -> list:
     _too_deep(depth)
     if isinstance(a, Eq):
         if eval_term(a.l) != eval_term(a.r):
@@ -342,16 +335,14 @@ def _sample(a: Formula, pole: PoleSpec, k: int, gamma: OrdNotation,
             return _pole_elements(pole, k, rng)
         raise _SampleUnknown(v)
     if isinstance(a, (Fals, Real)):
-        sent = decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
-        if sent is None:
+        unfold = _unfold(a)
+        if unfold is None:
             raise EmptySampleError(
                 "atom about a non-sentence code has no refuters")
-        unfold = (explicit_refutation if isinstance(a, Fals)
-                  else explicit_realisation)(Num(eval_term(a.s)), sent)
-        return _sample(unfold, pole, k, gamma, b, kernel, rng, depth - 1)
+        return _sample(unfold, pole, k, b, kernel, rng, depth - 1)
     if isinstance(a, Imp):
-        r = _certified(a.a, pole, gamma, b, kernel, depth)
-        subs = _sample(a.b, pole, k, gamma, b, kernel, rng, depth)
+        r = _certified(a.a, pole, b, kernel, depth)
+        subs = _sample(a.b, pole, k, b, kernel, rng, depth)
         return [vpair(r, m) for m in subs]
     if isinstance(a, All):
         witnesses = list(_WITNESS_BASE) + [rng.randrange(20, 200)]
@@ -360,7 +351,7 @@ def _sample(a: Formula, pole: PoleSpec, k: int, gamma: OrdNotation,
             inst = subst(a.body, a.var, Num(w))
             try:
                 ms = _sample(inst, pole, max(1, k // len(witnesses) + 1),
-                             gamma, b, kernel, rng, depth)
+                             b, kernel, rng, depth)
             except EmptySampleError:
                 continue
             per.extend(vpair(w, m) for m in ms)

@@ -2,8 +2,12 @@
 
 Programs are a small de Bruijn lambda calculus with numerals, pairing,
 case analysis on zero, fixed points, and registered host primitives.
-Every program has a numeric code; application ``e . m`` runs the program
-``e`` codes on ``m`` under a step budget.
+Every program has a numeric code, <tag, fields>: the tag is the class's
+position in Var, Lam, App, Lit, Suc, Pred, IfZ, Pair, Proj0, Proj1, Fix,
+Prim, Stuck, and the fields follow in declaration order, paired from the
+right (<f1, <f2, f3>>, or 0 for none), a program by its code and a
+natural as it is.  Application ``e . m`` runs the program ``e`` codes on
+``m`` under a step budget.
 
 The kernel is an environment machine.  Applying a code looks up its
 closure, a (program, env) pair, so a code is decoded once: the closures
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Union
 
 # decoding, encoding and the sparse-natural helpers recurse along structure
@@ -298,19 +302,27 @@ class Stuck:
 Program = Union[Var, Lam, App, Lit, Suc, Pred, IfZ, Pair, Proj0, Proj1,
                 Fix, Prim, Stuck]
 
-_TAG_VAR = 0
-_TAG_LAM = 1
-_TAG_APP = 2
-_TAG_LIT = 3
-_TAG_SUC = 4
-_TAG_PRED = 5
-_TAG_IFZ = 6
-_TAG_PAIR = 7
-_TAG_PROJ0 = 8
-_TAG_PROJ1 = 9
-_TAG_FIX = 10
-_TAG_PRIM = 11
-_TAG_STUCK = 12
+# The code format of the module docstring, read by _close, _floor and
+# decode: a class's tag is its position here, and each field's kind is P
+# (a Program, by its code), N (a natural, as it is) or I (a natural that
+# decodes only from an int: a PV there decodes to Stuck).
+_FORMAT = ((Var, "I"), (Lam, "P"), (App, "PP"), (Lit, "N"), (Suc, "P"),
+           (Pred, "P"), (IfZ, "PPP"), (Pair, "PP"), (Proj0, "P"),
+           (Proj1, "P"), (Fix, "P"), (Prim, "IP"), (Stuck, ""))
+
+
+class _Layout(dict):
+    def __missing__(self, cls):
+        raise TypeError("not a Program class: %r" % (cls,))
+
+
+# class -> (tag, ((field name, whether it is a Program), ...)), the fields
+# last first, as the pairs nest
+_LAYOUT = _Layout({
+    cls: (tag, tuple((f.name, k == "P")
+                     for f, k in zip(fields(cls), kinds, strict=True))[::-1])
+    for tag, (cls, kinds) in enumerate(_FORMAT)})
+_TAG_LIT = _LAYOUT[Lit][0]
 
 
 def encode(p: Program) -> Nat:
@@ -325,40 +337,16 @@ def _close(p: Program, env: tuple, d: int) -> Nat:
     bind would give, innermost first: indices past env are left as they
     are."""
     t = type(p)
-    if t is Var:
-        i = p.index - d
-        if 0 <= i < len(env):
-            return vpair(_TAG_LIT, env[i])
-        return vpair(_TAG_VAR, p.index)
-    if t is Lam:
-        return vpair(_TAG_LAM, _close(p.body, env, d + 1))
-    if t is App:
-        return vpair(_TAG_APP, vpair(_close(p.fn, env, d),
-                                     _close(p.arg, env, d)))
-    if t is Lit:
-        return vpair(_TAG_LIT, p.n)
-    if t is Suc:
-        return vpair(_TAG_SUC, _close(p.p, env, d))
-    if t is Pred:
-        return vpair(_TAG_PRED, _close(p.p, env, d))
-    if t is IfZ:
-        return vpair(_TAG_IFZ, vpair(_close(p.scrutinee, env, d),
-                                     vpair(_close(p.zero, env, d),
-                                           _close(p.succ, env, d))))
-    if t is Pair:
-        return vpair(_TAG_PAIR, vpair(_close(p.l, env, d),
-                                      _close(p.r, env, d)))
-    if t is Proj0:
-        return vpair(_TAG_PROJ0, _close(p.p, env, d))
-    if t is Proj1:
-        return vpair(_TAG_PROJ1, _close(p.p, env, d))
-    if t is Fix:
-        return vpair(_TAG_FIX, _close(p.body, env, d + 1))
-    if t is Prim:
-        return vpair(_TAG_PRIM, vpair(p.pid, _close(p.arg, env, d)))
-    if t is Stuck:
-        return vpair(_TAG_STUCK, 0)
-    raise TypeError("not a Program: %r" % (p,))
+    if t is Var and 0 <= p.index - d < len(env):
+        return vpair(_TAG_LIT, env[p.index - d])
+    tag, layout = _LAYOUT[t]
+    if t is Lam or t is Fix:
+        d += 1
+    code = None
+    for name, prog in layout:
+        x = _close(getattr(p, name), env, d) if prog else getattr(p, name)
+        code = x if code is None else vpair(x, code)
+    return vpair(tag, 0 if code is None else code)
 
 
 def _floor(p: Program) -> int:
@@ -366,87 +354,45 @@ def _floor(p: Program) -> int:
     2^64: a Var counts as 0, and pairing is monotone in each argument.
     A program node is never assigned a field after it is built, so the
     bound is kept on the node once found.  A pair is at least each of its
-    components, so once the first child of an App, IfZ or Pair reaches
-    the cap the rest of the node is not walked."""
+    components, so once the fields paired so far reach the cap the rest
+    of the node is not walked."""
     f = getattr(p, "_floor", None)
     if f is not None:
         return f
-    t = type(p)
-    if t is Var:
-        f = 0
-    elif t is Lit:
-        f = pair(_TAG_LIT, p.n) if type(p.n) is int else _SMALL
-    elif t is Lam:
-        f = pair(_TAG_LAM, _floor(p.body))
-    elif t is App:
-        f = _floor(p.fn)
-        if f < _SMALL:
-            f = pair(_TAG_APP, pair(f, _floor(p.arg)))
-    elif t is Suc:
-        f = pair(_TAG_SUC, _floor(p.p))
-    elif t is Pred:
-        f = pair(_TAG_PRED, _floor(p.p))
-    elif t is IfZ:
-        f = _floor(p.scrutinee)
-        if f < _SMALL:
-            f = pair(_TAG_IFZ, pair(f, pair(_floor(p.zero), _floor(p.succ))))
-    elif t is Pair:
-        f = _floor(p.l)
-        if f < _SMALL:
-            f = pair(_TAG_PAIR, pair(f, _floor(p.r)))
-    elif t is Proj0:
-        f = pair(_TAG_PROJ0, _floor(p.p))
-    elif t is Proj1:
-        f = pair(_TAG_PROJ1, _floor(p.p))
-    elif t is Fix:
-        f = pair(_TAG_FIX, _floor(p.body))
-    elif t is Prim:
-        f = pair(_TAG_PRIM, pair(p.pid, _floor(p.arg)))
-    elif t is Stuck:
-        f = pair(_TAG_STUCK, 0)
-    else:
-        raise TypeError("not a Program: %r" % (p,))
-    f = min(f, _SMALL)
-    p._floor = f
+    if type(p) is Var:
+        return 0
+    tag, layout = _LAYOUT[type(p)]
+    code = None
+    for name, prog in layout:
+        x = getattr(p, name)
+        x = _floor(x) if prog else x if type(x) is int else _SMALL
+        code = x if code is None else pair(x, code)
+        if code >= _SMALL:
+            break
+    p._floor = f = min(pair(tag, 0 if code is None else code), _SMALL)
     return f
 
 
 def decode(v: Nat) -> Program:
     """Total decoding; codes outside the image become Stuck."""
     tag, rest = vunpair(v)
-    if tag == _TAG_VAR:
-        # a PV index is at least 2^64, so it names no bound variable
-        return Stuck() if type(rest) is PV else Var(rest)
-    if tag == _TAG_LAM:
-        return Lam(decode(rest))
-    if tag == _TAG_APP:
-        f, a = vunpair(rest)
-        return App(decode(f), decode(a))
-    if tag == _TAG_LIT:
-        return Lit(rest)
-    if tag == _TAG_SUC:
-        return Suc(decode(rest))
-    if tag == _TAG_PRED:
-        return Pred(decode(rest))
-    if tag == _TAG_IFZ:
-        s, zr = vunpair(rest)
-        z, r = vunpair(zr)
-        return IfZ(decode(s), decode(z), decode(r))
-    if tag == _TAG_PAIR:
-        l, r = vunpair(rest)
-        return Pair(decode(l), decode(r))
-    if tag == _TAG_PROJ0:
-        return Proj0(decode(rest))
-    if tag == _TAG_PROJ1:
-        return Proj1(decode(rest))
-    if tag == _TAG_FIX:
-        return Fix(decode(rest))
-    if tag == _TAG_PRIM:
-        pid, a = vunpair(rest)
-        if isinstance(pid, PV):
+    if type(tag) is not int or tag >= len(_FORMAT):
+        return Stuck()
+    cls, kinds = _FORMAT[tag]
+    args = []
+    unpaired = len(kinds) - 1  # the last field is the rest itself
+    for kind in kinds:
+        if unpaired:
+            x, rest = vunpair(rest)
+            unpaired -= 1
+        else:
+            x = rest
+        if kind == "P":
+            x = decode(x)
+        elif kind == "I" and type(x) is PV:
             return Stuck()
-        return Prim(pid, decode(a))
-    return Stuck()
+        args.append(x)
+    return cls(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +426,19 @@ class StuckError(Exception):
     pass
 
 
-# How many int codes one Kernel keeps closures for; the memo is emptied
-# when it fills.  PV codes carry their closure themselves (PV.clo).
+# How many entries each memo of the library holds: the int codes' closures
+# a Kernel keeps (PV codes carry their closure themselves, in PV.clo), its
+# pole chases, its extracted programs' decoded terms and its TI templates.
 MEMO_SIZE = 1 << 12
+
+
+def _remember(memo: dict, key, value):
+    """memo[key] = value, emptying a full memo first; returns value."""
+    if len(memo) >= MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+    return value
+
 
 # Continuation frames of the machine, tagged by their first item.
 _K_ARG = 0  # (_K_ARG, arg, env): evaluate an App's argument next
@@ -549,9 +505,7 @@ class Kernel:
         if type(v) is PV:
             v.clo = clo
         else:
-            if len(self._memo) >= MEMO_SIZE:
-                self._memo.clear()
-            self._memo[v] = clo
+            _remember(self._memo, v, clo)
 
     def _machine(self, p: Optional[Program], env: tuple, vf: Nat, va: Nat,
                  fuel: list[int]) -> Nat:

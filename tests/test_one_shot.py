@@ -60,7 +60,7 @@ PROOF_FILES = {
 DEEP_ON_310 = pytest.mark.xfail(
     sys.version_info < (3, 11), strict=True,
     reason="the reader overflows the C stack below Python 3.11 "
-           "(ROADMAP item 6)")
+           "(ROADMAP item 9)")
 
 
 @pytest.mark.parametrize("argv", [

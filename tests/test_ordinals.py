@@ -4,13 +4,14 @@ import io
 import itertools
 import random
 import re
+import time
 import weakref
 
 import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
-from realisability import cli, notation, ordinals
+from realisability import cli, notation, ordinals, vm
 from realisability.extraction import (
     ExtractionError, check_proof, combinator, extract_value, fresh_kernel,
 )
@@ -341,6 +342,61 @@ def test_print_parse_roundtrip():
         parse_ord("q + 1")
 
 
+def _reference_print(a):
+    # the printer print_ord replaced, which scans each exponent's text
+    # for + and * and copies it into the text around it
+    if isinstance(a, ZeroO):
+        return "0"
+    if isinstance(a, Eps):
+        return "e[%s]" % _reference_print(a.sub)
+    parts = []
+    for e, c in a.terms:
+        if isinstance(e, Eps):
+            base = _reference_print(e)
+        elif isinstance(e, ZeroO):
+            parts.append(str(c))
+            continue
+        elif e == onat(1):
+            base = "w"
+        else:
+            inner = _reference_print(e)
+            base = "w^(%s)" % inner if ("+" in inner or "*" in inner) \
+                else "w^%s" % inner
+        parts.append(base if c == 1 else "%s*%d" % (base, c))
+    return " + ".join(parts)
+
+
+def _doubled_ladder(n):
+    # w^(w^(...(w*2)*2...)*2, n levels of w^(...)*2
+    a = CnfSum(((onat(1), 2),))
+    for _ in range(n):
+        a = CnfSum(((a, 2),))
+    return a
+
+
+def test_print_ord_matches_the_reference_printer():
+    rng = random.Random(7)
+    texts = ["w^" * 200 + "1", "w^(" * 200 + "1" + ")" * 200,
+             "e[" + "w^" * 199 + "1]",
+             "w^(" * 200 + "w*2 + 1" + ")*3 + 1" * 200,
+             "w^(e[w^2*3 + 1] + w)*2 + e[0]*4 + 5"]
+    notations = list(CORPUS) + [parse_ord(t) for t in texts]
+    notations += [add(rng.choice(CORPUS), rng.choice(CORPUS))
+                  for _ in range(200)]
+    notations += [fundseq(_doubled_ladder(n), 3) for n in (1, 2, 5, 50, 200)]
+    for a in notations:
+        assert print_ord(a) == _reference_print(a)
+
+
+def test_print_ord_is_linear_in_its_output():
+    # the reference printer took 17.7 s on this member of the sequence
+    a = fundseq(_doubled_ladder(1600), 3)
+    start = time.perf_counter()
+    text = print_ord(a)
+    assert time.perf_counter() - start < 3
+    assert len(text) > 7 * 10**6 and text.startswith("w^(w^(")
+
+
 @pytest.mark.parametrize("text, message", [
     ("\u00b2", "cannot parse summand"),
     ("w*\u00b2", "bad coefficient"),
@@ -648,7 +704,7 @@ def test_template_memo_keeps_no_failure(monkeypatch):
 
 def test_template_memo_keeps_its_bound(monkeypatch):
     calls = _counting_extractions(monkeypatch)
-    monkeypatch.setattr(ordinals, "MEMO_SIZE", 3)
+    monkeypatch.setattr(vm, "MEMO_SIZE", 3)
     k = ordinal_kernel()
     codes = [godel(Imp(Eq(TVar("x"), Num(n)), A_REFL)) for n in range(4)]
     for code in codes:

@@ -2,6 +2,7 @@ import math
 import time
 
 import hypothesis as hyp
+import pytest
 from hypothesis import strategies as st
 
 from realisability.poles import Generated, _chase, _chase_key, member
@@ -111,6 +112,30 @@ def test_encode_decode_roundtrip_examples():
     ]
     for p in progs:
         assert decode(encode(p)) == p
+
+
+# one program of each class, with its code: <tag, fields>, the tag the
+# class's position in Var, Lam, App, Lit, Suc, Pred, IfZ, Pair, Proj0,
+# Proj1, Fix, Prim, Stuck, and the fields paired from the right
+CLASS_CODES = [
+    (Var(2), 5), (Lam(Var(0)), 1), (App(Var(0), Var(1)), 33), (Lit(7), 62),
+    (Suc(Var(0)), 10), (Pred(Var(0)), 15),
+    (IfZ(Var(0), Lit(1), Lit(2)), 4059590664), (Pair(Lit(1), Lit(2)), 93088),
+    (Proj0(Var(0)), 36), (Proj1(Var(0)), 45), (Fix(Var(0)), 55),
+    (Prim(3, Var(0)), 159), (Stuck(), 78),
+]
+
+
+@pytest.mark.parametrize("p, code", CLASS_CODES,
+                         ids=[type(p).__name__ for p, _ in CLASS_CODES])
+def test_each_class_keeps_its_code(p, code):
+    assert encode(p) == code
+    assert decode(code) == p
+
+
+def test_a_code_with_a_pv_tag_or_primitive_id_is_stuck():
+    assert decode(vpair(11, vpair(2**70, encode(Var(0))))) == Stuck()
+    assert decode(vpair(vpair(2**70, 0), 0)) == Stuck()
 
 
 def test_decode_total_on_arbitrary_codes():
