@@ -87,6 +87,8 @@ def parse_pole(text: str) -> PoleSpec:
     if text.startswith("generated:"):
         parts = text.split(":")
         try:
+            if len(parts) > 3:
+                raise ValueError("more than one :depth")
             seed = frozenset(_natural(x) for x in parts[1].split(",")
                              if x != "")
             depth = _natural(parts[2]) if len(parts) > 2 else 64

@@ -25,7 +25,7 @@ from .semantics import Budget, realises, truth
 from .syntax import (
     All, ATerm, Eq, Fals, Fn, Formula, Imp, InPole, LevelError,
     Num, ONE, REAL_SIDE, Real, TRUTH_SIDE, TVar, Tru,
-    ZERO, _FORMS, _name_code, _name_decode, bot, conj, decode_sentence,
+    ZERO, _name_code, _name_decode, bot, conj, decode_sentence,
     eq_check, explicit_realisation, explicit_refutation, free_vars,
     fresh_var, godel, godel_term, in_language, max_level, print_formula,
     register_fn, subst, subt, ungodel,
@@ -43,13 +43,13 @@ def iff(a: Formula, b: Formula) -> Formula:
 def tau_empty_code(c: Nat) -> Nat:
     """Code-level empty-pole translation; 0 on non-formula codes."""
     a = ungodel(c)
-    return godel(translate_empty(a)) if isinstance(a, _FORMS) else 0
+    return 0 if a is None else godel(translate_empty(a))
 
 
 def tau_zero_code(c: Nat) -> Nat:
     """Code-level zero-realiser translation; 0 on non-formula codes."""
     a = ungodel(c)
-    return godel(translate_zero(a)) if isinstance(a, _FORMS) else 0
+    return 0 if a is None else godel(translate_zero(a))
 
 
 def _fn_sentt(c: Nat, lc: Nat) -> Nat:
@@ -62,7 +62,7 @@ def _fn_sentt(c: Nat, lc: Nat) -> Nat:
 def _fn_subv(c: Nat, nc: Nat, n: Nat) -> Nat:
     name = _name_decode(nc)
     a = ungodel(c)
-    if name is None or not isinstance(a, _FORMS):
+    if name is None or a is None:
         return 0
     return godel(subst(a, name, Num(n)))
 

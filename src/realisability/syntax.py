@@ -15,12 +15,16 @@ atoms ``T_b t``, and a realisability side with a pole-membership atom
 speak about sentence codes whose own levels are strictly below b, which
 keeps every evaluation well-founded.  The base language of arithmetic is
 the atom-free fragment, which is the level-0 language of either side.
+
+Each formula class's text and code are written down once, in _FORMAT.
+godel and ungodel code and decode formulas only, and godel_term and
+ungodel_term terms.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import accumulate, islice, repeat
 from typing import Callable, Optional, TypeVar, Union
@@ -29,7 +33,7 @@ from .notation import (
     LESS, OrdNotation, OrdParseError, compare, ocode, odecode, parse_ord,
     print_ord,
 )
-from .vm import Nat, pair, vint, vnat, vpair, vunpair
+from .vm import Nat, _Layout, pair, vint, vnat, vpair, vunpair
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +144,14 @@ class Tru:
 
 Formula = Union[Eq, Imp, All, InPole, Fals, Real, Tru]
 
-_FORMS = (Eq, Imp, All, InPole, Fals, Real, Tru)
+# The formula format: each class's text head, code tag and field kinds,
+# T a term, F a formula, V a variable name and L a level.  A text is
+# (head f1 f2 ...) and a code <tag, <f1, <f2, f3>>>, paired from the
+# right; godel, ungodel, print_formula and the reader read it.
+_FORMAT = ((Eq, "=", 20, "TT"), (Imp, "imp", 21, "FF"),
+           (All, "all", 22, "VF"), (InPole, "pole", 23, "T"),
+           (Fals, "fals", 24, "LTT"), (Real, "real", 25, "LTT"),
+           (Tru, "tru", 26, "LT"))
 
 
 def bot() -> Formula:
@@ -419,13 +430,31 @@ _T_NUM = 1
 _BUILTIN_TAGS = {"s": 2, "+": 3, "*": 4, "pair": 5, "p0": 6, "p1": 7}
 _T_FN = 8
 _BUILTIN_NAMES = {tag: name for name, tag in _BUILTIN_TAGS.items()}
-_F_EQ = 20
-_F_IMP = 21
-_F_ALL = 22
-_F_POLE = 23
-_F_FALS = 24
-_F_REAL = 25
-_F_TRU = 26
+
+
+# Python refuses to print an int of more than 4300 decimal digits, by
+# default, so a numeral at or past this cap is printed over its Cantor
+# components, and a code at or past it names no variable
+_NUMERAL_CAP = 10 ** 4300
+# the longest variable name, in UTF-8 bytes, whose code is below the cap:
+# a longer name's code, "." and the name, has at least the cap's 1786
+# bytes, and "." is above the cap's first byte
+_NAME_BYTES = 1784
+
+
+def _below_cap(n: Nat) -> Optional[int]:
+    """The value of n if it is below _NUMERAL_CAP, else None.  A pair is
+    at least each of its components, so no value past the cap is
+    expanded."""
+    if type(n) is int:
+        return n if n < _NUMERAL_CAP else None
+    a, b = vunpair(n)
+    a = _below_cap(a)
+    b = None if a is None else _below_cap(b)
+    if b is None:
+        return None
+    v = pair(a, b)
+    return v if v < _NUMERAL_CAP else None
 
 
 def _name_code(name: str) -> Nat:
@@ -433,14 +462,16 @@ def _name_code(name: str) -> Nat:
 
 
 def _name_decode(c: Nat) -> Optional[str]:
-    try:
-        b = vint(c).to_bytes((vint(c).bit_length() + 7) // 8, "big")
-    except (OverflowError, ValueError):
+    """The variable name c codes, or None.  A code at or past
+    _NUMERAL_CAP codes none, and is refused without expanding it."""
+    n = _below_cap(c)
+    if n is None:
         return None
+    b = n.to_bytes((n.bit_length() + 7) // 8, "big")
     if not b.startswith(b"."):
         return None
     try:
-        return b[1:].decode()
+        return b[1:].decode() or None
     except UnicodeDecodeError:
         return None
 
@@ -464,26 +495,14 @@ def godel_term(t: ATerm) -> Nat:
     raise TypeError(t)
 
 
-def godel(a) -> Nat:
-    if isinstance(a, (TVar, Num, Fn)):
-        return godel_term(a)
-    if isinstance(a, Eq):
-        return vpair(_F_EQ, vpair(godel_term(a.l), godel_term(a.r)))
-    if isinstance(a, Imp):
-        return vpair(_F_IMP, vpair(godel(a.a), godel(a.b)))
-    if isinstance(a, All):
-        return vpair(_F_ALL, vpair(_name_code(a.var), godel(a.body)))
-    if isinstance(a, InPole):
-        return vpair(_F_POLE, godel_term(a.t))
-    if isinstance(a, Fals):
-        return vpair(_F_FALS, vpair(ocode(a.level),
-                                    vpair(godel_term(a.s), godel_term(a.t))))
-    if isinstance(a, Real):
-        return vpair(_F_REAL, vpair(ocode(a.level),
-                                    vpair(godel_term(a.s), godel_term(a.t))))
-    if isinstance(a, Tru):
-        return vpair(_F_TRU, vpair(ocode(a.level), godel_term(a.t)))
-    raise TypeError(a)
+def godel(a: Formula) -> Nat:
+    """The code of the formula a, by _FORMAT."""
+    tag, _, layout = _LAYOUT[type(a)]
+    code = None
+    for name, code_of, _ in layout[::-1]:  # paired from the right
+        x = code_of(getattr(a, name))
+        code = x if code is None else vpair(x, code)
+    return vpair(tag, code)
 
 
 def ungodel_term(c: Nat) -> Optional[ATerm]:
@@ -524,58 +543,34 @@ def ungodel_term(c: Nat) -> Optional[ATerm]:
     return None
 
 
-def ungodel(c: Nat):
-    """Decode a formula or term code; returns None for non-codes."""
+def ungodel(c: Nat) -> Optional[Formula]:
+    """The formula c codes, by _FORMAT, or None when c codes none.  It
+    decodes formulas only: a term's code decodes by ungodel_term."""
     tag, rest = vunpair(c)
-    if tag == _F_EQ:
-        cl, cr = vunpair(rest)
-        l, r = ungodel_term(cl), ungodel_term(cr)
-        if l is None or r is None:
-            return None
-        return Eq(l, r)
-    if tag == _F_IMP:
-        ca, cb = vunpair(rest)
-        a, b = ungodel(ca), ungodel(cb)
-        if isinstance(a, _FORMS) and isinstance(b, _FORMS):
-            return Imp(a, b)
+    # a tag that is a PV is no formula's, and is not hashed
+    if type(tag) is not int or tag not in _CLASS_OF:
         return None
-    if tag == _F_ALL:
-        cn, cb = vunpair(rest)
-        name = _name_decode(cn)
-        b = ungodel(cb)
-        if name and isinstance(b, _FORMS):
-            return All(name, b)
-        return None
-    if tag == _F_POLE:
-        t = ungodel_term(rest)
-        return InPole(t) if t is not None else None
-    if tag in (_F_FALS, _F_REAL):
-        lc, st = vunpair(rest)
-        lvl = odecode(lc)
-        if lvl is None:
+    cls, decoders = _CLASS_OF[tag]
+    args = []
+    unpaired = len(decoders) - 1  # the last field is the rest itself
+    for decode in decoders:
+        if unpaired:
+            x, rest = vunpair(rest)
+            unpaired -= 1
+        else:
+            x = rest
+        x = decode(x)
+        if x is None:
             return None
-        cs, ct = vunpair(st)
-        s, t = ungodel_term(cs), ungodel_term(ct)
-        if s is None or t is None:
-            return None
-        return (Fals if tag == _F_FALS else Real)(lvl, s, t)
-    if tag == _F_TRU:
-        lc, ct = vunpair(rest)
-        lvl = odecode(lc)
-        t = ungodel_term(ct)
-        if lvl is None or t is None:
-            return None
-        return Tru(lvl, t)
-    return ungodel_term(c)
+        args.append(x)
+    return cls(*args)
 
 
 def decode_sentence(c: Nat, side: str,
                     below: OrdNotation) -> Optional[Formula]:
     """The sentence of the given side with levels < below coded by c."""
     a = ungodel(c)
-    if not isinstance(a, _FORMS):
-        return None
-    if free_vars(a) or not in_language(a, below, side):
+    if a is None or free_vars(a) or not in_language(a, below, side):
         return None
     return a
 
@@ -583,7 +578,7 @@ def decode_sentence(c: Nat, side: str,
 def subt(c: Nat, x: str, s_code: Nat) -> Nat:
     """On codes: |A(x)|, |s|  ->  |A(s)| for a term code |s|."""
     a = ungodel(c)
-    if not isinstance(a, _FORMS):
+    if a is None:
         raise ValueError("not a formula code")
     s = ungodel_term(s_code)
     if s is None:
@@ -632,7 +627,7 @@ def _dot_membership(unfold: Callable, s: Nat, y: Nat) -> Nat:
     """The code of unfold(s, A) for the sentence A coded by y; 0 when y
     codes no sentence with an unfolding."""
     a = ungodel(y)
-    if not isinstance(a, _FORMS) or free_vars(a):
+    if a is None or free_vars(a):
         return 0
     try:
         return godel(unfold(Num(s), a))
@@ -709,7 +704,9 @@ def _read(text: str, parse: Callable[[_Tokens], _T]) -> _T:
     raise ParseError(message, pos) from None
 
 
-_FORMULA_HEADS = {"=", "imp", "all", "not", "and", "or", "ex", "bot"}
+# the heads of the base language, its classes' and the sugar's: no term
+_FORMULA_HEADS = {"not", "and", "or", "ex", "bot"}.union(
+    head for cls, head, _, _ in _FORMAT if cls in (Eq, Imp, All))
 
 
 def _parse_term(toks: list) -> ATerm:
@@ -742,7 +739,7 @@ def _parse_term(toks: list) -> ATerm:
                            len(toks)) from None
     if tok == ")" or tok in _FORMULA_HEADS:
         raise _Misread("expected a term, found %r" % tok, len(toks))
-    return TVar(tok)
+    return TVar(_var_name(tok, toks))
 
 
 def _parse_level(toks: list) -> OrdNotation:
@@ -755,11 +752,20 @@ def _parse_level(toks: list) -> OrdNotation:
         raise _Misread("bad level %r (%s)" % (tok, exc), len(toks))
 
 
+def _var_name(tok: str, toks: list) -> str:
+    """tok, the variable name just read, refused when its code would
+    reach _NUMERAL_CAP, where _name_decode names nothing."""
+    if len(tok) > _NAME_BYTES // 4 and len(tok.encode()) > _NAME_BYTES:
+        raise _Misread("variable name of more than %d bytes" % _NAME_BYTES,
+                       len(toks))
+    return tok
+
+
 def _parse_var(toks: list) -> str:
     name = toks.pop()
     if name in "()" or name.isdigit():
         raise _Misread("expected a variable name", len(toks))
-    return name
+    return _var_name(name, toks)
 
 
 def _parse_formula(toks: _Tokens) -> Formula:
@@ -782,12 +788,13 @@ def _parse_formula(toks: _Tokens) -> Formula:
             del toks[left - m:]
             return f
     head = toks.pop()
-    if head == "=":
-        f: Formula = Eq(_parse_term(toks), _parse_term(toks))
-    elif head == "imp":
-        f = Imp(_parse_formula(toks), _parse_formula(toks))
-    elif head == "all":
-        f = All(_parse_var(toks), _parse_formula(toks))
+    form = _CLASS_OF.get(head)
+    if form is not None:
+        cls, readers = form
+        args = []
+        for read in readers:
+            args.append(read(toks))
+        f: Formula = cls(*args)
     elif head == "not":
         f = neg(_parse_formula(toks))
     elif head == "and":
@@ -798,14 +805,6 @@ def _parse_formula(toks: _Tokens) -> Formula:
         f = ex(_parse_var(toks), _parse_formula(toks))
     elif head == "bot":
         f = bot()
-    elif head == "pole":
-        f = InPole(_parse_term(toks))
-    elif head == "fals":
-        f = Fals(_parse_level(toks), _parse_term(toks), _parse_term(toks))
-    elif head == "real":
-        f = Real(_parse_level(toks), _parse_term(toks), _parse_term(toks))
-    elif head == "tru":
-        f = Tru(_parse_level(toks), _parse_term(toks))
     else:
         raise _Misread("unknown formula head %r" % head, len(toks))
     if (tok := toks.pop()) != ")":
@@ -836,27 +835,6 @@ def parse_base_formula(text: str) -> Formula:
     return _read(text, _parse_base_formula)
 
 
-# Python refuses to print an int of more than 4300 decimal digits, by
-# default, so a numeral at or past this cap is printed over its Cantor
-# components
-_NUMERAL_CAP = 10 ** 4300
-
-
-def _below_cap(n: Nat) -> Optional[int]:
-    """The value of n if it is below _NUMERAL_CAP, else None.  A pair is
-    at least each of its components, so no value past the cap is
-    expanded."""
-    if type(n) is int:
-        return n if n < _NUMERAL_CAP else None
-    a, b = vunpair(n)
-    a = _below_cap(a)
-    b = None if a is None else _below_cap(b)
-    if b is None:
-        return None
-    v = pair(a, b)
-    return v if v < _NUMERAL_CAP else None
-
-
 def _pair_text(n: Nat) -> str:
     """``(pair a b)`` over the sparse Cantor components of n, each a PV in
     the same form or an int in decimal; it reads back to the value n."""
@@ -883,24 +861,34 @@ def print_term(t: ATerm) -> str:
 
 
 def print_formula(a: Formula) -> str:
-    if isinstance(a, Eq):
-        return "(= %s %s)" % (print_term(a.l), print_term(a.r))
-    if isinstance(a, Imp):
-        return "(imp %s %s)" % (print_formula(a.a), print_formula(a.b))
-    if isinstance(a, All):
-        return "(all %s %s)" % (a.var, print_formula(a.body))
-    if isinstance(a, InPole):
-        return "(pole %s)" % print_term(a.t)
-    if isinstance(a, Fals):
-        return "(fals %s %s %s)" % (_level_text(a.level),
-                                    print_term(a.s), print_term(a.t))
-    if isinstance(a, Real):
-        return "(real %s %s %s)" % (_level_text(a.level),
-                                    print_term(a.s), print_term(a.t))
-    if isinstance(a, Tru):
-        return "(tru %s %s)" % (_level_text(a.level), print_term(a.t))
-    raise TypeError(a)
+    """The text of the formula a, by _FORMAT."""
+    _, text, layout = _LAYOUT[type(a)]
+    for name, _, text_of in layout:
+        text += " " + text_of(getattr(a, name))
+    return text + ")"
 
 
 def _level_text(lvl: OrdNotation) -> str:
     return print_ord(lvl).replace(" ", "")
+
+
+# ---------------------------------------------------------------------------
+# The tables of the formula format, built from _FORMAT
+
+# each field kind's coder, decoder, printer and reader
+_KINDS = {"T": (godel_term, ungodel_term, print_term, _parse_term),
+          "F": (godel, ungodel, print_formula, _parse_formula),
+          "V": (_name_code, _name_decode, str, _parse_var),
+          "L": (ocode, odecode, _level_text, _parse_level)}
+# class -> (tag, its text up to the fields, ((field name, coder,
+# printer), ...)), read by godel and print_formula
+_LAYOUT = _Layout({
+    cls: (tag, "(" + head,
+          tuple((f.name, _KINDS[k][0], _KINDS[k][2])
+                for f, k in zip(fields(cls), kinds, strict=True)))
+    for cls, head, tag, kinds in _FORMAT})
+# tag -> (class, its fields' decoders), read by ungodel, and head ->
+# (class, its fields' readers), read by the reader
+_CLASS_OF = {key: (cls, tuple(_KINDS[k][use] for k in kinds))
+             for cls, head, tag, kinds in _FORMAT
+             for key, use in ((tag, 1), (head, 3))}

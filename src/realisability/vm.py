@@ -312,8 +312,9 @@ _FORMAT = ((Var, "I"), (Lam, "P"), (App, "PP"), (Lit, "N"), (Suc, "P"),
 
 
 class _Layout(dict):
+    """Class -> its format; a class with none is a TypeError."""
     def __missing__(self, cls):
-        raise TypeError("not a Program class: %r" % (cls,))
+        raise TypeError("no format for %r" % (cls,))
 
 
 # class -> (tag, ((field name, whether it is a Program), ...)), the fields

@@ -54,7 +54,7 @@ def test_empty_generated_seed_is_usage_error(capsys):
 
 def test_out_of_range_generated_seed_is_usage_error(capsys):
     for seed in ("-1", "0,18446744073709551616", "\u0663", "1_0", "+1",
-                 "3:\u0663", "3:-9"):
+                 "3:\u0663", "3:-9", "0,3,8:64:junk", "3:8:9"):
         assert main(["pole", "member", "0", "--pole",
                      "generated:" + seed]) == 3
 

@@ -6,10 +6,12 @@ a first pass leaves on module-level formulas for a second pass.  CI runs
 this file on the oldest Python the package supports too."""
 
 import hashlib
+import importlib.util
 import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -75,10 +77,11 @@ DEEP_ON_310 = pytest.mark.xfail(
     ["prove-check", "latin1.sexp"],
     pytest.param(["prove-check", "deep.sexp"], marks=DEEP_ON_310),
     ["truth", "(= 0 0)", "--report", "/nonexistent/x.json"],
+    ["truth", "(all %s (= 0 0))" % ("a" * 1785)],
 ], ids=["superscript-numeral", "5000-digit-numeral", "superscript-ordinal",
         "superscript-in-product", "nested-epsilon-index", "deep-fs",
         "fs-past-2^64", "deep-notation", "latin1-proof", "deep-proof",
-        "report-unwritable"])
+        "report-unwritable", "1785-byte-name"])
 def test_bad_input_exits_3_without_a_traceback(argv, tmp_path):
     if argv[-1] in PROOF_FILES:
         path = tmp_path / argv[-1]
@@ -97,6 +100,39 @@ def test_a_fixed_point_that_unfolds_to_itself_runs_out_of_fuel_at_once():
                stdout=subprocess.PIPE, text=True, timeout=60)
     assert r.returncode == 2
     assert json.loads(r.stdout) == {"diverged": "fuel"}
+
+
+def test_a_name_code_past_the_cap_is_refused_at_once(capsys):
+    # subv's name argument is a pair tower 40 deep, a value of some 10^12
+    # digits: a decoder that expands it does not answer, so a child with
+    # a time limit runs the query first
+    tower = "99"
+    for _ in range(40):
+        tower = "(pair %s 99)" % tower
+    argv = ["truth", "(= (subv 0 %s 0) 0)" % tower]
+    r = realis(argv, stdout=subprocess.PIPE, text=True, timeout=30)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["truth"]["kind"] == "true"
+    start = time.perf_counter()
+    assert cli.main(argv) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["truth"]["kind"] == "true"
+
+
+def test_corpus_generator_reproduces_the_shipped_proofs():
+    spec = importlib.util.spec_from_file_location(
+        "generate", ROOT / "corpus" / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    shipped = ROOT / "corpus" / "proofs"
+    # the same names: a diff of the written files misses a new proof that
+    # is not shipped yet, and a shipped one the generator no longer writes
+    assert sorted(p.name for p in shipped.iterdir()) == \
+        sorted(name + ".sexp" for name in generate.PROOFS)
+    for name, proof in generate.PROOFS.items():
+        generate.check_proof(proof)
+        assert generate.print_proof(proof) + "\n" == \
+            (shipped / (name + ".sexp")).read_text(), name
 
 
 def test_ti_realisers_twice_in_one_process(capsys):

@@ -152,6 +152,61 @@ def test_built_in_symbols_keep_their_codes():
     assert ungodel_term(fn_s) is None and ungodel(fn_s) is None
 
 
+# one formula of each class, with its text and its code: <tag, fields>,
+# the tag 20 + the class's position in Eq, Imp, All, InPole, Fals, Real,
+# Tru and the fields paired from the right; a code of 40 digits or more
+# is pinned by the SHA-256 of its decimal
+W = parse_ord("w")
+CLASS_FORMATS = [
+    (Eq(TVar("x"), Num(3)), "(= x 3)", 3136433196596921639751124815289),
+    (Imp(Eq(Num(0), Num(0)), Eq(Num(0), Num(1))), "(imp (= 0 0) (= 0 1))",
+     185853326981),
+    (All("x", Eq(TVar("x"), TVar("x"))), "(all x (= x x))",
+     "890c7aa9cb13e85fbe8abb13e73946c133ccfbabaf72c8be271efc55470d731a"),
+    (InPole(Fn("pair", (TVar("y"), Num(5)))), "(pole (pair y 5))",
+     "644b1c675c84f42f1d07dac514f162e57e0f4a02ecfa410a519132ca3901c19b"),
+    (Fals(W, Num(2), TVar("x")), "(fals w 2 x)",
+     "a8e78c1615eb033e4bded09160f636d25332167872f02f95a5a414479842fc1b"),
+    (Real(parse_ord("2"), TVar("x"), Num(4)), "(real 2 x 4)",
+     "b0a85e3492c67c8fa07b806dc7676221dcaa5b457aad9c859a8df950927b4b4c"),
+    (Tru(parse_ord("w+1"), Num(9)), "(tru w+1 9)",
+     13130932529347543636476308713),
+]
+
+
+@pytest.mark.parametrize("a, text, code", CLASS_FORMATS,
+                         ids=[type(a).__name__ for a, _, _ in CLASS_FORMATS])
+def test_each_class_keeps_its_text_and_code(a, text, code):
+    c = godel(a)
+    if isinstance(code, int):
+        assert vint(c) == code
+    else:
+        assert hashlib.sha256(str(vint(c)).encode()).hexdigest() == code
+    assert ungodel(c) == a
+    assert print_formula(a) == text
+    assert parse_formula(text) == a
+
+
+def test_ungodel_decodes_formulas_only():
+    assert ungodel(godel_term(Num(3))) is None
+    assert ungodel(godel_term(TVar("x"))) is None
+    assert ungodel_term(godel(Eq(Num(0), Num(0)))) is None
+
+
+def test_a_name_at_the_bound_round_trips_and_a_longer_one_is_refused():
+    # a name's code is below the numeral cap up to 1,784 bytes in UTF-8
+    for ch in ("a", "\u00e9", "\U0001f600"):
+        name = ch * (1784 // len(ch.encode()))
+        a = parse_formula("(all %s (= %s 0))" % (name, name))
+        assert ungodel(godel(a)) == a
+    name = "a" * 1785
+    assert syntax._name_decode(syntax._name_code(name)) is None
+    for text in ("(all %s (= 0 0))", "(= %s 0)", "(= 0 (s %s))"):
+        with pytest.raises(ParseError, match="variable name of more than "
+                           "1784 bytes"):
+            parse_formula(text % name)
+
+
 def num_code(n):
     return godel_term(Num(n))
 
