@@ -15,9 +15,9 @@ import functools
 import json
 import random
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import record
 from .extraction import (
     ExtractionError, ProofError, check_proof, extract_value, parse_proof,
 )
@@ -56,7 +56,7 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RunConfig:
     pole: PoleSpec
     budget: Budget

@@ -9,27 +9,27 @@ can appear inside formulas and their codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
+from ._record import record
 from .vm import Nat, vle, vpair, vunpair
 
 # ---------------------------------------------------------------------------
 # Notations
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ZeroO:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Eps:
     """The epsilon number indexed by an epsilon-free notation; appears
     only in exponent position (epsilon_a = omega^{epsilon_a})."""
     sub: "OrdNotation"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CnfSum:
     terms: tuple  # ((exponent, coefficient), ...), exponents decreasing
 
@@ -157,17 +157,17 @@ def omega_pow(a: OrdNotation) -> OrdNotation:
     return CnfSum(((a, 1),))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ZeroC:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SucC:
     pred: OrdNotation
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LimC:
     pass
 

@@ -10,25 +10,25 @@ queries return a three-valued verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
+from ._record import record
 from .vm import (
     STUCK, Diverged, Kernel, Nat, Value, _remember, vunpair,
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Empty:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Full:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Generated:
     seed: frozenset  # finite seed of naturals below 2^64, so of ints
     chase_depth: int = 64
@@ -56,7 +56,7 @@ UNKNOWN = "unknown"
 DEPTH = "depth"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Verdict:
     """A three-valued answer: IN or OUT for membership, refutation and
     realisation, TRUE or FALSE for truth, or UNKNOWN with the reason, the

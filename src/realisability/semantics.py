@@ -17,10 +17,10 @@ default, level 0, is the base language of arithmetic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import cycle, islice
 from typing import Optional
 
+from ._record import record
 from .extraction import combinator
 from .notation import LESS, O_ZERO, OrdNotation, compare, print_ord
 from .poles import (
@@ -38,7 +38,7 @@ from .vm import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Budget:
     fuel: int = 10**6
     samples: int = 20
@@ -49,7 +49,7 @@ class Budget:
             raise ValueError("budget components must be positive")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RealVerdict:
     verdict: Verdict  # an out verdict's witness is the refuter it failed
     samples: int

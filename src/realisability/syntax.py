@@ -24,11 +24,11 @@ ungodel_term terms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from functools import partial
 from itertools import accumulate, islice, repeat
 from typing import Callable, Optional, TypeVar, Union
 
+from ._record import record
 from .notation import (
     LESS, OrdNotation, OrdParseError, compare, ocode, odecode, parse_ord,
     print_ord,
@@ -39,19 +39,19 @@ from .vm import Nat, _Layout, pair, vint, vnat, vpair, vunpair
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass
+@record
 class TVar:
     name: str
 
 
-@dataclass
+@record
 class Num:
-    # a natural in canonical form (vm.vnat), so dataclass equality is
+    # a natural in canonical form (vm.vnat), so record equality is
     # value equality here
     n: Nat
 
 
-@dataclass
+@record
 class Fn:
     """A function symbol of FN_ARITY applied to its arguments."""
     name: str
@@ -95,31 +95,31 @@ register_fn("p1", 1, lambda p: vunpair(p)[1])
 # ---------------------------------------------------------------------------
 # Formulas
 
-@dataclass
+@record
 class Eq:
     l: ATerm
     r: ATerm
 
 
-@dataclass
+@record
 class Imp:
     a: "Formula"
     b: "Formula"
 
 
-@dataclass
+@record
 class All:
     var: str
     body: "Formula"
 
 
-@dataclass
+@record
 class InPole:
     """Atom: the value of t is a pole element."""
     t: ATerm
 
 
-@dataclass
+@record
 class Fals:
     """Atom: the value of s falsifies the sentence coded by t, at level."""
     level: OrdNotation
@@ -127,7 +127,7 @@ class Fals:
     t: ATerm
 
 
-@dataclass
+@record
 class Real:
     """Atom: the value of s realises the sentence coded by t, at level."""
     level: OrdNotation
@@ -135,7 +135,7 @@ class Real:
     t: ATerm
 
 
-@dataclass
+@record
 class Tru:
     """Atom: t codes a true sentence of the language below level."""
     level: OrdNotation
@@ -462,8 +462,9 @@ def _name_code(name: str) -> Nat:
 
 
 def _name_decode(c: Nat) -> Optional[str]:
-    """The variable name c codes, or None.  A code at or past
-    _NUMERAL_CAP codes none, and is refused without expanding it."""
+    """The variable name c codes, or None when the text it codes is no
+    name (_is_name).  A code at or past _NUMERAL_CAP codes none, and is
+    refused without expanding it."""
     n = _below_cap(c)
     if n is None:
         return None
@@ -471,9 +472,10 @@ def _name_decode(c: Nat) -> Optional[str]:
     if not b.startswith(b"."):
         return None
     try:
-        return b[1:].decode() or None
+        name = b[1:].decode()
     except UnicodeDecodeError:
         return None
+    return name if _is_name(name) else None
 
 
 def godel_term(t: ATerm) -> Nat:
@@ -649,9 +651,10 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-# a token is a bracket or a run of other non-space characters; `\s` splits
-# exactly where `str.isspace` does
-_TOKEN = re.compile(r"[()]|[^\s()]+")
+# a token is a bracket or a run of other non-space characters, a word;
+# `\s` splits exactly where `str.isspace` does
+_WORD = re.compile(r"[^\s()]+")
+_TOKEN = re.compile(r"[()]|" + _WORD.pattern)
 _CLOSE = "expected ')', found %r"
 _T = TypeVar("_T")
 # the longest formula, in tokens after its opening bracket, that a read
@@ -704,9 +707,17 @@ def _read(text: str, parse: Callable[[_Tokens], _T]) -> _T:
     raise ParseError(message, pos) from None
 
 
-# the heads of the base language, its classes' and the sugar's: no term
+# the heads of every formula class and of the sugar
 _FORMULA_HEADS = {"not", "and", "or", "ex", "bot"}.union(
-    head for cls, head, _, _ in _FORMAT if cls in (Eq, Imp, All))
+    head for _, head, _, _ in _FORMAT)
+
+
+def _is_name(s: str) -> bool:
+    """Whether s is a variable name: one word, no numeral and no formula
+    head.  The reader and _name_decode take no other, so a decoded
+    formula prints text that reads back."""
+    return (s not in _FORMULA_HEADS and not s.isdigit()
+            and _WORD.fullmatch(s) is not None)
 
 
 def _parse_term(toks: list) -> ATerm:
@@ -737,7 +748,7 @@ def _parse_term(toks: list) -> ATerm:
         except ValueError:  # past int's limit on decimal digits
             raise _Misread("numeral of %d digits is too long" % len(tok),
                            len(toks)) from None
-    if tok == ")" or tok in _FORMULA_HEADS:
+    if not _is_name(tok):
         raise _Misread("expected a term, found %r" % tok, len(toks))
     return TVar(_var_name(tok, toks))
 
@@ -763,7 +774,7 @@ def _var_name(tok: str, toks: list) -> str:
 
 def _parse_var(toks: list) -> str:
     name = toks.pop()
-    if name in "()" or name.isdigit():
+    if not _is_name(name):
         raise _Misread("expected a variable name", len(toks))
     return _var_name(name, toks)
 
@@ -884,8 +895,8 @@ _KINDS = {"T": (godel_term, ungodel_term, print_term, _parse_term),
 # printer), ...)), read by godel and print_formula
 _LAYOUT = _Layout({
     cls: (tag, "(" + head,
-          tuple((f.name, _KINDS[k][0], _KINDS[k][2])
-                for f, k in zip(fields(cls), kinds, strict=True)))
+          tuple((f, _KINDS[k][0], _KINDS[k][2])
+                for f, k in zip(cls._fields, kinds, strict=True)))
     for cls, head, tag, kinds in _FORMAT})
 # tag -> (class, its fields' decoders), read by ungodel, and head ->
 # (class, its fields' readers), read by the reader

@@ -52,8 +52,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
 from typing import Callable, Optional, Union
+
+from ._record import record
 
 # decoding, encoding and the sparse-natural helpers recurse along structure
 if sys.getrecursionlimit() < 100000:
@@ -229,72 +230,72 @@ def vle(v: Nat, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # Programs
 
-@dataclass
+@record
 class Var:
     index: int  # de Bruijn index, 0 = innermost binder
 
 
-@dataclass
+@record
 class Lam:
     body: "Program"
 
 
-@dataclass
+@record
 class App:
     fn: "Program"
     arg: "Program"
 
 
-@dataclass
+@record
 class Lit:
     n: Nat
 
 
-@dataclass
+@record
 class Suc:
     p: "Program"
 
 
-@dataclass
+@record
 class Pred:
     p: "Program"
 
 
-@dataclass
+@record
 class IfZ:
     scrutinee: "Program"
     zero: "Program"
     succ: "Program"
 
 
-@dataclass
+@record
 class Pair:
     l: "Program"
     r: "Program"
 
 
-@dataclass
+@record
 class Proj0:
     p: "Program"
 
 
-@dataclass
+@record
 class Proj1:
     p: "Program"
 
 
-@dataclass
+@record
 class Fix:
     body: "Program"  # Var 0 in the body is the fixed point itself
 
 
-@dataclass
+@record
 class Prim:
     pid: int
     arg: "Program"
 
 
-@dataclass
+@record
 class Stuck:
     pass
 
@@ -320,8 +321,8 @@ class _Layout(dict):
 # class -> (tag, ((field name, whether it is a Program), ...)), the fields
 # last first, as the pairs nest
 _LAYOUT = _Layout({
-    cls: (tag, tuple((f.name, k == "P")
-                     for f, k in zip(fields(cls), kinds, strict=True))[::-1])
+    cls: (tag, tuple((f, k == "P")
+                     for f, k in zip(cls._fields, kinds, strict=True))[::-1])
     for tag, (cls, kinds) in enumerate(_FORMAT)})
 _TAG_LIT = _LAYOUT[Lit][0]
 
@@ -399,7 +400,7 @@ def decode(v: Nat) -> Program:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-@dataclass
+@record
 class Value:
     n: Nat
     fuel_used: int = 0
@@ -411,7 +412,7 @@ FUEL = "fuel"
 STUCK = "stuck"
 
 
-@dataclass
+@record
 class Diverged:
     reason: str  # FUEL | STUCK
 

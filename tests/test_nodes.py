@@ -1,11 +1,10 @@
-"""Syntax, program and proof nodes are plain dataclasses: cheap to build,
-unhashable, and never assigned a field after construction.  The library
-keeps records on nodes (free variables, fold and base flags, check
-records, code floors) but never reassigns a declared field; the guard
-below checks that on whole commands."""
+"""Syntax, program and proof nodes are plain records (`_record.record`
+without `frozen`): cheap to build, unhashable, and never assigned a field
+after construction.  The library keeps facts on nodes (free variables,
+fold and base flags, check records, code floors) but never reassigns a
+declared field; the guard below checks that on whole commands."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -21,12 +20,12 @@ from realisability.syntax import parse_formula
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 NODE_CLASSES = [c for m in (syntax, vm, extraction) for c in vars(m).values()
-                if isinstance(c, type) and dataclasses.is_dataclass(c)
+                if isinstance(c, type) and "_fields" in vars(c)
                 and c.__module__ == m.__name__]
 
 
 def _set_once(self, name, value):
-    if name in self.__dataclass_fields__ and name in self.__dict__:
+    if name in self._fields and name in self.__dict__:
         raise AttributeError("%s.%s assigned again"
                              % (type(self).__name__, name))
     object.__setattr__(self, name, value)
@@ -56,9 +55,12 @@ def _expected(workload):
         return json.load(f)["queries"]
 
 
-def test_node_classes_are_the_plain_dataclasses():
+def test_node_classes_are_the_plain_records():
     assert len(NODE_CLASSES) == 29
-    assert not any(c.__dataclass_params__.frozen for c in NODE_CLASSES)
+    # not frozen: __init__ assigns each field directly, and an instance
+    # has no hash
+    assert not any("__setattr__" in vars(c) for c in NODE_CLASSES)
+    assert all(c.__hash__ is None for c in NODE_CLASSES)
 
 
 def test_the_guard_catches_a_reassigned_field(guarded):

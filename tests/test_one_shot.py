@@ -102,6 +102,27 @@ def test_a_fixed_point_that_unfolds_to_itself_runs_out_of_fuel_at_once():
     assert json.loads(r.stdout) == {"diverged": "fuel"}
 
 
+START_UP = """
+import sys
+before = set(sys.modules)
+import realisability.cli
+from realisability.ordinals import ordinal_kernel
+ordinal_kernel()
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    # every query pays for its interpreter's imports; dataclasses brings
+    # inspect, ast, dis and tokenize, which no command needs.  Modules
+    # that site loaded before the import are not counted.
+    r = subprocess.run([sys.executable, "-c", START_UP],
+                       stdout=subprocess.PIPE, text=True, check=True)
+    loaded = set(r.stdout.split())
+    assert {"realisability.cli", "realisability.ordinals"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_a_name_code_past_the_cap_is_refused_at_once(capsys):
     # subv's name argument is a pair tower 40 deep, a value of some 10^12
     # digits: a decoder that expands it does not answer, so a child with

@@ -207,6 +207,42 @@ def test_a_name_at_the_bound_round_trips_and_a_longer_one_is_refused():
             parse_formula(text % name)
 
 
+any_names = st.text(max_size=6) | st.sampled_from(
+    sorted(syntax._FORMULA_HEADS) + ["a b", "7", "(", "x", "v1", "+"])
+
+
+@hyp.given(any_names)
+@hyp.example("a b")
+@hyp.example("7")
+@hyp.example("imp")
+@hyp.example("(")
+def test_a_decoded_formula_prints_text_that_reads_back(name):
+    a = ungodel(godel(All(name, Eq(TVar(name), Num(0)))))
+    assert a is None or parse_formula(print_formula(a)) == a
+
+
+@hyp.given(any_names)
+def test_the_reader_and_the_decoder_take_the_same_names(name):
+    a = All(name, Eq(TVar(name), Num(0)))
+    try:
+        read = parse_formula("(all %s (= %s 0))" % (name, name)) == a
+    except ParseError:
+        read = False
+    assert read == (syntax._name_decode(syntax._name_code(name)) == name)
+
+
+def test_a_formula_head_is_no_binder_and_no_term():
+    for head in ("=", "imp", "all", "pole", "fals", "real", "tru", "not",
+                 "and", "or", "ex", "bot"):
+        for text in ("(all %s (= 0 0))", "(ex %s (= 0 0))", "(= %s 0)"):
+            with pytest.raises(ParseError):
+                parse_formula(text % head)
+        for text in ("(gen %s (ax refleq (= 0 0)))",
+                     "(ax leibniz (= 0 0) %s (= 0 0))"):
+            with pytest.raises(ParseError, match="expected a variable name"):
+                parse_proof(text % head)
+
+
 def num_code(n):
     return godel_term(Num(n))
 
@@ -425,7 +461,7 @@ def scan(text):
 class Ref:
     """A reference reader over the oracle's tokens, written from the
     grammar: each argument sort is a letter (t term, f formula, b base
-    formula, p proof, v variable, n any name, l level), and every error
+    formula, p proof, v variable, l level), and every error
     names the offset of the token it is about."""
 
     TERMS = {"s": (suc_t, "t"), "+": (fn("+"), "tt"), "*": (fn("*"), "tt"),
@@ -436,9 +472,8 @@ class Ref:
                 "ex": (ex, "vf"), "bot": (bot, ""), "pole": (InPole, "t"),
                 "fals": (Fals, "ltt"), "real": (Real, "ltt"),
                 "tru": (Tru, "lt")}
-    BASE_HEADS = ("=", "imp", "all", "not", "and", "or", "ex", "bot")
-    PROOFS = {"hyp": (Hyp, "b"), "mp": (MP, "pp"), "gen": (Gen, "np")}
-    AXIOM_DATA = {"univinst": "t", "leibniz": "nb"}
+    PROOFS = {"hyp": (Hyp, "b"), "mp": (MP, "pp"), "gen": (Gen, "vp")}
+    AXIOM_DATA = {"univinst": "t", "leibniz": "vb"}
     NOUN = {"t": "term", "f": "formula", "b": "formula", "p": "proof"}
 
     def __init__(self, text):
@@ -461,10 +496,9 @@ class Ref:
 
     def read(self, sort):
         tok, pos = self.next()
-        if sort == "n":
-            return tok
         if sort == "v":
-            if tok in ("(", ")") or tok.isdigit():
+            # a name is no bracket, numeral or formula head
+            if tok in ("(", ")") or tok.isdigit() or tok in self.FORMULAS:
                 raise ParseError("expected a variable name", pos)
             return tok
         if sort == "l":
@@ -477,7 +511,7 @@ class Ref:
         if sort == "t" and tok != "(":
             if tok.isdigit():
                 return Num(vnat(int(tok)))
-            if tok == ")" or tok in self.BASE_HEADS:
+            if tok == ")" or tok in self.FORMULAS:
                 raise ParseError("expected a term, found %r" % tok, pos)
             return TVar(tok)
         if tok != "(":
