@@ -26,8 +26,8 @@ from .notation import (
     classify, compare, fundseq, omega, onat, parse_ord, print_ord,
 )
 from .ordinals import (
-    build_TI, check_ti_formula, ordinal_kernel, ti_proof_template,
-    wo_realiser,
+    build_TI, check_ti_formula, jump_formula, ordinal_kernel,
+    ti_proof_template, wo_realiser,
 )
 from .poles import (
     AGREE, DISAGREE, Empty, FALSE, Full, Generated, IN, OUT, TRUE, UNKNOWN,
@@ -301,16 +301,13 @@ def cmd_ti_prove(args, cfg: RunConfig, kernel: Kernel):
         out = ti_proof_template(args.kind, f, alpha, var=args.var)
     except ValueError as exc:
         raise UsageError(str(exc))
-    jump = None
-    if isinstance(out, tuple):
-        out, jump = out
     try:
         c = check_proof(out)
     except ProofError as exc:
         return 1, {"ok": False, "error": str(exc)}
     rep = {"ok": True, "kind": args.kind, "conclusion": print_formula(c)}
-    if jump is not None:
-        rep["jump"] = print_formula(jump)
+    if args.kind == "omega":
+        rep["jump"] = print_formula(jump_formula(f, args.var))
     return 0, rep
 
 

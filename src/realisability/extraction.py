@@ -259,14 +259,14 @@ def alpha_eq(a: Formula, b: Formula) -> bool:
     that bind the same names at the same depths on both sides, is not
     walked when it is a base formula: most comparisons the checker
     makes are of such formulas.  Whether a formula is a base formula is
-    found once and kept on it as its _base flag; a walk that answers
-    True has reached every leaf of both sides or found them base, so it
-    flags both."""
+    found once and kept on it, as syntax._atoms keeps its atoms; a walk
+    that answers True has reached every leaf of both sides or found them
+    base, so it records both as atom-free."""
     if a is b and _is_base(a):
         return True
     if not _alpha(a, b, {}, {}, 0):
         return False
-    a._base = b._base = True
+    a._atoms = b._atoms = ()
     return True
 
 

@@ -148,10 +148,8 @@ def add(a: OrdNotation, b: OrdNotation) -> OrdNotation:
 
 def omega_pow(a: OrdNotation) -> OrdNotation:
     """omega^a, normalised through the epsilon fixed points."""
-    if isinstance(a, CnfSum) and len(a.terms) == 1:
-        e, c = a.terms[0]
-        if isinstance(e, Eps) and c == 1:
-            return a  # omega^{epsilon_i} = epsilon_i
+    if _as_exp(a) is not a:
+        return a  # omega^{epsilon_i} = epsilon_i
     if isinstance(a, Eps):
         raise ValueError("epsilon atom is not a notation value")
     return CnfSum(((a, 1),))
@@ -205,6 +203,16 @@ def fundseq(a: OrdNotation, n: int) -> OrdNotation:
         head = head + ((e, c - 1),)
     prefix = CnfSum(head) if head else O_ZERO
     return add(prefix, _fundseq_power(e, n))
+
+
+def _towers(a: OrdNotation) -> bool:
+    """Whether the n-th member of limit a's sequence holds a tower of n
+    exponents: a's last exponent, followed through limit exponents, is
+    an epsilon atom whose index is 0 or a successor."""
+    e = a.terms[-1][0]
+    while type(e) is CnfSum:
+        e = e.terms[-1][0]
+    return type(e) is Eps and not isinstance(classify(e.sub), LimC)
 
 
 def _fundseq_power(e, n: int) -> OrdNotation:

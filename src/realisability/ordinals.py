@@ -20,8 +20,9 @@ from .extraction import (
     ax_defining, ax_exfalso, combinator,
 )
 from .notation import (
-    CnfSum, Eps, LESS, LimC, O_ZERO, OrdNotation, SucC, ZeroC, _has_eps,
-    add, classify, compare, eps, fundseq, ocode, odecode, omega_pow, onat,
+    LESS, NESTING_MAX, LimC, O_ZERO, OrdNotation, SucC, ZeroC, _as_exp,
+    _has_eps, _towers, add, classify, compare, eps, fundseq, ocode, odecode,
+    omega_pow, onat,
 )
 from .syntax import (
     All, ATerm, Eq, Fn, Formula, Imp, Num, ONE, TVar, ZERO, _is_base,
@@ -36,38 +37,20 @@ from .vm import (
 # ---------------------------------------------------------------------------
 # Object-language function symbols over codes
 
-def _fn_ordlt(x: Nat, y: Nat) -> Nat:
-    a, b = odecode(x), odecode(y)
-    if a is None or b is None:
-        return 0
-    return 1 if compare(a, b) == LESS else 0
+def _on_notations(fn):
+    """fn over notations as a function symbol over codes: 0 when an
+    argument codes no notation."""
+    def on_codes(*codes: Nat) -> Nat:
+        args = [odecode(c) for c in codes]
+        return 0 if None in args else fn(*args)
+    return on_codes
 
 
-def _fn_ordsuc(x: Nat) -> Nat:
-    a = odecode(x)
-    if a is None:
-        return 0
-    return ocode(add(a, onat(1)))
-
-
-def _fn_ordadd(x: Nat, y: Nat) -> Nat:
-    a, b = odecode(x), odecode(y)
-    if a is None or b is None:
-        return 0
-    return ocode(add(a, b))
-
-
-def _fn_ordpow(x: Nat) -> Nat:
-    a = odecode(x)
-    if a is None:
-        return 0
-    return ocode(omega_pow(a))
-
-
+_fn_ordlt = _on_notations(lambda a, b: 1 if compare(a, b) == LESS else 0)
 register_fn("ordlt", 2, _fn_ordlt)
-register_fn("ordsuc", 1, _fn_ordsuc)
-register_fn("ordadd", 2, _fn_ordadd)
-register_fn("ordpow", 1, _fn_ordpow)
+register_fn("ordsuc", 1, _on_notations(lambda a: ocode(add(a, onat(1)))))
+register_fn("ordadd", 2, _on_notations(lambda a, b: ocode(add(a, b))))
+register_fn("ordpow", 1, _on_notations(lambda a: ocode(omega_pow(a))))
 
 # nothing is below zero: a true equation schema usable as an axiom
 _NOTHING_BELOW_ZERO = All("ob", Eq(Fn("ordlt", (TVar("ob"), Num(0))), ZERO))
@@ -114,11 +97,9 @@ def _prove_outright(a: Formula) -> Proof:
     reflexive equation: reflexive equations themselves, implications
     into such formulas (by weakening), and universal closures.
 
-    The successor/limit templates below are stated for arbitrary A but
-    proved by establishing the conclusion instance directly and
-    weakening; that construction needs A's instances to be provable
-    outright, which holds for the validation family A := (x = x) and is
-    preserved by the jump construction."""
+    The templates' weakening step (_weakened) needs A's instances to be
+    provable outright, which holds for the validation family
+    A := (x = x) and is preserved by the jump construction."""
     if isinstance(a, Eq) and a.l == a.r:
         return ax_refleq(a.l)
     if isinstance(a, Imp):
@@ -136,17 +117,30 @@ def check_ti_formula(a: Formula) -> None:
     _prove_outright(a)
 
 
+def _weakened(a: Formula, x: str, t: ATerm, prog: Formula,
+              hyp: Optional[Formula] = None) -> Proof:
+    """TI(A, t), proved by establishing A(t) outright and weakening it
+    by Prog(A) = prog; given hyp, hyp -> TI(A, t), weakened once more."""
+    inst = subst(a, x, t)
+    ti_t = MP(ax_k(inst, prog), _prove_outright(inst))
+    return ti_t if hyp is None else MP(ax_k(Imp(prog, inst), hyp), ti_t)
+
+
 def ti_proof_template(kind: str, a: Formula,
-                      alpha: Optional[OrdNotation] = None, *, var: str):
+                      alpha: Optional[OrdNotation] = None, *,
+                      var: str) -> Proof:
     """A checker-accepted proof of the named transfinite-induction step.
 
     kind "zero": TI(A, 0), fully schematic in A.
     kind "suc": forall a (TI(A,a) -> TI(A, a+1)).
-    kind "omega": forall a (TI(A',a) -> TI(A, w^a)); returns (proof, A').
+    kind "omega": forall a (TI(A',a) -> TI(A, w^a)), for the jump
+    A' = jump_formula(A) with induction variable oj.
     kind "lim": (forall b < alpha, TI(A,b)) -> TI(A, alpha).
+    The last three prove A's instance outright and weaken it.
     """
     x = _the_var(a, var)
     prog = build_Prog(a, x)
+    oa = TVar("oa")
     if kind == "zero":
         # from Prog at 0: the bounded antecedent is vacuous because
         # nothing is below 0
@@ -159,29 +153,18 @@ def ti_proof_template(kind: str, a: Formula,
         a_zero = MP(inst_all(Hyp(prog), Num(0)), vacuous)
         return deduce(prog, a_zero)
     if kind == "suc":
-        t_suc = Fn("ordsuc", (TVar("oa"),))
-        direct = _prove_outright(subst(a, x, t_suc))
-        ti_next = MP(ax_k(subst(a, x, t_suc), prog), direct)
-        step = MP(ax_k(ti_formula(a, t_suc, x),
-                       ti_formula(a, TVar("oa"), x)), ti_next)
-        return Gen("oa", step)
+        return Gen("oa", _weakened(a, x, Fn("ordsuc", (oa,)), prog,
+                                   ti_formula(a, oa, x)))
     if kind == "omega":
-        jump = jump_formula(a, x)
-        t_pow = Fn("ordpow", (TVar("oa"),))
-        direct = _prove_outright(subst(a, x, t_pow))
-        ti_pow = MP(ax_k(subst(a, x, t_pow), prog), direct)
-        step = MP(ax_k(ti_formula(a, t_pow, x),
-                       ti_formula(jump, TVar("oa"), "oj")), ti_pow)
-        return Gen("oa", step), jump
+        return Gen("oa", _weakened(a, x, Fn("ordpow", (oa,)), prog,
+                                   ti_formula(jump_formula(a, x), oa, "oj")))
     if kind == "lim":
         if alpha is None or not isinstance(classify(alpha), LimC):
             raise ValueError("lim template needs a limit notation")
         t_alpha = Num(ocode(alpha))
         below = All("ob", Imp(olt(TVar("ob"), t_alpha),
                               ti_formula(a, TVar("ob"), x)))
-        direct = _prove_outright(subst(a, x, t_alpha))
-        ti_alpha = MP(ax_k(subst(a, x, t_alpha), prog), direct)
-        return MP(ax_k(ti_formula(a, t_alpha, x), below), ti_alpha)
+        return _weakened(a, x, t_alpha, prog, below)
     raise ValueError("unknown template kind %r" % kind)
 
 
@@ -228,12 +211,6 @@ def _decode_ord(code: Nat) -> OrdNotation:
     return a
 
 
-def _ti_direct_proof(a: Formula, alpha: OrdNotation) -> Proof:
-    """TI(A, alpha) proved by establishing A(code alpha) outright."""
-    inst = subst(a, "x", Num(ocode(alpha)))
-    return MP(ax_k(inst, build_Prog(a, "x")), _prove_outright(inst))
-
-
 def install_ordinal_primitives(kernel: Kernel) -> Kernel:
     """Primitives the well-ordering combinators reduce through.
 
@@ -249,7 +226,10 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
     def p_ordfs(v: Nat) -> Nat:
         ac, n = vunpair(v)
         a = _decode_ord(ac)
-        if not isinstance(classify(a), LimC) or not vle(n, 1 << 20):
+        # a tower of n exponents past the nesting bound is refused, as
+        # `ord fs` refuses it: ocode would recurse once per exponent
+        if not isinstance(classify(a), LimC) or not vle(n, 1 << 20) \
+                or n > NESTING_MAX and _towers(a):
             raise StuckError()
         return ocode(fundseq(a, n))
 
@@ -289,59 +269,52 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
         return _template(("zero", v),
                          lambda: ti_proof_template("zero", a, var="x"))
 
-    def _instantiate(univ_realiser: Nat, alpha_code: Nat) -> Nat:
-        r = owner.apply(combinator("s"), vpair(univ_realiser, alpha_code),
-                        _TEMPLATE_FUEL)
-        if not isinstance(r, Value):
-            raise StuckError()
-        return r.n
+    def _instantiated(kind: str):
+        """The primitive <|A|, alpha> |-> s . <r, alpha>, for r the
+        realiser of kind's template, universal in its notation."""
+        def prim(v: Nat) -> Nat:
+            ac, alphac = vunpair(v)
+            a = _decode_sentence_with_x(ac)
+            _decode_ord(alphac)
+            univ = _template((kind, ac),
+                             lambda: ti_proof_template(kind, a, var="x"))
+            r = owner.apply(combinator("s"), vpair(univ, alphac),
+                            _TEMPLATE_FUEL)
+            if not isinstance(r, Value):
+                raise StuckError()
+            return r.n
+        return prim
 
-    def p_tisuc(v: Nat) -> Nat:
-        ac, alphac = vunpair(v)
-        a = _decode_sentence_with_x(ac)
-        _decode_ord(alphac)
-        univ = _template(("suc", ac),
-                         lambda: ti_proof_template("suc", a, var="x"))
-        return _instantiate(univ, alphac)
-
-    def p_tiomega(v: Nat) -> Nat:
-        ac, alphac = vunpair(v)
-        a = _decode_sentence_with_x(ac)
-        _decode_ord(alphac)
-        univ = _template(("omega", ac),
-                         lambda: ti_proof_template("omega", a, var="x")[0])
-        return _instantiate(univ, alphac)
+    def _at_notation(kind: str, build):
+        """The primitive <|A|, alpha> |-> the realiser of build(A, alpha),
+        kind's template at the notation alpha."""
+        def prim(v: Nat) -> Nat:
+            ac, alphac = vunpair(v)
+            a = _decode_sentence_with_x(ac)
+            alpha = _decode_ord(alphac)
+            return _template((kind, ac, alpha), lambda: build(a, alpha))
+        return prim
 
     def p_jump(v: Nat) -> Nat:
         a = _decode_sentence_with_x(v)
         return godel(subst(jump_formula(a, "x"), "oj", TVar("x")))
 
-    def p_tilim(v: Nat) -> Nat:
-        ac, alphac = vunpair(v)
-        a = _decode_sentence_with_x(ac)
-        alpha = _decode_ord(alphac)
-        return _template(("lim", ac, alpha),
-                         lambda: ti_proof_template("lim", a, alpha,
-                                                   var="x"))
-
-    def p_tidirect(v: Nat) -> Nat:
-        ac, betac = vunpair(v)
-        a = _decode_sentence_with_x(ac)
-        beta = _decode_ord(betac)
-        return _template(("direct", ac, beta),
-                         lambda: _ti_direct_proof(a, beta))
-
     def p_wo(v: Nat) -> Nat:
         return wo_realiser(_decode_ord(v), owner)
 
+    lim = lambda a, alpha: ti_proof_template("lim", a, alpha, var="x")
+    direct = lambda a, beta: _weakened(a, "x", Num(ocode(beta)),
+                                       build_Prog(a, "x"))
     cost = lambda _v: 50
     for pid, fn in ((PID_ORDLT, p_ordlt), (PID_ORDFS, p_ordfs),
                     (PID_ORDCLASS, p_ordclass), (PID_ORDPRED, p_ordpred),
                     (PID_ORDEPS, p_ordeps), (PID_TI0, p_ti0),
-                    (PID_TISUC, p_tisuc), (PID_TIOMEGA, p_tiomega),
-                    (PID_JUMP, p_jump), (PID_TILIM, p_tilim),
-                    (PID_TIDIRECT, p_tidirect), (PID_WO, p_wo),
-                    (PID_ORDSUCN, p_ordsucn)):
+                    (PID_TISUC, _instantiated("suc")),
+                    (PID_TIOMEGA, _instantiated("omega")),
+                    (PID_JUMP, p_jump),
+                    (PID_TILIM, _at_notation("lim", lim)),
+                    (PID_TIDIRECT, _at_notation("direct", direct)),
+                    (PID_WO, p_wo), (PID_ORDSUCN, p_ordsucn)):
         kernel.register_primitive(pid, fn, cost=cost)
     return kernel
 
@@ -482,10 +455,9 @@ def wo_realiser(alpha: OrdNotation, kernel: Kernel,
             raise StuckError()
         return r.n
 
-    if isinstance(alpha, CnfSum) and len(alpha.terms) == 1 \
-            and isinstance(alpha.terms[0][0], Eps) \
-            and alpha.terms[0][1] == 1:
-        return app(_KEPS_CODE, ocode(alpha.terms[0][0].sub))
+    e = _as_exp(alpha)
+    if e is not alpha:  # alpha = epsilon_i
+        return app(_KEPS_CODE, ocode(e.sub))
     k = classify(alpha)
     if isinstance(k, ZeroC):
         return _K0_CODE

@@ -326,28 +326,37 @@ class LevelError(ValueError):
     """A level constraint was violated."""
 
 
+def _atoms(a: Formula) -> tuple:
+    """The atoms of a other than equations, equal ones once.  An
+    implication or a universal keeps them as _atoms, as free_vars keeps
+    _fv."""
+    t = type(a)
+    if t is Eq:
+        return ()
+    if t is InPole or t is Fals or t is Real or t is Tru:
+        return (a,)
+    r = getattr(a, "_atoms", None)
+    if r is None:
+        if t is Imp:
+            ra, rb = _atoms(a.a), _atoms(a.b)
+            r = ra + tuple(x for x in rb if x not in ra) if ra and rb \
+                else ra or rb
+        elif t is All:
+            r = _atoms(a.body)
+        else:
+            raise TypeError(a)
+        a._atoms = r
+    return r
+
+
 def max_level(a: Formula) -> Optional[OrdNotation]:
     """The largest atom level occurring in a, or None when level free."""
-    if isinstance(a, Eq):
-        return None
-    if isinstance(a, Imp):
-        return _lmax(max_level(a.a), max_level(a.b))
-    if isinstance(a, All):
-        return max_level(a.body)
-    if isinstance(a, InPole):
-        return None
-    if isinstance(a, (Fals, Real, Tru)):
-        return a.level
-    raise TypeError(a)
-
-
-def _lmax(x: Optional[OrdNotation],
-          y: Optional[OrdNotation]) -> Optional[OrdNotation]:
-    if x is None:
-        return y
-    if y is None:
-        return x
-    return y if compare(x, y) == LESS else x
+    top = None
+    for x in _atoms(a):
+        if type(x) is not InPole and (
+                top is None or compare(top, x.level) == LESS):
+            top = x.level
+    return top
 
 
 def in_language(a: Formula, gamma: OrdNotation, side: str) -> bool:
@@ -358,39 +367,21 @@ def in_language(a: Formula, gamma: OrdNotation, side: str) -> bool:
     All atom levels must be strictly below gamma, so the level-0
     language of either side is the atom-free base language.
     """
-    if isinstance(a, Eq):
-        return True
-    if isinstance(a, Imp):
-        return in_language(a.a, gamma, side) and in_language(a.b, gamma, side)
-    if isinstance(a, All):
-        return in_language(a.body, gamma, side)
-    if isinstance(a, Tru):
-        return side == TRUTH_SIDE and compare(a.level, gamma) == LESS
-    if isinstance(a, InPole):
-        return side == REAL_SIDE
-    if isinstance(a, (Fals, Real)):
-        return side == REAL_SIDE and compare(a.level, gamma) == LESS
-    raise TypeError(a)
+    for x in _atoms(a):
+        if (type(x) is Tru) != (side == TRUTH_SIDE) or (
+                type(x) is not InPole and compare(x.level, gamma) != LESS):
+            return False
+    return True
 
 
 def _is_base(a: Formula) -> bool:
-    """Whether a is in the base grammar, built from Eq, Imp and All: the
-    answer of in_language(a, O_ZERO, TRUTH_SIDE), false for anything that
-    is not a formula.  An implication or a universal keeps the answer as
-    its _base flag."""
-    ta = type(a)
-    if ta is Eq:
-        return True
-    r = getattr(a, "_base", None)
-    if r is None:
-        if ta is Imp:
-            r = _is_base(a.a) and _is_base(a.b)
-        elif ta is All:
-            r = _is_base(a.body)
-        else:
-            return False
-        a._base = r
-    return r
+    """Whether a is in the base grammar, built from Eq, Imp and All,
+    which has no atoms but equations; false for anything that is not a
+    formula."""
+    try:
+        return type(a) is Eq or not _atoms(a)
+    except TypeError:
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ import time
 import pytest
 
 from realisability import cli
+from realisability.notation import NESTING_MAX, ocode, parse_ord
+from realisability.ordinals import PID_ORDFS
+from realisability.vm import Lam, Lit, Prim, encode, vint, vpair
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -100,6 +103,35 @@ def test_a_fixed_point_that_unfolds_to_itself_runs_out_of_fuel_at_once():
                stdout=subprocess.PIPE, text=True, timeout=60)
     assert r.returncode == 2
     assert json.loads(r.stdout) == {"diverged": "fuel"}
+
+
+def _run_ordfs(alpha, n):
+    """`realis run` of the program that asks for the n-th member of
+    alpha's fundamental sequence, on the argument 0."""
+    code = encode(Lam(Prim(PID_ORDFS,
+                           Lit(vpair(ocode(parse_ord(alpha)), n)))))
+    return realis(["run", str(vint(code)), "0"], stdout=subprocess.PIPE,
+                  stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("alpha, n", [
+    ("e[0]", 200000), ("e[0]", NESTING_MAX + 1), ("e[1]", NESTING_MAX + 1),
+    ("w^(e[0]*2)", NESTING_MAX + 1)])
+def test_a_tower_deeper_than_the_nesting_bound_is_stuck(alpha, n):
+    # the n-th member of these sequences is a tower of n exponents, and
+    # coding it recurses once per exponent: at n = 200,000 that passes
+    # the recursion limit
+    r = _run_ordfs(alpha, n)
+    assert (r.returncode, json.loads(r.stdout)) == (1, {"diverged": "stuck"})
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("alpha, n", [
+    ("e[0]", NESTING_MAX), ("w", 10**6), ("e[w]", 10**6),
+    ("w^(e[0]+1)", 10**6)])
+def test_a_member_within_the_nesting_bound_is_answered(alpha, n):
+    r = _run_ordfs(alpha, n)
+    assert (r.returncode, json.loads(r.stdout)) == (0, {"result": "large"})
 
 
 START_UP = """

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import itertools
 import random
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from realisability import cli, notation, ordinals, vm
 from realisability.extraction import (
     ExtractionError, check_proof, combinator, extract_value, fresh_kernel,
+    print_proof,
 )
 from realisability.notation import (
     NESTING_MAX, CnfSum, Eps, GREATER, LESS, EQUAL, LimC, O_ZERO,
@@ -29,7 +31,7 @@ from realisability.ordinals import (
 from realisability.poles import Generated, OUT, member
 from realisability.semantics import Budget, realises
 from realisability.syntax import (
-    All, Eq, Fn, Imp, Num, TVar, free_vars, godel, parse_formula,
+    All, Eq, Fn, Imp, Num, TVar, free_vars, godel, parse_formula, subst,
     ungodel,
 )
 from realisability.vm import (
@@ -587,8 +589,8 @@ def test_templates_pass_the_checker():
     s = ti_proof_template("suc", A_REFL, var="x")
     cs = check_proof(s)
     assert isinstance(cs, All) and cs.var == "oa"
-    o, jumped = ti_proof_template("omega", A_REFL, var="x")
-    co = check_proof(o)
+    co = check_proof(ti_proof_template("omega", A_REFL, var="x"))
+    jumped = jump_formula(A_REFL, "x")
     assert isinstance(co, All) and free_vars(jumped) == {"oj"}
     lim = ti_proof_template("lim", A_REFL, W, var="x")
     cl = check_proof(lim)
@@ -606,9 +608,83 @@ def test_zero_template_is_schematic():
     assert check_proof(p) == build_TI(a, O_ZERO, "x")
 
 
+# SHA-256 digests of the templates' proof text, and of the realiser code
+# each template primitive returns, for (= x x) and for its jump A'(x): a
+# rewrite of the templates or of their primitives that changes a proof
+# or a code fails here.
+PINNED_PROOFS = {
+    ("refl", "zero"): "9cb82c7fbc9c109af1dd56877b568f0be92f54e4403c8d7b55d925c71655f0f9",
+    ("refl", "suc"): "f11784f97086ac3ad51b9cc29de5fba0435d25cb06475e4ac47b88423ba2d0b7",
+    ("refl", "omega"): "839f78dc9d0b861a49e091a9ecc97e1567f0cc11b7167f8a684c0a9e9eb41071",
+    ("refl", "lim"): "840cb9247e7b5056838b74584c784e9cb41faccf2a6961da15d4885ba62185a4",
+    ("jump", "zero"): "3cc09f6a75872492a1e4f06dda6c05907d52cd5ddfd5b313612818a072658c76",
+    ("jump", "suc"): "296e977c87c66870505379a468582d4813dfda53be4d1bd3e63404a2ac18dc0b",
+    ("jump", "omega"): "a1b996bca41fa0a626289878145b58c793a10524e467cf356962455e579a8cd5",
+    ("jump", "lim"): "106466e39c55dcca7770dc4d098f7f3d0a3f04dbd419446003a775f19e5dd8b9",
+}
+PINNED_REALISERS = {
+    ("refl", "ti0"): "afd6a7f3f74a05d9770644232284538a938cfe70c5882069c327472df512032e",
+    ("refl", "tisuc"): "672a41649673e2a08f2d8658361fb5e52db136a7a702501442612f055e8521ee",
+    ("refl", "tiomega"): "672a41649673e2a08f2d8658361fb5e52db136a7a702501442612f055e8521ee",
+    ("refl", "tilim"): "812a6244e78bef7e89f9a5e177f14a206ce0fc18d4ff0bc6ec66db87e2f35f22",
+    ("refl", "tidirect"): "60ead61f4ca048909f8bb04f42a349eaacb58bd4b454d094fad33221910b9a56",
+    ("jump", "ti0"): "afd6a7f3f74a05d9770644232284538a938cfe70c5882069c327472df512032e",
+    ("jump", "tisuc"): "86c70c28c7cc44abaab5f003bef4c63cc76362d339a7d955c706fd10edf235e0",
+    ("jump", "tiomega"): "86c70c28c7cc44abaab5f003bef4c63cc76362d339a7d955c706fd10edf235e0",
+    ("jump", "tilim"): "3a919bcadd52624c06968b588fc1f946e1041755c53a77a7f2348c5acd33d9a4",
+    ("jump", "tidirect"): "8abfcfd9589b5e197006da3aeb13272ea5aee455d9cf479921573b9c330d5c07",
+}
+PINNED_FORMULAS = {
+    "refl": A_REFL,
+    "jump": subst(jump_formula(A_REFL, "x"), "oj", TVar("x")),
+}
+W_W = omega_pow(W)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _code_digest(v):
+    """A digest of the natural v: of its decimal text below 2^64, else of
+    its two children's digests; a shared node is digested once."""
+    memo = {}
+
+    def walk(v):
+        if type(v) is not PV:
+            return _sha("%d" % v)
+        d = memo.get(id(v))
+        if d is None:
+            d = memo[id(v)] = _sha("(%s %s)" % (walk(v.a), walk(v.b)))
+        return d
+
+    return walk(v)
+
+
+@pytest.mark.parametrize("name, kind", sorted(PINNED_PROOFS))
+def test_template_proof_text_is_pinned(name, kind):
+    p = ti_proof_template(kind, PINNED_FORMULAS[name],
+                          W_W if kind == "lim" else None, var="x")
+    assert _sha(print_proof(p)) == PINNED_PROOFS[name, kind]
+
+
+@pytest.mark.parametrize("name, prim", sorted(PINNED_REALISERS))
+def test_template_primitive_code_is_pinned(name, prim):
+    a_code = godel(PINNED_FORMULAS[name])
+    pid, arg = {
+        "ti0": (ordinals.PID_TI0, a_code),
+        "tisuc": (ordinals.PID_TISUC, vpair(a_code, ocode(W))),
+        "tiomega": (ordinals.PID_TIOMEGA, vpair(a_code, ocode(W))),
+        "tilim": (ordinals.PID_TILIM, vpair(a_code, ocode(W_W))),
+        "tidirect": (ordinals.PID_TIDIRECT, vpair(a_code, ocode(W_W))),
+    }[prim]
+    r = ordinal_kernel().apply(encode(Lam(Prim(pid, Var(0)))), arg, 10**7)
+    assert isinstance(r, Value), r
+    assert _code_digest(r.n) == PINNED_REALISERS[name, prim]
+
+
 def test_templates_accept_jumped_formulas():
     jumped = jump_formula(A_REFL, "x")
-    from realisability.syntax import subst
     j_x = subst(jumped, "oj", TVar("x"))
     p = ti_proof_template("suc", j_x, var="x")
     check_proof(p)
