@@ -27,8 +27,8 @@ from typing import Optional, Union
 from ._record import record
 from .syntax import (
     All, ATerm, Eq, Fn, Formula, Imp, Num, TVar, ZERO, _CLOSE, _Misread,
-    _is_base, _read, _name_code, _name_decode, _parse_base_formula,
-    _parse_term, _parse_var, bot, free_vars, fresh_var, godel_term,
+    _Tokens, _is_base, _read, _name_code, _name_decode, _parse_base_formula,
+    _parse_term, _parse_var, _shared, bot, free_vars, fresh_var, godel_term,
     parse_formula, print_formula, print_term, subst, subst_term, suc_t,
     term_vars, ungodel_term, eval_term,
 )
@@ -518,7 +518,7 @@ class ExtractionError(ValueError):
         self.reason = reason
 
 
-def _ctx_code(ctx: list) -> Nat:
+def _ctx_code(ctx: tuple) -> Nat:
     c: Nat = 0
     for name in reversed(ctx):
         c = vpair(_name_code(name), c)
@@ -533,13 +533,13 @@ def env_value(ctx: list, assignment: dict) -> Nat:
     return v
 
 
-def _term_value_expr(t: ATerm, ctx: list) -> Program:
+def _term_value_expr(t: ATerm, ctx: tuple) -> Program:
     """Program computing the value of t from the environment (Var 0)."""
     return Prim(PID_EVALTERM,
                 Pair(Lit(godel_term(t)), Pair(Lit(_ctx_code(ctx)), Var(0))))
 
 
-def _axiom_body(ax: Axiom, ctx: list, kernel: Kernel) -> Program:
+def _axiom_body(ax: Axiom, ctx: tuple, kernel: Kernel) -> Program:
     """Body (environment free as Var 0) evaluating to the realiser."""
     kind, f = ax.kind, ax.formula
     if kind in _AXIOM_CODES:
@@ -566,23 +566,30 @@ def _axiom_body(ax: Axiom, ctx: list, kernel: Kernel) -> Program:
     raise ExtractionError("no realiser for axiom kind %r" % kind)
 
 
-def _extract_body(p: Proof, ctx: list, path: str,
-                  kernel: Kernel) -> Program:
+def _extract_body(p: Proof, ctx: tuple, path: str, kernel: Kernel,
+                  bodies: dict) -> Program:
+    """The body of p's realiser in context ctx.  bodies keeps an axiom
+    node's body by its id and ctx for one extraction, so a node the
+    reader shares between equal texts is built once per context."""
     if isinstance(p, Hyp):
         raise ExtractionError("cannot extract from a hypothesis at %s"
                               % (path or "root"))
     if isinstance(p, Axiom):
-        if not free_vars(p.formula) <= set(ctx):
-            raise ExtractionError(
-                "free variables of %s are not all in scope at %s"
-                % (print_formula(p.formula), path or "root"))
-        return _axiom_body(p, ctx, kernel)
+        body = bodies.get((id(p), ctx))
+        if body is None:
+            if not free_vars(p.formula) <= set(ctx):
+                raise ExtractionError(
+                    "free variables of %s are not all in scope at %s"
+                    % (print_formula(p.formula), path or "root"))
+            body = bodies[id(p), ctx] = _axiom_body(p, ctx, kernel)
+        return body
     if isinstance(p, MP):
-        fa = _extract_body(p.major, ctx, path + "/mp-major", kernel)
-        fb = _extract_body(p.minor, ctx, path + "/mp-minor", kernel)
+        fa = _extract_body(p.major, ctx, path + "/mp-major", kernel, bodies)
+        fb = _extract_body(p.minor, ctx, path + "/mp-minor", kernel, bodies)
         return App(Lit(_I_CODE), Pair(fa, fb))
     if isinstance(p, Gen):
-        child = _extract_body(p.sub, [p.var] + ctx, path + "/gen", kernel)
+        child = _extract_body(p.sub, (p.var,) + ctx, path + "/gen", kernel,
+                              bodies)
         child_code = kernel.code(Lam(child))
         # g . w realises the instance at w; u . g realises the universal
         g = Lam(App(Lit(child_code), Pair(Var(0), Var(1))))
@@ -599,7 +606,7 @@ def extract_value(p: Proof, kernel: Kernel, fuel: int = 10**7,
     env = env_value(ctx, assignment or {})
     # the kernel keeps the program as the code's closure, so it runs the
     # program without decoding the code
-    code = kernel.code(Lam(_extract_body(p, ctx, "", kernel)))
+    code = kernel.code(Lam(_extract_body(p, tuple(ctx), "", kernel, {})))
     r = kernel.apply(code, env, fuel)
     if not isinstance(r, Value):
         raise ExtractionError("extracted program did not evaluate: %s"
@@ -836,11 +843,12 @@ def print_proof(p: Proof) -> str:
     raise TypeError(p)
 
 
-def _parse_proof(toks: list) -> Proof:
+def _parse_proof(toks: _Tokens) -> Proof:
     tok = toks.pop()
     if tok != "(":
         raise _Misread("expected a proof, found %r" % tok, len(toks))
     head = toks.pop()
+    key = None
     if head == "hyp":
         out: Proof = Hyp(_parse_base_formula(toks))
     elif head == "mp":
@@ -848,6 +856,10 @@ def _parse_proof(toks: list) -> Proof:
     elif head == "gen":
         out = Gen(_parse_var(toks), _parse_proof(toks))
     elif head == "ax":
+        # an axiom text read before gives the same node, checked once
+        key, out = _shared(toks, toks.axioms)
+        if out is not None:
+            return out
         kind = toks.pop()
         if kind not in AXIOM_KINDS:
             raise _Misread("unknown axiom kind %r" % kind, len(toks))
@@ -863,6 +875,8 @@ def _parse_proof(toks: list) -> Proof:
         raise _Misread("unknown proof head %r" % head, len(toks))
     if (tok := toks.pop()) != ")":
         raise _Misread(_CLOSE % tok, len(toks))
+    if key is not None:
+        toks.axioms[key] = out
     return out
 
 

@@ -258,9 +258,15 @@ def install_ordinal_primitives(kernel: Kernel) -> Kernel:
     templates: dict = {}
 
     def _template(key: tuple, build) -> Nat:
+        """The realiser of build()'s template; stuck when build() finds
+        none (a formula outside the family, lim at a non-limit)."""
         r = templates.get(key)
         if r is None:
-            _, r = extract_value(build(), owner, _TEMPLATE_FUEL)
+            try:
+                proof = build()
+            except ValueError:
+                raise StuckError() from None
+            _, r = extract_value(proof, owner, _TEMPLATE_FUEL)
             _remember(templates, key, r)
         return r
 

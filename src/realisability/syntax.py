@@ -648,19 +648,21 @@ _WORD = re.compile(r"[^\s()]+")
 _TOKEN = re.compile(r"[()]|" + _WORD.pattern)
 _CLOSE = "expected ')', found %r"
 _T = TypeVar("_T")
-# the longest formula, in tokens after its opening bracket, that a read
-# shares: a key copies no more tokens than this, so deep nesting stays
-# linear.  One formula of the shipped proofs is longer (261 tokens).
+# the longest formula, in tokens after its opening bracket, or proof
+# axiom, in tokens after its head, that a read shares: a key copies no
+# more tokens than this, so deep nesting stays linear.  One formula and
+# one axiom of the shipped proofs are longer (261 and 263 tokens).
 _SHARE_SPAN = 256
 _DEPTH_STEP = {"(": 1, ")": -1}
 
 
 class _Tokens(list):
     """The tokens of one read, in reverse.  `depths[i]` is the bracket
-    depth after the text's i-th token, and `shared` maps each formula
+    depth after the text's i-th token.  `formulas` maps each formula
     text read so far, as the tuple of its tokens after the opening
-    bracket in reverse, to the formula built for it."""
-    __slots__ = ("depths", "shared")
+    bracket in reverse, to the formula built for it; `axioms` maps each
+    axiom text of a proof, from after its head `ax`, to its node."""
+    __slots__ = ("depths", "formulas", "axioms")
 
 
 class _Misread(Exception):
@@ -672,11 +674,14 @@ class _Misread(Exception):
 def _read(text: str, parse: Callable[[_Tokens], _T]) -> _T:
     """Read all of `text` with `parse`, which takes the tokens in reverse,
     so that `pop()` reads the next one and `len()` counts those left.
-    Offsets are found again only for an error."""
-    toks = _Tokens(_TOKEN.findall(text))
+    Splitting at whitespace, with a space put around each bracket, gives
+    the tokens of _TOKEN, since `str.split` splits where `str.isspace`
+    holds; _TOKEN finds an offset again only for an error."""
+    toks = _Tokens(text.replace("(", " ( ").replace(")", " ) ").split())
     n = len(toks)
     toks.depths = list(accumulate(map(_DEPTH_STEP.get, toks, repeat(0))))
-    toks.shared = {}
+    toks.formulas = {}
+    toks.axioms = {}
     toks.reverse()
     try:
         out = parse(toks)
@@ -770,25 +775,34 @@ def _parse_var(toks: list) -> str:
     return _var_name(name, toks)
 
 
-def _parse_formula(toks: _Tokens) -> Formula:
-    tok = toks.pop()
-    if tok != "(":
-        raise _Misread("expected a formula, found %r" % tok, len(toks))
-    # a formula text read before in this read gives the formula built
-    # then; its closing bracket is the first token after i at the depth
-    # before i, found at C speed
+def _shared(toks: _Tokens, memo: dict) -> tuple:
+    """(key, node) for the text whose opening bracket, or the head after
+    it, was just read.  key is the tuple of the text's tokens still to
+    read, None when the text is cut off or longer than _SHARE_SPAN; node
+    is memo[key], built for an equal text earlier in the read, whose
+    tokens are then taken, or None.  The closing bracket, the first
+    later token at the depth before the opening one, is found at C
+    speed."""
     left, depths = len(toks), toks.depths
     i = len(depths) - 1 - left
     try:
         m = depths.index(depths[i] - 1, i, i + _SHARE_SPAN) - i
-    except ValueError:  # unbalanced, or longer than a shared formula
-        key = None
-    else:
-        key = tuple(toks[left - m:left])
-        f = toks.shared.get(key)
-        if f is not None:
-            del toks[left - m:]
-            return f
+    except ValueError:
+        return None, None
+    key = tuple(toks[left - m:left])
+    node = memo.get(key)
+    if node is not None:
+        del toks[left - m:]
+    return key, node
+
+
+def _parse_formula(toks: _Tokens) -> Formula:
+    tok = toks.pop()
+    if tok != "(":
+        raise _Misread("expected a formula, found %r" % tok, len(toks))
+    key, f = _shared(toks, toks.formulas)
+    if f is not None:
+        return f
     head = toks.pop()
     form = _CLASS_OF.get(head)
     if form is not None:
@@ -812,7 +826,7 @@ def _parse_formula(toks: _Tokens) -> Formula:
     if (tok := toks.pop()) != ")":
         raise _Misread(_CLOSE % tok, len(toks))
     if key is not None:
-        toks.shared[key] = f
+        toks.formulas[key] = f
     return f
 
 

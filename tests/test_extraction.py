@@ -29,6 +29,7 @@ from realisability.vm import (
     STUCK, Diverged, Kernel, Lam, Lit, Prim, StuckError, Value, vpair,
     vunpair,
 )
+from test_syntax import PROOF_DIR, Ref, subtrees
 
 K = fresh_kernel()
 B = Budget(fuel=10**6, samples=8, width=20)
@@ -695,6 +696,59 @@ def test_each_node_is_checked_once(monkeypatch, m):
         totals.append(len(node_checks))
     # each step of n adds the same nodes, so the counts grow linearly
     assert totals[2] - totals[1] == 2 * (totals[1] - totals[0])
+
+
+# A proof text's equal axiom texts read as one node
+
+def _shares_no_result(monkeypatch, text, unshared):
+    """Read text, check that each of its distinct axiom texts is checked
+    once, and that its extraction gives what the unshared copy gives."""
+    checked = []
+    real = extraction._check_axiom
+
+    def count(ax, path):
+        checked.append(ax)
+        return real(ax, path)
+
+    monkeypatch.setattr(extraction, "_check_axiom", count)
+    got = extract_value(parse_proof(text), fresh_kernel())
+    distinct = {t for t in subtrees(text) if t[1] == "ax"}
+    assert len(checked) == len({id(ax) for ax in checked}) == len(distinct)
+    monkeypatch.setattr(extraction, "_check_axiom", real)
+    assert got == extract_value(unshared, fresh_kernel())
+    return len(checked), sum(t[1] == "ax" for t in subtrees(text))
+
+
+def test_sharing_changes_no_plus_result(monkeypatch):
+    counts = {}
+    for m in range(12):
+        for n in range(12):
+            p = prove_plus(m, n)
+            counts[m, n] = _shares_no_result(monkeypatch, print_proof(p), p)
+    # 48 distinct axiom texts among the 68 axioms of 10 + 11
+    assert counts[10, 11] == (48, 68)
+
+
+def test_sharing_changes_no_shipped_result(monkeypatch):
+    paths = sorted(PROOF_DIR.glob("*.sexp"))
+    assert len(paths) == 24
+    counts = {}
+    for path in paths:
+        text = path.read_text()
+        unshared = Ref(text).read_all("p")
+        counts[path.stem] = _shares_no_result(monkeypatch, text, unshared)
+    assert counts["plus-comm"] == (86, 92)
+
+
+def test_a_shared_axiom_is_extracted_in_each_context():
+    # the univinst axiom and the refleq axiom each occur inside and
+    # outside `gen y`, and their bodies hold the context's code
+    inst = "(mp (ax univinst (imp (all x (= x x)) (= 0 0)) 0) " \
+           "(gen x (ax refleq (= x x))))"
+    text = ("(mp (mp (ax k (imp (= 0 0) (imp (all y (= 0 0)) (= 0 0)))) "
+            "%s) (gen y %s))" % (inst, inst))
+    assert extract_value(parse_proof(text), fresh_kernel()) == extract_value(
+        Ref(text).read_all("p"), fresh_kernel())
 
 
 # The deduction transform decides hypothesis use once per node

@@ -17,7 +17,10 @@ import pytest
 
 from realisability import cli
 from realisability.notation import NESTING_MAX, ocode, parse_ord
-from realisability.ordinals import PID_ORDFS
+from realisability.ordinals import (
+    PID_ORDFS, PID_TI0, PID_TIDIRECT, PID_TILIM, PID_TIOMEGA, PID_TISUC,
+)
+from realisability.syntax import godel, parse_formula
 from realisability.vm import Lam, Lit, Prim, encode, vint, vpair
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -105,13 +108,18 @@ def test_a_fixed_point_that_unfolds_to_itself_runs_out_of_fuel_at_once():
     assert json.loads(r.stdout) == {"diverged": "fuel"}
 
 
+def _run_prim(pid, arg):
+    """`realis run` of the program that runs primitive pid on arg, on the
+    argument 0."""
+    code = encode(Lam(Prim(pid, Lit(arg))))
+    return realis(["run", str(vint(code)), "0"], stdout=subprocess.PIPE,
+                  stderr=subprocess.PIPE, text=True, timeout=120)
+
+
 def _run_ordfs(alpha, n):
     """`realis run` of the program that asks for the n-th member of
     alpha's fundamental sequence, on the argument 0."""
-    code = encode(Lam(Prim(PID_ORDFS,
-                           Lit(vpair(ocode(parse_ord(alpha)), n)))))
-    return realis(["run", str(vint(code)), "0"], stdout=subprocess.PIPE,
-                  stderr=subprocess.PIPE, text=True, timeout=120)
+    return _run_prim(PID_ORDFS, vpair(ocode(parse_ord(alpha)), n))
 
 
 @pytest.mark.parametrize("alpha, n", [
@@ -131,6 +139,24 @@ def test_a_tower_deeper_than_the_nesting_bound_is_stuck(alpha, n):
     ("w^(e[0]+1)", 10**6)])
 def test_a_member_within_the_nesting_bound_is_answered(alpha, n):
     r = _run_ordfs(alpha, n)
+    assert (r.returncode, json.loads(r.stdout)) == (0, {"result": "large"})
+
+
+@pytest.mark.parametrize("pid, formula, alpha", [
+    (PID_TILIM, "(= x x)", "1"), (PID_TISUC, "(= (+ x 0) x)", "1"),
+    (PID_TIOMEGA, "(= (+ x 0) x)", "1"), (PID_TIDIRECT, "(= (+ x 0) x)", "1"),
+    (PID_TILIM, "(= (+ x 0) x)", "w")])
+def test_a_template_that_cannot_be_built_is_stuck(pid, formula, alpha):
+    # lim at a notation that is no limit, and a formula whose instances
+    # have no direct proof, have no template
+    r = _run_prim(pid, vpair(godel(parse_formula(formula)),
+                             ocode(parse_ord(alpha))))
+    assert (r.returncode, json.loads(r.stdout)) == (1, {"diverged": "stuck"})
+    assert "Traceback" not in r.stderr
+
+
+def test_the_zero_template_of_a_closed_formula_is_answered():
+    r = _run_prim(PID_TI0, godel(parse_formula("(= 0 0)")))
     assert (r.returncode, json.loads(r.stdout)) == (0, {"result": "large"})
 
 

@@ -597,34 +597,68 @@ def reader_texts(draw):
 
 
 # proof and formula texts that restate their formulas, as the K and S
-# schemas and modus ponens make proofs do
+# schemas and modus ponens make proofs do, and proofs that restate their
+# axioms, as the proofs of prove_plus do; a univinst or leibniz axiom
+# also comes again with other data, which is no restatement
 REPEATING = ["(imp {a} (imp {b} {a}))", "(all x (imp {a} (imp {a} {b})))",
              "(mp (ax k (imp {a} (imp {b} {a}))) (hyp {a}))",
              "(mp (mp (ax s (imp (imp {a} (imp {b} {a})) (imp (imp {a} {b}) "
              "(imp {a} {a})))) (ax k (imp {a} (imp {b} {a})))) (hyp {b}))",
-             "(ax leibniz (imp (= 0 0) (imp {a} {a})) x {a})"]
+             "(ax leibniz (imp (= 0 0) (imp {a} {a})) x {a})",
+             "(mp (ax k (imp {a} (imp {b} {a}))) (mp (ax k (imp {a} (imp {b} "
+             "{a}))) (hyp {a})))",
+             "(mp (mp (ax refleq (= {t} {t})) (ax refleq (= {t} {t}))) "
+             "(ax refleq (= {t} {t})))",
+             "(mp (ax univinst (imp (all x {a}) {a}) {t}) "
+             "(gen x (ax univinst (imp (all x {a}) {a}) {t})))",
+             "(mp (ax univinst (imp (all x {a}) {a}) {t}) "
+             "(ax univinst (imp (all x {a}) {a}) {u}))",
+             "(mp (ax leibniz (imp (= {t} {u}) (imp {a} {b})) x {a}) "
+             "(ax leibniz (imp (= {t} {u}) (imp {a} {b})) x {a}))",
+             "(mp (ax leibniz (imp (= {t} {u}) (imp {a} {b})) x {a}) "
+             "(ax leibniz (imp (= {t} {u}) (imp {a} {b})) y {b}))",
+             # an axiom's text after `ax` restated as a formula, and the
+             # reverse: neither may be read as the other
+             "(mp (ax k (imp {a} (imp {b} {a}))) (hyp (k (imp {a} (imp {b} "
+             "{a})))))",
+             "(mp (hyp (imp {a} {b})) (ax imp {a} {b}))"]
 
 
 @st.composite
 def repeating_texts(draw):
-    """A text that repeats formulas, valid or with a few tokens deleted
-    or put in."""
+    """A text that repeats formulas or axioms, valid or with a few tokens
+    deleted or put in."""
     a, b = draw(formulas), draw(formulas)
+    t, u = draw(terms), draw(terms)
     text = draw(st.sampled_from(REPEATING)).format(
-        a=print_formula(a), b=print_formula(b))
+        a=print_formula(a), b=print_formula(b), t=print_term(t),
+        u=print_term(u))
     return text if draw(st.booleans()) else mutated(draw, text)
 
 
 def test_token_regex_splits_where_isspace_does():
+    # the reader splits its text with str.split and finds an error's
+    # offset with _TOKEN, so both must split where str.isspace holds
     every = "".join(map(chr, range(0x110000)))
     assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+    assert every.split() == re.findall(r"\S+", every)
+
+
+def read_tokens(text):
+    """The tokens _read gives its parser, in the order of the text."""
+    def take(toks):
+        out = toks[::-1]
+        del toks[:]
+        return out
+    return syntax._read(text, take)
 
 
 @hyp.given(st.lists(st.sampled_from(
     ["(", ")", "0", "7", "42"] + HEADS + ["\t", "\n", "\x1c", "\xa0", " "]),
-    max_size=40).map("".join))
+    max_size=40).map("".join) | st.text(max_size=40))
 def test_tokens_match_the_character_scanner(text):
-    assert syntax._TOKEN.findall(text) == [t for t, _ in scan(text)]
+    want = [t for t, _ in scan(text)]
+    assert read_tokens(text) == syntax._TOKEN.findall(text) == want
     assert [m.start() for m in syntax._TOKEN.finditer(text)] == [
         p for _, p in scan(text)]
 
@@ -635,12 +669,36 @@ def test_every_entry_reads_as_the_reference(text):
     assert_reads_as_reference(text)
 
 
-@hyp.settings(deadline=None, max_examples=100)
+@hyp.settings(deadline=None, max_examples=200)
 @hyp.given(repeating_texts())
 def test_a_sharing_read_gives_what_a_fresh_read_gives(text):
     # the reference builds a new node for every formula it reads; the
     # reader returns one node for each formula text, and its results,
     # error messages and offsets must be the reference's
+    assert_reads_as_reference(text)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("(ax univinst (imp (all x (= x x)) (= 0 0)) 0)",
+     "(ax univinst (imp (all x (= x x)) (= 0 0)) (p0 0))"),
+    ("(ax leibniz (imp (= 0 0) (imp (= 0 0) (= 0 0))) x (= x 0))",
+     "(ax leibniz (imp (= 0 0) (imp (= 0 0) (= 0 0))) y (= y 0))"),
+    ("(ax leibniz (imp (= 0 0) (imp (= 0 0) (= 0 0))) x (= x 0))",
+     "(ax leibniz (imp (= 0 0) (imp (= 0 0) (= 0 0))) x (= 0 0))")])
+def test_axioms_that_differ_only_in_their_data_read_apart(first, second):
+    p = parse_proof("(mp %s %s)" % (first, second))
+    assert p.major != p.minor
+    assert (p.major, p.minor) == (parse_proof(first), parse_proof(second))
+
+
+def test_a_text_cut_off_inside_a_shared_axiom_reads_as_the_reference():
+    ax = "(ax k (imp (= x 0) (imp (= 0 0) (= x 0))))"
+    text = "(mp %s (mp %s (hyp (= x 0))))" % (ax, ax)
+    # the first axiom is read, and its copy is cut off at every offset
+    for cut in range(text.rindex("(ax"), len(text)):
+        with pytest.raises(ParseError):
+            parse_proof(text[:cut])
+        assert_reads_as_reference(text[:cut])
     assert_reads_as_reference(text)
 
 
@@ -734,6 +792,13 @@ def test_a_deep_formula_reads_in_one_frame_per_level():
      "level-indexed atom in a base formula at offset 0"),
     (parse_proof, "(gen x  (hyp\t(imp (= x x) (pole x))))",
      "level-indexed atom in a base formula at offset 13"),
+    # an axiom's text after `ax` as a formula, and a formula's text after
+    # its bracket as an axiom's: the reader shares neither as the other
+    (parse_proof, "(mp (ax k (imp (= 0 0) (imp (= 0 0) (= 0 0)))) "
+     "(hyp (k (imp (= 0 0) (imp (= 0 0) (= 0 0))))))",
+     "unknown formula head 'k' at offset 53"),
+    (parse_proof, "(mp (hyp (imp (= 0 0) (= 0 0))) (ax imp (= 0 0) (= 0 0)))",
+     "unknown axiom kind 'imp' at offset 36"),
 ])
 def test_reader_errors(entry, text, message):
     with pytest.raises(ParseError) as err:
