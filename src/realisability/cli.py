@@ -43,9 +43,9 @@ from .semantics import (
     refutes, truth,
 )
 from .syntax import (
-    All, Eq, Imp, LevelError, Num, ParseError, TVar, explicit_realisation,
-    explicit_refutation, free_vars, godel, parse_base_formula,
-    parse_formula, parse_term, print_formula,
+    All, Eq, Imp, LevelError, Num, ParseError, Tru, TVar, _atoms,
+    explicit_realisation, explicit_refutation, free_vars, godel,
+    parse_base_formula, parse_formula, parse_term, print_formula,
 )
 from .vm import Diverged, Kernel, Value, vle, vnat, vpair, vunpair
 
@@ -347,6 +347,9 @@ def cmd_ti_validate(args, cfg: RunConfig, kernel: Kernel):
 def cmd_ram_explicit(args, cfg: RunConfig, kernel: Kernel):
     f = parse_formula(args.formula)
     s = parse_term(args.s)
+    if any(type(x) is Tru for x in _atoms(f)):
+        raise UsageError("a truth atom (tru ...) has no explicit unfolding; "
+                         "only realisability-side formulas unfold")
     build = (explicit_realisation if args.side == "realise"
              else explicit_refutation)
     return 0, {"side": args.side, "formula": print_formula(f),
@@ -402,6 +405,9 @@ def cmd_ram_axiom(args, cfg: RunConfig, kernel: Kernel):
 
 
 def cmd_ram_check(args, cfg: RunConfig, kernel: Kernel):
+    # the corpus and the equivalence harness need level-1 atoms
+    if compare(cfg.gamma, onat(1)) == LESS:
+        raise UsageError("ram check needs --gamma at least 1")
     rng = cfg.rng()
     corpus = ram_corpus(args.count, cfg.gamma, rng)
     eq_recs = check_model_equivalence(corpus, cfg.gamma, cfg.pole,

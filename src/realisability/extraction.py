@@ -11,17 +11,18 @@ generalisation abstracts over the environment.
 
 Proof nodes are checked once per object, as in LCF: the first successful
 check of a node keeps its conclusion and open hypotheses on the node,
-and every later check of a tree that contains it, such as the builders'
-``conclusion`` calls and the final check in ``extract_value``, reads
-them from there.  Proof and formula nodes are plain records
-(``_record.record``, which spares every command the dataclasses import:
-``import realisability.cli`` went 35 → 16 ms) that are never assigned a
-field after they are built, so a check record kept on a node describes
-it for as long as it lives.
+and every later check of a tree that contains it reads them from there.
+An axiom a constructor ``ax_<kind>`` builds carries its record from
+birth; a read one is recognised by rebuilding it.  Proof and formula
+nodes are plain records (``_record.record``, which spares every command
+the dataclasses import: ``import realisability.cli`` went 35 → 16 ms)
+that are never assigned a field after they are built, so a check record
+kept on a node describes it for as long as it lives.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Union
 
 from ._record import record
@@ -167,9 +168,6 @@ class Hyp:
 
 Proof = Union[Axiom, MP, Gen, Hyp]
 
-AXIOM_KINDS = ("k", "s", "peirce", "exfalso", "univinst", "univdist",
-               "refleq", "leibniz", "defining", "induction")
-
 
 class ProofError(ValueError):
     def __init__(self, message: str, path: str):
@@ -183,6 +181,8 @@ class ProofError(ValueError):
 # The walk dispatches on the exact class of each node: no node class has
 # a subclass, and type identity is cheaper than isinstance.
 def _alpha_term(s: ATerm, t: ATerm, da: dict, db: dict) -> bool:
+    if s is t and da == db:
+        return True
     ts, tt = type(s), type(t)
     if ts is TVar:
         if tt is not TVar:
@@ -255,10 +255,10 @@ def alpha_eq(a: Formula, b: Formula) -> bool:
     binder, (s n) matches the numeral n+1.  Raises TypeError on a node
     outside the base grammar.
 
-    A subformula met on both sides as the same object, under binders
-    that bind the same names at the same depths on both sides, is not
-    walked when it is a base formula: most comparisons the checker
-    makes are of such formulas.  Whether a formula is a base formula is
+    A term, or a base subformula, met on both sides as the same object,
+    under binders that bind the same names at the same depths on both
+    sides, is not walked: most comparisons the checker makes are of such
+    formulas.  Whether a formula is a base formula is
     found once and kept on it, as syntax._atoms keeps its atoms; a walk
     that answers True has reached every leaf of both sides or found them
     base, so it records both as atom-free."""
@@ -312,88 +312,28 @@ def defining_axioms() -> list:
 
 
 # ---------------------------------------------------------------------------
-# Schema checking
-
-def _schema_error(kind: str, f: Formula, path: str) -> ProofError:
-    return ProofError("formula %s does not match the %s schema"
-                      % (print_formula(f), kind), path)
-
+# Checking
 
 def _check_axiom(ax: Axiom, path: str) -> None:
+    """Recognise ax by rebuilding it from the metavariables it projects."""
     kind, f, data = ax.kind, ax.formula, ax.data
-    if kind not in AXIOM_KINDS:
+    if kind not in _SCHEMAS:
         raise ProofError("unknown axiom kind %r" % kind, path)
-    if kind == "k":
-        if not (isinstance(f, Imp) and isinstance(f.b, Imp)
-                and alpha_eq(f.a, f.b.b)):
-            raise _schema_error(kind, f, path)
-    elif kind == "s":
-        ok = (isinstance(f, Imp) and isinstance(f.a, Imp)
-              and isinstance(f.a.b, Imp) and isinstance(f.b, Imp)
-              and isinstance(f.b.a, Imp) and isinstance(f.b.b, Imp))
-        if ok:
-            a, b, c = f.a.a, f.a.b.a, f.a.b.b
-            ok = (alpha_eq(f.b.a.a, a) and alpha_eq(f.b.a.b, b)
-                  and alpha_eq(f.b.b.a, a) and alpha_eq(f.b.b.b, c))
-        if not ok:
-            raise _schema_error(kind, f, path)
-    elif kind == "peirce":
-        ok = (isinstance(f, Imp) and isinstance(f.a, Imp)
-              and isinstance(f.a.a, Imp))
-        if not (ok and alpha_eq(f.a.b, f.b)
-                and alpha_eq(f.a.a.a, f.b)):
-            raise _schema_error(kind, f, path)
-    elif kind == "exfalso":
-        if not (isinstance(f, Imp) and f.a == bot()):
-            raise _schema_error(kind, f, path)
-    elif kind == "refleq":
-        if not (isinstance(f, Eq) and f.l == f.r):
-            raise _schema_error(kind, f, path)
-    elif kind == "univinst":
-        if len(data) != 1:
-            raise ProofError("univinst needs the instantiating term", path)
-        t = data[0]
-        if not (isinstance(f, Imp) and isinstance(f.a, All)
-                and alpha_eq(f.b, subst(f.a.body, f.a.var, t))):
-            raise _schema_error(kind, f, path)
-    elif kind == "univdist":
-        ok = (isinstance(f, Imp) and isinstance(f.a, All)
-              and isinstance(f.a.body, Imp) and isinstance(f.b, Imp)
-              and isinstance(f.b.b, All))
-        if ok:
-            x, a, b = f.a.var, f.a.body.a, f.a.body.b
-            ok = (alpha_eq(f.b.a, a) and x not in free_vars(a)
-                  and alpha_eq(f.b.b, All(x, b)))
-        if not ok:
-            raise _schema_error(kind, f, path)
-    elif kind == "leibniz":
-        if len(data) != 2:
-            raise ProofError("leibniz needs (variable, template)", path)
-        x, template = data
-        ok = (isinstance(f, Imp) and isinstance(f.a, Eq)
-              and isinstance(f.b, Imp))
-        if ok:
-            s, t = f.a.l, f.a.r
-            ok = (alpha_eq(f.b.a, subst(template, x, s))
-                  and alpha_eq(f.b.b, subst(template, x, t)))
-        if not ok:
-            raise _schema_error(kind, f, path)
-    elif kind == "defining":
+    make, project, fields, needs, side = _SCHEMAS[kind]
+    if project is None:
         if not any(alpha_eq(f, d) for d in _DEFINING):
             raise ProofError("%s is not a registered defining axiom"
                              % print_formula(f), path)
-    elif kind == "induction":
-        ok = (isinstance(f, Imp) and isinstance(f.b, Imp)
-              and isinstance(f.b.a, All) and isinstance(f.b.a.body, Imp)
-              and isinstance(f.b.b, All))
-        if ok:
-            x = f.b.a.var
-            a = f.b.a.body.a
-            ok = (alpha_eq(f.a, subst(a, x, ZERO))
-                  and alpha_eq(f.b.a.body.b, subst(a, x, suc_t(TVar(x))))
-                  and alpha_eq(f.b.b, All(x, a)))
-        if not ok:
-            raise _schema_error(kind, f, path)
+        return
+    if fields and len(data) != len(fields):
+        raise ProofError("%s needs %s" % (kind, needs), path)
+    try:
+        args = project(f, data)
+    except AttributeError:  # f lacks a node the schema puts there
+        args = None
+    if not (args and alpha_eq(make(*args).formula, f) and side(f, *args)):
+        raise ProofError("formula %s does not match the %s schema"
+                         % (print_formula(f), kind), path)
 
 
 def _check(p: Proof, path: str, hyps_out: list) -> Formula:
@@ -554,8 +494,7 @@ def _axiom_body(ax: Axiom, ctx: tuple, kernel: Kernel) -> Program:
                 "term %s has variables outside the context" % print_term(t))
         return App(Lit(_UI_MAKER_CODE), _term_value_expr(t, ctx))
     if kind == "leibniz":
-        assert isinstance(f, Imp) and isinstance(f.a, Eq)
-        s, t = f.a.l, f.a.r
+        _, _, s, t = _SCHEMAS[kind][1](f, ax.data)
         if not (term_vars(s) | term_vars(t)) <= set(ctx):
             raise ExtractionError("equation terms escape the context")
         flag = Prim(PID_EQCHECK,
@@ -603,6 +542,9 @@ def extract_value(p: Proof, kernel: Kernel, fuel: int = 10**7,
     return the conclusion and the realiser."""
     c = check_proof(p)
     ctx = sorted(free_vars(c))
+    missing = ", ".join(x for x in ctx if x not in (assignment or {}))
+    if missing:
+        raise ExtractionError("no value for the free variables %s" % missing)
     env = env_value(ctx, assignment or {})
     # the kernel keeps the program as the code's closure, so it runs the
     # program without decoding the code
@@ -615,53 +557,88 @@ def extract_value(p: Proof, kernel: Kernel, fuel: int = 10**7,
 
 
 # ---------------------------------------------------------------------------
-# Axiom-instance constructors
+# Axiom schemas, each written once, as its constructor
 
+_SCHEMAS: dict = {}  # kind -> (make, project, fields, needs, side)
+
+
+def _schema(project, fields=(), needs="", side=lambda f, *args: True):
+    """Register the decorated ax_<kind> as its kind's constructor, make.
+    project reads the metavariables off a formula and the axiom's data
+    (None for defining: the registry recognises it); fields reads and
+    prints each datum a text holds after the formula; needs names the
+    data; side(f, *metavariables) tests what the rebuild does not.  A
+    built instance has its record unless it has atoms or fails side."""
+    def register(make):
+        def build(*args) -> Axiom:
+            ax = make(*args)
+            if project and _is_base(ax.formula) and side(ax.formula, *args):
+                ax._checked = (ax.formula, ())
+            return ax
+        _SCHEMAS[make.__name__[3:]] = (make, project, fields, needs, side)
+        return functools.update_wrapper(build, make)
+    return register
+
+
+@_schema(lambda f, d: (f.a, f.b.a))
 def ax_k(a: Formula, b: Formula) -> Axiom:
     return Axiom("k", Imp(a, Imp(b, a)))
 
 
+@_schema(lambda f, d: (f.a.a, f.a.b.a, f.a.b.b))
 def ax_s(a: Formula, b: Formula, c: Formula) -> Axiom:
-    return Axiom("s", Imp(Imp(a, Imp(b, c)),
-                          Imp(Imp(a, b), Imp(a, c))))
+    return Axiom("s", Imp(Imp(a, Imp(b, c)), Imp(Imp(a, b), Imp(a, c))))
 
 
+@_schema(lambda f, d: (f.b, f.a.a.b))
 def ax_peirce(a: Formula, b: Formula) -> Axiom:
     return Axiom("peirce", Imp(Imp(Imp(a, b), a), a))
 
 
+@_schema(lambda f, d: (f.b,))
 def ax_exfalso(a: Formula) -> Axiom:
     return Axiom("exfalso", Imp(bot(), a))
 
 
-def ax_refleq(t: ATerm) -> Axiom:
-    return Axiom("refleq", Eq(t, t))
-
-
+@_schema(lambda f, d: (f.a.var, f.a.body, d[0]),
+         ((_parse_term, print_term),), "the instantiating term")
 def ax_univinst(x: str, body: Formula, t: ATerm) -> Axiom:
     return Axiom("univinst", Imp(All(x, body), subst(body, x, t)), (t,))
 
 
+@_schema(lambda f, d: (f.a.var, f.a.body.a, f.a.body.b),
+         side=lambda f, x, a, b: x not in free_vars(a))
 def ax_univdist(x: str, a: Formula, b: Formula) -> Axiom:
     return Axiom("univdist", Imp(All(x, Imp(a, b)), Imp(a, All(x, b))))
 
 
+@_schema(lambda f, d: (f.l,))
+def ax_refleq(t: ATerm) -> Axiom:
+    return Axiom("refleq", Eq(t, t))
+
+
+@_schema(lambda f, d: (d[0], d[1], f.a.l, f.a.r),
+         ((_parse_var, str), (_parse_base_formula, print_formula)),
+         "(variable, template)")
 def ax_leibniz(x: str, template: Formula, s: ATerm, t: ATerm) -> Axiom:
-    return Axiom("leibniz",
-                 Imp(Eq(s, t), Imp(subst(template, x, s),
-                                   subst(template, x, t))),
-                 (x, template))
+    return Axiom("leibniz", Imp(Eq(s, t), Imp(
+        subst(template, x, s), subst(template, x, t))), (x, template))
 
 
+@_schema(None)
 def ax_defining(a: Formula) -> Axiom:
     return Axiom("defining", a)
 
 
+# the step is compared outside its binder too, where (s n) is not n+1
+@_schema(lambda f, d: (f.b.a.var, f.b.a.body.a), side=lambda f, x, a:
+         alpha_eq(f.b.a.body.b, subst(a, x, suc_t(TVar(x)))))
 def ax_induction(x: str, a: Formula) -> Axiom:
-    return Axiom("induction",
-                 Imp(subst(a, x, ZERO),
-                     Imp(All(x, Imp(a, subst(a, x, suc_t(TVar(x))))),
-                         All(x, a))))
+    return Axiom("induction", Imp(subst(a, x, ZERO), Imp(
+        All(x, Imp(a, subst(a, x, suc_t(TVar(x))))), All(x, a))))
+
+
+AXIOM_KINDS = tuple(_SCHEMAS)
 
 
 # ---------------------------------------------------------------------------
@@ -832,14 +809,8 @@ def print_proof(p: Proof) -> str:
     if isinstance(p, Gen):
         return "(gen %s %s)" % (p.var, print_proof(p.sub))
     if isinstance(p, Axiom):
-        if p.kind == "univinst":
-            return "(ax univinst %s %s)" % (print_formula(p.formula),
-                                            print_term(p.data[0]))
-        if p.kind == "leibniz":
-            return "(ax leibniz %s %s %s)" % (print_formula(p.formula),
-                                              p.data[0],
-                                              print_formula(p.data[1]))
-        return "(ax %s %s)" % (p.kind, print_formula(p.formula))
+        ds = [show(d) for (_, show), d in zip(_SCHEMAS[p.kind][2], p.data)]
+        return "(ax %s)" % " ".join([p.kind, print_formula(p.formula), *ds])
     raise TypeError(p)
 
 
@@ -861,16 +832,10 @@ def _parse_proof(toks: _Tokens) -> Proof:
         if out is not None:
             return out
         kind = toks.pop()
-        if kind not in AXIOM_KINDS:
+        if kind not in _SCHEMAS:
             raise _Misread("unknown axiom kind %r" % kind, len(toks))
-        f = _parse_base_formula(toks)
-        if kind == "univinst":
-            out = Axiom(kind, f, (_parse_term(toks),))
-        elif kind == "leibniz":
-            out = Axiom(kind, f,
-                        (_parse_var(toks), _parse_base_formula(toks)))
-        else:
-            out = Axiom(kind, f)
+        out = Axiom(kind, _parse_base_formula(toks),
+                    tuple([read(toks) for read, _ in _SCHEMAS[kind][2]]))
     else:
         raise _Misread("unknown proof head %r" % head, len(toks))
     if (tok := toks.pop()) != ")":

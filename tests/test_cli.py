@@ -267,6 +267,30 @@ def test_proof_nested_past_the_recursion_limit_is_usage_error(tmp_path,
     assert capsys.readouterr().err.startswith("error: nesting too deep at ")
 
 
+@pytest.mark.parametrize("argv, code", [
+    # a proof whose conclusion is open: extraction has no environment
+    (["extract", "{open}"], 1),
+    (["validate", "{open}"], 1),
+    # the truth side has no explicit unfolding, wherever its atom sits
+    (["ram", "explicit", "refute", "x", "(tru 1 0)"], 3),
+    (["ram", "explicit", "realise", "x", "(tru 1 0)"], 3),
+    (["ram", "explicit", "refute", "x",
+      "(imp (fals 1 0 0) (all y (tru 1 y)))"], 3),
+    # the corpus and the equivalence harness need level-1 atoms
+    (["ram", "check", "--gamma", "0", "--count", "2"], 3),
+    (["ti", "prove", "lim"], 3),
+    (["ti", "realise", "w", "--formula", "(= x 0)"], 3),
+    (["pole", "member", "5", "--pole", "generated:,"], 3),
+])
+def test_documented_errors_exit_with_one_line(argv, code, tmp_path, capsys):
+    path = tmp_path / "open.sexp"
+    path.write_text("(ax refleq (= x x))\n")
+    assert main([a.format(open=path) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_report_path_that_cannot_be_opened_is_usage_error(tmp_path, capsys):
     code, rep = run_cli(capsys, "truth", "(= 0 0)")
     assert code == 0

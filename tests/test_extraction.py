@@ -428,6 +428,12 @@ def test_a_shared_subformula_is_compared_in_its_context():
     assert not alpha_eq(All("x", Imp(b, b)), Imp(b, All("x", b)))
     assert alpha_eq(All("x", All("y", b)), All("x", All("y", b)))
     assert alpha_eq(All("w", b), All("v", b))
+    # and so is a shared term
+    t = parse_term("(+ x (s y))")
+    assert not alpha_eq(All("x", Eq(t, ZERO)), All("y", Eq(t, ZERO)))
+    assert not alpha_eq(All("x", All("y", Eq(t, ZERO))),
+                        All("y", All("x", Eq(t, ZERO))))
+    assert alpha_eq(All("x", Eq(t, ZERO)), All("x", Eq(t, ZERO)))
     # bound at the same depth under different names
     c = parse_formula("(all x (= x y))")
     assert alpha_eq(All("y", c), All("u", subst(c, "y", TVar("u"))))
@@ -692,8 +698,17 @@ def test_each_node_is_checked_once(monkeypatch, m):
         p = prove_plus(m, n)
         c, _ = extract_value(p, fresh_kernel())
         assert c == Eq(Fn("+", (Num(m), Num(n))), Num(m + n))
-        assert dict(axioms_checked) == dict.fromkeys(_axioms(p), 1)
+        # a built proof recognises only its defining axioms, once each:
+        # the constructors' instances carry their records from birth
+        defining = {i: ax for i, ax in _axioms(p).items()
+                    if ax.kind == "defining"}
+        assert defining and dict(axioms_checked) == dict.fromkeys(defining, 1)
         totals.append(len(node_checks))
+        # and a read proof recognises each of its axioms once
+        axioms_checked.clear()
+        q = parse_proof(print_proof(p))
+        assert extract_value(q, fresh_kernel())[0] == c
+        assert dict(axioms_checked) == dict.fromkeys(_axioms(q), 1)
     # each step of n adds the same nodes, so the counts grow linearly
     assert totals[2] - totals[1] == 2 * (totals[1] - totals[0])
 

@@ -68,7 +68,8 @@ PROOF_FILES = {
 DEEP_ON_310 = pytest.mark.xfail(
     sys.version_info < (3, 11), strict=True,
     reason="the reader overflows the C stack below Python 3.11 "
-           "(ROADMAP item 9)")
+           "(ROADMAP: No process-wide recursion limit, and tier-1 on a "
+           "Python matrix)")
 
 
 @pytest.mark.parametrize("argv", [
