@@ -34,7 +34,7 @@ from .syntax import (
     subst,
 )
 from .vm import (
-    Kernel, Lam, Nat, Value, Var, encode, vpair, vunpair,
+    Kernel, Lam, Nat, Value, Var, _remember, encode, vpair, vunpair,
 )
 
 
@@ -114,6 +114,13 @@ def truth(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel, *,
     bound the evaluator can only fail to falsify them, and reports
     unknown with reason WIDTH.  An implication that the definite sides do
     not decide keeps the reason of its first unknown side.
+
+    An implication evaluates its antecedent first, and one whose
+    antecedent is false is true without evaluating its consequent, so an
+    error the consequent would raise (the LevelError of the level
+    recursion's depth budget) is not raised.  Likewise a refuter of an
+    implication whose first component does not realise the antecedent is
+    out without its second component being checked.
     """
     if free_vars(a):
         raise OpenFormulaError(print_formula(a))
@@ -144,8 +151,10 @@ def _truth(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
                                    random.Random(0), depth - 1).verdict)
     if isinstance(a, Imp):
         ta = _truth(a.a, pole, b, kernel, depth)
+        if ta.kind == FALSE:
+            return V_TRUE  # the consequent cannot change the answer
         tb = _truth(a.b, pole, b, kernel, depth)
-        if ta.kind == FALSE or tb.kind == TRUE:
+        if tb.kind == TRUE:
             return V_TRUE
         if ta.kind == TRUE and tb.kind == FALSE:
             return V_FALSE
@@ -163,14 +172,27 @@ def _truth(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
     raise TypeError(a)
 
 
-def _unfold(a: Formula) -> Optional[Formula]:
+def _unfold(a: Formula, kernel: Kernel) -> Optional[Formula]:
     """The explicit unfolding of the Fals or Real atom a, or None when its
-    code names no sentence."""
-    sent = decode_sentence(eval_term(a.t), REAL_SIDE, a.level)
+    code names no sentence.  Both are functions of the atom's class, level
+    and term values, so the kernel keeps them (see Kernel.facts); s is
+    evaluated only once t has decoded to a sentence."""
+    facts = kernel.facts
+    key = (type(a), a.level, eval_term(a.t))
+    if key in facts:
+        sent = facts[key]
+    else:
+        sent = _remember(facts, key,
+                         decode_sentence(key[2], REAL_SIDE, a.level))
     if sent is None:
         return None
-    return (explicit_refutation if isinstance(a, Fals)
-            else explicit_realisation)(Num(eval_term(a.s)), sent)
+    key += (eval_term(a.s),)
+    unfold = facts.get(key)
+    if unfold is None:
+        unfold = _remember(facts, key, (
+            explicit_refutation if isinstance(a, Fals)
+            else explicit_realisation)(Num(key[3]), sent))
+    return unfold
 
 
 def refutes(m: Nat, a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
@@ -195,16 +217,17 @@ def _refutes(m: Nat, a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
             return member(m, pole, b.fuel, kernel)
         return v
     if isinstance(a, (Fals, Real)):
-        unfold = _unfold(a)
+        unfold = _unfold(a, kernel)
         if unfold is None:
             return V_OUT  # no refuters of an atom about a non-sentence
         return _refutes(m, unfold, pole, b, kernel, depth - 1)
     if isinstance(a, Imp):
         m0, m1 = vunpair(m)
-        return verdict_and(
-            _realises(m0, a.a, pole, b, kernel, random.Random(0),
-                      depth).verdict,
-            _refutes(m1, a.b, pole, b, kernel, depth))
+        v = _realises(m0, a.a, pole, b, kernel, random.Random(0),
+                      depth).verdict
+        if v.kind == OUT:
+            return V_OUT  # the refuter of a.b cannot change the answer
+        return verdict_and(v, _refutes(m1, a.b, pole, b, kernel, depth))
     if isinstance(a, All):
         m0, m1 = vunpair(m)
         return _refutes(m1, subst(a.body, a.var, Num(m0)), pole, b, kernel,
@@ -273,7 +296,12 @@ def _certified(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
             % print_formula(a))
     if isinstance(pole, Full):
         return 0
-    r = kernel.apply(_K_BOT, min(pole.seed), b.fuel)
+    # the same run for every formula, so the kernel keeps its result
+    key = (pole, b.fuel)
+    r = kernel.facts.get(key)
+    if r is None:
+        r = _remember(kernel.facts, key,
+                      kernel.apply(_K_BOT, min(pole.seed), b.fuel))
     if not isinstance(r, Value):
         raise EmptySampleError("continuation constant did not reduce")
     return r.n
@@ -335,7 +363,7 @@ def _sample(a: Formula, pole: PoleSpec, k: int, b: Budget, kernel: Kernel,
             return _pole_elements(pole, k, rng)
         raise _SampleUnknown(v)
     if isinstance(a, (Fals, Real)):
-        unfold = _unfold(a)
+        unfold = _unfold(a, kernel)
         if unfold is None:
             raise EmptySampleError(
                 "atom about a non-sentence code has no refuters")

@@ -430,7 +430,8 @@ class StuckError(Exception):
 
 # How many entries each memo of the library holds: the int codes' closures
 # a Kernel keeps (PV codes carry their closure themselves, in PV.clo), its
-# pole chases, its extracted programs' decoded terms and its TI templates.
+# pole chases, its certified realisers and atom unfoldings (Kernel.facts),
+# its extracted programs' decoded terms and its TI templates.
 MEMO_SIZE = 1 << 12
 
 
@@ -470,6 +471,12 @@ class Kernel:
         # as the closure memo and keyed by poles._chase_key, so a lookup
         # builds no closure's code; a primitive changes what runs compute
         self.chases: dict = {}
+        # what semantics derives from a query's sentences alone, under the
+        # same bound: the certified realiser run of a generated pole, keyed
+        # on (pole, fuel), and the decoded sentence and explicit unfolding
+        # of a falsification or realisation atom, keyed on its class, level
+        # and term values
+        self.facts: dict = {}
 
     def register_primitive(self, pid: int, fn: Callable[[Nat], Nat],
                            cost: Optional[Callable[[Nat], int]] = None) -> int:
@@ -477,6 +484,7 @@ class Kernel:
             raise ValueError("primitive id %d already registered" % pid)
         self._prims[pid] = (fn, cost or (lambda _v: 1))
         self.chases.clear()
+        self.facts.clear()
         return pid
 
     def code(self, p: Program, env: tuple = ()) -> Nat:

@@ -49,6 +49,24 @@ def _ti_cases():
 TI_CASES = _ti_cases()
 
 
+def _ram_cases():
+    """The 16 lowest seeds of each stratum of the `ramified` benchmark (6
+    in the smallest), with their expected exit codes and stdout digests:
+    checks that exhaust no fuel, and checks with 60 and 120 fuel-exhausted
+    kernel runs."""
+    with open(ROOT / "bench" / "expected" / "ramified.json") as f:
+        queries = json.load(f)["queries"]
+    cases = sorted(((json.loads(key), want) for key, want in queries.items()),
+                   key=lambda case: int(case[0][3]))
+    per_stratum: dict = {}
+    for argv, want in cases:
+        per_stratum.setdefault(want["stratum"], []).append((argv, want))
+    return [case for stratum in per_stratum.values() for case in stratum[:16]]
+
+
+RAM_CASES = _ram_cases()
+
+
 @pytest.mark.parametrize("name", ["suite-seed0.json", "suite-seed42.json",
                                   "suite-seed42-gen.json"])
 def test_one_shot_suite_matches_golden(name):
@@ -223,6 +241,20 @@ def test_ti_realisers_twice_in_one_process(capsys):
     for run in ("first", "second"):
         got = []
         for argv, _ in TI_CASES:
+            code = cli.main(list(argv))
+            got.append((code, _digest(capsys.readouterr().out.encode())))
+        assert got == want, run
+
+
+def test_ram_checks_twice_in_one_process(capsys):
+    # the second pass runs each check after every other one of the slice
+    assert len(RAM_CASES) == 38
+    assert {w["stratum"] for _, w in RAM_CASES} == {
+        "fuel-exhausted=0", "fuel-exhausted=60", "fuel-exhausted=120"}
+    want = [(w["exit"], w["stdout_sha256"]) for _, w in RAM_CASES]
+    for run in ("first", "second"):
+        got = []
+        for argv, _ in RAM_CASES:
             code = cli.main(list(argv))
             got.append((code, _digest(capsys.readouterr().out.encode())))
         assert got == want, run

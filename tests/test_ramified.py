@@ -441,3 +441,24 @@ def test_realiser_irrelevance_under_empty_pole():
         for x in (1, 17, 123456):
             vx = realises(x, a, Empty(), B, KERNEL, gamma=L2).verdict.kind
             assert vx == v0, print_formula(a)
+
+
+def _ram_check_records(seed, kernel):
+    """The records of `realis ram check --seed seed --count 5 --gamma 2
+    --pole generated:0,3,8 --fuel 1000`, on the given kernel."""
+    rng = random.Random(seed)
+    gamma, budget = onat(2), Budget(fuel=1000)
+    corpus = ram_corpus(5, gamma, rng)
+    return (check_model_equivalence(corpus, gamma, GEN, budget, kernel, rng)
+            + check_rr_empty_properties(gamma, corpus, budget, kernel,
+                                        pole=GEN, rng=rng))
+
+
+@pytest.mark.parametrize("seed", [1, 5, 22])
+def test_ram_check_records_do_not_depend_on_a_warm_kernel(seed):
+    warm = ordinal_kernel()
+    for other in (0, 2, 24, 27, 34):
+        _ram_check_records(other, warm)
+    assert warm.facts and warm.chases
+    assert _ram_check_records(seed, warm) == \
+        _ram_check_records(seed, ordinal_kernel())

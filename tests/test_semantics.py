@@ -13,9 +13,10 @@ from realisability.semantics import (
     refutes, sample_refuters, truth,
 )
 from realisability.syntax import (
-    All, Eq, Fn, Imp, InPole, Num, TVar, bot, parse_formula, subst,
+    All, Eq, Fals, Fn, Imp, InPole, Num, Real, TVar, bot, godel,
+    parse_formula, subst,
 )
-from realisability.vm import Kernel, vpair
+from realisability.vm import MEMO_SIZE, Kernel, vpair
 
 K = Kernel()
 B = Budget(fuel=10**5, samples=10, width=30)
@@ -175,3 +176,79 @@ def test_term_regularity_agreement():
         for m in range(0, 60, 7):
             assert agreement(refutes(m, a_s, pole, B, K),
                              refutes(m, a_t, pole, B, K)) != "disagree"
+
+
+GEN = Generated(frozenset({0, 3, 8}))
+
+
+def test_a_fresh_kernel_holds_no_facts():
+    assert Kernel().facts == {}
+
+
+def test_facts_memo_stays_within_its_bound():
+    # each subject s adds the unfolding of its atom; the decoded sentence
+    # is kept once, until the memo is emptied at MEMO_SIZE entries
+    k = Kernel()
+    code = Num(godel(EQ00))
+    for s in range(MEMO_SIZE + 100):
+        v = refutes(0, Fals(onat(0), Num(s), code), Empty(), B, k,
+                    gamma=onat(1))
+        assert v.kind == IN  # no pole element to refute the unfolding
+        assert len(k.facts) <= MEMO_SIZE
+    assert 0 < len(k.facts) <= 102
+
+
+def test_unfoldings_are_kept_apart_by_class_level_and_subject():
+    # the inner atom's code names a sentence below level 1 but not below
+    # level 0; each verdict on a kernel that kept every unfolding before
+    # it is the verdict on a fresh kernel
+    inner = godel(Fals(onat(0), Num(2), Num(godel(EQ00))))
+    atoms = [cls(onat(level), Num(s), Num(t)) for cls in (Fals, Real)
+             for level in (0, 1) for t in (godel(EQ00), inner)
+             for s in (0, 3, 7)]
+    refuters = [0, vpair(1, 0), vpair(1, 5), vpair(vpair(3, 1), 5)]
+    shared = Kernel()
+    kinds = set()
+    for a in atoms:
+        for m in refuters:
+            v = refutes(m, a, GEN, B, shared, gamma=onat(2))
+            assert v == refutes(m, a, GEN, B, Kernel(), gamma=onat(2))
+            kinds.add(v.kind)
+    assert kinds == {IN, OUT}
+
+
+def test_certified_realiser_run_is_kept_per_pole_and_fuel():
+    k = Kernel()
+    for a in (EQ00, EQ01, parse_formula("(imp (= 1 1) (pole 3))")):
+        sample_refuters(Imp(a, EQ00), GEN, 4, B, k)
+    assert sum(len(key) == 2 for key in k.facts) == 1
+    sample_refuters(Imp(EQ00, EQ00), GEN, 4, Budget(fuel=10**4), k)
+    sample_refuters(Imp(EQ00, EQ00), Generated(frozenset({3})), 4, B, k)
+    assert sum(len(key) == 2 for key in k.facts) == 3
+    k.register_primitive(70, lambda _v: 3)  # a primitive changes runs
+    assert not k.facts
+
+
+def _chased(k: Kernel) -> set:
+    return {key[2] for key in k.chases}
+
+
+def test_a_false_antecedent_decides_an_implication_alone():
+    k = Kernel()
+    v = truth(parse_formula("(imp (= 0 1) (pole 7))"), GEN, B, k)
+    assert v == Verdict(TRUE)
+    assert 7 not in _chased(k)
+
+
+def test_a_realiser_out_on_the_antecedent_decides_a_refuter_alone():
+    # 3 realises nothing true under this pole: <3, 0> runs to 6, which
+    # is not in it
+    k = Kernel()
+    a = parse_formula("(imp (= 0 0) (pole 7))")
+    assert refutes(vpair(3, 5), a, GEN, B, k) == Verdict(OUT)
+    assert 7 not in _chased(k) and _chased(k) == {6}
+    # an unknown first component decides nothing: 5 is still chased
+    k = Kernel()
+    a = parse_formula("(imp (pole 7) (= 0 0))")
+    v = refutes(vpair(3, 5), a, Generated(frozenset({0, 3, 8}), 0), B, k)
+    assert v == Verdict(UNKNOWN, "depth") and _chased(k) == {5, 7}
