@@ -35,7 +35,7 @@ from .syntax import (
 )
 from .vm import (
     App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Program, Proj0,
-    Proj1, StuckError, Value, Var, _remember, encode, vpair, vunpair,
+    Proj1, StuckError, Value, Var, encode, vpair, vunpair,
 )
 
 
@@ -87,55 +87,47 @@ def _ctx_names(ctx_code: Nat) -> Optional[list]:
     return names
 
 
-def _decoded(memo: dict, decode, c: Nat):
-    """decode(c), kept in memo by vm._remember; a code that decodes to
+def _decoded(kernel: Kernel, decode, c: Nat):
+    """decode(c), kept by the kernel: an extracted program passes the same
+    few term and context codes on every call.  A code that decodes to
     None makes the run stuck, each time it is met."""
-    out = memo[c] if c in memo else _remember(memo, c, decode(c))
+    out = kernel.kept((decode, c), decode, c)
     if out is None:
         raise StuckError()
     return out
 
 
+def _term_values(kernel: Kernel, v: Nat, n: int) -> list:
+    """The values of the n terms whose codes v lists first, under the
+    context code and the env that follow them."""
+    terms = []
+    for _ in range(n):
+        tc, v = vunpair(v)
+        terms.append(_decoded(kernel, ungodel_term, tc))
+    cc, env = vunpair(v)
+    try:
+        values = {}
+        for name in _decoded(kernel, _ctx_names, cc):
+            values[name], env = vunpair(env)
+        return [eval_term(t, values) for t in terms]
+    except (ValueError, TypeError):
+        raise StuckError()
+
+
+def _evalterm(kernel: Kernel, v: Nat) -> Nat:
+    return _term_values(kernel, v, 1)[0]
+
+
+def _eqcheck(kernel: Kernel, v: Nat) -> Nat:
+    s, t = _term_values(kernel, v, 2)
+    return 0 if s == t else 1
+
+
 def fresh_kernel() -> Kernel:
-    """A kernel with the primitives extracted programs rely on.
-
-    An extracted program passes the same few term and context codes on
-    every call, so the primitives keep, per kernel, the term each term
-    code decodes to and the names each context code lists."""
-    terms: dict = {}
-    contexts: dict = {}
-
-    def env_of(cc: Nat, env: Nat) -> dict:
-        out = {}
-        for name in _decoded(contexts, _ctx_names, cc):
-            v, env = vunpair(env)
-            out[name] = v
-        return out
-
-    def p_evalterm(v: Nat) -> Nat:
-        tc, rest = vunpair(v)
-        cc, env = vunpair(rest)
-        t = _decoded(terms, ungodel_term, tc)
-        try:
-            return eval_term(t, env_of(cc, env))
-        except (ValueError, TypeError):
-            raise StuckError()
-
-    def p_eqcheck(v: Nat) -> Nat:
-        sc, rest = vunpair(v)
-        tc, rest2 = vunpair(rest)
-        cc, env = vunpair(rest2)
-        s = _decoded(terms, ungodel_term, sc)
-        t = _decoded(terms, ungodel_term, tc)
-        try:
-            envd = env_of(cc, env)
-            return 0 if eval_term(s, envd) == eval_term(t, envd) else 1
-        except (ValueError, TypeError):
-            raise StuckError()
-
+    """A kernel with the primitives extracted programs rely on."""
     kernel = Kernel()
-    kernel.register_primitive(PID_EVALTERM, p_evalterm, cost=lambda _v: 4)
-    kernel.register_primitive(PID_EQCHECK, p_eqcheck, cost=lambda _v: 4)
+    kernel.register_primitive(PID_EVALTERM, _evalterm, cost=lambda _v: 4)
+    kernel.register_primitive(PID_EQCHECK, _eqcheck, cost=lambda _v: 4)
     return kernel
 
 

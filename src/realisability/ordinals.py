@@ -11,7 +11,6 @@ formula about codes.
 
 from __future__ import annotations
 
-import weakref
 from typing import Optional
 
 from .extraction import (
@@ -30,7 +29,7 @@ from .syntax import (
 )
 from .vm import (
     App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Proj0, Proj1,
-    StuckError, Value, Var, _remember, encode, vle, vpair, vunpair,
+    StuckError, Value, Var, encode, vle, vpair, vunpair,
 )
 
 
@@ -211,117 +210,116 @@ def _decode_ord(code: Nat) -> OrdNotation:
     return a
 
 
+def _ordlt(kernel: Kernel, v: Nat) -> Nat:
+    return _fn_ordlt(*vunpair(v))
+
+
+def _ordfs(kernel: Kernel, v: Nat) -> Nat:
+    ac, n = vunpair(v)
+    a = _decode_ord(ac)
+    # a tower of n exponents past the nesting bound is refused, as
+    # `ord fs` refuses it: ocode would recurse once per exponent
+    if not isinstance(classify(a), LimC) or not vle(n, 1 << 20) \
+            or n > NESTING_MAX and _towers(a):
+        raise StuckError()
+    return ocode(fundseq(a, n))
+
+
+def _ordclass(kernel: Kernel, v: Nat) -> Nat:
+    k = classify(_decode_ord(v))
+    return 0 if isinstance(k, ZeroC) else 1 if isinstance(k, SucC) else 2
+
+
+def _ordpred(kernel: Kernel, v: Nat) -> Nat:
+    k = classify(_decode_ord(v))
+    if not isinstance(k, SucC):
+        raise StuckError()
+    return ocode(k.pred)
+
+
+def _ordeps(kernel: Kernel, v: Nat) -> Nat:
+    a = _decode_ord(v)
+    if _has_eps(a):
+        raise StuckError()
+    return ocode(eps(a))
+
+
+def _ordsucn(kernel: Kernel, v: Nat) -> Nat:
+    return ocode(add(_decode_ord(v), onat(1)))
+
+
+def _realiser(kernel: Kernel, kind: str, ac: Nat,
+              alpha: Optional[OrdNotation]) -> Nat:
+    """The realiser of kind's template for the formula ac codes, at alpha
+    for lim and direct; stuck when there is none (lim at a non-limit)."""
+    a = _decode_sentence_with_x(ac)
+    try:
+        proof = (_weakened(a, "x", Num(ocode(alpha)), build_Prog(a, "x"))
+                 if kind == "direct"
+                 else ti_proof_template(kind, a, alpha, var="x"))
+    except ValueError:
+        raise StuckError() from None
+    return extract_value(proof, kernel, _TEMPLATE_FUEL)[1]
+
+
+def _template(kernel: Kernel, kind: str, ac: Nat,
+              alpha: Optional[OrdNotation] = None) -> Nat:
+    """``_realiser``, kept by the kernel: a kept code has decoded."""
+    return kernel.kept((_realiser, kind, ac, alpha),
+                       _realiser, kernel, kind, ac, alpha)
+
+
+def _ti0(kernel: Kernel, v: Nat) -> Nat:
+    return _template(kernel, "zero", v)
+
+
+def _instantiated(kind: str):
+    """The primitive <|A|, alpha> |-> s . <r, alpha>, for r the realiser
+    of kind's template, universal in its notation."""
+    def prim(kernel: Kernel, v: Nat) -> Nat:
+        ac, alphac = vunpair(v)
+        _decode_ord(alphac)
+        r = kernel.apply(combinator("s"),
+                         vpair(_template(kernel, kind, ac), alphac),
+                         _TEMPLATE_FUEL)
+        if not isinstance(r, Value):
+            raise StuckError()
+        return r.n
+    return prim
+
+
+def _at_notation(kind: str):
+    """The primitive <|A|, alpha> |-> the realiser of kind's template at
+    the notation alpha."""
+    def prim(kernel: Kernel, v: Nat) -> Nat:
+        ac, alphac = vunpair(v)
+        return _template(kernel, kind, ac, _decode_ord(alphac))
+    return prim
+
+
+def _jump(kernel: Kernel, v: Nat) -> Nat:
+    a = _decode_sentence_with_x(v)
+    return godel(subst(jump_formula(a, "x"), "oj", TVar("x")))
+
+
+def _wo(kernel: Kernel, v: Nat) -> Nat:
+    return wo_realiser(_decode_ord(v), kernel)
+
+
+_PRIMITIVES = ((PID_ORDLT, _ordlt), (PID_ORDFS, _ordfs),
+               (PID_ORDCLASS, _ordclass), (PID_ORDPRED, _ordpred),
+               (PID_ORDEPS, _ordeps), (PID_TI0, _ti0),
+               (PID_TISUC, _instantiated("suc")),
+               (PID_TIOMEGA, _instantiated("omega")), (PID_JUMP, _jump),
+               (PID_TILIM, _at_notation("lim")),
+               (PID_TIDIRECT, _at_notation("direct")), (PID_WO, _wo),
+               (PID_ORDSUCN, _ordsucn))
+
+
 def install_ordinal_primitives(kernel: Kernel) -> Kernel:
-    """Primitives the well-ordering combinators reduce through.
-
-    They reach the kernel through a weak proxy: the kernel holds them,
-    so a strong reference would make a cycle, and the kernel with its
-    memos would live on until the cyclic collector ran."""
-    owner = weakref.proxy(kernel)
-
-    def p_ordlt(v: Nat) -> Nat:
-        x, y = vunpair(v)
-        return _fn_ordlt(x, y)
-
-    def p_ordfs(v: Nat) -> Nat:
-        ac, n = vunpair(v)
-        a = _decode_ord(ac)
-        # a tower of n exponents past the nesting bound is refused, as
-        # `ord fs` refuses it: ocode would recurse once per exponent
-        if not isinstance(classify(a), LimC) or not vle(n, 1 << 20) \
-                or n > NESTING_MAX and _towers(a):
-            raise StuckError()
-        return ocode(fundseq(a, n))
-
-    def p_ordclass(v: Nat) -> Nat:
-        k = classify(_decode_ord(v))
-        return 0 if isinstance(k, ZeroC) else 1 if isinstance(k, SucC) \
-            else 2
-
-    def p_ordpred(v: Nat) -> Nat:
-        k = classify(_decode_ord(v))
-        if not isinstance(k, SucC):
-            raise StuckError()
-        return ocode(k.pred)
-
-    def p_ordeps(v: Nat) -> Nat:
-        a = _decode_ord(v)
-        if _has_eps(a):
-            raise StuckError()
-        return ocode(eps(a))
-
-    def p_ordsucn(v: Nat) -> Nat:
-        return ocode(add(_decode_ord(v), onat(1)))
-
-    # realisers of the templates, keyed on the kind, the formula's code
-    # and, for lim/direct, the notation; kept by vm._remember
-    templates: dict = {}
-
-    def _template(key: tuple, build) -> Nat:
-        """The realiser of build()'s template; stuck when build() finds
-        none (a formula outside the family, lim at a non-limit)."""
-        r = templates.get(key)
-        if r is None:
-            try:
-                proof = build()
-            except ValueError:
-                raise StuckError() from None
-            _, r = extract_value(proof, owner, _TEMPLATE_FUEL)
-            _remember(templates, key, r)
-        return r
-
-    def p_ti0(v: Nat) -> Nat:
-        a = _decode_sentence_with_x(v)
-        return _template(("zero", v),
-                         lambda: ti_proof_template("zero", a, var="x"))
-
-    def _instantiated(kind: str):
-        """The primitive <|A|, alpha> |-> s . <r, alpha>, for r the
-        realiser of kind's template, universal in its notation."""
-        def prim(v: Nat) -> Nat:
-            ac, alphac = vunpair(v)
-            a = _decode_sentence_with_x(ac)
-            _decode_ord(alphac)
-            univ = _template((kind, ac),
-                             lambda: ti_proof_template(kind, a, var="x"))
-            r = owner.apply(combinator("s"), vpair(univ, alphac),
-                            _TEMPLATE_FUEL)
-            if not isinstance(r, Value):
-                raise StuckError()
-            return r.n
-        return prim
-
-    def _at_notation(kind: str, build):
-        """The primitive <|A|, alpha> |-> the realiser of build(A, alpha),
-        kind's template at the notation alpha."""
-        def prim(v: Nat) -> Nat:
-            ac, alphac = vunpair(v)
-            a = _decode_sentence_with_x(ac)
-            alpha = _decode_ord(alphac)
-            return _template((kind, ac, alpha), lambda: build(a, alpha))
-        return prim
-
-    def p_jump(v: Nat) -> Nat:
-        a = _decode_sentence_with_x(v)
-        return godel(subst(jump_formula(a, "x"), "oj", TVar("x")))
-
-    def p_wo(v: Nat) -> Nat:
-        return wo_realiser(_decode_ord(v), owner)
-
-    lim = lambda a, alpha: ti_proof_template("lim", a, alpha, var="x")
-    direct = lambda a, beta: _weakened(a, "x", Num(ocode(beta)),
-                                       build_Prog(a, "x"))
-    cost = lambda _v: 50
-    for pid, fn in ((PID_ORDLT, p_ordlt), (PID_ORDFS, p_ordfs),
-                    (PID_ORDCLASS, p_ordclass), (PID_ORDPRED, p_ordpred),
-                    (PID_ORDEPS, p_ordeps), (PID_TI0, p_ti0),
-                    (PID_TISUC, _instantiated("suc")),
-                    (PID_TIOMEGA, _instantiated("omega")),
-                    (PID_JUMP, p_jump),
-                    (PID_TILIM, _at_notation("lim", lim)),
-                    (PID_TIDIRECT, _at_notation("direct", direct)),
-                    (PID_WO, p_wo), (PID_ORDSUCN, p_ordsucn)):
-        kernel.register_primitive(pid, fn, cost=cost)
+    """Primitives the well-ordering combinators reduce through."""
+    for pid, fn in _PRIMITIVES:
+        kernel.register_primitive(pid, fn, cost=lambda _v: 50)
     return kernel
 
 

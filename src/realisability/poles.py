@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from ._record import record
 from .vm import (
-    STUCK, Diverged, Kernel, Nat, Value, _remember, vunpair,
+    STUCK, Diverged, Kernel, Nat, Value, vunpair,
 )
 
 
@@ -166,18 +166,15 @@ def _chase_key(n: Nat):
 def member(n: Nat, pole: PoleSpec, fuel: int, kernel: Kernel) -> Verdict:
     """Three-valued membership test for n in the pole.  A chase's verdict
     depends only on n, the pole, the fuel and the kernel's primitives, so
-    the kernel keeps it (see Kernel.chases), under n's ``_chase_key``, so
+    the kernel keeps it (``Kernel.kept``), under n's ``_chase_key``, so
     that asking builds no closure's code."""
     if isinstance(pole, Empty):
         return V_OUT
     if isinstance(pole, Full):
         return V_IN
-    chases = kernel.chases
-    key = (pole, fuel, n if type(n) is int else _chase_key(n))
-    v = chases.get(key)
-    if v is None:
-        v = _remember(chases, key, _chase(n, pole, fuel, kernel))
-    return v
+    return kernel.kept((_chase, pole, fuel,
+                        n if type(n) is int else _chase_key(n)),
+                       _chase, n, pole, fuel, kernel)
 
 
 def _chase(n: Nat, pole: Generated, fuel: int, kernel: Kernel) -> Verdict:

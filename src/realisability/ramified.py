@@ -151,6 +151,17 @@ def _need_sentence(a: Formula, side: str, below: OrdNotation) -> None:
         raise LevelError("sentence exceeds level %s" % print_ord(below))
 
 
+def _need_template(kind: str, a: Formula, var: Optional[str], side: str,
+                   below: OrdNotation) -> Formula:
+    """(all var a), a sentence of the side below the level with var free
+    in a, or LevelError."""
+    if var is None or var not in free_vars(a):
+        raise LevelError("%s wants a formula with the named free var" % kind)
+    closed = All(var, a)
+    _need_sentence(closed, side, below)
+    return closed
+
+
 def rt_axiom(kind: str, beta: OrdNotation, gamma: OrdNotation, *,
              a: Optional[Formula] = None, a2: Optional[Formula] = None,
              var: Optional[str] = None,
@@ -161,6 +172,7 @@ def rt_axiom(kind: str, beta: OrdNotation, gamma: OrdNotation, *,
     _need_below(beta, gamma, kind)
     if kind == "RT1":
         # term invariance: equal-valued terms substitute interchangeably
+        _need_template(kind, a, var, TRUTH_SIDE, beta)
         ca = godel(a)
         cs, ct = godel_term(s), godel_term(t)
         guard = Eq(Fn("eqc", (Num(cs), Num(ct))), ONE)
@@ -178,10 +190,7 @@ def rt_axiom(kind: str, beta: OrdNotation, gamma: OrdNotation, *,
                    Imp(Tru(beta, Num(godel(a))),
                        Tru(beta, Num(godel(a2)))))
     if kind == "RT4":
-        if var is None or var not in free_vars(a):
-            raise LevelError("RT4 wants a formula with the named free var")
-        closed = All(var, a)
-        _need_sentence(closed, TRUTH_SIDE, beta)
+        closed = _need_template(kind, a, var, TRUTH_SIDE, beta)
         x = fresh_var(free_vars(a))
         inner = Tru(beta, Fn("subv", (Num(godel(a)),
                                       Num(_name_code(var)), TVar(x))))
@@ -226,6 +235,7 @@ def rr_axiom(kind: str, beta: OrdNotation, gamma: OrdNotation, *,
                    All(x, Imp(Fals(beta, TVar(x), code),
                               InPole(Fn("pair", (Num(a), TVar(x)))))))
     if kind == "RR3":
+        _need_template(kind, sent, var, REAL_SIDE, beta)
         ca = godel(sent)
         cs, ct = godel_term(s), godel_term(t)
         guard = Eq(Fn("eqc", (Num(cs), Num(ct))), ONE)
@@ -245,10 +255,7 @@ def rr_axiom(kind: str, beta: OrdNotation, gamma: OrdNotation, *,
                    conj(Real(beta, Fn("p0", (Num(a),)), Num(godel(sent))),
                         Fals(beta, Fn("p1", (Num(a),)), Num(godel(sent2)))))
     if kind == "RR6":
-        if var is None or var not in free_vars(sent):
-            raise LevelError("RR6 wants a formula with the named free var")
-        closed = All(var, sent)
-        _need_sentence(closed, REAL_SIDE, beta)
+        closed = _need_template(kind, sent, var, REAL_SIDE, beta)
         inst = Fn("subv", (Num(godel(sent)), Num(_name_code(var)),
                            Fn("p0", (Num(a),))))
         return iff(Fals(beta, Num(a), Num(godel(closed))),

@@ -34,7 +34,7 @@ from .syntax import (
     subst,
 )
 from .vm import (
-    Kernel, Lam, Nat, Value, Var, _remember, encode, vpair, vunpair,
+    Kernel, Lam, Nat, Value, Var, encode, vpair, vunpair,
 )
 
 
@@ -139,7 +139,7 @@ def _truth(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
         return _as_truth(member(eval_term(a.t), pole, b.fuel, kernel))
     if isinstance(a, (Fals, Real, Tru)):
         side = TRUTH_SIDE if isinstance(a, Tru) else REAL_SIDE
-        sent = decode_sentence(eval_term(a.t), side, a.level)
+        sent = _sentence(eval_term(a.t), side, a.level, kernel)
         if sent is None:
             return V_FALSE
         if isinstance(a, Tru):
@@ -172,27 +172,27 @@ def _truth(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
     raise TypeError(a)
 
 
+def _sentence(code: Nat, side: str, level: OrdNotation,
+              kernel: Kernel) -> Optional[Formula]:
+    """The sentence of the side below level that code names, or None,
+    kept under these three, so atoms of every class about code share it."""
+    return kernel.kept((decode_sentence, code, side, level),
+                       decode_sentence, code, side, level)
+
+
 def _unfold(a: Formula, kernel: Kernel) -> Optional[Formula]:
     """The explicit unfolding of the Fals or Real atom a, or None when its
-    code names no sentence.  Both are functions of the atom's class, level
-    and term values, so the kernel keeps them (see Kernel.facts); s is
-    evaluated only once t has decoded to a sentence."""
-    facts = kernel.facts
-    key = (type(a), a.level, eval_term(a.t))
-    if key in facts:
-        sent = facts[key]
-    else:
-        sent = _remember(facts, key,
-                         decode_sentence(key[2], REAL_SIDE, a.level))
+    code names no sentence.  It is a function of the atom's class, level
+    and term values, so the kernel keeps it; s is evaluated only once t
+    has decoded to a sentence."""
+    t = eval_term(a.t)
+    sent = _sentence(t, REAL_SIDE, a.level, kernel)
     if sent is None:
         return None
-    key += (eval_term(a.s),)
-    unfold = facts.get(key)
-    if unfold is None:
-        unfold = _remember(facts, key, (
-            explicit_refutation if isinstance(a, Fals)
-            else explicit_realisation)(Num(key[3]), sent))
-    return unfold
+    unfold = explicit_refutation if isinstance(a, Fals) \
+        else explicit_realisation
+    s = eval_term(a.s)
+    return kernel.kept((unfold, a.level, t, s), unfold, Num(s), sent)
 
 
 def refutes(m: Nat, a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
@@ -297,11 +297,8 @@ def _certified(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
     if isinstance(pole, Full):
         return 0
     # the same run for every formula, so the kernel keeps its result
-    key = (pole, b.fuel)
-    r = kernel.facts.get(key)
-    if r is None:
-        r = _remember(kernel.facts, key,
-                      kernel.apply(_K_BOT, min(pole.seed), b.fuel))
+    r = kernel.kept((_certified, pole, b.fuel),
+                    kernel.apply, _K_BOT, min(pole.seed), b.fuel)
     if not isinstance(r, Value):
         raise EmptySampleError("continuation constant did not reduce")
     return r.n

@@ -9,14 +9,17 @@ right (<f1, <f2, f3>>, or 0 for none), a program by its code and a
 natural as it is.  Application ``e . m`` runs the program ``e`` codes on
 ``m`` under a step budget.
 
+A primitive registered with ``Kernel.register_primitive`` is called as
+``fn(kernel, v)``, with the kernel that runs it, and charges ``cost(v)``.
+
 The kernel is an environment machine.  Applying a code looks up its
 closure, a (program, env) pair, so a code is decoded once: the closures
-of ``int`` codes sit in a bounded memo owned by the ``Kernel`` (emptied
-when it fills), and a ``PV`` code keeps its closure in its ``clo`` slot
-for as long as the code lives.  An argument is bound in the env, not
-substituted.  A Lam or Fix evaluated as a value stands for the code a
-non-shifting substitution followed by ``encode`` would give, and keeps
-(program, env) as its closure (``Kernel.code``).  That code is built
+of ``int`` codes sit in the kernel's one memo (``Kernel.kept``), and a
+``PV`` code keeps its closure in its ``clo`` slot for as long as the
+code lives.  An argument is bound in the env, not substituted.  A Lam
+or Fix evaluated as a value stands for the code a non-shifting
+substitution followed by ``encode`` would give, and keeps (program,
+env) as its closure (``Kernel.code``).  That code is built
 only when something reads it: a value whose code is at least 2^64, as a
 lower bound cached on the program shows, is a ``PV`` whose children are
 filled in when first read (by ``vunpair``, ``==``, ``hash``, ``vint``,
@@ -33,11 +36,12 @@ A fixed point whose body gives back that fixed point itself (the same
 object) with the stack below untouched leaves the machine in the state
 in which the fixed point was applied, c units later, where c >= 2: one
 for the application step and at least one for a body node.  The
-machine is deterministic and a primitive is a function of its argument,
-so the run repeats that period until its fuel is gone.  The kernel
-skips the whole periods in one step, keeping the remainder of its fuel
-modulo c, and runs the last partial period, so the run runs out of fuel
-with exactly the fuel cell that stepping every period would leave.  A
+machine is deterministic and a primitive's result depends only on its
+argument and the kernel's primitives, so the run repeats that period
+until its fuel is gone.  The kernel skips the whole periods in one step,
+keeping the remainder of its fuel modulo c, and runs the last partial
+period, so the run runs out of fuel with exactly the fuel cell that
+stepping every period would leave.  A
 primitive inside a skipped period is not called again.
 
 Naturals are represented sparsely: a value below 2^64 is a Python
@@ -428,19 +432,9 @@ class StuckError(Exception):
     pass
 
 
-# How many entries each memo of the library holds: the int codes' closures
-# a Kernel keeps (PV codes carry their closure themselves, in PV.clo), its
-# pole chases, its certified realisers and atom unfoldings (Kernel.facts),
-# its extracted programs' decoded terms and its TI templates.
+# How many entries a Kernel's memo holds before it is emptied.
 MEMO_SIZE = 1 << 12
-
-
-def _remember(memo: dict, key, value):
-    """memo[key] = value, emptying a full memo first; returns value."""
-    if len(memo) >= MEMO_SIZE:
-        memo.clear()
-    memo[key] = value
-    return value
+_MISSING = object()  # what the memo holds under a key that is not there
 
 
 # Continuation frames of the machine, tagged by their first item.
@@ -460,32 +454,45 @@ _PRED_FRAME = (10,)
 
 
 class Kernel:
-    """Holds the primitive registry and the closures of int codes, and
-    runs the environment machine described in the module docstring."""
+    """Holds the primitive registry and one memo, and runs the
+    environment machine described in the module docstring."""
 
     def __init__(self) -> None:
-        self._prims: dict[int, tuple[Callable[[Nat], Nat],
+        self._prims: dict[int, tuple[Callable[["Kernel", Nat], Nat],
                                      Callable[[Nat], int]]] = {}
-        self._memo: dict[int, tuple[Program, tuple]] = {}
-        # pole chase results, kept by poles.member under the same bound
-        # as the closure memo and keyed by poles._chase_key, so a lookup
-        # builds no closure's code; a primitive changes what runs compute
-        self.chases: dict = {}
-        # what semantics derives from a query's sentences alone, under the
-        # same bound: the certified realiser run of a generated pole, keyed
-        # on (pole, fuel), and the decoded sentence and explicit unfolding
-        # of a falsification or realisation atom, keyed on its class, level
-        # and term values
+        # the one memo: int codes' closures, and what ``kept`` keeps
         self.facts: dict = {}
 
-    def register_primitive(self, pid: int, fn: Callable[[Nat], Nat],
+    def register_primitive(self, pid: int,
+                           fn: Callable[["Kernel", Nat], Nat],
                            cost: Optional[Callable[[Nat], int]] = None) -> int:
+        """Register fn as primitive pid: ``Prim(pid, p)`` charges cost(v)
+        (1 by default) for p's value v, then gives ``fn(kernel, v)``, or
+        is stuck when fn raises StuckError.  A new primitive changes what
+        runs compute, so the memo is emptied."""
         if pid in self._prims:
             raise ValueError("primitive id %d already registered" % pid)
         self._prims[pid] = (fn, cost or (lambda _v: 1))
-        self.chases.clear()
         self.facts.clear()
         return pid
+
+    def kept(self, key: tuple, fn: Callable, *args):
+        """fn(*args), a function of key and the primitives, kept under key:
+        a tuple that starts with the function that makes the value, so
+        layers cannot collide.  Neither key nor value may hold the kernel.
+        Only a value fn returns is kept: an exception keeps nothing."""
+        v = self.facts.get(key, _MISSING)
+        if v is _MISSING:
+            v = self._remember(key, fn(*args))
+        return v
+
+    def _remember(self, key, value):
+        """facts[key] = value, emptying a full memo first; returns value."""
+        facts = self.facts
+        if len(facts) >= MEMO_SIZE:
+            facts.clear()
+        facts[key] = value
+        return value
 
     def code(self, p: Program, env: tuple = ()) -> Nat:
         """The code of the Lam or Fix p with env read in, ``_close(p, env,
@@ -504,7 +511,7 @@ class Kernel:
     def closure(self, v: Nat) -> tuple[Program, tuple]:
         """The (program, env) pair the machine runs when v is applied:
         the one v was made from by ``code``, else v decoded."""
-        clo = v.clo if type(v) is PV else self._memo.get(v)
+        clo = v.clo if type(v) is PV else self.facts.get(v)
         if clo is None:
             clo = (decode(v), ())
             self._keep(v, clo)
@@ -515,14 +522,14 @@ class Kernel:
         if type(v) is PV:
             v.clo = clo
         else:
-            _remember(self._memo, v, clo)
+            self._remember(v, clo)
 
     def _machine(self, p: Optional[Program], env: tuple, vf: Nat, va: Nat,
                  fuel: list[int]) -> Nat:
         """Evaluate p in env, or apply vf to va when p is None, charging
         the cell fuel[0]."""
         left = fuel[0]
-        memo = self._memo
+        memo = self.facts
         stack: list = []
         push = stack.append
         pop = stack.pop
@@ -638,7 +645,7 @@ class Kernel:
                         left -= cost(v)
                         if left < 0:
                             raise OutOfFuel()
-                        v = fn(v)
+                        v = fn(self, v)
                     elif k == _K_IFZ:
                         p = frame[1] if v == 0 else frame[2]
                         env = frame[3]

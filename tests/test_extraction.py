@@ -1,6 +1,8 @@
 import contextlib
+import gc
 import io
 import random
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from realisability.vm import (
     vunpair,
 )
 from test_syntax import PROOF_DIR, Ref, subtrees
+from test_vm import kept_by
 
 K = fresh_kernel()
 B = Budget(fuel=10**6, samples=8, width=20)
@@ -894,7 +897,7 @@ def _plain_kernel():
             out[name] = v
         return out
 
-    def evalterm(v):
+    def evalterm(_kernel, v):
         tc, rest = vunpair(v)
         cc, env = vunpair(rest)
         t = ungodel_term(tc)
@@ -905,7 +908,7 @@ def _plain_kernel():
         except (ValueError, TypeError):
             raise StuckError()
 
-    def eqcheck(v):
+    def eqcheck(_kernel, v):
         sc, rest = vunpair(v)
         tc, rest2 = vunpair(rest)
         cc, env = vunpair(rest2)
@@ -950,6 +953,23 @@ def test_each_kernel_decodes_its_codes_once(monkeypatch):
     # one term and two names decoded by each kernel: the second kernel
     # finds nothing the first one kept
     assert seen == [{"term": 1, "name": 2}, {"term": 2, "name": 4}]
+
+
+def test_a_fresh_kernel_is_freed_without_the_cyclic_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        k = fresh_kernel()
+        concl, r = extract_value(prove_plus_comm(), k)
+        assert realises(r, concl, POLE, B, k).verdict.kind != OUT
+        # the term primitives ran and kept what they decoded
+        assert kept_by(k, ungodel_term) and kept_by(k, extraction._ctx_names)
+        ref = weakref.ref(k)
+        del k
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("pid, arg", [

@@ -52,10 +52,16 @@ def subst(p, depth, value):
 
 class SubstKernel:
     """The substitution evaluator: decode the applied code, substitute the
-    argument into its body, and encode every Lam or Fix value again."""
+    argument into its body, and encode every Lam or Fix value again.  It
+    calls a primitive as the kernel does, fn(self, v), and keeps nothing:
+    ``kept`` computes its value afresh each time."""
 
     def __init__(self, prims):
         self._prims = prims
+
+    @staticmethod
+    def kept(_key, fn, *args):
+        return fn(*args)
 
     def _eval(self, p, fuel):
         fuel[0] -= 1
@@ -98,7 +104,7 @@ class SubstKernel:
             fuel[0] -= cost(va)
             if fuel[0] < 0:
                 raise OutOfFuel()
-            return fn(va)
+            return fn(self, va)
         raise StuckError()
 
     @staticmethod
@@ -162,12 +168,17 @@ def assert_closure_agrees(kernel, code):
     assert decode(code) == prog, code
 
 
+def int_codes(k):
+    """The int codes whose closures the kernel's memo keeps."""
+    return [key for key in k.facts if type(key) is int]
+
+
 def make_kernel():
     k = Kernel()
-    k.register_primitive(1, lambda v: vnat(vint(v) * 2))
-    k.register_primitive(2, lambda v: vpair(v, 5), cost=lambda v: 3)
+    k.register_primitive(1, lambda _k, v: vnat(vint(v) * 2))
+    k.register_primitive(2, lambda _k, v: vpair(v, 5), cost=lambda v: 3)
 
-    def half(v):
+    def half(_k, v):
         if vint(v) % 2:
             raise StuckError()
         return vnat(vint(v) // 2)
@@ -220,7 +231,7 @@ def test_random_int_codes_agree():
              else rng.randrange(2**40))
         m = rng.choice(LITS) if rng.random() < 0.3 else rng.randrange(50)
         assert_agree(k, oracle, e, m, rng.choice(FUELS))
-    for code in list(k._memo):
+    for code in int_codes(k):
         assert_closure_agrees(k, code)
 
 
@@ -245,7 +256,7 @@ def test_random_programs_agree():
         if new[0] == "value":
             assert new[1] == old[1]
     assert kinds == {"value", "stuck", "fuel"}
-    for code in list(k._memo):
+    for code in int_codes(k):
         assert_closure_agrees(k, code)
 
 
@@ -263,7 +274,7 @@ def test_closures_built_by_the_machine_agree_with_decode():
     # an int code built under a non-empty env, with a dangling index
     r = k.apply(encode(Lam(Lam(App(Var(1), Var(3))))), 6, 100)
     assert isinstance(r, Value) and isinstance(r.n, int)
-    assert k._memo[r.n][1] == (6,)
+    assert k.facts[r.n][1] == (6,)
     assert_closure_agrees(k, r.n)
     assert decode(r.n) == Lam(App(Lit(6), Var(3)))
 

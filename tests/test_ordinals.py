@@ -35,8 +35,9 @@ from realisability.syntax import (
     ungodel,
 )
 from realisability.vm import (
-    Lam, Lit, PV, Pair, Prim, StuckError, Value, Var, encode, vpair,
+    Kernel, Lam, Lit, PV, Pair, Prim, StuckError, Value, Var, encode, vpair,
 )
+from test_vm import kept_by
 
 K = ordinal_kernel()
 POLE = Generated(frozenset({0, 3, 8}), 64)
@@ -778,6 +779,11 @@ def test_template_memo_keeps_no_failure(monkeypatch):
     assert len(calls) == 2
 
 
+def _kept_templates(k):
+    """The formula codes of the templates k's memo keeps."""
+    return {key[2] for key in kept_by(k, ordinals._realiser)}
+
+
 def test_template_memo_keeps_its_bound(monkeypatch):
     calls = _counting_extractions(monkeypatch)
     monkeypatch.setattr(vm, "MEMO_SIZE", 3)
@@ -785,8 +791,12 @@ def test_template_memo_keeps_its_bound(monkeypatch):
     codes = [godel(Imp(Eq(TVar("x"), Num(n)), A_REFL)) for n in range(4)]
     for code in codes:
         _tisuc(k, code, W)
+        # the templates share the one bound with the kernel's closures
+        assert len(k.facts) <= 3 and code in _kept_templates(k)
     assert len(calls) == 4
-    # the fourth entry found the memo full and emptied it: only it is kept
+    # the memo was emptied on the way: the newest template is kept, the
+    # first is extracted again
+    assert codes[0] not in _kept_templates(k)
     _tisuc(k, codes[3], W)
     assert len(calls) == 4
     _tisuc(k, codes[0], W)
@@ -968,6 +978,33 @@ def test_klim_below_branches():
     q_geq = vpair(ocode(CnfSum(((onat(1), 2),))), vpair(r_lt, 0))
     ans2 = vunpair(_app(below, q_geq))
     assert ans2[0] == r_lt and ans2[1] == 0
+
+
+def _closed_over(fn) -> list:
+    """The values fn's closure holds, and theirs, through every function
+    it holds."""
+    out, todo, seen = [], [fn], set()
+    while todo:
+        f = todo.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        for cell in getattr(f, "__closure__", None) or ():
+            v = cell.cell_contents
+            out.append(v)
+            if callable(v) and not isinstance(v, type):
+                todo.append(v)
+    return out
+
+
+def test_no_primitive_closes_over_a_kernel():
+    k = ordinal_kernel()
+    assert len(k._prims) == 15
+    for pid, (fn, cost) in k._prims.items():
+        for v in _closed_over(fn) + _closed_over(cost):
+            assert type(v) not in (Kernel, weakref.ProxyType,
+                                   weakref.CallableProxyType,
+                                   weakref.ReferenceType), (pid, v)
 
 
 def test_kernels_are_freed_without_the_cyclic_collector(monkeypatch):

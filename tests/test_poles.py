@@ -14,6 +14,8 @@ from realisability.vm import (
     Var, encode, pair, vnat, vpair,
 )
 
+from test_vm import kept_by
+
 K = Kernel()
 IDENT = encode(Lam(Var(0)))
 
@@ -123,7 +125,7 @@ def test_chase_memo_keys_on_the_value():
     for _ in range(2):
         assert member(vpair(code(), 0), p, 1000, k) == V_IN
         assert member(vpair(code(), 1), p, 1000, k) == V_IN
-    assert len(k.chases) == 2
+    assert len(kept_by(k, _chase)) == 2
 
 
 def test_a_chase_key_keeps_its_program_alive():
@@ -138,7 +140,7 @@ def test_a_chase_key_keeps_its_program_alive():
     del p, t
     gc.collect()
     assert ref() is not None
-    k.chases.clear()
+    k.facts.clear()
     gc.collect()
     assert ref() is None
 
@@ -158,8 +160,9 @@ def test_register_primitive_empties_the_chase_memo():
     p = Generated(frozenset({3}), 4)
     n = vpair(encode(Lam(Prim(70, Var(0)))), 0)
     assert member(n, p, 1000, k) == V_OUT  # primitive 70 is not there yet
-    k.register_primitive(70, lambda _v: 3)
-    assert not k.chases
+    assert kept_by(k, _chase)
+    k.register_primitive(70, lambda _k, _v: 3)
+    assert not k.facts
     assert member(n, p, 1000, k) == V_IN
 
 
@@ -168,8 +171,8 @@ def test_chase_memo_stays_within_its_bound():
     p = Generated(frozenset({0}), 4)
     for n in range(MEMO_SIZE + 100):
         member(n, p, 100, k)
-        assert len(k.chases) <= MEMO_SIZE
-    assert k.chases
+        assert len(k.facts) <= MEMO_SIZE
+    assert kept_by(k, _chase)
 
 
 chase_codes = st.one_of(

@@ -10,7 +10,9 @@ import pytest
 
 from realisability.notation import omega, onat
 from realisability.ordinals import ordinal_kernel
-from realisability.poles import Empty, Full, Generated, IN, OUT, UNKNOWN
+from realisability.poles import (
+    Empty, Full, Generated, IN, OUT, UNKNOWN, _chase,
+)
 from realisability.ramified import (
     check_model_equivalence, check_rr_empty_properties, iff, ram_corpus,
     rr_axiom, rr_instance_corpus, rt_axiom,
@@ -21,13 +23,14 @@ from realisability.semantics import (
     Budget, FALSE, TRUE, realises, refutes, sample_refuters, truth,
 )
 from realisability.syntax import (
-    All, Eq, Fals, Fn, Imp, InPole, LevelError, Num, ParseError,
+    All, Eq, Fals, Fn, Imp, InPole, LevelError, Num, ONE, ParseError,
     REAL_SIDE, Real, TRUTH_SIDE, TVar, Tru, bot, conj,
     explicit_realisation, explicit_refutation, free_vars, godel, godel_term,
     in_language, max_level, parse_formula, print_formula, subst, subt,
     ungodel,
 )
 from realisability.vm import vpair, vunpair
+from test_vm import kept_by
 
 B = Budget(fuel=10**5, samples=10, width=40)
 KERNEL = ordinal_kernel()
@@ -233,6 +236,45 @@ def test_rr9_rewrites_to_the_unfolded_code():
     unfolded = explicit_refutation(Num(2), FALSE_EQ)
     assert inst == iff(Fals(L1, Num(4), Num(godel(atom))),
                        Fals(L1, Num(4), Num(godel(unfolded))))
+
+
+# the terms of a term-invariance instance: two codes of the value 4
+TERMS = {"s": Num(4), "t": Fn("pair", (Num(1), Num(1)))}
+
+
+def test_rt1_checks_its_template_as_rt4_does():
+    tpl = Eq(TVar("x"), Num(2))
+    ca = godel(tpl)
+    inst = rt_axiom("RT1", L1, L2, a=tpl, var="x", **TERMS)
+    left = Tru(L1, Num(subt(ca, "x", godel_term(TERMS["s"]))))
+    right = Tru(L1, Num(subt(ca, "x", godel_term(TERMS["t"]))))
+    assert inst == Imp(Eq(Fn("eqc", tuple(Num(godel_term(x))
+                                          for x in TERMS.values())), ONE),
+                       iff(left, right))
+    # not below level 1; no variable; a variable that is not free; a
+    # second free variable
+    bad = ((Tru(L1, Fn("s", (TVar("x"),))), "x"), (tpl, None), (tpl, "y"),
+           (Eq(TVar("x"), TVar("y")), "x"))
+    for a, var in bad:
+        with pytest.raises(LevelError):
+            rt_axiom("RT1", L1, L2, a=a, var=var, **TERMS)
+        with pytest.raises(LevelError):
+            rt_axiom("RT4", L1, L2, a=a, var=var)
+
+
+def test_rr3_checks_its_template_as_rr6_does():
+    tpl = Eq(TVar("x"), Num(2))
+    inst = rr_axiom("RR3", L1, L2, a=5, sent=tpl, var="x", **TERMS)
+    assert isinstance(inst, Imp) and in_language(inst, L2, REAL_SIDE)
+    # not below level 1; a truth atom; no variable; a variable that is
+    # not free
+    bad = ((Fals(L1, TVar("x"), Num(0)), "x"),
+           (Tru(L0, Fn("s", (TVar("x"),))), "x"), (tpl, None), (tpl, "y"))
+    for sent, var in bad:
+        with pytest.raises(LevelError):
+            rr_axiom("RR3", L1, L2, a=5, sent=sent, var=var, **TERMS)
+        with pytest.raises(LevelError):
+            rr_axiom("RR6", L1, L2, a=5, sent=sent, var=var)
 
 
 def test_unknown_axiom_kinds_rejected():
@@ -459,6 +501,6 @@ def test_ram_check_records_do_not_depend_on_a_warm_kernel(seed):
     warm = ordinal_kernel()
     for other in (0, 2, 24, 27, 34):
         _ram_check_records(other, warm)
-    assert warm.facts and warm.chases
+    assert kept_by(warm, _chase) and kept_by(warm, explicit_refutation)
     assert _ram_check_records(seed, warm) == \
         _ram_check_records(seed, ordinal_kernel())

@@ -4,19 +4,21 @@ import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
+from realisability import semantics
 from realisability.notation import onat
 from realisability.poles import (
-    Empty, Full, Generated, IN, OUT, UNKNOWN, Verdict, agreement,
+    Empty, Full, Generated, IN, OUT, UNKNOWN, Verdict, _chase, agreement,
 )
 from realisability.semantics import (
     Budget, EmptySampleError, FALSE, TRUE, check_cr_axioms, realises,
     refutes, sample_refuters, truth,
 )
 from realisability.syntax import (
-    All, Eq, Fals, Fn, Imp, InPole, Num, Real, TVar, bot, godel,
-    parse_formula, subst,
+    All, Eq, Fals, Fn, Imp, InPole, Num, REAL_SIDE, Real, TVar, bot, godel,
+    explicit_refutation, parse_formula, subst,
 )
 from realisability.vm import MEMO_SIZE, Kernel, vpair
+from test_vm import kept_by
 
 K = Kernel()
 B = Budget(fuel=10**5, samples=10, width=30)
@@ -195,7 +197,7 @@ def test_facts_memo_stays_within_its_bound():
                     gamma=onat(1))
         assert v.kind == IN  # no pole element to refute the unfolding
         assert len(k.facts) <= MEMO_SIZE
-    assert 0 < len(k.facts) <= 102
+    assert 0 < len(kept_by(k, explicit_refutation)) <= len(k.facts) <= 102
 
 
 def test_unfoldings_are_kept_apart_by_class_level_and_subject():
@@ -221,16 +223,36 @@ def test_certified_realiser_run_is_kept_per_pole_and_fuel():
     k = Kernel()
     for a in (EQ00, EQ01, parse_formula("(imp (= 1 1) (pole 3))")):
         sample_refuters(Imp(a, EQ00), GEN, 4, B, k)
-    assert sum(len(key) == 2 for key in k.facts) == 1
+    assert len(kept_by(k, semantics._certified)) == 1
     sample_refuters(Imp(EQ00, EQ00), GEN, 4, Budget(fuel=10**4), k)
     sample_refuters(Imp(EQ00, EQ00), Generated(frozenset({3})), 4, B, k)
-    assert sum(len(key) == 2 for key in k.facts) == 3
-    k.register_primitive(70, lambda _v: 3)  # a primitive changes runs
+    assert len(kept_by(k, semantics._certified)) == 3
+    k.register_primitive(70, lambda _k, _v: 3)  # a primitive changes runs
     assert not k.facts
 
 
+def test_atoms_about_one_code_decode_it_once(monkeypatch):
+    # the sentence of a code is kept under its value, side and level, so
+    # truth and refutation, and atoms of either class, share it
+    decoded = []
+    decode = semantics.decode_sentence
+
+    def counting(code, side, level):
+        decoded.append((code, side, level))
+        return decode(code, side, level)
+
+    monkeypatch.setattr(semantics, "decode_sentence", counting)
+    k, c = Kernel(), godel(EQ00)
+    fals = Fals(onat(1), Num(3), Num(c))
+    truth(fals, GEN, B, k, gamma=onat(2))
+    refutes(vpair(1, 0), fals, GEN, B, k, gamma=onat(2))
+    truth(Real(onat(1), Num(3), Num(c)), GEN, B, k, gamma=onat(2))
+    assert decoded.count((c, REAL_SIDE, onat(1))) == 1
+    assert len(set(decoded)) == len(decoded)
+
+
 def _chased(k: Kernel) -> set:
-    return {key[2] for key in k.chases}
+    return {key[3] for key in kept_by(k, _chase)}
 
 
 def test_a_false_antecedent_decides_an_implication_alone():

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from realisability.poles import Generated, _chase, _chase_key, member
 from realisability.syntax import Fn, Num, eval_term
 from realisability.vm import (
-    FUEL, PV, App, Diverged, Fix, IfZ, Kernel, Lam, Lit, Pair, Pred, Prim,
-    Proj0, Proj1, Stuck, Suc, Value, Var, _close, _floor, decode, encode,
-    pair, unpair, vbits, vint, vle, vnat, vpair, vunpair,
+    FUEL, MEMO_SIZE, PV, App, Diverged, Fix, IfZ, Kernel, Lam, Lit, Pair,
+    Pred, Prim, Proj0, Proj1, Stuck, StuckError, Suc, Value, Var, _close,
+    _floor, decode, encode, pair, unpair, vbits, vint, vle, vnat, vpair,
+    vunpair,
 )
 
 
@@ -97,6 +98,13 @@ K = Kernel()
 IDENT = encode(Lam(Var(0)))
 
 
+def kept_by(k, maker):
+    """The entries of k's memo that maker makes, by key: a kept key
+    starts with the function that makes its value."""
+    return {key: v for key, v in k.facts.items()
+            if type(key) is tuple and key[0] is maker}
+
+
 def test_identity_program():
     r = K.apply(IDENT, 5, 1000)
     assert isinstance(r, Value) and r.n == 5
@@ -181,7 +189,7 @@ def test_a_fixed_point_that_unfolds_to_itself_runs_o1_periods():
     # one run
     calls = []
 
-    def count(v):
+    def count(_k, v):
         calls.append(v)
         # stepping every period would call it 10^12 / 8 times
         assert len(calls) <= 2, "a skipped period ran"
@@ -228,14 +236,68 @@ def test_fixpoint_unfolding_law_concrete():
 
 def test_register_primitive():
     k = Kernel()
-    k.register_primitive(1, lambda v: vint(v) * 2)
+    k.register_primitive(1, lambda _k, v: vint(v) * 2)
     r = k.run(Prim(1, Lit(21)), 100)
     assert isinstance(r, Value) and r.n == 42
     try:
-        k.register_primitive(1, lambda v: v)
+        k.register_primitive(1, lambda _k, v: v)
         assert False, "duplicate id must be rejected"
     except ValueError:
         pass
+
+
+def test_a_primitive_is_called_with_its_kernel():
+    seen = []
+
+    def prim(kernel, v):
+        seen.append(kernel)
+        return kernel.kept((prim, v), vint, v) + 1
+
+    k = Kernel()
+    k.register_primitive(1, prim, cost=lambda v: 2)
+    assert k.run(Prim(1, Lit(4)), 100) == Value(5, 4) and seen == [k]
+    assert kept_by(k, prim) == {(prim, 4): 4}
+
+
+# ---------------------------------------------------------------------------
+# the kernel's one memo
+
+def test_a_kept_value_is_made_once_even_when_it_is_none():
+    k, calls = Kernel(), []
+
+    def make(x):
+        calls.append(x)
+
+    for _ in range(3):
+        assert k.kept((make, 1), make, 1) is None
+    assert calls == [1] and kept_by(k, make) == {(make, 1): None}
+
+
+def test_a_failed_make_keeps_nothing():
+    k, calls = Kernel(), []
+
+    def make(x):
+        calls.append(x)
+        raise StuckError()
+
+    for _ in range(2):
+        with pytest.raises(StuckError):
+            k.kept((make, 1), make, 1)
+    assert calls == [1, 1] and k.facts == {}
+
+
+def test_the_memo_is_emptied_when_full_and_by_a_new_primitive():
+    k = Kernel()
+    for n in range(MEMO_SIZE):
+        k.kept((vint, n), vint, n)
+    assert len(k.facts) == MEMO_SIZE
+    # the next entry finds the memo full: only it is kept
+    assert k.kept((vint, -1), vint, 7) == 7
+    assert k.facts == {(vint, -1): 7}
+    k.closure(IDENT)  # an int code's closure goes in the same memo
+    assert set(k.facts) == {(vint, -1), IDENT}
+    k.register_primitive(9, lambda _k, v: v)  # a primitive changes runs
+    assert k.facts == {}
 
 
 def test_unregistered_primitive_is_stuck():
@@ -432,7 +494,7 @@ def test_closures_of_one_program_in_different_envs_are_different_keys(
     for env in ((x,), (y,), (x,)):
         member(vpair(k.code(p, env), 0), pole, 50, k)
     # the third closure equals the first, so it finds the first's verdict
-    assert len(k.chases) == 2
+    assert len(kept_by(k, _chase)) == 2
 
 
 @hyp.settings(deadline=None)
@@ -473,13 +535,13 @@ def test_member_builds_no_closure_code():
     t2 = k.code(BIG_BODY, (0,))
     assert _chase_key(vpair(t2, 3)) == _chase_key(vpair(t, 3))
     assert member(vpair(t2, 3), pole, 100, k).kind == "in"
-    assert len(k.chases) == 1 and not built(t2)
+    assert len(kept_by(k, _chase)) == 1 and not built(t2)
     # in another env, or another program in the same env, it is another
     # value, and another key
     other = Lam(Proj1(Pair(Lit(vpair(2**70, 1)), Lit(5))))
     for t3 in (k.code(BIG_BODY, (5,)), k.code(other, (0,))):
         assert member(vpair(t3, 3), pole, 100, k).kind == "out"
-    assert len(k.chases) == 3
+    assert len(kept_by(k, _chase)) == 3
 
 
 def _decoded(p):
