@@ -28,10 +28,10 @@ from typing import Optional, Union
 from ._record import record
 from .syntax import (
     All, ATerm, Eq, Fn, Formula, Imp, Num, TVar, ZERO, _CLOSE, _Misread,
-    _Tokens, _is_base, _read, _name_code, _name_decode, _parse_base_formula,
-    _parse_term, _parse_var, _shared, bot, free_vars, fresh_var, godel_term,
-    parse_formula, print_formula, print_term, subst, subst_term, suc_t,
-    term_vars, ungodel_term, eval_term,
+    _Tokens, _decoded, _is_base, _read, _name_code, _name_decode,
+    _parse_base_formula, _parse_term, _parse_var, _shared, bot, free_vars,
+    fresh_var, godel_term, parse_formula, print_formula, print_term, subst,
+    subst_term, suc_t, term_vars, ungodel_term, eval_term,
 )
 from .vm import (
     App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Program, Proj0,
@@ -87,29 +87,25 @@ def _ctx_names(ctx_code: Nat) -> Optional[list]:
     return names
 
 
-def _decoded(kernel: Kernel, decode, c: Nat):
-    """decode(c), kept by the kernel: an extracted program passes the same
-    few term and context codes on every call.  A code that decodes to
-    None makes the run stuck, each time it is met."""
-    out = kernel.kept((decode, c), decode, c)
-    if out is None:
-        raise StuckError()
-    return out
-
-
 def _term_values(kernel: Kernel, v: Nat, n: int) -> list:
     """The values of the n terms whose codes v lists first, under the
-    context code and the env that follow them."""
+    context code and the env that follow them.  An extracted program
+    passes the same few term and context codes on every call, so each is
+    decoded once per kernel (_decoded); one that decodes to None makes
+    the run stuck, each time it is met."""
     terms = []
     for _ in range(n):
         tc, v = vunpair(v)
         terms.append(_decoded(kernel, ungodel_term, tc))
     cc, env = vunpair(v)
+    names = _decoded(kernel, _ctx_names, cc)
+    if names is None or None in terms:
+        raise StuckError()
     try:
         values = {}
-        for name in _decoded(kernel, _ctx_names, cc):
+        for name in names:
             values[name], env = vunpair(env)
-        return [eval_term(t, values) for t in terms]
+        return [eval_term(t, kernel, values) for t in terms]
     except (ValueError, TypeError):
         raise StuckError()
 

@@ -24,8 +24,8 @@ from .notation import (
     omega_pow, onat,
 )
 from .syntax import (
-    All, ATerm, Eq, Fn, Formula, Imp, Num, ONE, TVar, ZERO, _is_base,
-    free_vars, godel, register_fn, subst, ungodel,
+    All, ATerm, Eq, Fn, Formula, Imp, Num, ONE, TVar, ZERO, _decoded,
+    _is_base, free_vars, godel, register_fn, subst, ungodel,
 )
 from .vm import (
     App, Fix, IfZ, Kernel, Lam, Lit, Nat, Pair, Pred, Prim, Proj0, Proj1,
@@ -38,8 +38,8 @@ from .vm import (
 
 def _on_notations(fn):
     """fn over notations as a function symbol over codes: 0 when an
-    argument codes no notation."""
-    def on_codes(*codes: Nat) -> Nat:
+    argument codes no notation.  The symbol ignores its kernel."""
+    def on_codes(kernel: Kernel, *codes: Nat) -> Nat:
         args = [odecode(c) for c in codes]
         return 0 if None in args else fn(*args)
     return on_codes
@@ -196,8 +196,8 @@ PID_ORDSUCN = 22
 _TEMPLATE_FUEL = 10**7
 
 
-def _decode_sentence_with_x(code: Nat) -> Formula:
-    a = ungodel(code)
+def _decode_sentence_with_x(kernel: Kernel, code: Nat) -> Formula:
+    a = _decoded(kernel, ungodel, code)
     if not _is_base(a) or not free_vars(a) <= {"x"}:
         raise StuckError()
     return a
@@ -211,7 +211,7 @@ def _decode_ord(code: Nat) -> OrdNotation:
 
 
 def _ordlt(kernel: Kernel, v: Nat) -> Nat:
-    return _fn_ordlt(*vunpair(v))
+    return _fn_ordlt(kernel, *vunpair(v))
 
 
 def _ordfs(kernel: Kernel, v: Nat) -> Nat:
@@ -252,7 +252,7 @@ def _realiser(kernel: Kernel, kind: str, ac: Nat,
               alpha: Optional[OrdNotation]) -> Nat:
     """The realiser of kind's template for the formula ac codes, at alpha
     for lim and direct; stuck when there is none (lim at a non-limit)."""
-    a = _decode_sentence_with_x(ac)
+    a = _decode_sentence_with_x(kernel, ac)
     try:
         proof = (_weakened(a, "x", Num(ocode(alpha)), build_Prog(a, "x"))
                  if kind == "direct"
@@ -298,7 +298,7 @@ def _at_notation(kind: str):
 
 
 def _jump(kernel: Kernel, v: Nat) -> Nat:
-    a = _decode_sentence_with_x(v)
+    a = _decode_sentence_with_x(kernel, v)
     return godel(subst(jump_formula(a, "x"), "oj", TVar("x")))
 
 

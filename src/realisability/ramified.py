@@ -25,7 +25,7 @@ from .semantics import Budget, realises, truth
 from .syntax import (
     All, ATerm, Eq, Fals, Fn, Formula, Imp, InPole, LevelError,
     Num, ONE, REAL_SIDE, Real, TRUTH_SIDE, TVar, Tru,
-    ZERO, _name_code, _name_decode, bot, conj, decode_sentence,
+    ZERO, _decoded, _name_code, _name_decode, bot, conj, decode_sentence,
     eq_check, explicit_realisation, explicit_refutation, free_vars,
     fresh_var, godel, godel_term, in_language, max_level, print_formula,
     register_fn, subst, subt, ungodel,
@@ -40,36 +40,41 @@ def iff(a: Formula, b: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Registered function symbols on codes
 
-def tau_empty_code(c: Nat) -> Nat:
+# Each symbol is called with the kernel of its evaluation
+# (syntax.register_fn), and decodes a formula code through that kernel,
+# once per code (syntax._decoded).
+
+def tau_empty_code(kernel: Kernel, c: Nat) -> Nat:
     """Code-level empty-pole translation; 0 on non-formula codes."""
-    a = ungodel(c)
+    a = _decoded(kernel, ungodel, c)
     return 0 if a is None else godel(translate_empty(a))
 
 
-def tau_zero_code(c: Nat) -> Nat:
+def tau_zero_code(kernel: Kernel, c: Nat) -> Nat:
     """Code-level zero-realiser translation; 0 on non-formula codes."""
-    a = ungodel(c)
+    a = _decoded(kernel, ungodel, c)
     return 0 if a is None else godel(translate_zero(a))
 
 
-def _fn_sentt(c: Nat, lc: Nat) -> Nat:
+def _fn_sentt(kernel: Kernel, c: Nat, lc: Nat) -> Nat:
     beta = odecode(lc)
     if beta is None:
         return 0
-    return 1 if decode_sentence(c, TRUTH_SIDE, beta) is not None else 0
+    sent = decode_sentence(c, TRUTH_SIDE, beta, kernel)
+    return 0 if sent is None else 1
 
 
-def _fn_subv(c: Nat, nc: Nat, n: Nat) -> Nat:
+def _fn_subv(kernel: Kernel, c: Nat, nc: Nat, n: Nat) -> Nat:
     name = _name_decode(nc)
-    a = ungodel(c)
+    a = _decoded(kernel, ungodel, c)
     if name is None or a is None:
         return 0
     return godel(subst(a, name, Num(n)))
 
 
-def _fn_eqc(cs: Nat, ct: Nat) -> Nat:
+def _fn_eqc(kernel: Kernel, cs: Nat, ct: Nat) -> Nat:
     try:
-        return 1 if eq_check(cs, ct) else 0
+        return 1 if eq_check(cs, ct, kernel) else 0
     except ValueError:
         return 0
 

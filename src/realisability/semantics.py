@@ -134,20 +134,21 @@ def _truth(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
            depth: int) -> Verdict:
     _too_deep(depth)
     if isinstance(a, Eq):
-        return V_TRUE if eval_term(a.l) == eval_term(a.r) else V_FALSE
+        return (V_TRUE if eval_term(a.l, kernel) == eval_term(a.r, kernel)
+                else V_FALSE)
     if isinstance(a, InPole):
-        return _as_truth(member(eval_term(a.t), pole, b.fuel, kernel))
+        return _as_truth(member(eval_term(a.t, kernel), pole, b.fuel, kernel))
     if isinstance(a, (Fals, Real, Tru)):
         side = TRUTH_SIDE if isinstance(a, Tru) else REAL_SIDE
-        sent = _sentence(eval_term(a.t), side, a.level, kernel)
+        sent = _sentence(eval_term(a.t, kernel), side, a.level, kernel)
         if sent is None:
             return V_FALSE
         if isinstance(a, Tru):
             return _truth(sent, pole, b, kernel, depth - 1)
+        s = eval_term(a.s, kernel)
         if isinstance(a, Fals):
-            return _as_truth(_refutes(eval_term(a.s), sent, pole, b, kernel,
-                                      depth - 1))
-        return _as_truth(_realises(eval_term(a.s), sent, pole, b, kernel,
+            return _as_truth(_refutes(s, sent, pole, b, kernel, depth - 1))
+        return _as_truth(_realises(s, sent, pole, b, kernel,
                                    random.Random(0), depth - 1).verdict)
     if isinstance(a, Imp):
         ta = _truth(a.a, pole, b, kernel, depth)
@@ -175,9 +176,10 @@ def _truth(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
 def _sentence(code: Nat, side: str, level: OrdNotation,
               kernel: Kernel) -> Optional[Formula]:
     """The sentence of the side below level that code names, or None,
-    kept under these three, so atoms of every class about code share it."""
+    kept under these three, so atoms of every class about code share it;
+    the formula itself is decoded once per code (decode_sentence)."""
     return kernel.kept((decode_sentence, code, side, level),
-                       decode_sentence, code, side, level)
+                       decode_sentence, code, side, level, kernel)
 
 
 def _unfold(a: Formula, kernel: Kernel) -> Optional[Formula]:
@@ -185,13 +187,13 @@ def _unfold(a: Formula, kernel: Kernel) -> Optional[Formula]:
     code names no sentence.  It is a function of the atom's class, level
     and term values, so the kernel keeps it; s is evaluated only once t
     has decoded to a sentence."""
-    t = eval_term(a.t)
+    t = eval_term(a.t, kernel)
     sent = _sentence(t, REAL_SIDE, a.level, kernel)
     if sent is None:
         return None
     unfold = explicit_refutation if isinstance(a, Fals) \
         else explicit_realisation
-    s = eval_term(a.s)
+    s = eval_term(a.s, kernel)
     return kernel.kept((unfold, a.level, t, s), unfold, Num(s), sent)
 
 
@@ -206,11 +208,11 @@ def _refutes(m: Nat, a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
              depth: int) -> Verdict:
     _too_deep(depth)
     if isinstance(a, Eq):
-        if eval_term(a.l) != eval_term(a.r):
+        if eval_term(a.l, kernel) != eval_term(a.r, kernel):
             return V_IN  # a false equation is refuted by every number
         return member(m, pole, b.fuel, kernel)
     if isinstance(a, InPole):
-        v = member(eval_term(a.t), pole, b.fuel, kernel)
+        v = member(eval_term(a.t, kernel), pole, b.fuel, kernel)
         if v.kind == OUT:
             return V_IN  # vacuous: the guard fails
         if v.kind == IN:
@@ -349,11 +351,11 @@ def _sample(a: Formula, pole: PoleSpec, k: int, b: Budget, kernel: Kernel,
             rng: random.Random, depth: int) -> list:
     _too_deep(depth)
     if isinstance(a, Eq):
-        if eval_term(a.l) != eval_term(a.r):
+        if eval_term(a.l, kernel) != eval_term(a.r, kernel):
             return _any_numbers(k, rng)
         return _pole_elements(pole, k, rng)
     if isinstance(a, InPole):
-        v = member(eval_term(a.t), pole, b.fuel, kernel)
+        v = member(eval_term(a.t, kernel), pole, b.fuel, kernel)
         if v.kind == OUT:  # vacuous guard: every number refutes
             return _any_numbers(k, rng)
         if v.kind == IN:
@@ -435,7 +437,7 @@ def check_cr_axioms(pole: PoleSpec, corpus: list, b: Budget, kernel: Kernel,
                 else lhs_r.verdict, V_IN, 0)
 
         if isinstance(a, Eq):
-            true_eq = eval_term(a.l) == eval_term(a.r)
+            true_eq = eval_term(a.l, kernel) == eval_term(a.r, kernel)
             for m in range(0, 101, 20):
                 lhs = refutes(m, a, pole, b, kernel)
                 if not true_eq:

@@ -33,7 +33,7 @@ from .notation import (
     LESS, OrdNotation, OrdParseError, compare, ocode, odecode, parse_ord,
     print_ord,
 )
-from .vm import Nat, _Layout, pair, vint, vnat, vpair, vunpair
+from .vm import Kernel, Nat, _Layout, pair, vint, vnat, vpair, vunpair
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +77,11 @@ FN_SEMANTICS: dict[str, Callable[..., Nat]] = {}
 
 
 def register_fn(name: str, arity: int, fn: Callable[..., Nat]) -> None:
+    """Register fn as the function symbol name of the given arity.  An
+    evaluation calls it as fn(kernel, *args) with the kernel it runs
+    under, as the kernel calls a primitive, so a symbol that reads codes
+    keeps what it derives through kernel.kept; the arithmetic symbols
+    ignore the kernel."""
     if name in FN_ARITY:
         raise ValueError("function symbol %r already registered" % name)
     FN_ARITY[name] = arity
@@ -84,12 +89,12 @@ def register_fn(name: str, arity: int, fn: Callable[..., Nat]) -> None:
 
 
 # the symbols of the language of arithmetic, built in
-register_fn("s", 1, lambda n: vnat(vint(n) + 1))
-register_fn("+", 2, lambda m, n: vnat(vint(m) + vint(n)))
-register_fn("*", 2, lambda m, n: vnat(vint(m) * vint(n)))
-register_fn("pair", 2, vpair)
-register_fn("p0", 1, lambda p: vunpair(p)[0])
-register_fn("p1", 1, lambda p: vunpair(p)[1])
+register_fn("s", 1, lambda _k, n: vnat(vint(n) + 1))
+register_fn("+", 2, lambda _k, m, n: vnat(vint(m) + vint(n)))
+register_fn("*", 2, lambda _k, m, n: vnat(vint(m) * vint(n)))
+register_fn("pair", 2, lambda _k, m, n: vpair(m, n))
+register_fn("p0", 1, lambda _k, p: vunpair(p)[0])
+register_fn("p1", 1, lambda _k, p: vunpair(p)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +396,9 @@ class OpenTermError(ValueError):
     pass
 
 
-def eval_term(t: ATerm, env: Optional[dict] = None) -> Nat:
+def eval_term(t: ATerm, kernel: Kernel, env: Optional[dict] = None) -> Nat:
+    """The value of t, its variables read from env, with each function
+    symbol called as fn(kernel, *values) (register_fn)."""
     tt = type(t)
     if tt is Fn:
         fn = FN_SEMANTICS.get(t.name)
@@ -399,10 +406,11 @@ def eval_term(t: ATerm, env: Optional[dict] = None) -> Nat:
             raise ValueError("unregistered function symbol %r" % t.name)
         a = t.args
         if len(a) == 1:
-            return fn(eval_term(a[0], env))
+            return fn(kernel, eval_term(a[0], kernel, env))
         if len(a) == 2:
-            return fn(eval_term(a[0], env), eval_term(a[1], env))
-        return fn(*[eval_term(u, env) for u in a])
+            return fn(kernel, eval_term(a[0], kernel, env),
+                      eval_term(a[1], kernel, env))
+        return fn(kernel, *[eval_term(u, kernel, env) for u in a])
     if tt is Num:
         return vnat(t.n)
     if tt is TVar:
@@ -489,7 +497,19 @@ def godel_term(t: ATerm) -> Nat:
 
 
 def godel(a: Formula) -> Nat:
-    """The code of the formula a, by _FORMAT."""
+    """The code of the formula a, by _FORMAT.  No node is assigned a
+    field after it is built, so a node's code is kept on it as _code, as
+    free_vars keeps _fv: a formula coded again, or a subformula that
+    many formulas share, is coded once, and every caller gets the same
+    code object, which a kept key then matches by identity."""
+    code = getattr(a, "_code", None)
+    if code is None:
+        code = a._code = _coded(a)
+    return code
+
+
+def _coded(a: Formula) -> Nat:
+    """The code of the formula a, built from its fields' codes."""
     tag, _, layout = _LAYOUT[type(a)]
     code = None
     for name, code_of, _ in layout[::-1]:  # paired from the right
@@ -559,10 +579,19 @@ def ungodel(c: Nat) -> Optional[Formula]:
     return cls(*args)
 
 
-def decode_sentence(c: Nat, side: str,
-                    below: OrdNotation) -> Optional[Formula]:
-    """The sentence of the given side with levels < below coded by c."""
-    a = ungodel(c)
+def _decoded(kernel: Kernel, decode: Callable, c: Nat):
+    """decode(c), kept by the kernel under (decode, c): a query meets the
+    same few formula, term and context codes again and again.  A code
+    that decodes to None keeps None."""
+    return kernel.kept((decode, c), decode, c)
+
+
+def decode_sentence(c: Nat, side: str, below: OrdNotation,
+                    kernel: Kernel) -> Optional[Formula]:
+    """The sentence of the given side with levels < below coded by c,
+    decoded once per kernel (_decoded), so every side and level shares
+    one formula."""
+    a = _decoded(kernel, ungodel, c)
     if a is None or free_vars(a) or not in_language(a, below, side):
         return None
     return a
@@ -579,12 +608,13 @@ def subt(c: Nat, x: str, s_code: Nat) -> Nat:
     return godel(subst(a, x, s))
 
 
-def eq_check(cs: Nat, ct: Nat) -> bool:
+def eq_check(cs: Nat, ct: Nat, kernel: Kernel) -> bool:
     """Whether two closed term codes have equal values."""
-    s, t = ungodel_term(cs), ungodel_term(ct)
+    s = _decoded(kernel, ungodel_term, cs)
+    t = _decoded(kernel, ungodel_term, ct)
     if s is None or t is None:
         raise ValueError("invalid term code")
-    return eval_term(s) == eval_term(t)
+    return eval_term(s, kernel) == eval_term(t, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -616,16 +646,33 @@ def explicit_realisation(s: ATerm, a: Formula) -> Formula:
                       InPole(Fn("pair", (s, TVar(v))))))
 
 
-def _dot_membership(unfold: Callable, s: Nat, y: Nat) -> Nat:
+def _unfolding_code(unfold: Callable, kernel: Kernel, s: Nat,
+                    y: Nat) -> Nat:
     """The code of unfold(s, A) for the sentence A coded by y; 0 when y
-    codes no sentence with an unfolding."""
-    a = ungodel(y)
+    codes no sentence with an unfolding.  The unfolding is built from a
+    decoded sentence, the canonical value s and fresh names, so it is
+    what its code decodes to, and the kernel keeps it as that decode: an
+    atom about the value, the next step of a nested unfolding, reads it
+    without decoding."""
+    a = _decoded(kernel, ungodel, y)
     if a is None or free_vars(a):
         return 0
     try:
-        return godel(unfold(Num(s), a))
+        f = unfold(Num(s), a)
     except TypeError:
         return 0
+    c = godel(f)
+    kernel.kept((ungodel, c), lambda: f)
+    return c
+
+
+def _dot_membership(unfold: Callable, kernel: Kernel, s: Nat,
+                    y: Nat) -> Nat:
+    """memf (unfold = explicit_refutation) or memt
+    (explicit_realisation) on s and y: _unfolding_code, kept by the
+    kernel under the symbol's unfolding and both arguments."""
+    return kernel.kept((_dot_membership, unfold, s, y),
+                       _unfolding_code, unfold, kernel, s, y)
 
 
 # the dot-membership symbols the explicit unfoldings of atoms produce

@@ -377,9 +377,10 @@ def test_acceptance_8_ramified_layer():
             assert definite >= 0.9 * len(recs), (print_ord(gamma), pole)
         # code-level translations commute with the tree-level ones
         for s in corpus:
-            assert tau_empty_code(godel(s)) == godel(translate_empty(s))
+            assert (tau_empty_code(KERNEL, godel(s))
+                    == godel(translate_empty(s)))
             t = translate_empty(s)
-            assert tau_zero_code(godel(t)) == godel(translate_zero(t))
+            assert tau_zero_code(KERNEL, godel(t)) == godel(translate_zero(t))
 
     insts = rr_instance_corpus(100, onat(2), random.Random(12))
     for kind, f in insts:

@@ -904,7 +904,7 @@ def _plain_kernel():
         if t is None:
             raise StuckError()
         try:
-            return eval_term(t, read_env(cc, env))
+            return eval_term(t, _kernel, read_env(cc, env))
         except (ValueError, TypeError):
             raise StuckError()
 
@@ -917,7 +917,8 @@ def _plain_kernel():
             raise StuckError()
         try:
             envd = read_env(cc, env)
-            return 0 if eval_term(s, envd) == eval_term(t, envd) else 1
+            return 0 if (eval_term(s, _kernel, envd)
+                         == eval_term(t, _kernel, envd)) else 1
         except (ValueError, TypeError):
             raise StuckError()
 

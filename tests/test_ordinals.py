@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import gc
 import hashlib
 import io
@@ -12,7 +13,7 @@ import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
-from realisability import cli, notation, ordinals, vm
+from realisability import cli, notation, ordinals, syntax, vm
 from realisability.extraction import (
     ExtractionError, check_proof, combinator, extract_value, fresh_kernel,
     print_proof,
@@ -31,12 +32,13 @@ from realisability.ordinals import (
 from realisability.poles import Generated, OUT, member
 from realisability.semantics import Budget, realises
 from realisability.syntax import (
-    All, Eq, Fn, Imp, Num, TVar, free_vars, godel, parse_formula, subst,
-    ungodel,
+    FN_SEMANTICS, All, Eq, Fn, Imp, Num, TVar, eval_term, free_vars, godel,
+    parse_formula, subst, ungodel,
 )
 from realisability.vm import (
     Kernel, Lam, Lit, PV, Pair, Prim, StuckError, Value, Var, encode, vpair,
 )
+from test_syntax import table_godel
 from test_vm import kept_by
 
 K = ordinal_kernel()
@@ -602,6 +604,49 @@ def test_templates_pass_the_checker():
         ti_proof_template("up", A_REFL, var="x")
 
 
+def _formula_nodes(a) -> dict:
+    """The distinct formula nodes of a, by identity."""
+    seen, todo = {}, [a]
+    while todo:
+        b = todo.pop()
+        if id(b) not in seen:
+            seen[id(b)] = b
+            todo += ([b.a, b.b] if type(b) is Imp
+                     else [b.body] if type(b) is All else [])
+    return seen
+
+
+def _tree_size(a) -> int:
+    if type(a) is Imp:
+        return 1 + _tree_size(a.a) + _tree_size(a.b)
+    return 1 + _tree_size(a.body) if type(a) is All else 1
+
+
+@pytest.mark.parametrize("height", [1, 4, 8])
+def test_a_jump_tower_codes_each_distinct_node_once(height, monkeypatch):
+    # the jump formula of an omega-tower of the given height, as _jump
+    # builds it level by level: its two segments share every subformula
+    # the induction variable is not free in, so it has far fewer
+    # distinct nodes than a tree walk passes
+    a = A_REFL
+    for _ in range(height):
+        a = subst(jump_formula(a, "x"), "oj", TVar("x"))
+    coded = []
+    code = syntax._coded
+
+    def counting(b):
+        coded.append(id(b))
+        return code(b)
+
+    monkeypatch.setattr(syntax, "_coded", counting)
+    nodes = _formula_nodes(a)
+    assert godel(a) == table_godel(a)
+    assert len(coded) == len(set(coded)) <= len(nodes)
+    assert set(coded) <= set(nodes)
+    if height == 8:
+        assert (len(nodes), _tree_size(a)) == (213, 2296)
+
+
 def test_zero_template_is_schematic():
     # the zero template needs no direct proof of A's instances
     a = parse_formula("(imp (= x 0) (= 0 x))")
@@ -997,14 +1042,33 @@ def _closed_over(fn) -> list:
     return out
 
 
+def _holds_no_kernel(held, where):
+    for v in held:
+        assert type(v) not in (Kernel, weakref.ProxyType,
+                               weakref.CallableProxyType,
+                               weakref.ReferenceType), (where, v)
+
+
 def test_no_primitive_closes_over_a_kernel():
     k = ordinal_kernel()
     assert len(k._prims) == 15
     for pid, (fn, cost) in k._prims.items():
-        for v in _closed_over(fn) + _closed_over(cost):
-            assert type(v) not in (Kernel, weakref.ProxyType,
-                                   weakref.CallableProxyType,
-                                   weakref.ReferenceType), (pid, v)
+        _holds_no_kernel(_closed_over(fn) + _closed_over(cost), pid)
+
+
+def test_no_function_symbol_closes_over_a_kernel():
+    # a symbol is called with its kernel (syntax.register_fn); the
+    # arguments a partial symbol binds are checked as its closure is
+    k = ordinal_kernel()
+    assert eval_term(Fn("memf", (Num(3), Num(godel(Eq(Num(0), Num(0)))))),
+                     k) != 0
+    assert {"memf", "memt", "taue", "tau0", "sentt", "subv", "eqc",
+            "ordlt", "ordsuc", "ordadd", "ordpow"} <= set(FN_SEMANTICS)
+    for name, fn in FN_SEMANTICS.items():
+        held = _closed_over(fn)
+        if isinstance(fn, functools.partial):
+            held += [fn.func, *fn.args, *fn.keywords.values()]
+        _holds_no_kernel(held, name)
 
 
 def test_kernels_are_freed_without_the_cyclic_collector(monkeypatch):

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from realisability import syntax
 from realisability.notation import omega, onat
 from realisability.ordinals import ordinal_kernel
 from realisability.poles import (
@@ -23,13 +24,14 @@ from realisability.semantics import (
     Budget, FALSE, TRUE, realises, refutes, sample_refuters, truth,
 )
 from realisability.syntax import (
-    All, Eq, Fals, Fn, Imp, InPole, LevelError, Num, ONE, ParseError,
-    REAL_SIDE, Real, TRUTH_SIDE, TVar, Tru, bot, conj,
+    FN_SEMANTICS, All, Eq, Fals, Fn, Imp, InPole, LevelError, Num, ONE,
+    ParseError, REAL_SIDE, Real, TRUTH_SIDE, TVar, Tru, bot, conj,
     explicit_realisation, explicit_refutation, free_vars, godel, godel_term,
     in_language, max_level, parse_formula, print_formula, subst, subt,
     ungodel,
 )
 from realisability.vm import vpair, vunpair
+from test_semantics import count_decodes
 from test_vm import kept_by
 
 B = Budget(fuel=10**5, samples=10, width=40)
@@ -315,14 +317,14 @@ def test_zero_translation_guards_truth_atoms():
 
 def test_tau_empty_commutes_with_coding():
     for a in _closed_corpus(120):
-        assert tau_empty_code(godel(a)) == godel(translate_empty(a)), \
+        assert tau_empty_code(KERNEL, godel(a)) == godel(translate_empty(a)), \
             print_formula(a)
 
 
 def test_tau_zero_commutes_with_coding():
     for a in _closed_corpus(120):
         t = translate_empty(a)  # a truth-side style formula with Tru atoms
-        assert tau_zero_code(godel(t)) == godel(translate_zero(t)), \
+        assert tau_zero_code(KERNEL, godel(t)) == godel(translate_zero(t)), \
             print_formula(t)
 
 
@@ -335,8 +337,8 @@ def test_tau_codes_are_zero_on_malformed_codes():
     bad = vpair(eq_tag, vpair(vpair(99, 0), 0))
     assert ungodel(bad) is None
     for c in (bad, vpair(imp_tag, vpair(bad, godel(eq)))):
-        assert tau_empty_code(c) == 0
-        assert tau_zero_code(c) == 0
+        assert tau_empty_code(KERNEL, c) == 0
+        assert tau_zero_code(KERNEL, c) == 0
 
 
 def _closed_corpus(n):
@@ -504,3 +506,36 @@ def test_ram_check_records_do_not_depend_on_a_warm_kernel(seed):
     assert kept_by(warm, _chase) and kept_by(warm, explicit_refutation)
     assert _ram_check_records(seed, warm) == \
         _ram_check_records(seed, ordinal_kernel())
+
+
+def test_one_ram_check_decodes_each_code_once(monkeypatch):
+    # one query of bench seed 22 on one kernel: every formula code is
+    # decoded once, and every memf or memt value made once, however often
+    # the atoms and unfoldings about it are evaluated; the code of an
+    # unfolding is not decoded at all, since the unfolding is kept as its
+    # decode
+    decode = syntax.ungodel
+    decoded = count_decodes(monkeypatch)
+    made, symbol_calls = [], Counter()
+    make = syntax._unfolding_code
+
+    def making(unfold, kernel, s, y):
+        made.append((unfold, s, y))
+        return make(unfold, kernel, s, y)
+
+    monkeypatch.setattr(syntax, "_unfolding_code", making)
+    for name in ("memf", "memt"):
+        def calling(kernel, s, y, fn=FN_SEMANTICS[name], name=name):
+            symbol_calls[name] += 1
+            return fn(kernel, s, y)
+        monkeypatch.setitem(FN_SEMANTICS, name, calling)
+    kernel = ordinal_kernel()
+    records = _ram_check_records(22, kernel)
+    assert decoded and len(set(decoded)) == len(decoded)
+    assert made and len(set(made)) == len(made)
+    assert sum(symbol_calls.values()) > len(made)
+    kept = kept_by(kernel, syntax.ungodel)
+    assert len(kept) > len(decoded)
+    assert all(f == decode(c) for (_, c), f in kept.items())
+    monkeypatch.undo()
+    assert records == _ram_check_records(22, ordinal_kernel())

@@ -4,7 +4,7 @@ import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
-from realisability import semantics
+from realisability import ordinals, ramified, semantics, syntax
 from realisability.notation import onat
 from realisability.poles import (
     Empty, Full, Generated, IN, OUT, UNKNOWN, Verdict, _chase, agreement,
@@ -14,8 +14,9 @@ from realisability.semantics import (
     refutes, sample_refuters, truth,
 )
 from realisability.syntax import (
-    All, Eq, Fals, Fn, Imp, InPole, Num, REAL_SIDE, Real, TVar, bot, godel,
-    explicit_refutation, parse_formula, subst,
+    All, Eq, Fals, Fn, Imp, InPole, Num, REAL_SIDE, Real, TRUTH_SIDE, Tru,
+    TVar, bot, eval_term, explicit_realisation, explicit_refutation,
+    godel, godel_term, parse_formula, subst,
 )
 from realisability.vm import MEMO_SIZE, Kernel, vpair
 from test_vm import kept_by
@@ -188,8 +189,9 @@ def test_a_fresh_kernel_holds_no_facts():
 
 
 def test_facts_memo_stays_within_its_bound():
-    # each subject s adds the unfolding of its atom; the decoded sentence
-    # is kept once, until the memo is emptied at MEMO_SIZE entries
+    # each subject s adds the unfolding of its atom; the decoded formula
+    # and its sentence check are kept once each, until the memo is
+    # emptied at MEMO_SIZE entries
     k = Kernel()
     code = Num(godel(EQ00))
     for s in range(MEMO_SIZE + 100):
@@ -197,7 +199,7 @@ def test_facts_memo_stays_within_its_bound():
                     gamma=onat(1))
         assert v.kind == IN  # no pole element to refute the unfolding
         assert len(k.facts) <= MEMO_SIZE
-    assert 0 < len(kept_by(k, explicit_refutation)) <= len(k.facts) <= 102
+    assert 0 < len(kept_by(k, explicit_refutation)) <= len(k.facts) <= 104
 
 
 def test_unfoldings_are_kept_apart_by_class_level_and_subject():
@@ -231,17 +233,36 @@ def test_certified_realiser_run_is_kept_per_pole_and_fuel():
     assert not k.facts
 
 
+def count_decodes(monkeypatch) -> list:
+    """The codes of the top-level ungodel calls made from now on: every
+    binding of ungodel is replaced by one counting wrapper, and ungodel
+    reaches its own subformulas through its table, not a binding."""
+    decoded = []
+    decode = syntax.ungodel
+
+    def counting(c):
+        decoded.append(c)
+        return decode(c)
+
+    for module in (syntax, ramified, ordinals):
+        monkeypatch.setattr(module, "ungodel", counting)
+    return decoded
+
+
 def test_atoms_about_one_code_decode_it_once(monkeypatch):
     # the sentence of a code is kept under its value, side and level, so
-    # truth and refutation, and atoms of either class, share it
+    # truth and refutation, and atoms of either class, share it; the
+    # formula itself is kept under the code alone, so a truth atom about
+    # the same code decodes it no more
     decoded = []
     decode = semantics.decode_sentence
 
-    def counting(code, side, level):
+    def counting(code, side, level, kernel):
         decoded.append((code, side, level))
-        return decode(code, side, level)
+        return decode(code, side, level, kernel)
 
     monkeypatch.setattr(semantics, "decode_sentence", counting)
+    formulas = count_decodes(monkeypatch)
     k, c = Kernel(), godel(EQ00)
     fals = Fals(onat(1), Num(3), Num(c))
     truth(fals, GEN, B, k, gamma=onat(2))
@@ -249,6 +270,48 @@ def test_atoms_about_one_code_decode_it_once(monkeypatch):
     truth(Real(onat(1), Num(3), Num(c)), GEN, B, k, gamma=onat(2))
     assert decoded.count((c, REAL_SIDE, onat(1))) == 1
     assert len(set(decoded)) == len(decoded)
+    truth(Tru(onat(1), Num(c)), GEN, B, k, gamma=onat(2))
+    assert decoded[-1] == (c, TRUTH_SIDE, onat(1)) and formulas == [c]
+
+
+def test_dot_membership_values_are_kept_apart_by_symbol_and_arguments():
+    # the sentence a memf or memt term codes is a function of the symbol
+    # and both its arguments; each verdict on a kernel that kept every
+    # value before it is the verdict on a fresh kernel.  The explicit
+    # refutation by s of (all y (= y 3)) is (imp (= (p0 s) 3) (pole (p1
+    # s))), so the verdicts differ with s and with the symbol.
+    codes = (godel(All("y", Eq(TVar("y"), Num(3)))), godel(EQ00))
+    subjects = (0, vpair(3, 0), vpair(2, 5))
+    atoms = [cls(onat(1), Num(1), Fn(sym, (Num(s), Num(t))))
+             for cls in (Fals, Real) for sym in ("memf", "memt")
+             for t in codes for s in subjects]
+    assert len(atoms) == 24
+    shared = Kernel()
+    verdicts = []
+    for a in atoms:
+        v = truth(a, GEN, B, shared, gamma=onat(2))
+        assert v == truth(a, GEN, B, Kernel(), gamma=onat(2))
+        verdicts.append(v)
+        for m in (0, vpair(1, 0), vpair(vpair(3, 1), 5)):
+            assert refutes(m, a, GEN, B, shared, gamma=onat(2)) == \
+                refutes(m, a, GEN, B, Kernel(), gamma=onat(2))
+    kept = {key[1:] for key in kept_by(shared, syntax._dot_membership)}
+    assert {(unfold, s, t) for unfold in (explicit_refutation,
+                                          explicit_realisation)
+            for t in codes for s in subjects} == kept
+    assert verdicts[:3] == [Verdict(FALSE), Verdict(TRUE), Verdict(FALSE)]
+    assert verdicts[3:6] != verdicts[9:12]  # memf against memt
+
+
+def test_a_code_of_no_formula_keeps_none_and_answers_as_before():
+    c = godel_term(Num(3))  # a term's code, which codes no formula
+    k = Kernel()
+    for _ in range(2):
+        atom = Fals(onat(1), Num(3), Num(c))
+        assert truth(atom, GEN, B, k, gamma=onat(2)) == Verdict(FALSE)
+        assert refutes(0, atom, GEN, B, k, gamma=onat(2)) == Verdict(OUT)
+        assert eval_term(Fn("memf", (Num(1), Num(c))), k) == 0
+        assert kept_by(k, syntax.ungodel) == {(syntax.ungodel, c): None}
 
 
 def _chased(k: Kernel) -> set:

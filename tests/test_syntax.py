@@ -19,7 +19,10 @@ from realisability.syntax import (
     parse_formula, parse_term, print_formula, print_term, subst, subst_term,
     subt, suc_t, term_vars, ungodel, ungodel_term,
 )
-from realisability.vm import pair, vint, vnat, vpair
+from realisability.vm import Kernel, pair, vint, vnat, vpair
+from test_vm import kept_by
+
+K = Kernel()
 
 names = st.sampled_from(["x", "y", "z", "w"])
 
@@ -95,14 +98,30 @@ def naive_eval(t):
 
 
 def test_eval_term_basics():
-    assert vint(eval_term(parse_term("(+ (s 0) (s 0))"))) == 2
-    assert vint(eval_term(parse_term("(* 3 (s 3))"))) == 12
-    assert vint(eval_term(parse_term("(p0 (pair 7 9))"))) == 7
+    assert vint(eval_term(parse_term("(+ (s 0) (s 0))"), K)) == 2
+    assert vint(eval_term(parse_term("(* 3 (s 3))"), K)) == 12
+    assert vint(eval_term(parse_term("(p0 (pair 7 9))"), K)) == 7
 
 
 @hyp.given(closed_terms)
 def test_eval_term_matches_naive_oracle(t):
-    assert vint(eval_term(t)) == naive_eval(t)
+    assert vint(eval_term(t, K)) == naive_eval(t)
+
+
+def test_a_symbol_is_called_with_its_kernel(monkeypatch):
+    # as a primitive is (test_vm.test_a_primitive_is_called_with_its_kernel)
+    monkeypatch.setattr(syntax, "FN_ARITY", dict(syntax.FN_ARITY))
+    monkeypatch.setattr(syntax, "FN_SEMANTICS", dict(syntax.FN_SEMANTICS))
+    seen = []
+
+    def probe(kernel, v):
+        seen.append(kernel)
+        return kernel.kept((probe, v), vint, v) + 1
+
+    syntax.register_fn("probe", 1, probe)
+    k = Kernel()
+    assert eval_term(Fn("probe", (Fn("+", (Num(1), Num(3))),)), k) == 5
+    assert seen == [k] and kept_by(k, probe) == {(probe, 4): 4}
 
 
 def test_numeral_normalization():
@@ -112,8 +131,8 @@ def test_numeral_normalization():
 
 def test_eq_check():
     assert eq_check(godel_term(parse_term("(+ (s 0) (s 0))")),
-                    godel_term(Num(2)))
-    assert not eq_check(godel_term(Num(0)), godel_term(Num(1)))
+                    godel_term(Num(2)), K)
+    assert not eq_check(godel_term(Num(0)), godel_term(Num(1)), K)
 
 
 def test_godel_roundtrip_example():
@@ -185,6 +204,72 @@ def test_each_class_keeps_its_text_and_code(a, text, code):
     assert ungodel(c) == a
     assert print_formula(a) == text
     assert parse_formula(text) == a
+
+
+# ---------------------------------------------------------------------------
+# Codes kept on formula nodes
+
+def table_godel(a):
+    """godel as it was before it kept each node's code on the node: the
+    walk of the _LAYOUT table, which codes every subformula it passes
+    again.  The reference for godel."""
+    tag, _, layout = syntax._LAYOUT[type(a)]
+    code = None
+    for name, code_of, _ in layout[::-1]:  # paired from the right
+        x = getattr(a, name)
+        x = table_godel(x) if code_of is godel else code_of(x)
+        code = x if code is None else vpair(x, code)
+    return vpair(tag, code)
+
+
+levels = st.sampled_from([O_ZERO, parse_ord("2"), parse_ord("w+1")])
+
+# every class, with subformulas shared by their parent
+coded_formulas = st.recursive(
+    st.one_of(
+        st.builds(Eq, terms, terms),
+        st.builds(InPole, terms),
+        st.builds(Fals, levels, terms, terms),
+        st.builds(Real, levels, terms, terms),
+        st.builds(Tru, levels, terms),
+    ),
+    lambda fs: st.one_of(
+        st.builds(Imp, fs, fs),
+        st.builds(All, names, fs),
+        st.builds(lambda a: Imp(a, All("x", a)), fs),
+    ),
+    max_leaves=8,
+)
+
+
+@hyp.given(coded_formulas)
+def test_a_formula_keeps_the_code_the_table_walk_gives(a):
+    want = table_godel(a)
+    c = godel(a)
+    assert c == want and godel(a) is c
+    # an equal formula built apart has the same code, kept on its own
+    # nodes
+    apart = ungodel(want)
+    assert apart == a and apart is not a
+    assert godel(apart) == want and godel(apart) is not c
+
+
+def test_a_shared_subformula_is_coded_once(monkeypatch):
+    coded = []
+    code = syntax._coded
+
+    def counting(a):
+        coded.append(a)
+        return code(a)
+
+    monkeypatch.setattr(syntax, "_coded", counting)
+    eq = Eq(TVar("x"), Num(3))
+    a = Imp(All("x", eq), Imp(eq, All("x", eq)))
+    assert godel(a) == table_godel(a)
+    assert len(coded) == 5 and len({id(b) for b in coded}) == 5
+    coded.clear()
+    godel(a), godel(eq)
+    assert coded == []
 
 
 def test_ungodel_decodes_formulas_only():
@@ -829,7 +914,7 @@ def test_numerals_past_the_digit_limit_print_as_pairs():
     big = vnat(10**4300)
     text = print_term(Num(big))
     assert text.startswith("(pair (pair ")
-    assert eval_term(parse_term(text)) == big
+    assert eval_term(parse_term(text), K) == big
     # 2^70 paired with 0, 1, ..., 39: 2659 digits after 7 pairings, 5317
     # after 8, and far too many to expand after 40
     v = vnat(2**70)
@@ -843,7 +928,7 @@ def test_numerals_past_the_digit_limit_print_as_pairs():
     assert text == "(= %s42916700575 5675307424)%s x)" % (
         "(pair " * 41, "".join(" %d)" % k for k in range(40)))
     read = parse_formula(text)
-    assert eval_term(read.l) == v and print_formula(read) == text
+    assert eval_term(read.l, K) == v and print_formula(read) == text
 
 
 def test_nesting_past_the_recursion_limit_is_a_parse_error():

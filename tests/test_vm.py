@@ -379,9 +379,9 @@ def test_every_producer_of_naturals_gives_the_canonical_form(x, y):
     lit = Lit(vx)
     made = [
         (vnat(x), x), (vpair(x, y), pair(x, y)), (vpair(vx, y), pair(x, y)),
-        (eval_term(Num(x)), x), (eval_term(Fn("s", (Num(vx),))), x + 1),
-        (eval_term(Fn("+", (Num(vx), Num(vy)))), x + y),
-        (eval_term(Fn("*", (Num(vx), Num(vy)))), x * y),
+        (eval_term(Num(x), K), x), (eval_term(Fn("s", (Num(vx),)), K), x + 1),
+        (eval_term(Fn("+", (Num(vx), Num(vy))), K), x + y),
+        (eval_term(Fn("*", (Num(vx), Num(vy))), K), x * y),
         (Kernel().run(Suc(lit), 100).n, x + 1),
         (Kernel().run(Pred(lit), 100).n, max(x - 1, 0)),
     ]
