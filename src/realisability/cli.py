@@ -91,7 +91,8 @@ def parse_pole(text: str) -> PoleSpec:
                 raise ValueError("more than one :depth")
             seed = frozenset(_natural(x) for x in parts[1].split(",")
                              if x != "")
-            depth = _natural(parts[2]) if len(parts) > 2 else 64
+            depth = (_natural(parts[2]) if len(parts) > 2
+                     else Generated.chase_depth)
             return Generated(seed, depth)
         except (argparse.ArgumentTypeError, ValueError) as exc:
             raise UsageError("bad generated pole spec %r (%s)" % (text, exc))
@@ -476,7 +477,7 @@ def _suite_ti_section(cfg: RunConfig, kernel: Kernel,
     small = Budget(fuel=cfg.budget.fuel, samples=min(cfg.budget.samples, 5),
                    width=cfg.budget.width)
     scfg = RunConfig(pole=cfg.pole if not isinstance(cfg.pole, Empty)
-                     else Generated(frozenset({0, 3, 8}), 64),
+                     else Generated(frozenset({0, 3, 8})),
                      budget=small, gamma=cfg.gamma, seed=cfg.seed)
     return [_check_ti_realiser(a, f, scfg, kernel, rng)
             for a in (onat(0), onat(2), omega())]
@@ -525,9 +526,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fuel", type=_natural, default=10**6)
-    p.add_argument("--samples", type=_natural, default=20)
-    p.add_argument("--width", type=_natural, default=50)
+    p.add_argument("--fuel", type=_natural, default=Budget.fuel)
+    p.add_argument("--samples", type=_natural, default=Budget.samples)
+    p.add_argument("--width", type=_natural, default=Budget.width)
     p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--pole", default="empty")
     p.add_argument("--gamma", default="w")

@@ -203,6 +203,14 @@ def _decode_sentence_with_x(kernel: Kernel, code: Nat) -> Formula:
     return a
 
 
+def _applied(kernel: Kernel, code: Nat, arg: Nat, fuel: int) -> Nat:
+    """The value of code . arg within fuel; stuck when it has none."""
+    r = kernel.apply(code, arg, fuel)
+    if not isinstance(r, Value):
+        raise StuckError()
+    return r.n
+
+
 def _decode_ord(code: Nat) -> OrdNotation:
     a = odecode(code)
     if a is None:
@@ -279,12 +287,9 @@ def _instantiated(kind: str):
     def prim(kernel: Kernel, v: Nat) -> Nat:
         ac, alphac = vunpair(v)
         _decode_ord(alphac)
-        r = kernel.apply(combinator("s"),
-                         vpair(_template(kernel, kind, ac), alphac),
-                         _TEMPLATE_FUEL)
-        if not isinstance(r, Value):
-            raise StuckError()
-        return r.n
+        return _applied(kernel, combinator("s"),
+                        vpair(_template(kernel, kind, ac), alphac),
+                        _TEMPLATE_FUEL)
     return prim
 
 
@@ -453,28 +458,22 @@ def wo_realiser(alpha: OrdNotation, kernel: Kernel,
     Built by structural recursion on the notation through the
     combinator programs; the kernel must carry the ordinal
     primitives."""
-    def app(code: Nat, arg: Nat) -> Nat:
-        r = kernel.apply(code, arg, fuel)
-        if not isinstance(r, Value):
-            raise StuckError()
-        return r.n
-
     e = _as_exp(alpha)
     if e is not alpha:  # alpha = epsilon_i
-        return app(_KEPS_CODE, ocode(e.sub))
+        return _applied(kernel, _KEPS_CODE, ocode(e.sub), fuel)
     k = classify(alpha)
     if isinstance(k, ZeroC):
         return _K0_CODE
     if isinstance(k, SucC):
-        return app(_KSUC_CODE,
-                   vpair(wo_realiser(k.pred, kernel, fuel), ocode(k.pred)))
+        return _applied(kernel, _KSUC_CODE, vpair(
+            wo_realiser(k.pred, kernel, fuel), ocode(k.pred)), fuel)
     if len(alpha.terms) == 1 and alpha.terms[0][1] == 1:
         e = alpha.terms[0][0]  # alpha = omega^e with e a notation value
-        return app(_KOMEGA_CODE,
-                   vpair(wo_realiser(e, kernel, fuel), ocode(e)))
+        return _applied(kernel, _KOMEGA_CODE,
+                        vpair(wo_realiser(e, kernel, fuel), ocode(e)), fuel)
     # the kernel keeps the program as the code's closure, so it runs the
     # sequence without decoding its code
     seq = kernel.code(Lam(Prim(PID_WO,
                                Prim(PID_ORDFS,
                                     Pair(Lit(ocode(alpha)), Var(0))))))
-    return app(_KLIM_CODE, vpair(seq, ocode(alpha)))
+    return _applied(kernel, _KLIM_CODE, vpair(seq, ocode(alpha)), fuel)

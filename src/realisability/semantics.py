@@ -29,9 +29,9 @@ from .poles import (
 )
 from .syntax import (
     All, Eq, Fals, Formula, Imp, InPole, LevelError, Num, REAL_SIDE, Real,
-    TRUTH_SIDE, Tru, decode_sentence, eval_term, explicit_realisation,
-    explicit_refutation, free_vars, in_language, max_level, print_formula,
-    subst,
+    TRUTH_SIDE, Tru, _unfolding, decode_sentence, eval_term,
+    explicit_realisation, explicit_refutation, free_vars, in_language,
+    max_level, print_formula, subst,
 )
 from .vm import (
     Kernel, Lam, Nat, Value, Var, encode, vpair, vunpair,
@@ -140,7 +140,8 @@ def _truth(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
         return _as_truth(member(eval_term(a.t, kernel), pole, b.fuel, kernel))
     if isinstance(a, (Fals, Real, Tru)):
         side = TRUTH_SIDE if isinstance(a, Tru) else REAL_SIDE
-        sent = _sentence(eval_term(a.t, kernel), side, a.level, kernel)
+        sent = decode_sentence(eval_term(a.t, kernel), side, a.level,
+                               kernel)
         if sent is None:
             return V_FALSE
         if isinstance(a, Tru):
@@ -173,28 +174,17 @@ def _truth(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
     raise TypeError(a)
 
 
-def _sentence(code: Nat, side: str, level: OrdNotation,
-              kernel: Kernel) -> Optional[Formula]:
-    """The sentence of the side below level that code names, or None,
-    kept under these three, so atoms of every class about code share it;
-    the formula itself is decoded once per code (decode_sentence)."""
-    return kernel.kept((decode_sentence, code, side, level),
-                       decode_sentence, code, side, level, kernel)
-
-
 def _unfold(a: Formula, kernel: Kernel) -> Optional[Formula]:
     """The explicit unfolding of the Fals or Real atom a, or None when its
-    code names no sentence.  It is a function of the atom's class, level
-    and term values, so the kernel keeps it; s is evaluated only once t
-    has decoded to a sentence."""
+    code names no sentence below its level.  The kernel keeps it with the
+    memf or memt term on the same values (syntax._unfolding); s is
+    evaluated only once t has decoded to a sentence."""
     t = eval_term(a.t, kernel)
-    sent = _sentence(t, REAL_SIDE, a.level, kernel)
-    if sent is None:
+    if decode_sentence(t, REAL_SIDE, a.level, kernel) is None:
         return None
     unfold = explicit_refutation if isinstance(a, Fals) \
         else explicit_realisation
-    s = eval_term(a.s, kernel)
-    return kernel.kept((unfold, a.level, t, s), unfold, Num(s), sent)
+    return _unfolding(kernel, unfold, eval_term(a.s, kernel), t)
 
 
 def refutes(m: Nat, a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
@@ -207,17 +197,13 @@ def refutes(m: Nat, a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
 def _refutes(m: Nat, a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
              depth: int) -> Verdict:
     _too_deep(depth)
-    if isinstance(a, Eq):
-        if eval_term(a.l, kernel) != eval_term(a.r, kernel):
-            return V_IN  # a false equation is refuted by every number
-        return member(m, pole, b.fuel, kernel)
-    if isinstance(a, InPole):
-        v = member(eval_term(a.t, kernel), pole, b.fuel, kernel)
-        if v.kind == OUT:
-            return V_IN  # vacuous: the guard fails
-        if v.kind == IN:
+    if isinstance(a, (Eq, InPole)):
+        t = _truth(a, pole, b, kernel, depth)
+        if t.kind == FALSE:
+            return V_IN  # every number refutes a false atom
+        if t.kind == TRUE:
             return member(m, pole, b.fuel, kernel)
-        return v
+        return t
     if isinstance(a, (Fals, Real)):
         unfold = _unfold(a, kernel)
         if unfold is None:
@@ -350,17 +336,13 @@ def _any_numbers(k: int, rng: random.Random) -> list:
 def _sample(a: Formula, pole: PoleSpec, k: int, b: Budget, kernel: Kernel,
             rng: random.Random, depth: int) -> list:
     _too_deep(depth)
-    if isinstance(a, Eq):
-        if eval_term(a.l, kernel) != eval_term(a.r, kernel):
+    if isinstance(a, (Eq, InPole)):
+        t = _truth(a, pole, b, kernel, depth)
+        if t.kind == FALSE:  # every number refutes a false atom
             return _any_numbers(k, rng)
-        return _pole_elements(pole, k, rng)
-    if isinstance(a, InPole):
-        v = member(eval_term(a.t, kernel), pole, b.fuel, kernel)
-        if v.kind == OUT:  # vacuous guard: every number refutes
-            return _any_numbers(k, rng)
-        if v.kind == IN:
+        if t.kind == TRUE:
             return _pole_elements(pole, k, rng)
-        raise _SampleUnknown(v)
+        raise _SampleUnknown(t)
     if isinstance(a, (Fals, Real)):
         unfold = _unfold(a, kernel)
         if unfold is None:

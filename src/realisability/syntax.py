@@ -646,33 +646,37 @@ def explicit_realisation(s: ATerm, a: Formula) -> Formula:
                       InPole(Fn("pair", (s, TVar(v))))))
 
 
-def _unfolding_code(unfold: Callable, kernel: Kernel, s: Nat,
-                    y: Nat) -> Nat:
-    """The code of unfold(s, A) for the sentence A coded by y; 0 when y
-    codes no sentence with an unfolding.  The unfolding is built from a
-    decoded sentence, the canonical value s and fresh names, so it is
-    what its code decodes to, and the kernel keeps it as that decode: an
-    atom about the value, the next step of a nested unfolding, reads it
-    without decoding."""
-    a = _decoded(kernel, ungodel, y)
-    if a is None or free_vars(a):
-        return 0
-    try:
-        f = unfold(Num(s), a)
-    except TypeError:
-        return 0
-    c = godel(f)
-    kernel.kept((ungodel, c), lambda: f)
-    return c
+def _unfolding(kernel: Kernel, unfold: Callable, s: Nat,
+               y: Nat) -> Optional[Formula]:
+    """unfold(Num(s), A) for the closed formula A that y codes, kept by
+    the kernel under (unfold, s, y), so an atom about s and y and the
+    memf or memt term on them share one unfolding; None when y codes no
+    closed formula or A has a truth atom, which has no unfolding."""
+    def make():
+        a = _decoded(kernel, ungodel, y)
+        if a is None or free_vars(a):
+            return None
+        try:
+            return unfold(Num(s), a)
+        except TypeError:
+            return None
+    return kernel.kept((unfold, s, y), make)
 
 
 def _dot_membership(unfold: Callable, kernel: Kernel, s: Nat,
                     y: Nat) -> Nat:
     """memf (unfold = explicit_refutation) or memt
-    (explicit_realisation) on s and y: _unfolding_code, kept by the
-    kernel under the symbol's unfolding and both arguments."""
-    return kernel.kept((_dot_membership, unfold, s, y),
-                       _unfolding_code, unfold, kernel, s, y)
+    (explicit_realisation) on s and y: the code of _unfolding, 0 when
+    there is none.  The unfolding is built from a decoded formula, the
+    canonical value s and fresh names, so it is what its code decodes
+    to, and the kernel keeps it as that decode: an atom about the value,
+    the next step of a nested unfolding, reads it without decoding."""
+    f = _unfolding(kernel, unfold, s, y)
+    if f is None:
+        return 0
+    c = godel(f)
+    kernel.kept((ungodel, c), lambda: f)
+    return c
 
 
 # the dot-membership symbols the explicit unfoldings of atoms produce

@@ -677,25 +677,21 @@ class Kernel:
 
     def apply(self, e: Nat, m: Nat, fuel: int) -> EvalResult:
         """Kleene application e . m under a step budget."""
-        if fuel <= 0:
-            raise ValueError("fuel must be positive")
-        cell = [fuel]
-        try:
-            v = self._apply_value(e, m, cell)
-            return Value(v, fuel - cell[0])
-        except OutOfFuel:
-            return Diverged(FUEL)
-        except StuckError:
-            return Diverged(STUCK)
+        return self._result(fuel, self._apply_value, e, m)
 
     def run(self, p: Program, fuel: int) -> EvalResult:
         """Evaluate a closed program outright."""
+        return self._result(fuel, self._machine, p, (), None, None)
+
+    @staticmethod
+    def _result(fuel: int, fn: Callable, *args) -> EvalResult:
+        """fn(*args, cell) on a fuel cell holding fuel, as a Value with the
+        fuel it used, or as Diverged when it ran out or was stuck."""
         if fuel <= 0:
             raise ValueError("fuel must be positive")
         cell = [fuel]
         try:
-            v = self._machine(p, (), None, None, cell)
-            return Value(v, fuel - cell[0])
+            return Value(fn(*args, cell), fuel - cell[0])
         except OutOfFuel:
             return Diverged(FUEL)
         except StuckError:

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from realisability import syntax
+from realisability import semantics, syntax
 from realisability.notation import omega, onat
 from realisability.ordinals import ordinal_kernel
 from realisability.poles import (
@@ -24,11 +24,10 @@ from realisability.semantics import (
     Budget, FALSE, TRUE, realises, refutes, sample_refuters, truth,
 )
 from realisability.syntax import (
-    FN_SEMANTICS, All, Eq, Fals, Fn, Imp, InPole, LevelError, Num, ONE,
-    ParseError, REAL_SIDE, Real, TRUTH_SIDE, TVar, Tru, bot, conj,
-    explicit_realisation, explicit_refutation, free_vars, godel, godel_term,
-    in_language, max_level, parse_formula, print_formula, subst, subt,
-    ungodel,
+    All, Eq, Fals, Fn, Imp, InPole, LevelError, Num, ONE, ParseError,
+    REAL_SIDE, Real, TRUTH_SIDE, TVar, Tru, bot, conj, explicit_realisation,
+    explicit_refutation, free_vars, godel, godel_term, in_language,
+    max_level, parse_formula, print_formula, subst, subt, ungodel,
 )
 from realisability.vm import vpair, vunpair
 from test_semantics import count_decodes
@@ -510,30 +509,28 @@ def test_ram_check_records_do_not_depend_on_a_warm_kernel(seed):
 
 def test_one_ram_check_decodes_each_code_once(monkeypatch):
     # one query of bench seed 22 on one kernel: every formula code is
-    # decoded once, and every memf or memt value made once, however often
-    # the atoms and unfoldings about it are evaluated; the code of an
-    # unfolding is not decoded at all, since the unfolding is kept as its
-    # decode
+    # decoded once, and every unfolding made once, however often the
+    # atoms, memf and memt terms and unfoldings about it are evaluated;
+    # the code of an unfolding is not decoded at all, since the unfolding
+    # is kept as its decode
     decode = syntax.ungodel
     decoded = count_decodes(monkeypatch)
-    made, symbol_calls = [], Counter()
-    make = syntax._unfolding_code
+    asked, made = [], []
+    unfolding = syntax._unfolding
 
-    def making(unfold, kernel, s, y):
-        made.append((unfold, s, y))
-        return make(unfold, kernel, s, y)
+    def counting(kernel, unfold, s, y):
+        asked.append((unfold, s, y))
+        if (unfold, s, y) not in kernel.facts:
+            made.append((unfold, s, y))
+        return unfolding(kernel, unfold, s, y)
 
-    monkeypatch.setattr(syntax, "_unfolding_code", making)
-    for name in ("memf", "memt"):
-        def calling(kernel, s, y, fn=FN_SEMANTICS[name], name=name):
-            symbol_calls[name] += 1
-            return fn(kernel, s, y)
-        monkeypatch.setitem(FN_SEMANTICS, name, calling)
+    for module in (syntax, semantics):
+        monkeypatch.setattr(module, "_unfolding", counting)
     kernel = ordinal_kernel()
     records = _ram_check_records(22, kernel)
     assert decoded and len(set(decoded)) == len(decoded)
     assert made and len(set(made)) == len(made)
-    assert sum(symbol_calls.values()) > len(made)
+    assert len(asked) > len(made)
     kept = kept_by(kernel, syntax.ungodel)
     assert len(kept) > len(decoded)
     assert all(f == decode(c) for (_, c), f in kept.items())

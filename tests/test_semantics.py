@@ -14,9 +14,9 @@ from realisability.semantics import (
     refutes, sample_refuters, truth,
 )
 from realisability.syntax import (
-    All, Eq, Fals, Fn, Imp, InPole, Num, REAL_SIDE, Real, TRUTH_SIDE, Tru,
-    TVar, bot, eval_term, explicit_realisation, explicit_refutation,
-    godel, godel_term, parse_formula, subst,
+    All, Eq, Fals, Fn, Imp, InPole, Num, Real, Tru, TVar, bot, eval_term,
+    explicit_realisation, explicit_refutation, godel, godel_term,
+    parse_formula, subst,
 )
 from realisability.vm import MEMO_SIZE, Kernel, vpair
 from test_vm import kept_by
@@ -190,8 +190,7 @@ def test_a_fresh_kernel_holds_no_facts():
 
 def test_facts_memo_stays_within_its_bound():
     # each subject s adds the unfolding of its atom; the decoded formula
-    # and its sentence check are kept once each, until the memo is
-    # emptied at MEMO_SIZE entries
+    # is kept once, until the memo is emptied at MEMO_SIZE entries
     k = Kernel()
     code = Num(godel(EQ00))
     for s in range(MEMO_SIZE + 100):
@@ -199,7 +198,7 @@ def test_facts_memo_stays_within_its_bound():
                     gamma=onat(1))
         assert v.kind == IN  # no pole element to refute the unfolding
         assert len(k.facts) <= MEMO_SIZE
-    assert 0 < len(kept_by(k, explicit_refutation)) <= len(k.facts) <= 104
+    assert 0 < len(kept_by(k, explicit_refutation)) <= len(k.facts) <= 102
 
 
 def test_unfoldings_are_kept_apart_by_class_level_and_subject():
@@ -250,28 +249,40 @@ def count_decodes(monkeypatch) -> list:
 
 
 def test_atoms_about_one_code_decode_it_once(monkeypatch):
-    # the sentence of a code is kept under its value, side and level, so
-    # truth and refutation, and atoms of either class, share it; the
-    # formula itself is kept under the code alone, so a truth atom about
-    # the same code decodes it no more
-    decoded = []
-    decode = semantics.decode_sentence
-
-    def counting(code, side, level, kernel):
-        decoded.append((code, side, level))
-        return decode(code, side, level, kernel)
-
-    monkeypatch.setattr(semantics, "decode_sentence", counting)
+    # the formula of a code is kept under the code alone, so truth and
+    # refutation, atoms of either class and level, and a truth atom about
+    # the same code decode it once
     formulas = count_decodes(monkeypatch)
     k, c = Kernel(), godel(EQ00)
     fals = Fals(onat(1), Num(3), Num(c))
     truth(fals, GEN, B, k, gamma=onat(2))
     refutes(vpair(1, 0), fals, GEN, B, k, gamma=onat(2))
-    truth(Real(onat(1), Num(3), Num(c)), GEN, B, k, gamma=onat(2))
-    assert decoded.count((c, REAL_SIDE, onat(1))) == 1
-    assert len(set(decoded)) == len(decoded)
+    for level in (0, 1):
+        truth(Real(onat(level), Num(3), Num(c)), GEN, B, k, gamma=onat(2))
+        refutes(0, Real(onat(level), Num(3), Num(c)), GEN, B, k,
+                gamma=onat(2))
     truth(Tru(onat(1), Num(c)), GEN, B, k, gamma=onat(2))
-    assert decoded[-1] == (c, TRUTH_SIDE, onat(1)) and formulas == [c]
+    assert formulas == [c]
+
+
+@pytest.mark.parametrize("cls, symbol, unfold", [
+    (Fals, "memf", explicit_refutation), (Real, "memt", explicit_realisation)])
+@pytest.mark.parametrize("atom_first", [True, False])
+def test_an_atom_and_its_dot_membership_term_make_one_unfolding(
+        cls, symbol, unfold, atom_first):
+    # s F_1 |A| unfolds to the sentence memf(s, |A|) codes, and s T_1 |A|
+    # to the one memt(s, |A|) codes: in either order, both read the one
+    # unfolding the kernel keeps for (s, |A|)
+    k, c = Kernel(), godel(All("y", Eq(TVar("y"), Num(3))))
+    atom = cls(onat(1), Num(5), Num(c))
+    if atom_first:
+        refutes(vpair(1, 0), atom, GEN, B, k, gamma=onat(2))
+    code = eval_term(Fn(symbol, (Num(5), Num(c))), k)
+    refutes(vpair(1, 0), atom, GEN, B, k, gamma=onat(2))
+    [f] = kept_by(k, unfold).values()
+    assert f == unfold(Num(5), syntax.ungodel(c))
+    assert semantics._unfold(atom, k) is f
+    assert syntax._decoded(k, syntax.ungodel, code) is f
 
 
 def test_dot_membership_values_are_kept_apart_by_symbol_and_arguments():
@@ -295,10 +306,13 @@ def test_dot_membership_values_are_kept_apart_by_symbol_and_arguments():
         for m in (0, vpair(1, 0), vpair(vpair(3, 1), 5)):
             assert refutes(m, a, GEN, B, shared, gamma=onat(2)) == \
                 refutes(m, a, GEN, B, Kernel(), gamma=onat(2))
-    kept = {key[1:] for key in kept_by(shared, syntax._dot_membership)}
+    kept = {key: f for unfold in (explicit_refutation, explicit_realisation)
+            for key, f in kept_by(shared, unfold).items()}
     assert {(unfold, s, t) for unfold in (explicit_refutation,
                                           explicit_realisation)
-            for t in codes for s in subjects} == kept
+            for t in codes for s in subjects} <= kept.keys()
+    assert all(f == unfold(Num(s), syntax.ungodel(t))
+               for (unfold, s, t), f in kept.items())
     assert verdicts[:3] == [Verdict(FALSE), Verdict(TRUE), Verdict(FALSE)]
     assert verdicts[3:6] != verdicts[9:12]  # memf against memt
 
