@@ -525,15 +525,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fuel", type=_natural, default=Budget.fuel)
-    p.add_argument("--samples", type=_natural, default=Budget.samples)
-    p.add_argument("--width", type=_natural, default=Budget.width)
-    p.add_argument("--seed", type=_natural, default=0)
-    p.add_argument("--pole", default="empty")
-    p.add_argument("--gamma", default="w")
-    p.add_argument("--report", default=None,
-                   help="also write the JSON report to this path")
+# the shared flags with their argparse types and defaults; a command
+# keeps the default of each one it does not read, and refuses the flag
+_FLAGS = {"pole": (str, "empty"), "fuel": (_natural, Budget.fuel),
+          "samples": (_natural, Budget.samples),
+          "width": (_natural, Budget.width), "seed": (_natural, 0),
+          "gamma": (str, "w")}
+_REALISE = "pole fuel samples width seed"  # a sampled realiser check
 
 
 @functools.cache
@@ -546,9 +544,15 @@ def build_parser() -> _Parser:
     top = _Parser(prog="realis", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(group, name, fn):
+    def add(group, name, fn, flags=""):
         p = group.add_parser(name)
-        _common(p)
+        for flag, (kind, default) in _FLAGS.items():
+            if flag in flags.split():
+                p.add_argument("--" + flag, type=kind, default=default)
+            else:
+                p.set_defaults(**{flag: default})
+        p.add_argument("--report", default=None,
+                       help="also write the JSON report to this path")
         p.set_defaults(fn=fn)
         return p
 
@@ -556,33 +560,33 @@ def build_parser() -> _Parser:
     p.add_argument("formula")
     p.add_argument("--ram", action="store_true")
 
-    p = add(sub, "truth", cmd_truth)
+    p = add(sub, "truth", cmd_truth, "width")
     p.add_argument("formula")
 
     pole_sub = sub.add_parser("pole").add_subparsers(dest="subcommand",
                                                      required=True)
-    p = add(pole_sub, "member", cmd_pole_member)
+    p = add(pole_sub, "member", cmd_pole_member, "pole fuel")
     p.add_argument("n", type=_natural)
 
-    p = add(sub, "refutes", cmd_refutes)
+    p = add(sub, "refutes", cmd_refutes, "pole fuel samples width")
     p.add_argument("m", type=_natural)
     p.add_argument("formula")
 
-    p = add(sub, "realises", cmd_realises)
+    p = add(sub, "realises", cmd_realises, _REALISE)
     p.add_argument("n", type=_natural)
     p.add_argument("formula")
 
     p = add(sub, "prove-check", cmd_prove_check)
     p.add_argument("path")
 
-    p = add(sub, "extract", cmd_extract)
+    p = add(sub, "extract", cmd_extract, "fuel")
     p.add_argument("path")
 
-    p = add(sub, "run", cmd_run)
+    p = add(sub, "run", cmd_run, "fuel")
     p.add_argument("e", type=_natural)
     p.add_argument("m", type=_natural)
 
-    p = add(sub, "validate", cmd_validate)
+    p = add(sub, "validate", cmd_validate, _REALISE)
     p.add_argument("path")
 
     ord_sub = sub.add_parser("ord").add_subparsers(dest="subcommand",
@@ -601,10 +605,10 @@ def build_parser() -> _Parser:
     p.add_argument("--formula", default="(= x x)")
     p.add_argument("--var", default="x")
     p.add_argument("--alpha", default=None)
-    p = add(ti_sub, "realise", cmd_ti_realise)
+    p = add(ti_sub, "realise", cmd_ti_realise, _REALISE)
     p.add_argument("alpha")
     p.add_argument("--formula", default="(= x x)")
-    p = add(ti_sub, "validate", cmd_ti_validate)
+    p = add(ti_sub, "validate", cmd_ti_validate, _REALISE)
     p.add_argument("--alphas", default="0,1,2,w,w*2,w^2,w^w")
     p.add_argument("--formula", default="(= x x)")
 
@@ -617,7 +621,7 @@ def build_parser() -> _Parser:
     p = add(ram_sub, "translate", cmd_ram_translate)
     p.add_argument("mode", choices=["conservative", "empty", "zero"])
     p.add_argument("formula")
-    p = add(ram_sub, "axiom", cmd_ram_axiom)
+    p = add(ram_sub, "axiom", cmd_ram_axiom, "fuel gamma")
     p.add_argument("kind")
     p.add_argument("--beta", default="1")
     p.add_argument("--low", default="0",
@@ -627,11 +631,11 @@ def build_parser() -> _Parser:
     p.add_argument("--var", default="")
     p.add_argument("--a", type=_natural, default=0)
     p.add_argument("--b", type=_natural, default=0)
-    p = add(ram_sub, "check", cmd_ram_check)
+    p = add(ram_sub, "check", cmd_ram_check, _REALISE + " gamma")
     p.add_argument("--count", type=_natural, default=60)
 
-    add(sub, "axioms-check", cmd_axioms_check)
-    add(sub, "suite", cmd_suite)
+    add(sub, "axioms-check", cmd_axioms_check, _REALISE)
+    add(sub, "suite", cmd_suite, _REALISE + " gamma")
     return top
 
 

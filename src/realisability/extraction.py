@@ -467,6 +467,14 @@ def _term_value_expr(t: ATerm, ctx: tuple) -> Program:
                 Pair(Lit(godel_term(t)), Pair(Lit(_ctx_code(ctx)), Var(0))))
 
 
+def _in_context(t: ATerm, ctx: tuple) -> ATerm:
+    """t with 0 for each variable ctx does not bind: a checked proof
+    holds for every value of a variable no `gen` above it binds."""
+    for x in term_vars(t) - set(ctx):
+        t = subst_term(t, x, ZERO)
+    return t
+
+
 def _axiom_body(ax: Axiom, ctx: tuple, kernel: Kernel) -> Program:
     """Body (environment free as Var 0) evaluating to the realiser."""
     kind, f = ax.kind, ax.formula
@@ -476,52 +484,35 @@ def _axiom_body(ax: Axiom, ctx: tuple, kernel: Kernel) -> Program:
         names, _core = _strip_alls(f)
         return Lit(kernel.code(Lam(_p1n(Var(0), len(names)))))
     if kind == "univinst":
-        t = ax.data[0]
-        if not term_vars(t) <= set(ctx):
-            raise ExtractionError(
-                "term %s has variables outside the context" % print_term(t))
+        t = _in_context(ax.data[0], ctx)
         return App(Lit(_UI_MAKER_CODE), _term_value_expr(t, ctx))
-    if kind == "leibniz":
-        _, _, s, t = _SCHEMAS[kind][1](f, ax.data)
-        if not (term_vars(s) | term_vars(t)) <= set(ctx):
-            raise ExtractionError("equation terms escape the context")
-        flag = Prim(PID_EQCHECK,
-                    Pair(Lit(godel_term(s)),
-                         Pair(Lit(godel_term(t)),
-                              Pair(Lit(_ctx_code(ctx)), Var(0)))))
-        return App(Lit(_LEIB_MAKER_CODE), flag)
-    raise ExtractionError("no realiser for axiom kind %r" % kind)
+    _, _, s, t = _SCHEMAS[kind][1](f, ax.data)  # leibniz, the last kind
+    flag = Prim(PID_EQCHECK,
+                Pair(Lit(godel_term(_in_context(s, ctx))),
+                     Pair(Lit(godel_term(_in_context(t, ctx))),
+                          Pair(Lit(_ctx_code(ctx)), Var(0)))))
+    return App(Lit(_LEIB_MAKER_CODE), flag)
 
 
-def _extract_body(p: Proof, ctx: tuple, path: str, kernel: Kernel,
+def _extract_body(p: Proof, ctx: tuple, kernel: Kernel,
                   bodies: dict) -> Program:
-    """The body of p's realiser in context ctx.  bodies keeps an axiom
-    node's body by its id and ctx for one extraction, so a node the
-    reader shares between equal texts is built once per context."""
-    if isinstance(p, Hyp):
-        raise ExtractionError("cannot extract from a hypothesis at %s"
-                              % (path or "root"))
+    """The body of the checked proof p's realiser in context ctx.  bodies
+    keeps an axiom node's body by its id and ctx for one extraction, so
+    a node the reader shares is built once per context."""
     if isinstance(p, Axiom):
         body = bodies.get((id(p), ctx))
         if body is None:
-            if not free_vars(p.formula) <= set(ctx):
-                raise ExtractionError(
-                    "free variables of %s are not all in scope at %s"
-                    % (print_formula(p.formula), path or "root"))
             body = bodies[id(p), ctx] = _axiom_body(p, ctx, kernel)
         return body
     if isinstance(p, MP):
-        fa = _extract_body(p.major, ctx, path + "/mp-major", kernel, bodies)
-        fb = _extract_body(p.minor, ctx, path + "/mp-minor", kernel, bodies)
+        fa = _extract_body(p.major, ctx, kernel, bodies)
+        fb = _extract_body(p.minor, ctx, kernel, bodies)
         return App(Lit(_I_CODE), Pair(fa, fb))
-    if isinstance(p, Gen):
-        child = _extract_body(p.sub, (p.var,) + ctx, path + "/gen", kernel,
-                              bodies)
-        child_code = kernel.code(Lam(child))
-        # g . w realises the instance at w; u . g realises the universal
-        g = Lam(App(Lit(child_code), Pair(Var(0), Var(1))))
-        return App(Lit(_U_CODE), g)
-    raise TypeError(p)
+    child = _extract_body(p.sub, (p.var,) + ctx, kernel, bodies)  # Gen
+    child_code = kernel.code(Lam(child))
+    # g . w realises the instance at w; u . g realises the universal
+    g = Lam(App(Lit(child_code), Pair(Var(0), Var(1))))
+    return App(Lit(_U_CODE), g)
 
 
 def extract_value(p: Proof, kernel: Kernel, fuel: int = 10**7,
@@ -536,7 +527,7 @@ def extract_value(p: Proof, kernel: Kernel, fuel: int = 10**7,
     env = env_value(ctx, assignment or {})
     # the kernel keeps the program as the code's closure, so it runs the
     # program without decoding the code
-    code = kernel.code(Lam(_extract_body(p, tuple(ctx), "", kernel, {})))
+    code = kernel.code(Lam(_extract_body(p, tuple(ctx), kernel, {})))
     r = kernel.apply(code, env, fuel)
     if not isinstance(r, Value):
         raise ExtractionError("extracted program did not evaluate: %s"

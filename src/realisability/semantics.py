@@ -25,7 +25,7 @@ from .extraction import combinator
 from .notation import LESS, O_ZERO, OrdNotation, compare, print_ord
 from .poles import (
     Empty, FALSE, Full, IN, OUT, TRUE, UNKNOWN, PoleSpec, V_IN, V_OUT,
-    Verdict, agreement, member, verdict_and,
+    Verdict, agreement, diverged, member, verdict_and,
 )
 from .syntax import (
     All, Eq, Fals, Formula, Imp, InPole, LevelError, Num, REAL_SIDE, Real,
@@ -262,7 +262,7 @@ def _realises(n: Nat, a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
 
 
 class _SampleUnknown(Exception):
-    """Sampling blocked by an unknown pole membership, its argument."""
+    """Sampling blocked by an unknown verdict, its argument."""
 
 
 def certified_realiser(a: Formula, pole: PoleSpec, b: Budget,
@@ -288,7 +288,7 @@ def _certified(a: Formula, pole: PoleSpec, b: Budget, kernel: Kernel,
     r = kernel.kept((_certified, pole, b.fuel),
                     kernel.apply, _K_BOT, min(pole.seed), b.fuel)
     if not isinstance(r, Value):
-        raise EmptySampleError("continuation constant did not reduce")
+        raise _SampleUnknown(diverged(r.reason))
     return r.n
 
 
@@ -417,6 +417,8 @@ def check_cr_axioms(pole: PoleSpec, corpus: list, b: Budget, kernel: Kernel,
         except EmptySampleError:
             rec("Ax_T", text, V_IN if lhs_r.verdict.kind != OUT
                 else lhs_r.verdict, V_IN, 0)
+        except _SampleUnknown as exc:
+            rec("Ax_T", text, lhs_r.verdict, exc.args[0], 0)
 
         if isinstance(a, Eq):
             true_eq = eval_term(a.l, kernel) == eval_term(a.r, kernel)

@@ -1,8 +1,11 @@
 """Command line surface: argument handling, exit codes, JSON shape,
 and reproducibility of the suite report."""
 
+import argparse
+import itertools
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -41,8 +44,9 @@ def test_parse_pole_forms():
 
 
 def test_bad_pole_is_usage_error(capsys):
-    code = main(["truth", "(= 0 0)", "--pole", "sideways"])
+    code = main(["realises", "0", "(= 0 0)", "--pole", "sideways"])
     assert code == 3
+    assert "unknown pole spec 'sideways'" in capsys.readouterr().err
 
 
 def test_empty_generated_seed_is_usage_error(capsys):
@@ -83,9 +87,9 @@ def test_removed_knobs_are_usage_errors(capsys):
     ["run", "+1", "0"],
     ["run", "1", "0", "--fuel", "\u0661\u0660"],
     ["run", "1", "0", "--fuel", "-5"],
-    ["truth", "(= 0 0)", "--samples", "+2"],
+    ["realises", "0", "(= 0 0)", "--samples", "+2"],
     ["truth", "(= 0 0)", "--width", "\u0665"],
-    ["truth", "(= 0 0)", "--seed", "-1"],
+    ["realises", "0", "(= 0 0)", "--seed", "-1"],
 ], ids=["run", "pole-member", "refutes", "realises", "ord-fs",
         "ram-axiom-a", "ram-axiom-b", "ram-check", "arabic-indic-digit",
         "underscore", "sign", "fuel-digits", "fuel-negative",
@@ -97,7 +101,7 @@ def test_negative_naturals_are_usage_errors(argv, capsys):
 
 def test_zero_budget_is_usage_error(capsys):
     for flag in ("--fuel", "--samples", "--width"):
-        assert main(["truth", "(= 0 0)", flag, "0"]) == 3
+        assert main(["realises", "0", "(= 0 0)", flag, "0"]) == 3
         assert "must be positive" in capsys.readouterr().err
 
 
@@ -146,6 +150,94 @@ def test_level_indexed_atoms_stay_out_of_base_paths(route, tmp_path,
         code = godel(parse_formula(ATOM_FORMULA))
         r = k.apply(wo_realiser(onat(1), k), code, 10**6)
         assert r == Diverged("stuck")
+
+
+# ---------------------------------------------------------------------------
+# Each command takes the shared flags it reads
+
+SHARED = {"--pole": "full", "--fuel": "7", "--samples": "3", "--width": "4",
+          "--seed": "5", "--gamma": "2"}
+_REALISE = "--pole --fuel --samples --width --seed"
+FLAG_TABLE = {
+    "": ["parse", "prove-check", "ord cmp", "ord fs", "ti prove",
+         "ram explicit", "ram translate"],
+    "--width": ["truth"],
+    "--fuel": ["extract", "run"],
+    "--pole --fuel": ["pole member"],
+    "--fuel --gamma": ["ram axiom"],
+    "--pole --fuel --samples --width": ["refutes"],
+    _REALISE: ["realises", "validate", "ti realise", "ti validate",
+               "axioms-check"],
+    _REALISE + " --gamma": ["ram check", "suite"],
+}
+TAKES = {command: flags.split() for flags, commands in FLAG_TABLE.items()
+         for command in commands}
+# arguments each command parses, besides the shared flags
+ARGS = {"parse": ["(= 0 0)"], "truth": ["(= 0 0)"], "pole member": ["3"],
+        "refutes": ["0", "(= 0 0)"], "realises": ["0", "(= 0 0)"],
+        "prove-check": ["p.sexp"], "extract": ["p.sexp"], "run": ["1", "0"],
+        "validate": ["p.sexp"], "ord cmp": ["1", "2"], "ord fs": ["w", "2"],
+        "ti prove": ["zero"], "ti realise": ["1"], "ti validate": [],
+        "ram explicit": ["refute", "s", "(= 0 1)"],
+        "ram translate": ["empty", "(= 0 0)"], "ram axiom": ["RR4"],
+        "ram check": [], "axioms-check": [], "suite": []}
+DEFAULTS = {"pole": "empty", "fuel": Budget.fuel, "samples": Budget.samples,
+            "width": Budget.width, "seed": 0, "gamma": "w"}
+
+
+def _commands(parser, prefix=""):
+    """Each command of the parser, with its own parser."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix.strip(): parser}
+    out = {}
+    for name, p in subs[0].choices.items():
+        out.update(_commands(p, prefix + " " + name))
+    return out
+
+
+def test_every_command_is_in_the_flag_table():
+    assert sorted(_commands(cli.build_parser())) == sorted(TAKES)
+    assert len(TAKES) == 20
+
+
+@pytest.mark.parametrize("command", sorted(TAKES))
+def test_each_command_takes_exactly_its_flags(command, capsys):
+    argv = command.split() + ARGS[command]
+    args = cli.build_parser().parse_args(argv)
+    # a flag a command does not take keeps its default
+    assert {k: getattr(args, k) for k in DEFAULTS} == DEFAULTS
+    for flag, value in SHARED.items():
+        if flag in TAKES[command]:
+            args = cli.build_parser().parse_args(argv + [flag, value])
+            got = getattr(args, flag[2:])
+            assert str(got) == value and type(got) is type(DEFAULTS[flag[2:]])
+        else:
+            assert main(argv + [flag, value]) == 3, flag
+            assert "error: unrecognized arguments: %s %s\n" % (flag, value) \
+                in capsys.readouterr().err
+    args = cli.build_parser().parse_args(argv + ["--report", "r.json"])
+    assert args.report == "r.json"
+
+
+def test_readme_flag_table_is_the_parser_s():
+    readme = (pathlib.Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    head = "| Flags besides `--report` | Commands |"
+    rows = readme[readme.index(head):].split("\n")[2:]
+    table = {}
+    for row in itertools.takewhile(lambda r: r.startswith("|"), rows):
+        flags, commands = row.strip("|").split("|")
+        for command in re.findall(r"`([^`]+)`", commands):
+            assert command not in table, command
+            table[command] = re.findall(r"`([^`]+)`", flags)
+    parsers = _commands(cli.build_parser())
+    assert sorted(table) == sorted(parsers)
+    for command, p in parsers.items():
+        given = [o for a in p._actions for o in a.option_strings
+                 if o in SHARED]
+        assert table[command] == given, command
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +465,25 @@ def test_extract_and_validate_report_exhausted_fuel(capsys):
     assert code == 2
     assert rep["realises"] == {"kind": "unknown", "reason": "fuel"}
     assert capsys.readouterr().err == ""
+
+
+def test_a_certified_realiser_run_out_of_fuel_is_unknown(capsys):
+    # a refuter of an implication pairs the certified realiser of its
+    # antecedent, the run k_bot . 0, which takes 2 fuel units
+    query = ["realises", "5", "(imp (= 0 0) (= 0 1))",
+             "--pole", "generated:0,3,8"]
+    code, rep = run_cli(capsys, *query, "--fuel", "1")
+    assert code == 2 and rep["samples"] == 0
+    assert rep["realises"] == {"kind": "unknown", "reason": "fuel"}
+    code, rep = run_cli(capsys, *query, "--fuel", "2")
+    assert code == 1 and rep["realises"]["kind"] == "out"
+    assert rep["witness"] == 595
+    code, rep = run_cli(capsys, "axioms-check", "--pole", "generated:0,3,8",
+                        "--fuel", "1")
+    assert code == 2
+    assert {(r["lhs"], r["rhs"]) for r in rep["records"]
+            if r["axiom"] == "Ax_T" and r["instance"] == query[2]} == \
+        {("unknown(fuel)", "unknown(fuel)")}
 
 
 def test_pole_member_reports_exhausted_depth(capsys):

@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import io
+import json
 import random
 import weakref
 from collections import Counter
@@ -301,6 +302,35 @@ def test_open_proof_environment():
         inst = subst(c, "x", Num(n))
         v = realises(e, inst, POLE, B, K, random.Random(2))
         assert v.verdict.kind != OUT
+
+
+# checked proofs of (= 0 0) that read a y no gen binds: in an axiom's
+# formula, in a univinst term and in a leibniz equation
+UNBOUND_PROOFS = [
+    "(mp (mp (ax k (imp (= 0 0) (imp (= y y) (= 0 0)))) (ax refleq (= 0 0)))"
+    " (ax refleq (= y y)))",
+    "(mp (ax univinst (imp (all x (= 0 0)) (= 0 0)) y)"
+    " (gen x (ax refleq (= 0 0))))",
+    "(mp (mp (ax leibniz (imp (= y y) (imp (= 0 0) (= 0 0))) x (= 0 0))"
+    " (ax refleq (= y y))) (ax refleq (= 0 0)))",
+]
+
+
+@pytest.mark.parametrize("text", UNBOUND_PROOFS,
+                         ids=["axiom", "univinst", "leibniz"])
+def test_a_variable_no_gen_binds_is_read_as_zero(text, tmp_path):
+    path = tmp_path / "unbound.sexp"
+    path.write_text(text)
+    for argv in (["extract"], ["validate", "--pole", "empty"],
+                 ["validate", "--pole", "full"],
+                 ["validate", "--pole", "generated:0,3,8"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main([argv[0], str(path)] + argv[1:]) == 0, argv
+        rep = json.loads(out.getvalue())
+        assert rep["conclusion"] == "(= 0 0)", argv
+        assert rep.get("ok", True), argv
+        assert rep.get("realises", {"kind": IN})["kind"] == IN, argv
 
 
 def test_induction_realiser_clauses():

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from realisability import semantics, syntax
-from realisability.notation import omega, onat
+from realisability.notation import LESS, add, compare, ocode, omega, onat
 from realisability.ordinals import ordinal_kernel
 from realisability.poles import (
     Empty, Full, Generated, IN, OUT, UNKNOWN, _chase,
@@ -27,7 +27,7 @@ from realisability.syntax import (
     All, Eq, Fals, Fn, Imp, InPole, LevelError, Num, ONE, ParseError,
     REAL_SIDE, Real, TRUTH_SIDE, TVar, Tru, bot, conj, explicit_realisation,
     explicit_refutation, free_vars, godel, godel_term, in_language,
-    max_level, parse_formula, print_formula, subst, subt, ungodel,
+    _atoms, max_level, parse_formula, print_formula, subst, subt, ungodel,
 )
 from realisability.vm import vpair, vunpair
 from test_semantics import count_decodes
@@ -343,6 +343,103 @@ def test_tau_codes_are_zero_on_malformed_codes():
 def _closed_corpus(n):
     rng = random.Random(5)
     return ram_corpus(n, L2, rng)
+
+
+# an equation's tag over a body that codes no pair of terms
+NO_FORMULA = vpair(vunpair(godel(TRUE_EQ))[0], vpair(vpair(99, 0), 0))
+
+
+def _truth_side_below(a, beta):
+    """Whether a is a closed truth-side sentence below beta: its only
+    atoms are truth atoms, each at a level below beta."""
+    return not free_vars(a) and all(
+        type(x) is Tru and compare(x.level, beta) == LESS for x in _atoms(a))
+
+
+def _symbol_cases():
+    """(arguments, value) cases of every registered function symbol: the
+    arithmetic and ordinal symbols on small values, the code-level ones
+    against their formula-level definitions, and each symbol that reads
+    a formula or a name on a code of none."""
+    corpus = _closed_corpus(40)
+    truth_side = [translate_empty(a) for a in corpus]
+    opened = [a.body for a in corpus if isinstance(a, All)]
+    x, q = syntax._name_code("x"), vpair(2, 3)
+    return {
+        "s": [((4,), 5)], "+": [((2, 3), 5)], "*": [((2, 3), 6)],
+        "pair": [((2, 3), q)], "p0": [((q,), 2)], "p1": [((q,), 3)],
+        "memf": [((3, godel(FALSE_EQ)),
+                  godel(explicit_refutation(Num(3), FALSE_EQ))),
+                 ((3, NO_FORMULA), 0)],
+        "memt": [((3, godel(FALSE_EQ)),
+                  godel(explicit_realisation(Num(3), FALSE_EQ))),
+                 ((3, NO_FORMULA), 0)],
+        "eqc": [((godel_term(Num(2)), godel_term(Fn("s", (TVar("y"),)))),
+                 0),
+                ((godel_term(Num(2)), godel_term(Fn("+", (ONE, ONE)))), 1)],
+        "ordlt": [((ocode(L1), ocode(LW)), 1), ((ocode(LW), ocode(L1)), 0)],
+        "ordsuc": [((ocode(LW),), ocode(add(LW, L1)))],
+        "ordadd": [((ocode(LW), ocode(L2)), ocode(add(LW, L2)))],
+        "ordpow": [((ocode(L1),), ocode(LW))],
+        "taue": [((godel(a),), godel(translate_empty(a))) for a in corpus]
+        + [((NO_FORMULA,), 0)],
+        "tau0": [((godel(t),), godel(translate_zero(t)))
+                 for t in truth_side] + [((NO_FORMULA,), 0)],
+        "sentt": [((godel(a), ocode(beta)), int(_truth_side_below(a, beta)))
+                  for a in corpus + truth_side + opened
+                  for beta in (L0, L1, L2)]
+        + [((NO_FORMULA, ocode(L2)), 0)],
+        "subv": [((godel(a), x, n), godel(subst(a, "x", Num(n))))
+                 for a in opened for n in (0, 7)]
+        + [((NO_FORMULA, x, 0), 0),
+           ((godel(opened[0]), syntax._name_code("7"), 0), 0)],
+    }
+
+
+def test_every_function_symbol_has_value_cases():
+    # a new symbol needs its cases here
+    assert set(_symbol_cases()) == set(syntax.FN_SEMANTICS)
+
+
+def test_function_symbols_take_their_defined_values():
+    kernel = ordinal_kernel()
+    cases = _symbol_cases()
+    for name, pairs in cases.items():
+        for args, want in pairs:
+            got = syntax.eval_term(Fn(name, tuple(Num(a) for a in args)),
+                                   kernel)
+            assert got == want, (name, args)
+    # sentt answers both ways, and subv substitutes somewhere
+    assert {want for _, want in cases["sentt"]} == {0, 1}
+    assert any(args[0] != want for args, want in cases["subv"] if want)
+
+
+def _never_disagree(pairs, gamma):
+    """Truth of each sentence and of its translation under the empty
+    pole: agreeing or unknown counts, never true against false."""
+    kernel, b = ordinal_kernel(), Budget(fuel=10**4, samples=10, width=5)
+    agree = 0
+    for a, t in pairs:
+        va = truth(a, Empty(), b, kernel, gamma=gamma).kind
+        vt = truth(t, Empty(), b, kernel, gamma=gamma).kind
+        assert UNKNOWN in (va, vt) or va == vt, print_formula(a)
+        agree += va == vt != UNKNOWN
+    return agree
+
+
+def test_empty_translation_keeps_truth_under_the_empty_pole():
+    corpus = [a for seed in range(60)
+              for a in ram_corpus(5, L2, random.Random(seed))]
+    agree = _never_disagree([(a, translate_empty(a)) for a in corpus], L2)
+    assert agree >= 0.9 * len(corpus)
+
+
+def test_zero_translation_keeps_truth_under_the_empty_pole():
+    atoms = [Tru(L2, Num(godel(translate_empty(a))))
+             for a in ram_corpus(200, L2, random.Random(3))]
+    agree = _never_disagree([(a, translate_zero(a)) for a in atoms],
+                            onat(3))
+    assert agree >= 0.8 * len(atoms)
 
 
 def test_conservative_translation_of_rr_instances_is_true():
